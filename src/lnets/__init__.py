@@ -1,18 +1,20 @@
 """Approximation of positively curved surfaces by watertight assemblies
 of planar vertex quads, cone strips and spherical faces."""
 
-from .bspline import (BSplineSurface, PrincipalFrame, ProjectionResult,
-                      SurfaceJet2, closest_point, convex_paraboloid_patch,
-                      evaluate_jet, evaluate_jets, frame_at_params,
-                      load_surface, normal_derivatives, oriented_normal,
-                      principal_frame, project_points, save_surface)
+from .bspline import (BSplineSurface, PrincipalFrame, PrincipalFrames,
+                      ProjectionResult, SurfaceJet2, closest_point,
+                      convex_paraboloid_patch, evaluate_jet, evaluate_jets,
+                      frame_at_params, load_surface, normal_derivatives,
+                      oriented_normal, principal_frame, principal_frames,
+                      project_points, save_surface)
 from .conjugacy import (ContactClass, CongruenceSpec, DualCurvature,
                         LiftedFormCoeffs, SpecialAngles, classify_contact,
                         classify_element, dual_curvature,
                         dual_curvature_record, lconj_partner, lifted_form,
                         lifted_form_from_first, lifted_form_from_second,
                         midsphere_radius, ordinary_conjugate,
-                        pseudo_lconj_partner, special_angles)
+                        pseudo_lconj_partner, pseudo_lconj_partners,
+                        special_angles)
 from .errors import (AdmissibilityError, ConfigError, CurvatureSignError,
                      FlatError, LnetsError, SingularRadiusError,
                      TracingError, UmbilicError)
@@ -27,7 +29,7 @@ from .lnet import (LNet, StripContactPoints, VerifyReport, initialize,
 from .optimize import (IterationRecord, ResidualSystem, Schedule, Weights,
                        assemble, jacobian, lm_run)
 from .remesh import (AngleField, FrameSample, GridSpec, QuadGrid, frame_at,
-                     theta_eval, trace_grid)
+                     frame_field, theta_eval, trace_grid)
 from .tessellate import LabeledMesh, TessellationParams, tessellate
 
 __version__ = "0.1.0"

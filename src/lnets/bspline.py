@@ -15,8 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .conjugacy import EPS_CLASS
-from .errors import ConfigError, CurvatureSignError, UmbilicError
+from .conjugacy import EPS_CLASS, first_positive
+from .errors import (ConfigError, CurvatureSignError, UmbilicError,
+                     located)
 
 # Regularity threshold: |f_u x f_v| must exceed EPS_REG * |f_u| |f_v|.
 EPS_REG = 1e-10
@@ -200,31 +201,60 @@ def normal_derivatives(jet: SurfaceJet2):
     return sign * m, n_u, n_v
 
 
-def _sign_fix(t1: np.ndarray) -> float:
-    """Sign making the first nonzero component of ``t1`` positive."""
-    for comp in t1:
-        if abs(comp) > 1e-12:
-            return 1.0 if comp > 0 else -1.0
-    return 1.0
+@dataclass(frozen=True)
+class PrincipalFrames:
+    """Principal frames of a batch: ``(N, 3)`` vectors, ``(N,)`` curvatures.
+
+    Row ``k`` holds the fields of a :class:`PrincipalFrame`.
+    """
+
+    t1: np.ndarray
+    t2: np.ndarray
+    n: np.ndarray
+    kappa1: np.ndarray
+    kappa2: np.ndarray
 
 
-def principal_frame(jet: SurfaceJet2) -> PrincipalFrame:
-    """Principal frame and curvatures from a second-order jet.
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise cross product of ``(N, 3)`` arrays (as ``np.cross``)."""
+    out = np.empty(a.shape)
+    out[:, 0] = a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1]
+    out[:, 1] = a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2]
+    out[:, 2] = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+    return out
+
+
+def principal_frames(jets: np.ndarray) -> PrincipalFrames:
+    """Principal frames and curvatures from ``(N, 6, 3)`` jets.
 
     The shape operator is diagonalized in closed form; the normal follows
     the positive-mean-curvature rule, curvatures are ordered
     ``kappa1 >= kappa2`` and the sign of ``t1`` is fixed so that its first
-    nonzero component is positive.
+    nonzero component is positive. Dot products go row by row through
+    ``np.vecdot``, the BLAS dot of ``np.dot``, so each row equals the
+    frame of that jet alone bit for bit.
+
+    The first row that is irregular (``ValueError``), not positively
+    curved (:class:`CurvatureSignError`) or umbilic
+    (:class:`UmbilicError`) raises; its row is the error's ``index``.
     """
-    e, f, g, ll, mm, nn, m = _fundamental_forms(jet)
+    f_u, f_v = jets[:, 1], jets[:, 2]
+    e = np.vecdot(f_u, f_u)
+    f = np.vecdot(f_u, f_v)
+    g = np.vecdot(f_v, f_v)
+    m = _cross(f_u, f_v)
+    m_norm = np.sqrt(np.vecdot(m, m))
+    irregular = m_norm <= EPS_REG * np.sqrt(e) * np.sqrt(g)
+    m /= np.where(irregular, 1.0, m_norm)[:, None]
+    ll = np.vecdot(jets[:, 3], m)
+    mm = np.vecdot(jets[:, 4], m)
+    nn = np.vecdot(jets[:, 5], m)
     det_i = e * g - f * f
+    det_i[irregular] = 1.0
     gauss = (ll * nn - mm * mm) / det_i
-    if gauss <= 0.0:
-        raise CurvatureSignError(
-            f"Gaussian curvature {gauss:g} is not positive")
     mean = (e * nn - 2.0 * f * mm + g * ll) / (2.0 * det_i)
-    sign = 1.0 if mean > 0.0 else -1.0
-    n = sign * m
+    sign = np.where(mean > 0.0, 1.0, -1.0)
+    n = sign[:, None] * m
     ll, mm, nn = sign * ll, sign * mm, sign * nn
 
     # Shape operator [[E, F], [F, G]]^-1 [[L, M], [M, N]] in the (f_u, f_v)
@@ -234,23 +264,49 @@ def principal_frame(jet: SurfaceJet2) -> PrincipalFrame:
     s21 = (e * mm - f * ll) / det_i
     s22 = (e * nn - f * mm) / det_i
     tr = s11 + s22
-    disc = np.sqrt(max(tr * tr / 4.0 - (s11 * s22 - s12 * s21), 0.0))
+    disc = np.sqrt(np.maximum(tr * tr / 4.0 - (s11 * s22 - s12 * s21), 0.0))
     kappa1 = tr / 2.0 + disc
     kappa2 = tr / 2.0 - disc
-    if abs(kappa1 - kappa2) <= EPS_CLASS * max(abs(kappa1), abs(kappa2)):
-        raise UmbilicError(
-            f"principal curvatures coincide: {kappa1:g} ~ {kappa2:g}")
-    if kappa2 <= 0.0:
-        raise CurvatureSignError(f"principal curvature {kappa2:g} <= 0")
+    nonpositive = gauss <= 0.0
+    umbilic = (np.abs(kappa1 - kappa2)
+               <= EPS_CLASS * np.maximum(np.abs(kappa1), np.abs(kappa2)))
+    bad = irregular | nonpositive | umbilic | (kappa2 <= 0.0)
+    if bad.any():
+        k = int(np.argmax(bad))
+        if irregular[k]:
+            cls, msg = (ValueError,
+                        "jet is not regular: f_u and f_v are parallel")
+        elif nonpositive[k]:
+            cls, msg = (CurvatureSignError,
+                        f"Gaussian curvature {gauss[k]:g} is not positive")
+        elif umbilic[k]:
+            cls, msg = (UmbilicError, f"principal curvatures coincide: "
+                        f"{kappa1[k]:g} ~ {kappa2[k]:g}")
+        else:
+            cls, msg = (CurvatureSignError,
+                        f"principal curvature {kappa2[k]:g} <= 0")
+        raise located(cls, msg, index=k)
 
-    v1 = np.array([s12, kappa1 - s11])
-    v2 = np.array([kappa1 - s22, s21])
-    ab = v1 if np.dot(v1, v1) >= np.dot(v2, v2) else v2
-    t1 = ab[0] * jet.f_u + ab[1] * jet.f_v
-    t1 /= np.linalg.norm(t1)
-    t1 = _sign_fix(t1) * t1
-    t2 = np.cross(n, t1)
-    return PrincipalFrame(t1, t2, n, kappa1, kappa2)
+    # Two eigenvector candidates per row; the longer one is better
+    # conditioned.
+    cand = np.empty((jets.shape[0], 2, 2))
+    cand[:, 0, 0] = s12
+    cand[:, 0, 1] = kappa1 - s11
+    cand[:, 1, 0] = kappa1 - s22
+    cand[:, 1, 1] = s21
+    sq = np.vecdot(cand, cand)
+    ab = np.where((sq[:, 0] >= sq[:, 1])[:, None], cand[:, 0], cand[:, 1])
+    t1 = ab[:, :1] * f_u + ab[:, 1:] * f_v
+    t1 = first_positive(t1 / np.sqrt(np.vecdot(t1, t1))[:, None])
+    return PrincipalFrames(t1, _cross(n, t1), n, kappa1, kappa2)
+
+
+def principal_frame(jet: SurfaceJet2) -> PrincipalFrame:
+    """Principal frame of one jet (see :func:`principal_frames`)."""
+    jets = np.stack([jet.f, jet.f_u, jet.f_v, jet.f_uu, jet.f_uv, jet.f_vv])
+    fr = principal_frames(jets[None])
+    return PrincipalFrame(fr.t1[0], fr.t2[0], fr.n[0],
+                          fr.kappa1[0], fr.kappa2[0])
 
 
 def frame_at_params(surface: BSplineSurface, u: float, v: float) -> PrincipalFrame:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FlatError, SingularRadiusError
+from .errors import FlatError, SingularRadiusError, located
 
 # Relative tolerance deciding when a dual curvature radius "vanishes";
 # always applied against a local length scale, never absolutely.
@@ -71,23 +71,39 @@ class CongruenceSpec:
     def is_constant(self) -> bool:
         return self.mode == "explicit" and not callable(self.value)
 
-    def radius_at(self, frame, uv=None) -> float:
-        """Congruence radius at a contact element.
+    def radii(self, kappa1, uv=None) -> np.ndarray:
+        """Congruence radii at a batch of contact elements.
 
-        ``uv`` is forwarded to a callable explicit field; it is unused in
-        the other modes.
+        ``kappa1`` holds the larger principal curvature per element;
+        ``uv`` (``(N, 2)``) is forwarded point by point to a callable
+        explicit field and is unused in the other modes. An inadmissible
+        radius raises :class:`SingularRadiusError` for the first offending
+        element, whose row is the error's ``index``.
         """
-        rho_min = 1.0 / frame.kappa1
+        rho_min = 1.0 / np.asarray(kappa1, dtype=float)
         if self.mode == "tau_min":
             return self.tau * rho_min
-        r = self.value(*uv) if callable(self.value) else self.value
-        if not r > 0.0:
-            raise SingularRadiusError(f"congruence radius {r:g} must be positive")
-        if r >= rho_min:
-            raise SingularRadiusError(
-                f"congruence radius {r:g} reaches the smaller principal "
-                f"radius {rho_min:g}")
-        return float(r)
+        if callable(self.value):
+            r = np.array([self.value(u, v)
+                          for u, v in np.asarray(uv, dtype=float).tolist()],
+                         dtype=float)
+        else:
+            r = np.full(rho_min.shape, self.value)
+        bad = ~(r > 0.0) | (r >= rho_min)
+        if bad.any():
+            k = int(np.argmax(bad))
+            if not r[k] > 0.0:
+                msg = f"congruence radius {r[k]:g} must be positive"
+            else:
+                msg = (f"congruence radius {r[k]:g} reaches the smaller "
+                       f"principal radius {rho_min[k]:g}")
+            raise located(SingularRadiusError, msg, index=k)
+        return r
+
+    def radius_at(self, frame, uv=None) -> float:
+        """Congruence radius at one contact element (see :meth:`radii`)."""
+        uv = None if uv is None else [uv]
+        return float(self.radii([frame.kappa1], uv)[0])
 
 
 @dataclass(frozen=True)
@@ -152,37 +168,52 @@ def lifted_form_from_second(s_uu, s_uv, s_vv, n) -> LiftedFormCoeffs:
     return LiftedFormCoeffs(mi(s_uu, n), mi(s_uv, n), mi(s_vv, n))
 
 
-def _normalize_direction(b: np.ndarray) -> np.ndarray:
-    b = b / np.linalg.norm(b)
-    for comp in b:
-        if abs(comp) > 1e-12:
-            return b if comp > 0 else -b
+def first_positive(x: np.ndarray) -> np.ndarray:
+    """Rows of ``x`` with signs fixed so that the first component larger
+    than ``1e-12`` in magnitude is positive (rows without one are kept)."""
+    big = np.abs(x) > 1e-12
+    lead = x[np.arange(x.shape[0]), np.argmax(big, axis=1)]
+    return np.where((big.any(axis=1) & (lead < 0.0))[:, None], -x, x)
+
+
+def _partners(coef1, coef2, a, scale) -> np.ndarray:
+    """Unit solutions ``b`` of ``coef1 a1 b1 + coef2 a2 b2 = 0``, row-wise.
+
+    ``a`` is ``(N, 2)``; the coefficients and ``scale`` are ``(N,)``.
+    Degenerate rows: both coefficients vanishing (relative to ``scale``)
+    raise :class:`FlatError`; a single vanishing coefficient gives the
+    principal direction of the vanishing slot, to which every direction
+    is conjugate. The first offending row is the error's ``index``.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[1] != 2:
+        raise ValueError("direction must be a 2-vector")
+    coef1 = np.asarray(coef1, dtype=float)
+    coef2 = np.asarray(coef2, dtype=float)
+    zero1 = np.abs(coef1) <= EPS_CLASS * scale
+    zero2 = np.abs(coef2) <= EPS_CLASS * scale
+    b = np.empty(a.shape)
+    b[:, 0] = coef2 * a[:, 1]
+    b[:, 1] = -coef1 * a[:, 0]
+    norm = np.sqrt(np.vecdot(b, b))
+    moved = norm > 0.0
+    flat = zero1 & zero2
+    bad = flat | ~(moved | zero1 | zero2)
+    if bad.any():
+        k = int(np.argmax(bad))
+        if flat[k]:
+            raise located(FlatError, "both form coefficients vanish", index=k)
+        raise located(ValueError, "direction must be nonzero", index=k)
+    b = first_positive(b / np.where(moved, norm, 1.0)[:, None])
+    if not moved.all():
+        b[~moved & zero1] = (1.0, 0.0)
+        b[~moved & ~zero1] = (0.0, 1.0)
     return b
 
 
 def _partner(coef1: float, coef2: float, a, scale: float) -> np.ndarray:
-    """Unit solution ``b`` of ``coef1 a1 b1 + coef2 a2 b2 = 0``.
-
-    Degenerate cases: both coefficients vanishing (relative to ``scale``)
-    raise :class:`FlatError`; a single vanishing coefficient returns the
-    principal direction of the vanishing slot, to which every direction is
-    conjugate.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.shape != (2,):
-        raise ValueError("direction must be a 2-vector")
-    zero1 = abs(coef1) <= EPS_CLASS * scale
-    zero2 = abs(coef2) <= EPS_CLASS * scale
-    if zero1 and zero2:
-        raise FlatError("both form coefficients vanish")
-    b = np.array([coef2 * a[1], -coef1 * a[0]])
-    if np.linalg.norm(b) > 0.0:
-        return _normalize_direction(b)
-    if zero1:
-        return np.array([1.0, 0.0])
-    if zero2:
-        return np.array([0.0, 1.0])
-    raise ValueError("direction must be nonzero")
+    """One-direction :func:`_partners`."""
+    return _partners([coef1], [coef2], np.reshape(a, (1, -1)), scale)[0]
 
 
 def lconj_partner(frame, r: float, a) -> np.ndarray:
@@ -197,17 +228,25 @@ def lconj_partner(frame, r: float, a) -> np.ndarray:
     return _partner(rho2 - r, rho1 - r, a, max(abs(rho1), abs(rho2)))
 
 
-def pseudo_lconj_partner(frame, r: float, a) -> np.ndarray:
-    """Contact-curve partner direction of ``a``.
+def pseudo_lconj_partners(kappa1, kappa2, r, a) -> np.ndarray:
+    """Contact-curve partner directions of the rows of ``a`` (``(N, 2)``).
 
     Solves ``(kappa1 - r kappa1^2) a1 b1 + (kappa2 - r kappa2^2) a2 b2 = 0``
-    with the same normalization and degeneracy rules as
-    :func:`lconj_partner`.
+    per row with the same normalization and degeneracy rules as
+    :func:`lconj_partner`; ``kappa1``, ``kappa2`` and ``r`` are ``(N,)``.
     """
-    k1, k2 = frame.kappa1, frame.kappa2
+    k1 = np.asarray(kappa1, dtype=float)
+    k2 = np.asarray(kappa2, dtype=float)
     c1 = k1 - r * k1 * k1
     c2 = k2 - r * k2 * k2
-    return _partner(c1, c2, a, max(abs(k1), abs(k2)))
+    return _partners(c1, c2, a, np.maximum(np.abs(k1), np.abs(k2)))
+
+
+def pseudo_lconj_partner(frame, r: float, a) -> np.ndarray:
+    """Contact-curve partner direction of ``a`` at one contact element
+    (see :func:`pseudo_lconj_partners`)."""
+    return pseudo_lconj_partners([frame.kappa1], [frame.kappa2], r,
+                                 np.reshape(a, (1, -1)))[0]
 
 
 def ordinary_conjugate(frame, a) -> np.ndarray:

@@ -2,7 +2,16 @@
 
 
 class LnetsError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.
+
+    Errors about one point of a batch carry its row in ``index``; errors
+    located in the parameter domain carry ``uv`` and, when raised by the
+    streamline tracer, the traced ``line``. Unset fields are ``None``.
+    """
+
+    index = None
+    uv = None
+    line = None
 
 
 class AdmissibilityError(LnetsError):
@@ -34,10 +43,20 @@ class FlatError(LnetsError):
 class TracingError(LnetsError):
     """Streamline tracing hit a field degeneracy (near-parallel directions)."""
 
-    def __init__(self, message, uv=None):
+    def __init__(self, message, uv=None, line=None):
         super().__init__(message)
         self.uv = uv
+        self.line = line
 
 
 class ConfigError(LnetsError):
     """Invalid run configuration or input file."""
+
+
+def located(cls, message: str, **fields) -> Exception:
+    """``cls(message)`` with location fields (``index``, ``uv``, ``line``)
+    set as attributes."""
+    exc = cls(message)
+    for name, value in fields.items():
+        setattr(exc, name, value)
+    return exc

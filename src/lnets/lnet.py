@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .bspline import (BSplineSurface, SurfaceJet2, evaluate_jets,
-                      oriented_normal, principal_frame, project_points)
+                      oriented_normal, principal_frames, project_points)
 from .conjugacy import CongruenceSpec
 from .errors import AdmissibilityError, ConfigError
 from .geometry import OrPlane, OrSphere
@@ -109,11 +109,8 @@ def initialize(grid: QuadGrid, surface: BSplineSurface,
     uv_feet, feet, foot_normals, _ = project_points(surface,
                                                     bary.reshape(-1, 3))
     fr, fc = vr - 1, vc - 1
-    radii = np.empty(fr * fc)
     foot_jets = evaluate_jets(surface, uv_feet[:, 0], uv_feet[:, 1])
-    for k in range(fr * fc):
-        frame = principal_frame(SurfaceJet2(*foot_jets[k]))
-        radii[k] = spec.radius_at(frame, uv=(uv_feet[k, 0], uv_feet[k, 1]))
+    radii = spec.radii(principal_frames(foot_jets).kappa1, uv_feet)
     centers = feet + radii[:, None] * foot_normals
     return LNet(normals, intercepts,
                 centers.reshape(fr, fc, 3), radii.reshape(fr, fc))

@@ -11,7 +11,7 @@ from lnets import (ContactClass, CongruenceSpec, FlatError,
                    lconj_partner, lifted_form, lifted_form_from_first,
                    midsphere_radius, normal_derivatives, ordinary_conjugate,
                    principal_frame, pseudo_lconj_partner, special_angles)
-from lnets.conjugacy import DualCurvature
+from lnets.conjugacy import DualCurvature, pseudo_lconj_partners
 
 from conftest import make_frame, random_frame
 
@@ -300,6 +300,21 @@ def test_congruence_spec_validation():
         CongruenceSpec("explicit", value=-1.0).radius_at(fr)
     field = CongruenceSpec("explicit", value=lambda u, v: 0.1 + 0.1 * u)
     assert field.radius_at(fr, uv=(1.0, 0.0)) == pytest.approx(0.2)
+
+
+def test_batched_radii_and_partners_name_first_offending_row():
+    spec = CongruenceSpec("explicit", value=0.5)
+    assert np.array_equal(spec.radii([1.0, 1.5]), [0.5, 0.5])
+    with pytest.raises(SingularRadiusError, match="reaches") as info:
+        spec.radii([1.0, 2.5, 3.0])
+    assert info.value.index == 1
+    # r = 1 / kappa makes both contact-curve coefficients vanish.
+    k1 = np.array([2.0, 1.0, 2.0])
+    k2 = np.array([1.0, 1.0, 2.0])
+    with pytest.raises(FlatError) as info:
+        pseudo_lconj_partners(k1, k2, np.array([0.25, 1.0, 0.5]),
+                              np.ones((3, 2)))
+    assert info.value.index == 1
 
 
 def test_classify_element_uses_radius_scale():

@@ -1,13 +1,14 @@
 """Angle fields, frame sampling and streamline grid extraction."""
 
+import logging
 import math
 
 import numpy as np
 import pytest
 
 from lnets import (AngleField, CongruenceSpec, GridSpec, QuadGrid,
-                   TracingError, UmbilicError, frame_at, theta_eval,
-                   trace_grid)
+                   TracingError, UmbilicError, frame_at, frame_field,
+                   theta_eval, trace_grid)
 from lnets.remesh import FrameSample, trace_grid_from_field
 
 
@@ -67,6 +68,35 @@ def test_frame_at_umbilic_reports_location(steep_patch):
         frame_at(steep_patch, spec, AngleField.constant(0.0), 0.75, 0.5)
 
 
+@pytest.mark.parametrize("field", [
+    AngleField.constant(0.6), AngleField.linear_u(0.1, 1.2),
+    AngleField.linear_v(0.2, 1.4), AngleField.cosine_u(0.0, 1.1),
+    AngleField.cosine_v(0.3, 1.5)], ids=lambda f: f.family)
+@pytest.mark.parametrize("spec", [
+    CongruenceSpec("tau_min", tau=0.7),
+    CongruenceSpec("explicit", value=0.3),
+    CongruenceSpec("explicit", value=lambda u, v: 0.2 + 0.1 * u * v)],
+    ids=["tau_min", "constant", "callable"])
+def test_frame_field_rows_equal_frame_at(patch, field, spec):
+    uv = np.random.default_rng(11).uniform(0.0, 1.0, size=(9, 2))
+    batch = frame_field(patch, spec, field, uv)
+    for k, (u, v) in enumerate(uv):
+        one = frame_at(patch, spec, field, u, v)
+        for name in ("uv", "d1_uv", "d2_uv", "d1_3d", "d2_3d"):
+            assert np.array_equal(getattr(batch, name)[k],
+                                  getattr(one, name)), name
+
+
+def test_frame_field_reports_first_umbilic_in_batch(steep_patch):
+    # (0.25, 0.5) is the other umbilic; the earlier one is reported.
+    uv = [(0.5, 0.5), (0.6, 0.3), (0.75, 0.5), (0.25, 0.5)]
+    spec = CongruenceSpec("tau_min", tau=0.5)
+    with pytest.raises(UmbilicError, match="u=0.75") as info:
+        frame_field(steep_patch, spec, AngleField.constant(0.0), uv)
+    assert info.value.index == 2
+    assert np.array_equal(info.value.uv, [0.75, 0.5])
+
+
 def test_pushforward_roundtrip(patch):
     spec = CongruenceSpec("tau_min", tau=0.6)
     field = AngleField.constant(0.3)
@@ -80,17 +110,15 @@ def test_pushforward_roundtrip(patch):
             assert np.linalg.norm(push - d3d) <= 1e-9
 
 
-def constant_field(d1_uv, d2_uv, domain=(0.0, 1.0, 0.0, 1.0)):
+def constant_field(d1_uv, d2_uv):
     d1 = np.asarray(d1_uv, float)
     d2 = np.asarray(d2_uv, float)
 
-    def field_fn(u, v):
-        u0, u1, v0, v1 = domain
-        if not (u0 <= u <= u1 and v0 <= v <= v1):
-            from lnets.remesh import _LeftDomain
-            raise _LeftDomain
-        return FrameSample(np.array([u, v]), d1, d2,
-                           np.append(d1, 0.0), np.append(d2, 0.0))
+    def field_fn(uv):
+        n = len(uv)
+        return FrameSample(uv, np.tile(d1, (n, 1)), np.tile(d2, (n, 1)),
+                           np.tile(np.append(d1, 0.0), (n, 1)),
+                           np.tile(np.append(d2, 0.0), (n, 1)))
 
     return field_fn
 
@@ -136,6 +164,60 @@ def test_trace_detects_field_singularity():
     with pytest.raises(TracingError):
         trace_grid_from_field(constant_field((1, 0), d2), (0, 1, 0, 1),
                               GridSpec(3, 3, 0.2))
+
+
+def test_trace_error_carries_uv_and_line():
+    # The second direction swings onto the first beyond u = 0.8, which
+    # only the +u half-lines of the rows (odd lines) reach.
+    def field_fn(uv):
+        n = len(uv)
+        ang = np.where(uv[:, 0] > 0.8, math.radians(2.0), math.pi / 2)
+        d1 = np.tile([1.0, 0.0], (n, 1))
+        d2 = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+        return FrameSample(uv, d1, d2, np.pad(d1, ((0, 0), (0, 1))),
+                           np.pad(d2, ((0, 0), (0, 1))))
+
+    with pytest.raises(TracingError) as info:
+        trace_grid_from_field(field_fn, (0, 1, 0, 1), GridSpec(5, 9, 0.1))
+    exc = info.value
+    assert exc.line % 2 == 1
+    assert exc.uv.shape == (2,) and exc.uv[0] > 0.8
+    assert f"line {exc.line} " in str(exc)
+
+
+def test_tracer_never_queries_outside_domain():
+    ang = 0.35
+    inner = constant_field((math.cos(ang), math.sin(ang)),
+                           (-math.sin(ang), math.cos(ang)))
+    queried = []
+
+    def recording(uv):
+        queried.append(np.array(uv))
+        return inner(uv)
+
+    grid = trace_grid_from_field(recording, (0, 1, 0, 1),
+                                 GridSpec(9, 15, 0.1))
+    pts = np.concatenate(queried)
+    assert grid.cols < 15
+    assert np.all((pts >= 0.0) & (pts <= 1.0))
+
+
+def test_trace_grid_warns_once_when_clipped(patch, caplog):
+    spec = CongruenceSpec("tau_min", tau=0.75)
+    field = AngleField.constant(math.pi / 4)
+    with caplog.at_level(logging.WARNING, logger="lnets"):
+        grid = trace_grid(patch, spec, field, GridSpec(5, 12, 0.2))
+    records = [r for r in caplog.records if r.name.startswith("lnets")]
+    assert len(records) == 1
+    assert records[0].levelno == logging.WARNING
+    assert records[0].name == "lnets.remesh"
+    assert "5x12 requested" in records[0].getMessage()
+    assert f"{grid.rows}x{grid.cols} realized" in records[0].getMessage()
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="lnets"):
+        trace_grid_from_field(constant_field((1, 0), (0, 1)), (0, 1, 0, 1),
+                              GridSpec(3, 3, 0.2))
+    assert not caplog.records
 
 
 def test_trace_grid_on_surface_aligns_with_field(patch):
