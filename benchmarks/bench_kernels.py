@@ -1,11 +1,18 @@
-"""Benchmark the numba and pure-numpy B-spline jet kernels.
+"""Benchmark the jet kernels, the batched projection and one LM iteration's
+two heaviest layers.
 
 Run: python benchmarks/bench_kernels.py --points 20000 --repeats 20
 
-The same batch of parameter points is evaluated by both backends; the
-numba path is warmed up first so JIT compilation is not timed. A second
-section times the full batched closest-point projection, which is the
-optimizer's per-iteration hot loop.
+Every timing is the median of ``--repeats`` runs (a fifth as many for the
+projection and the LM layers), after one untimed warm-up call.
+
+- ``jets``: the same batch of parameter points through the pure-numpy
+  kernel and, when numba is importable, the jitted one.
+- ``projection``: the grid-seeded batched closest-point projection.
+- ``lm``: one ``refresh_footpoints`` and one normal-equation solve
+  (``mu = 1e-4``, banded Cholesky) on uniform 10x10 and 40x40 lattices of
+  the default patch, with the variable count, the bandwidth after the
+  reverse Cuthill-McKee ordering and the size of the band.
 """
 
 import argparse
@@ -13,18 +20,33 @@ import time
 
 import numpy as np
 
-from lnets import convex_paraboloid_patch, project_points
+from lnets import (CongruenceSpec, QuadGrid, Weights, assemble,
+                   convex_paraboloid_patch, initialize, project_points)
 from lnets.kernels import (HAS_NUMBA, surface_jets_batch_numba,
                            surface_jets_batch_numpy)
+from lnets.optimize import pack, solve_normal_equations
 
 
 def time_fn(fn, repeats):
-    best = np.inf
+    """Median wall time of ``fn()`` in ms, after one warm-up call."""
+    fn()
+    times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
         fn()
-        best = min(best, time.perf_counter() - t0)
-    return best * 1e3
+        times.append(time.perf_counter() - t0)
+    return float(np.median(times)) * 1e3
+
+
+def lattice_system(surf, size):
+    """Residual system of a net initialized on a uniform lattice."""
+    u0, u1, v0, v1 = surf.domain
+    us = np.linspace(u0 + 0.06, u1 - 0.11, size)
+    vs = np.linspace(v0 + 0.09, v1 - 0.07, size)
+    uu, vv = np.meshgrid(us, vs, indexing="ij")
+    grid = QuadGrid(np.stack([uu, vv], axis=2), surf.domain)
+    net = initialize(grid, surf, CongruenceSpec("tau_min", tau=0.6))
+    return assemble(net, surf, Weights()), pack(net)
 
 
 def main():
@@ -32,6 +54,7 @@ def main():
     parser.add_argument("--points", type=int, default=20000)
     parser.add_argument("--repeats", type=int, default=20)
     args = parser.parse_args()
+    few = max(3, args.repeats // 5)
 
     surf = convex_paraboloid_patch()
     rng = np.random.default_rng(0)
@@ -43,7 +66,6 @@ def main():
     t_np = time_fn(lambda: surface_jets_batch_numpy(*call), args.repeats)
     print(f"jets  numpy : {t_np:8.2f} ms  ({args.points} points)")
     if HAS_NUMBA:
-        surface_jets_batch_numba(*call)  # warm up the JIT
         t_nb = time_fn(lambda: surface_jets_batch_numba(*call), args.repeats)
         print(f"jets  numba : {t_nb:8.2f} ms")
         print(f"speedup     : {t_np / t_nb:8.2f}x")
@@ -55,9 +77,20 @@ def main():
 
     queries = rng.uniform(-0.5, 0.5, size=(2000, 3))
     queries[:, 2] += 0.5
-    t_proj = time_fn(lambda: project_points(surf, queries),
-                     max(3, args.repeats // 5))
+    t_proj = time_fn(lambda: project_points(surf, queries), few)
     print(f"projection  : {t_proj:8.2f} ms  (2000 queries, grid-seeded)")
+
+    for size in (10, 40):
+        system, x = lattice_system(surf, size)
+        t_foot = time_fn(lambda: system.refresh_footpoints(x), few)
+        jac = system.jacobian(x)
+        layout = system.band_layout(jac)
+        eqs = layout.form(jac, system.residual(x))
+        t_solve = time_fn(lambda: solve_normal_equations(eqs, 1e-4), few)
+        band_mb = (layout.bw + 1) * layout.n * 8 / 2 ** 20
+        print(f"lm {size}x{size}    : footpoints {t_foot:8.2f} ms, solve "
+              f"{t_solve:8.2f} ms  ({layout.n} vars, bandwidth {layout.bw}, "
+              f"band {band_mb:.1f} MB)")
 
 
 if __name__ == "__main__":

@@ -5,8 +5,8 @@ from .bspline import (BSplineSurface, PrincipalFrame, PrincipalFrames,
                       ProjectionResult, SurfaceJet2, closest_point,
                       convex_paraboloid_patch, evaluate_jet, evaluate_jets,
                       frame_at_params, load_surface, normal_derivatives,
-                      oriented_normal, principal_frame, principal_frames,
-                      project_points, save_surface)
+                      oriented_normal, oriented_normals, principal_frame,
+                      principal_frames, project_points, save_surface)
 from .conjugacy import (ContactClass, CongruenceSpec, DualCurvature,
                         LiftedFormCoeffs, SpecialAngles, classify_contact,
                         classify_element, dual_curvature,

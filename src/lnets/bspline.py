@@ -16,8 +16,8 @@ import numpy as np
 
 from . import kernels
 from .conjugacy import EPS_CLASS, first_positive
-from .errors import (ConfigError, CurvatureSignError, UmbilicError,
-                     located)
+from .errors import (ConfigError, CurvatureSignError, LnetsError,
+                     UmbilicError, located)
 
 # Regularity threshold: |f_u x f_v| must exceed EPS_REG * |f_u| |f_v|.
 EPS_REG = 1e-10
@@ -147,60 +147,6 @@ def evaluate_jet(surface: BSplineSurface, u: float, v: float) -> SurfaceJet2:
     return SurfaceJet2(j[0], j[1], j[2], j[3], j[4], j[5])
 
 
-def _fundamental_forms(jet: SurfaceJet2):
-    e = float(np.dot(jet.f_u, jet.f_u))
-    f = float(np.dot(jet.f_u, jet.f_v))
-    g = float(np.dot(jet.f_v, jet.f_v))
-    m = np.cross(jet.f_u, jet.f_v)
-    m /= np.linalg.norm(m)
-    ll = float(np.dot(jet.f_uu, m))
-    mm = float(np.dot(jet.f_uv, m))
-    nn = float(np.dot(jet.f_vv, m))
-    return e, f, g, ll, mm, nn, m
-
-
-def oriented_normal(jet: SurfaceJet2) -> np.ndarray:
-    """Unit normal chosen so that the mean curvature is positive.
-
-    On a positively curved surface this is the inward normal; raises
-    :class:`CurvatureSignError` when the Gaussian curvature is not positive.
-    """
-    e, f, g, ll, mm, nn, m = _fundamental_forms(jet)
-    det_i = e * g - f * f
-    gauss = (ll * nn - mm * mm) / det_i
-    if gauss <= 0.0:
-        raise CurvatureSignError(
-            f"Gaussian curvature {gauss:g} is not positive")
-    mean = (e * nn - 2.0 * f * mm + g * ll) / (2.0 * det_i)
-    return m if mean > 0.0 else -m
-
-
-def normal_derivatives(jet: SurfaceJet2):
-    """Oriented normal and its parameter derivatives ``(n, n_u, n_v)``.
-
-    The derivatives follow from the shape operator expressed in the
-    ``(f_u, f_v)`` basis: ``n_u = -(s11 f_u + s21 f_v)`` and
-    ``n_v = -(s12 f_u + s22 f_v)``, with the operator taken relative to
-    the oriented normal of :func:`oriented_normal`.
-    """
-    e, f, g, ll, mm, nn, m = _fundamental_forms(jet)
-    det_i = e * g - f * f
-    mean = (e * nn - 2.0 * f * mm + g * ll) / (2.0 * det_i)
-    gauss = (ll * nn - mm * mm) / det_i
-    if gauss <= 0.0:
-        raise CurvatureSignError(
-            f"Gaussian curvature {gauss:g} is not positive")
-    sign = 1.0 if mean > 0.0 else -1.0
-    ll, mm, nn = sign * ll, sign * mm, sign * nn
-    s11 = (g * ll - f * mm) / det_i
-    s12 = (g * mm - f * nn) / det_i
-    s21 = (e * mm - f * ll) / det_i
-    s22 = (e * nn - f * mm) / det_i
-    n_u = -(s11 * jet.f_u + s21 * jet.f_v)
-    n_v = -(s12 * jet.f_u + s22 * jet.f_v)
-    return sign * m, n_u, n_v
-
-
 @dataclass(frozen=True)
 class PrincipalFrames:
     """Principal frames of a batch: ``(N, 3)`` vectors, ``(N,)`` curvatures.
@@ -224,19 +170,23 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def principal_frames(jets: np.ndarray) -> PrincipalFrames:
-    """Principal frames and curvatures from ``(N, 6, 3)`` jets.
+def _jet_rows(jet: SurfaceJet2) -> np.ndarray:
+    """One jet as a ``(1, 6, 3)`` batch."""
+    return np.stack([jet.f, jet.f_u, jet.f_v, jet.f_uu, jet.f_uv,
+                     jet.f_vv])[None]
 
-    The shape operator is diagonalized in closed form; the normal follows
-    the positive-mean-curvature rule, curvatures are ordered
-    ``kappa1 >= kappa2`` and the sign of ``t1`` is fixed so that its first
-    nonzero component is positive. Dot products go row by row through
-    ``np.vecdot``, the BLAS dot of ``np.dot``, so each row equals the
-    frame of that jet alone bit for bit.
 
-    The first row that is irregular (``ValueError``), not positively
-    curved (:class:`CurvatureSignError`) or umbilic
-    (:class:`UmbilicError`) raises; its row is the error's ``index``.
+def _oriented_forms(jets: np.ndarray):
+    """Oriented normals and shape operators of ``(N, 6, 3)`` jets.
+
+    Returns ``(n, (s11, s12, s21, s22), gauss, irregular)``. The normal
+    ``n`` follows the positive-mean-curvature rule; the shape operator
+    ``[[E, F], [F, G]]^-1 [[L, M], [M, N]]`` is taken relative to it in
+    the ``(f_u, f_v)`` basis, so its eigenvalues are the principal
+    curvatures. Rows flagged ``irregular`` (parallel tangents) hold
+    placeholders. Dot products go row by row through ``np.vecdot``, the
+    BLAS dot of ``np.dot``, so each row equals the result for that jet
+    alone bit for bit.
     """
     f_u, f_v = jets[:, 1], jets[:, 2]
     e = np.vecdot(f_u, f_u)
@@ -254,38 +204,95 @@ def principal_frames(jets: np.ndarray) -> PrincipalFrames:
     gauss = (ll * nn - mm * mm) / det_i
     mean = (e * nn - 2.0 * f * mm + g * ll) / (2.0 * det_i)
     sign = np.where(mean > 0.0, 1.0, -1.0)
-    n = sign[:, None] * m
     ll, mm, nn = sign * ll, sign * mm, sign * nn
+    shape = ((g * ll - f * mm) / det_i, (g * mm - f * nn) / det_i,
+             (e * mm - f * ll) / det_i, (e * nn - f * mm) / det_i)
+    return sign[:, None] * m, shape, gauss, irregular
 
-    # Shape operator [[E, F], [F, G]]^-1 [[L, M], [M, N]] in the (f_u, f_v)
-    # basis; its eigenvalues are the principal curvatures.
-    s11 = (g * ll - f * mm) / det_i
-    s12 = (g * mm - f * nn) / det_i
-    s21 = (e * mm - f * ll) / det_i
-    s22 = (e * nn - f * mm) / det_i
+
+def _raise_first(checks) -> None:
+    """Raise for the first row that fails any ``(bad, cls, message)`` check.
+
+    The checks are tried in order on that row; ``message(k)`` builds the
+    text and the row is the error's ``index``.
+    """
+    bad = np.logical_or.reduce([mask for mask, _, _ in checks])
+    if not bad.any():
+        return
+    k = int(np.argmax(bad))
+    for mask, cls, message in checks:
+        if mask[k]:
+            raise located(cls, message(k), index=k)
+
+
+def _convex_checks(gauss: np.ndarray, irregular: np.ndarray) -> list:
+    """Regularity and positive Gaussian curvature, in that order."""
+    return [(irregular, ValueError,
+             lambda k: "jet is not regular: f_u and f_v are parallel"),
+            (gauss <= 0.0, CurvatureSignError,
+             lambda k: f"Gaussian curvature {gauss[k]:g} is not positive")]
+
+
+def oriented_normals(jets: np.ndarray) -> np.ndarray:
+    """Unit normals of ``(N, 6, 3)`` jets, chosen so that the mean
+    curvature is positive; ``(N, 3)``.
+
+    On a positively curved surface this is the inward normal. The first
+    row that is irregular (``ValueError``) or whose Gaussian curvature is
+    not positive (:class:`CurvatureSignError`) raises; its row is the
+    error's ``index``.
+    """
+    n, _, gauss, irregular = _oriented_forms(jets)
+    _raise_first(_convex_checks(gauss, irregular))
+    return n
+
+
+def oriented_normal(jet: SurfaceJet2) -> np.ndarray:
+    """Oriented normal of one jet (see :func:`oriented_normals`)."""
+    return oriented_normals(_jet_rows(jet))[0]
+
+
+def normal_derivatives(jet: SurfaceJet2):
+    """Oriented normal and its parameter derivatives ``(n, n_u, n_v)``.
+
+    The derivatives follow from the shape operator expressed in the
+    ``(f_u, f_v)`` basis: ``n_u = -(s11 f_u + s21 f_v)`` and
+    ``n_v = -(s12 f_u + s22 f_v)``, with the operator taken relative to
+    the oriented normal of :func:`oriented_normals`.
+    """
+    n, shape, gauss, irregular = _oriented_forms(_jet_rows(jet))
+    _raise_first(_convex_checks(gauss, irregular))
+    s11, s12, s21, s22 = (s[0] for s in shape)
+    n_u = -(s11 * jet.f_u + s21 * jet.f_v)
+    n_v = -(s12 * jet.f_u + s22 * jet.f_v)
+    return n[0], n_u, n_v
+
+
+def principal_frames(jets: np.ndarray) -> PrincipalFrames:
+    """Principal frames and curvatures from ``(N, 6, 3)`` jets.
+
+    The shape operator is diagonalized in closed form; the normal follows
+    the positive-mean-curvature rule, curvatures are ordered
+    ``kappa1 >= kappa2`` and the sign of ``t1`` is fixed so that its first
+    nonzero component is positive. Each row equals the frame of that jet
+    alone bit for bit.
+
+    The first row that is irregular (``ValueError``), not positively
+    curved (:class:`CurvatureSignError`) or umbilic
+    (:class:`UmbilicError`) raises; its row is the error's ``index``.
+    """
+    n, (s11, s12, s21, s22), gauss, irregular = _oriented_forms(jets)
     tr = s11 + s22
     disc = np.sqrt(np.maximum(tr * tr / 4.0 - (s11 * s22 - s12 * s21), 0.0))
     kappa1 = tr / 2.0 + disc
     kappa2 = tr / 2.0 - disc
-    nonpositive = gauss <= 0.0
     umbilic = (np.abs(kappa1 - kappa2)
                <= EPS_CLASS * np.maximum(np.abs(kappa1), np.abs(kappa2)))
-    bad = irregular | nonpositive | umbilic | (kappa2 <= 0.0)
-    if bad.any():
-        k = int(np.argmax(bad))
-        if irregular[k]:
-            cls, msg = (ValueError,
-                        "jet is not regular: f_u and f_v are parallel")
-        elif nonpositive[k]:
-            cls, msg = (CurvatureSignError,
-                        f"Gaussian curvature {gauss[k]:g} is not positive")
-        elif umbilic[k]:
-            cls, msg = (UmbilicError, f"principal curvatures coincide: "
-                        f"{kappa1[k]:g} ~ {kappa2[k]:g}")
-        else:
-            cls, msg = (CurvatureSignError,
-                        f"principal curvature {kappa2[k]:g} <= 0")
-        raise located(cls, msg, index=k)
+    _raise_first(_convex_checks(gauss, irregular) + [
+        (umbilic, UmbilicError, lambda k: f"principal curvatures coincide: "
+         f"{kappa1[k]:g} ~ {kappa2[k]:g}"),
+        (kappa2 <= 0.0, CurvatureSignError,
+         lambda k: f"principal curvature {kappa2[k]:g} <= 0")])
 
     # Two eigenvector candidates per row; the longer one is better
     # conditioned.
@@ -296,15 +303,14 @@ def principal_frames(jets: np.ndarray) -> PrincipalFrames:
     cand[:, 1, 1] = s21
     sq = np.vecdot(cand, cand)
     ab = np.where((sq[:, 0] >= sq[:, 1])[:, None], cand[:, 0], cand[:, 1])
-    t1 = ab[:, :1] * f_u + ab[:, 1:] * f_v
+    t1 = ab[:, :1] * jets[:, 1] + ab[:, 1:] * jets[:, 2]
     t1 = first_positive(t1 / np.sqrt(np.vecdot(t1, t1))[:, None])
     return PrincipalFrames(t1, _cross(n, t1), n, kappa1, kappa2)
 
 
 def principal_frame(jet: SurfaceJet2) -> PrincipalFrame:
     """Principal frame of one jet (see :func:`principal_frames`)."""
-    jets = np.stack([jet.f, jet.f_u, jet.f_v, jet.f_uu, jet.f_uv, jet.f_vv])
-    fr = principal_frames(jets[None])
+    fr = principal_frames(_jet_rows(jet))
     return PrincipalFrame(fr.t1[0], fr.t2[0], fr.n[0],
                           fr.kappa1[0], fr.kappa2[0])
 
@@ -355,7 +361,9 @@ def project_points(surface: BSplineSurface, xs: np.ndarray,
     fall back to their seed parameters.
 
     Returns ``(uv, feet, normals, converged)`` with shapes
-    ``(N, 2), (N, 3), (N, 3), (N,)``.
+    ``(N, 2), (N, 3), (N, 3), (N,)``. A footpoint without an oriented
+    normal (see :func:`oriented_normals`) raises with its row in ``index``
+    and its parameters in ``uv``.
     """
     xs = np.asarray(xs, dtype=float).reshape(-1, 3)
     n_pts = xs.shape[0]
@@ -418,11 +426,13 @@ def project_points(surface: BSplineSurface, xs: np.ndarray,
     uv[~converged] = seeds[~converged]
     jets = evaluate_jets(surface, uv[:, 0], uv[:, 1])
     feet = jets[:, 0, :]
-    normals = np.empty_like(feet)
-    for i in range(n_pts):
-        jet = SurfaceJet2(jets[i, 0], jets[i, 1], jets[i, 2],
-                          jets[i, 3], jets[i, 4], jets[i, 5])
-        normals[i] = oriented_normal(jet)
+    try:
+        normals = oriented_normals(jets)
+    except (LnetsError, ValueError) as exc:
+        k = exc.index
+        raise located(type(exc), f"footpoint at (u={uv[k, 0]:.6g}, "
+                      f"v={uv[k, 1]:.6g}): {exc}", index=k,
+                      uv=uv[k].copy()) from exc
     return uv, feet, normals, converged
 
 

@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .bspline import (BSplineSurface, SurfaceJet2, evaluate_jets,
-                      oriented_normal, principal_frames, project_points)
+from .bspline import (BSplineSurface, evaluate_jets, oriented_normals,
+                      principal_frames, project_points)
 from .conjugacy import CongruenceSpec
 from .errors import AdmissibilityError, ConfigError
 from .geometry import OrPlane, OrSphere
@@ -97,11 +97,7 @@ def initialize(grid: QuadGrid, surface: BSplineSurface,
     vr, vc = grid.rows, grid.cols
     jets = evaluate_jets(surface, uv[..., 0].ravel(), uv[..., 1].ravel())
     points = jets[:, 0, :].reshape(vr, vc, 3)
-    normals = np.empty((vr, vc, 3))
-    flat = jets.reshape(vr * vc, 6, 3)
-    for k in range(vr * vc):
-        jet = SurfaceJet2(*flat[k])
-        normals.reshape(-1, 3)[k] = oriented_normal(jet)
+    normals = oriented_normals(jets).reshape(vr, vc, 3)
     intercepts = -np.einsum("ijc,ijc->ij", points, normals)
 
     bary = 0.25 * (points[:-1, :-1] + points[1:, :-1]

@@ -13,6 +13,11 @@ vanishes at the expansion point, so it contributes exactly ``w_reg * I``
 to the normal equations. It therefore stays active in the contact-only
 polishing pass as solver damping even though all other auxiliary energy
 weights are zero there.
+
+Each iteration solves the damped normal equations by banded Cholesky
+factorization. The free variables are put in reverse Cuthill-McKee order
+once per active block set, which makes ``J^T J`` banded; escalations
+reuse ``J^T J`` and only change the damping on its diagonal.
 """
 
 from __future__ import annotations
@@ -22,9 +27,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import LinAlgError, solveh_banded
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .bspline import BSplineSurface, project_points
+from .errors import LnetsError, located
 from .lnet import CORNERS, LNet
 
 BLOCK_ORDER = ("unit", "oc", "lfair", "gfair", "prox", "tan", "td", "reg")
@@ -202,6 +209,8 @@ class ResidualSystem:
         self.foot_n = None
         self.foot_uv = None
         self.footpoint_fallbacks = 0
+        self._layout = None
+        self._layout_key = None
         self.refresh_footpoints(self.x0)
 
     # -- state ------------------------------------------------------------
@@ -227,12 +236,13 @@ class ResidualSystem:
         available; fallbacks to grid seeding are counted.
         """
         pts = self.contact_points_of(x)
-        uv, feet, normals, conv = project_points(self.surface, pts,
-                                                 seeds_uv=self.foot_uv)
+        uv, feet, normals, conv = self._project(pts, self.foot_uv,
+                                                np.arange(len(pts)))
         if not np.all(conv) and self.foot_uv is not None:
             # Re-seed the stragglers from the coarse grid.
             bad = ~conv
-            uv_b, feet_b, n_b, conv_b = project_points(self.surface, pts[bad])
+            uv_b, feet_b, n_b, conv_b = self._project(pts[bad], None,
+                                                      np.flatnonzero(bad))
             uv[bad] = uv_b
             feet[bad] = feet_b
             normals[bad] = n_b
@@ -241,6 +251,23 @@ class ResidualSystem:
         self.foot_uv = uv
         self.foot_x = feet
         self.foot_n = normals
+
+    def _project(self, pts: np.ndarray, seeds_uv, incidences: np.ndarray):
+        """:func:`project_points` of the contact points of ``incidences``.
+
+        A located footpoint error is re-raised naming the face and corner
+        of its contact incidence, which becomes its ``index``.
+        """
+        try:
+            return project_points(self.surface, pts, seeds_uv=seeds_uv)
+        except (LnetsError, ValueError) as exc:
+            if getattr(exc, "index", None) is None:
+                raise
+            k = int(incidences[exc.index])
+            i, j = divmod(int(self.oc_face[k]), self.vertex_shape[1] - 1)
+            raise located(type(exc), f"contact of face ({i}, {j}) at corner "
+                          f"{CORNERS[k % 4]}: {exc}", index=k,
+                          uv=exc.uv) from exc
 
     # -- residuals ----------------------------------------------------------
 
@@ -323,19 +350,38 @@ class ResidualSystem:
 
     def raw_energies(self, x: np.ndarray) -> dict:
         """Unweighted sum of squares of every block kind."""
-        out = {}
-        for kind in BLOCK_ORDER:
-            res = self._block_raw(x, kind)
-            out[kind] = float(res @ res)
-        return out
+        return self._energy_summary(x)[0]
 
     def total_energy(self, x: np.ndarray) -> float:
-        raw = self.raw_energies(x)
-        return float(sum(self.weights.of(k) * raw[k] for k in BLOCK_ORDER))
+        return self._weighted_total(self.raw_energies(x))
 
     def max_contact_residual(self, x: np.ndarray) -> float:
-        oc = self._block_raw(x, "oc")
-        return float(np.max(np.abs(oc))) if oc.size else 0.0
+        return _max_abs(self._block_raw(x, "oc"))
+
+    def _weighted_total(self, raw: dict) -> float:
+        return float(sum(self.weights.of(k) * raw[k] for k in BLOCK_ORDER))
+
+    def _energy_summary(self, x: np.ndarray):
+        """``(raw_energies, total_energy, max_contact_residual)`` from one
+        evaluation of every block."""
+        blocks = {kind: self._block_raw(x, kind) for kind in BLOCK_ORDER}
+        raw = {kind: float(res @ res) for kind, res in blocks.items()}
+        return raw, self._weighted_total(raw), _max_abs(blocks["oc"])
+
+    def band_layout(self, jac: sp.csr_matrix,
+                    free: np.ndarray | None = None) -> BandLayout:
+        """Layout of the normal equations for the current active block set.
+
+        Built from ``jac``, the analytic Jacobian, on the first call for an
+        active block set and ``free`` mask, and reused while both stay the
+        same.
+        """
+        key = (self.active_blocks(),
+               None if free is None else np.asarray(free, bool).tobytes())
+        if key != self._layout_key:
+            self._layout = BandLayout(jac, free)
+            self._layout_key = key
+        return self._layout
 
     # -- Jacobian -----------------------------------------------------------
 
@@ -512,34 +558,90 @@ def assemble(net: LNet, surface: BSplineSurface, weights: Weights,
     return ResidualSystem(net, surface, weights, x_prev)
 
 
+def _max_abs(a: np.ndarray) -> float:
+    return float(np.max(np.abs(a))) if a.size else 0.0
+
+
 def jacobian(system: ResidualSystem, x: np.ndarray | None = None,
              mode: str = "analytic") -> sp.csr_matrix:
     """Jacobian of an assembled system at ``x`` (default: assembly point)."""
     return system.jacobian(system.x0 if x is None else x, mode)
 
 
-def solve_normal_equations(jac: sp.spmatrix, res: np.ndarray, mu: float,
-                           free: np.ndarray | None = None) -> np.ndarray:
-    """Solve ``(J^T J + mu I) d = -J^T res`` by sparse LU factorization.
+class BandLayout:
+    """Banded Cholesky layout of ``J^T J`` for one Jacobian sparsity pattern.
 
-    ``free`` masks the variables allowed to move; frozen entries of the
-    returned step are zero.
+    The free columns (all, or those set in ``free``) are put in reverse
+    Cuthill-McKee order of the pattern of ``J^T J``, which bounds its
+    bandwidth ``bw``. Entry ``(i, j)``, ``i <= j``, of the reordered
+    matrix lives at ``band[bw + i - j, j]`` of LAPACK upper band storage
+    of shape ``(bw + 1, n)``, flattened in Fortran order; the band takes
+    ``(bw + 1) * n`` doubles.
     """
-    n = jac.shape[1]
-    jc = jac.tocsc()
-    if free is not None and not np.all(free):
-        jc = jc[:, np.flatnonzero(free)]
-    a = (jc.T @ jc).tocsc()
-    if mu > 0.0:
-        a = a + mu * sp.identity(a.shape[0], format="csc")
-    lu = spla.splu(a)
-    d = lu.solve(-(jc.T @ res))
-    if not np.all(np.isfinite(d)):
+
+    def __init__(self, jac: sp.csr_matrix, free: np.ndarray | None = None):
+        cols = (np.arange(jac.shape[1]) if free is None
+                else np.flatnonzero(free))
+        n = self.n = cols.size
+        self.n_vars = jac.shape[1]
+        # Structural pattern of J^T J over the free columns: sums of ones
+        # are positive, so no entry cancels.
+        ones = sp.csr_matrix((np.ones(jac.nnz), jac.indices, jac.indptr),
+                             shape=jac.shape)[:, cols]
+        pattern = (ones.T @ ones).tocsr()
+        self.perm = reverse_cuthill_mckee(pattern, symmetric_mode=True)
+        # Band variable i is Jacobian column order[i]; frozen columns
+        # have rank -1.
+        self.order = cols[self.perm]
+        self.rank = np.full(jac.shape[1], -1, dtype=np.int64)
+        self.rank[self.order] = np.arange(n)
+        pattern = pattern.tocoo()
+        width = self.rank[cols[pattern.col]] - self.rank[cols[pattern.row]]
+        self.bw = int(np.max(width)) if width.size else 0
+        self.diag = self.bw + (self.bw + 1) * np.arange(n)
+
+    def form(self, jac: sp.csr_matrix, res: np.ndarray) -> NormalEquations:
+        """``J^T J`` and ``-J^T r`` of a Jacobian with this layout's pattern."""
+        ata = (jac.T @ jac).tocoo()
+        i, j = self.rank[ata.row], self.rank[ata.col]
+        upper = (i >= 0) & (i <= j)
+        i, j = i[upper], j[upper]
+        if np.any(j - i > self.bw):
+            raise ValueError("Jacobian sparsity exceeds the layout's band")
+        return NormalEquations(self, self.bw + i - j + (self.bw + 1) * j,
+                               ata.data[upper], -(jac.T @ res)[self.order])
+
+
+@dataclass(frozen=True)
+class NormalEquations:
+    """``J^T J`` and ``-J^T r`` in the order of ``layout``: the upper
+    entries ``values`` go to the flat band positions ``slots``."""
+
+    layout: BandLayout
+    slots: np.ndarray
+    values: np.ndarray
+    rhs: np.ndarray
+
+
+def solve_normal_equations(eqs: NormalEquations, mu: float) -> np.ndarray:
+    """Solve ``(J^T J + mu I) d = -J^T r`` by banded Cholesky factorization.
+
+    Variables outside the layout's free columns get a zero step. Raises
+    ``RuntimeError`` when the damped matrix is not positive definite.
+    """
+    lay = eqs.layout
+    band = np.zeros((lay.bw + 1) * lay.n)
+    band[eqs.slots] = eqs.values
+    band[lay.diag] += mu
+    try:
+        y = solveh_banded(band.reshape((lay.bw + 1, lay.n), order="F"),
+                          eqs.rhs, overwrite_ab=True, check_finite=False)
+    except LinAlgError as exc:
+        raise RuntimeError("singular normal equations") from exc
+    if not np.all(np.isfinite(y)):
         raise RuntimeError("singular normal equations")
-    if free is not None and not np.all(free):
-        full = np.zeros(n)
-        full[np.flatnonzero(free)] = d
-        return full
+    d = np.zeros(lay.n_vars)
+    d[lay.order] = y
     return d
 
 
@@ -559,23 +661,24 @@ class IterationRecord:
     ms: float = field(default=0.0)
 
 
-def _attempt_step(system: ResidualSystem, x: np.ndarray, res0: np.ndarray,
-                  jac_x: sp.spmatrix, free: np.ndarray | None,
-                  base_mu: float, max_escalations: int = 8):
+def _attempt_step(residual_fn, x: np.ndarray, res0: np.ndarray,
+                  eqs: NormalEquations, base_mu: float,
+                  max_escalations: int = 8):
     """One damped step with escalation on energy increase or solver failure.
 
-    Returns ``(x_new, escalations)``; falls back to a zero step when no
-    damping level yields a non-increasing energy.
+    ``eqs`` holds the normal equations at ``x``; each damping level solves
+    them once. Returns ``(x_new, escalations)``; falls back to a zero step
+    when no damping level yields a non-increasing energy.
     """
     e0 = float(res0 @ res0)
     for k in range(max_escalations + 1):
         mu = 0.0 if k == 0 else base_mu * 10.0 ** k
         try:
-            delta = solve_normal_equations(jac_x, res0, mu, free)
+            delta = solve_normal_equations(eqs, mu)
         except RuntimeError:
             continue
         x_try = x + delta
-        res1 = system.residual(x_try)
+        res1 = residual_fn(x_try)
         if float(res1 @ res1) <= e0:
             return x_try, k
     return x.copy(), max_escalations + 1
@@ -600,12 +703,13 @@ def _run_phase(system: ResidualSystem, x: np.ndarray, weights: Weights,
         system.x_prev = x.copy()
         res0 = system.residual(x)
         jac_x = system.jacobian(x)
-        x, escal = _attempt_step(system, x, res0, jac_x, free, weights.w_reg)
-        raw = system.raw_energies(x)
-        total = system.total_energy(x)
+        eqs = system.band_layout(jac_x, free).form(jac_x, res0)
+        x, escal = _attempt_step(system.residual, x, res0, eqs,
+                                 weights.w_reg)
+        raw, total, max_oc = system._energy_summary(x)
         records.append(IterationRecord(
             iteration=len(records) + 1, phase=phase, e_total=total,
-            energies=raw, max_oc=system.max_contact_residual(x),
+            energies=raw, max_oc=max_oc,
             w_lfair=w_it.w_lfair, w_gfair=w_it.w_gfair, escalations=escal,
             footpoint_fallbacks=system.footpoint_fallbacks,
             ms=(time.perf_counter() - t0) * 1e3))
@@ -647,35 +751,3 @@ def lm_run(net: LNet, surface: BSplineSurface, weights: Weights = Weights(),
     x = _run_phase(system, x, w_final, schedule, schedule.final_pass_iters,
                    "contact", free, records, decay_fairness=False)
     return unpack(x, system.vertex_shape), records
-
-
-def lm_least_squares(residual_fn, jacobian_fn, x0: np.ndarray,
-                     damping: float = 1e-4, max_iters: int = 50,
-                     tol: float = 1e-30):
-    """Small generic fixed-damping least-squares loop.
-
-    ``tol`` bounds the squared residual norm at which iteration stops.
-    Used for self-contained solver tests; the net pipeline goes through
-    :func:`lm_run`.
-    """
-    x = np.asarray(x0, dtype=float).copy()
-    for _ in range(max_iters):
-        res = np.asarray(residual_fn(x), dtype=float)
-        if float(res @ res) <= tol:
-            break
-        jac_x = sp.csr_matrix(np.atleast_2d(np.asarray(jacobian_fn(x),
-                                                       dtype=float)))
-        e0 = float(res @ res)
-        for k in range(9):
-            mu = damping * 10.0 ** k
-            try:
-                delta = solve_normal_equations(jac_x, res, mu)
-            except RuntimeError:
-                continue
-            res1 = np.asarray(residual_fn(x + delta), dtype=float)
-            if float(res1 @ res1) <= e0:
-                x = x + delta
-                break
-        else:
-            break
-    return x

@@ -1,5 +1,7 @@
 """Shared fixtures: reference surfaces and exactly-tangent net builders."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -50,7 +52,7 @@ def solved_sphere_net(surface, rows, cols, d=0.25):
     concurrent (solved radii ~ 0), so the net is offset by ``d`` to give
     the spheres honest positive radii; offsetting preserves contact.
     """
-    from lnets.bspline import SurfaceJet2, evaluate_jets, oriented_normal
+    from lnets.bspline import evaluate_jets, oriented_normals
 
     u0, u1, v0, v1 = surface.domain
     # Asymmetric margins: symmetric corner configurations would make the
@@ -60,9 +62,7 @@ def solved_sphere_net(surface, rows, cols, d=0.25):
     uu, vv = np.meshgrid(us, vs, indexing="ij")
     jets = evaluate_jets(surface, uu.ravel(), vv.ravel())
     pts = jets[:, 0, :].reshape(rows, cols, 3)
-    normals = np.empty((rows, cols, 3))
-    for k in range(rows * cols):
-        normals.reshape(-1, 3)[k] = oriented_normal(SurfaceJet2(*jets[k]))
+    normals = oriented_normals(jets).reshape(rows, cols, 3)
     intercepts = -np.einsum("ijc,ijc->ij", pts, normals)
 
     centers = np.empty((rows - 1, cols - 1, 3))
@@ -79,6 +79,27 @@ def solved_sphere_net(surface, rows, cols, d=0.25):
             centers[i, j] = sol[:3]
             radii[i, j] = sol[3]
     return LNet(normals, intercepts + d, centers, radii + d)
+
+
+def mixed_patch(c=0.0):
+    """Graph ``z = x^2 / 2 - (y - c)^3 / 6`` over ``[-1, 1]^2``.
+
+    Biquadratic-by-bicubic Bezier patch whose Gaussian curvature is
+    positive for ``y < c`` and negative for ``y > c``.
+    """
+    from lnets import BSplineSurface
+
+    t = np.linspace(0.0, 1.0, 4)
+    bern = np.array([[math.comb(3, k) * s ** k * (1.0 - s) ** (3 - k)
+                      for k in range(4)] for s in t])
+    zv = np.linalg.solve(bern, -((2.0 * t - 1.0) - c) ** 3 / 6.0)
+    xs = np.array([-1.0, 0.0, 1.0])
+    zu = np.array([0.5, -0.5, 0.5])
+    ys = np.linspace(-1.0, 1.0, 4)
+    ctrl = np.array([[[xs[i], ys[j], zu[i] + zv[j]] for j in range(4)]
+                     for i in range(3)])
+    return BSplineSurface(2, 3, [0, 0, 0, 1, 1, 1], [0, 0, 0, 0, 1, 1, 1, 1],
+                          ctrl)
 
 
 def translational_offset_net(rows_f, cols_f, d=0.2):

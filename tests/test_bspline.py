@@ -7,13 +7,16 @@ import numpy as np
 import pytest
 
 from lnets import (BSplineSurface, ConfigError, CurvatureSignError,
-                   SurfaceJet2, UmbilicError, closest_point, evaluate_jet,
+                   SurfaceJet2, UmbilicError, closest_point,
+                   convex_paraboloid_patch, evaluate_jet,
                    frame_at_params, load_surface, normal_derivatives,
                    oriented_normal, principal_frame, project_points,
                    save_surface)
-from lnets.bspline import _seed_select, surface_from_dict, surface_to_dict
+from lnets.bspline import (_jet_rows, _seed_select, evaluate_jets,
+                           oriented_normals, surface_from_dict,
+                           surface_to_dict)
 
-from conftest import make_frame
+from conftest import make_frame, mixed_patch
 
 
 def bilinear_patch():
@@ -173,6 +176,51 @@ def test_normal_derivatives_match_finite_differences(patch):
         assert np.allclose(n, oriented_normal(jet))
         assert np.linalg.norm(n_u - fd_u) <= 1e-6
         assert np.linalg.norm(n_v - fd_v) <= 1e-6
+
+
+@pytest.mark.parametrize("alpha,beta", [(1.0, 0.4), (2.0, 1.0),
+                                        (-0.7, -1.3)])
+def test_oriented_normals_rows_equal_oriented_normal_bit_for_bit(alpha,
+                                                                 beta):
+    # Graph z = (alpha x^2 + beta y^2) / 2; negative coefficients flip the
+    # orientation rule.
+    base = convex_paraboloid_patch(abs(alpha), abs(beta))
+    ctrl = base.control_grid.copy()
+    ctrl[..., 2] *= np.sign(alpha)
+    surface = BSplineSurface(2, 2, base.knots_u, base.knots_v, ctrl)
+    us, vs = np.meshgrid(np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 7),
+                         indexing="ij")
+    jets = evaluate_jets(surface, us.ravel(), vs.ravel())
+    normals = oriented_normals(jets)
+    assert normals.shape == (jets.shape[0], 3)
+    for k in range(jets.shape[0]):
+        want = oriented_normal(SurfaceJet2(*jets[k]))
+        assert np.array_equal(normals[k], want)
+    assert np.sign(normals[0, 2]) == np.sign(alpha)
+
+
+def test_oriented_normals_saddle_row_raises_with_its_index(patch):
+    jets = evaluate_jets(patch, np.linspace(0.1, 0.9, 6),
+                         np.linspace(0.2, 0.8, 6))
+    jets[3] = _jet_rows(graph_jet(1.0, -1.0))[0]
+    with pytest.raises(CurvatureSignError) as info:
+        oriented_normals(jets)
+    assert info.value.index == 3
+    jets[1] = _jet_rows(graph_jet(0.0, 0.0))[0]
+    jets[1, 2] = 2.0 * jets[1, 1]
+    with pytest.raises(ValueError, match="not regular") as info:
+        oriented_normals(jets)
+    assert info.value.index == 1
+
+
+def test_project_points_locates_a_footpoint_without_normal():
+    surface = mixed_patch(0.12)  # K < 0 for y > 0.12
+    xy = np.array([[0.3, -0.2], [0.1, 0.0], [0.2, 0.4], [0.0, 0.6]])
+    z = xy[:, 0] ** 2 / 2.0 - (xy[:, 1] - 0.12) ** 3 / 6.0
+    with pytest.raises(CurvatureSignError, match=r"u=0\.6, v=0\.7") as info:
+        project_points(surface, np.column_stack([xy, z]))
+    assert info.value.index == 2
+    assert np.allclose(info.value.uv, [0.6, 0.7], atol=1e-12)
 
 
 def test_euler_formula_for_normal_curvature(patch):

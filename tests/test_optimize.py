@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from lnets import (CongruenceSpec, LNet, QuadGrid, Schedule, Weights,
-                   assemble, initialize, jacobian, lm_run, verify)
-from lnets.optimize import lm_least_squares, pack, unpack
+from lnets import (CongruenceSpec, CurvatureSignError, LNet, QuadGrid,
+                   Schedule, Weights, assemble, initialize, jacobian, lm_run,
+                   optimize, verify)
+from lnets.optimize import (BandLayout, _attempt_step, pack,
+                            solve_normal_equations, unpack)
 
-from conftest import translational_offset_net
+from conftest import mixed_patch, translational_offset_net
 
 
 def lattice_net(patch, rows, cols, tau=0.6):
@@ -115,10 +119,16 @@ def test_jacobian_block_slices_cover_residual(patch):
 
 
 def test_toy_linear_least_squares():
-    x = lm_least_squares(lambda x: np.array([x[0] - 1.0, x[1] + 2.0]),
-                         lambda x: np.eye(2), np.zeros(2), max_iters=5)
-    res = np.array([x[0] - 1.0, x[1] + 2.0])
-    assert np.linalg.norm(res) <= 1e-12
+    def residual(x):
+        return np.array([x[0] - 1.0, x[1] + 2.0])
+
+    x0 = np.zeros(2)
+    jac = sp.csr_matrix(np.eye(2))
+    res0 = residual(x0)
+    eqs = BandLayout(jac).form(jac, res0)
+    x, escalations = _attempt_step(residual, x0, res0, eqs, 1e-4)
+    assert escalations == 0
+    assert np.linalg.norm(residual(x)) <= 1e-12
     assert np.allclose(x, [1.0, -2.0])
 
 
@@ -215,3 +225,95 @@ def test_jacobian_module_level_wrapper(patch):
     system = assemble(net, patch, Weights())
     jac = jacobian(system)
     assert jac.shape[1] == pack(net).size
+
+
+def _reference_step(jac, res, mu, free=None):
+    """``(J^T J + mu I) d = -J^T r`` by sparse LU on the free columns."""
+    cols = np.arange(jac.shape[1]) if free is None else np.flatnonzero(free)
+    jc = jac.tocsc()[:, cols]
+    a = (jc.T @ jc + mu * sp.identity(cols.size)).tocsc()
+    d = np.zeros(jac.shape[1])
+    d[cols] = spla.splu(a).solve(-(jc.T @ res))
+    return d
+
+
+@pytest.mark.parametrize("fix_radii", [False, True])
+@pytest.mark.parametrize("mu", [0.0, 1e-4, 1e2])
+def test_banded_solve_matches_sparse_lu(patch, mu, fix_radii):
+    net = lattice_net(patch, 6, 5)
+    system = assemble(net, patch, Weights(w_td=1e-3))
+    x = pack(net)
+    free = None
+    if fix_radii:
+        free = np.ones(system.n_vars, dtype=bool)
+        free[4 * np.arange(system.n_faces) + 3] = False
+    res = system.residual(x)
+    jac = system.jacobian(x)
+    layout = system.band_layout(jac, free)
+    assert layout.bw < layout.n - 1
+    d = solve_normal_equations(layout.form(jac, res), mu)
+    want = _reference_step(jac, res, mu, free)
+    assert np.linalg.norm(d - want) <= 1e-9 * np.linalg.norm(want)
+    if fix_radii:
+        assert np.all(d[~free] == 0.0)
+
+
+def test_singular_normal_equations_raise_runtime_error():
+    jac = sp.csr_matrix(np.array([[1.0, 1.0], [2.0, 2.0]]))
+    eqs = BandLayout(jac).form(jac, np.ones(2))
+    with pytest.raises(RuntimeError, match="singular"):
+        solve_normal_equations(eqs, 0.0)
+    assert np.all(np.isfinite(solve_normal_equations(eqs, 1e-3)))
+
+
+def test_layout_rejects_a_jacobian_outside_its_band():
+    jac = sp.csr_matrix(np.eye(3))
+    layout = BandLayout(jac)
+    other = sp.csr_matrix(np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0],
+                                     [0.0, 0.0, 1.0]]))
+    with pytest.raises(ValueError, match="band"):
+        layout.form(other, np.ones(3))
+
+
+def test_ordering_computed_once_per_active_block_set(patch, monkeypatch):
+    calls = []
+
+    def spy(graph, symmetric_mode=False):
+        calls.append(graph.shape)
+        return rcm(graph, symmetric_mode=symmetric_mode)
+
+    rcm = optimize.reverse_cuthill_mckee
+    monkeypatch.setattr(optimize, "reverse_cuthill_mckee", spy)
+    net = lattice_net(patch, 4, 4)
+    _, records = lm_run(net, patch, Weights(),
+                        Schedule(max_iters=5, final_pass_iters=3))
+    assert [r.phase for r in records] == ["main"] * 5 + ["contact"] * 3
+    assert len(calls) == 2
+
+
+def test_escalations_reuse_the_normal_equations(patch, monkeypatch):
+    formed, solved = [], []
+    form = BandLayout.form
+    solve = optimize.solve_normal_equations
+    monkeypatch.setattr(BandLayout, "form",
+                        lambda self, *a: formed.append(1) or form(self, *a))
+    monkeypatch.setattr(optimize, "solve_normal_equations",
+                        lambda *a: solved.append(1) or solve(*a))
+    net = lattice_net(patch, 4, 4)
+    _, records = lm_run(net, patch, Weights(),
+                        Schedule(max_iters=10, final_pass_iters=10))
+    escalations = sum(min(r.escalations, 8) for r in records)
+    assert escalations > 0
+    assert len(formed) == len(records)
+    assert len(solved) == len(records) + escalations
+
+
+def test_refresh_footpoints_names_face_and_corner():
+    surface = mixed_patch(0.12)  # K < 0 for y > 0.12
+    net = translational_offset_net(3, 3, d=0.2)  # face (i, j) near y = j/4
+    with pytest.raises(CurvatureSignError,
+                       match=r"contact of face \(0, 1\) at corner \(0, 0\)"
+                       ) as info:
+        assemble(net, surface, Weights())
+    assert info.value.index == 4
+    assert info.value.uv[1] > 0.56
