@@ -23,6 +23,8 @@ from .errors import (ConfigError, CurvatureSignError, LnetsError,
 EPS_REG = 1e-10
 # Default sample-grid resolution used to seed closest-point projection.
 PROJECTION_SEED_GRID = 24
+# Query rows per seed-distance block: 256 x 576 seeds x 3 doubles = 3.5 MB.
+_SEED_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -343,10 +345,15 @@ def _seed_select(points: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Index of the closest seed per query; first minimum wins on ties.
 
     Seeds are ordered u-major then v, so the first minimum is the one with
-    the smallest ``u`` and then the smallest ``v``.
+    the smallest ``u`` and then the smallest ``v``. Queries are taken
+    :data:`_SEED_BLOCK` rows at a time to bound the difference array.
     """
-    d2 = ((points[None, :, :] - xs[:, None, :]) ** 2).sum(axis=2)
-    return np.argmin(d2, axis=1)
+    best = np.empty(xs.shape[0], dtype=np.intp)
+    for lo in range(0, xs.shape[0], _SEED_BLOCK):
+        block = xs[lo:lo + _SEED_BLOCK]
+        d2 = ((points[None, :, :] - block[:, None, :]) ** 2).sum(axis=2)
+        best[lo:lo + _SEED_BLOCK] = np.argmin(d2, axis=1)
+    return best
 
 
 def project_points(surface: BSplineSurface, xs: np.ndarray,

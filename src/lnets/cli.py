@@ -9,6 +9,9 @@ serialized net (``lnet.json``), the tessellated mesh (``mesh.obj``), the
 per-iteration log (``iterations.csv``) and a run summary
 (``summary.json``). The net and mesh files are byte-identical across
 repeated runs of the same config; the log and summary carry timings.
+
+The mesh is merged once, by :func:`lnets.tessellate.dedupe_mesh`, between
+tessellation and export; :func:`export_obj` writes it as given.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
 
 from .bspline import load_surface
 from .conjugacy import CongruenceSpec
@@ -176,34 +180,23 @@ def load_config(path) -> RunConfig:
 def export_obj(mesh: LabeledMesh, path) -> None:
     """Write a labeled triangle mesh as an ASCII OBJ file.
 
-    All ``v`` lines come first (vertices deduplicated by exact value,
-    printed with 17 significant digits), followed by one ``g`` group per
-    non-empty patch label with its 1-based ``f`` lines. Triangles that
-    collapse under deduplication are dropped.
+    The mesh comes from :func:`lnets.tessellate.dedupe_mesh`, which merges
+    vertices, drops degenerate triangles and orders the vertices; this
+    function writes what it is given. All ``v`` lines come first, in mesh
+    order and printed with 17 significant digits, followed by one ``g``
+    group per non-empty patch label (planar, conical, spherical) with its
+    1-based ``f`` lines in triangle order.
     """
-    index = {}
-    verts = []
-    groups = {LABEL_PLANAR: [], LABEL_CONICAL: [], LABEL_SPHERICAL: []}
-    for tri, label in zip(mesh.triangles, mesh.labels):
-        ids = []
-        for vid in tri:
-            key = mesh.vertices[vid].tobytes()
-            at = index.get(key)
-            if at is None:
-                at = len(verts)
-                index[key] = at
-                verts.append(mesh.vertices[vid])
-            ids.append(at)
-        if ids[0] != ids[1] and ids[1] != ids[2] and ids[0] != ids[2]:
-            groups[label].append(ids)
     lines = [f"# lnets mesh format_version={OBJ_FORMAT_VERSION}"]
-    for v in verts:
-        lines.append(f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}")
+    lines.extend(f"v {x:.17g} {y:.17g} {z:.17g}"
+                 for x, y, z in mesh.vertices.tolist())
+    labels = np.asarray(mesh.labels, dtype=str)
+    faces = mesh.triangles + 1
     for label in (LABEL_PLANAR, LABEL_CONICAL, LABEL_SPHERICAL):
-        if groups[label]:
+        group = faces[labels == label].tolist()
+        if group:
             lines.append(f"g {label}")
-            for ids in groups[label]:
-                lines.append(f"f {ids[0] + 1} {ids[1] + 1} {ids[2] + 1}")
+            lines.extend(f"f {a} {b} {c}" for a, b, c in group)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

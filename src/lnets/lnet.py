@@ -242,16 +242,16 @@ class VerifyReport:
     max_unit_deviation: float
 
 
-def _adjacent_face_pairs(fr: int, fc: int):
-    """Index pairs of edge-adjacent faces, axis 0 pairs first."""
-    pairs = []
-    for i in range(fr - 1):
-        for j in range(fc):
-            pairs.append(((i, j), (i + 1, j)))
-    for i in range(fr):
-        for j in range(fc - 1):
-            pairs.append(((i, j), (i, j + 1)))
-    return pairs
+def face_pairs(fr: int, fc: int) -> np.ndarray:
+    """Flat indices of edge-adjacent faces as ``(P, 2)``.
+
+    Axis-0 pairs ``(i, j), (i+1, j)`` come first, then axis-1 pairs
+    ``(i, j), (i, j+1)``, each in row-major order of the first face.
+    """
+    f = np.arange(fr * fc).reshape(fr, fc)
+    return np.concatenate([
+        np.stack([f[:-1].ravel(), f[1:].ravel()], axis=1),
+        np.stack([f[:, :-1].ravel(), f[:, 1:].ravel()], axis=1)])
 
 
 def verify(net: LNet, tol_oc: float = DEFAULT_TOL_OC) -> VerifyReport:
@@ -270,11 +270,11 @@ def verify(net: LNet, tol_oc: float = DEFAULT_TOL_OC) -> VerifyReport:
         res = np.einsum("ijc,ijc->ij", net.centers, n) + h - net.radii
         max_res = max(max_res, float(np.max(np.abs(res))))
 
-    bad = 0
-    for fa, fb in _adjacent_face_pairs(fr, fc):
-        d = net.centers[fa] - net.centers[fb]
-        if not float(np.dot(d, d)) > (net.radii[fa] - net.radii[fb]) ** 2:
-            bad += 1
+    fa, fb = face_pairs(fr, fc).T
+    c = net.centers.reshape(-1, 3)
+    r = net.radii.reshape(-1)
+    d = c[fa] - c[fb]
+    bad = int(np.count_nonzero(~(np.vecdot(d, d) > (r[fa] - r[fb]) ** 2)))
 
     unit_dev = float(np.max(np.abs(
         np.linalg.norm(net.normals, axis=2) - 1.0)))

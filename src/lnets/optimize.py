@@ -32,7 +32,7 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .bspline import BSplineSurface, project_points
 from .errors import LnetsError, located
-from .lnet import CORNERS, LNet
+from .lnet import CORNERS, LNet, face_pairs
 
 BLOCK_ORDER = ("unit", "oc", "lfair", "gfair", "prox", "tan", "td", "reg")
 
@@ -192,18 +192,8 @@ class ResidualSystem:
         self.gf_spheres = (np.concatenate(gtri_s) if gtri_s
                            else np.empty((0, 4), dtype=int))
 
-        # Adjacent sphere pairs (axis 0 pairs first).
-        pairs = []
-        if fr >= 2:
-            ti, tj = np.meshgrid(np.arange(fr - 1), np.arange(fc),
-                                 indexing="ij")
-            pairs.append(np.stack([fflat(ti, tj), fflat(ti + 1, tj)], axis=1))
-        if fc >= 2:
-            ti, tj = np.meshgrid(np.arange(fr), np.arange(fc - 1),
-                                 indexing="ij")
-            pairs.append(np.stack([fflat(ti, tj), fflat(ti, tj + 1)], axis=1))
-        self.td_pairs = (np.concatenate(pairs) if pairs
-                         else np.empty((0, 2), dtype=int))
+        # Adjacent sphere pairs of the tangential-distance block.
+        self.td_pairs = face_pairs(fr, fc)
 
         self.foot_x = None
         self.foot_n = None

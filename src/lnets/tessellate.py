@@ -4,7 +4,7 @@ and spherical patches.
 Watertightness is obtained constructively: every curve shared by two
 patches is sampled once and both patches reference the very same floating
 point values, so shared boundary vertices are bit-identical and collapse
-under exact deduplication on export.
+under :func:`dedupe_mesh`, the one vertex merge before OBJ export.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import LnetsError
 from .geometry import SphereFamily, tangent_normal_circle
-from .lnet import CORNERS, DEFAULT_TOL_OC, LNet, verify
+from .lnet import DEFAULT_TOL_OC, LNet, contact_points, verify
 
 LABEL_PLANAR = "planar"
 LABEL_CONICAL = "conical"
@@ -39,6 +39,10 @@ class TessellationParams:
     def __post_init__(self):
         if self.arc_samples < 2 or self.ruling_samples < 2:
             raise ValueError("sample counts must be at least 2")
+        if self.arc_samples != self.ruling_samples:
+            raise ValueError(
+                "arc_samples and ruling_samples must agree: one ruling is "
+                "emitted per arc station")
 
 
 @dataclass
@@ -143,8 +147,8 @@ def tessellate(net: LNet, params: TessellationParams = TessellationParams(),
     filled by transfinite interpolation re-projected to the sphere.
     Patches on the outer rim use great-circle arcs between the boundary
     contact points. Shared boundary samples are referenced, not
-    recomputed, so the mesh is combinatorially watertight after exact
-    vertex deduplication.
+    recomputed, so the mesh is combinatorially watertight after
+    :func:`dedupe_mesh`.
     """
     report = verify(net, tol_oc)
     if not report.is_lnet:
@@ -152,10 +156,6 @@ def tessellate(net: LNet, params: TessellationParams = TessellationParams(),
             f"net fails verification (max residual "
             f"{report.max_contact_residual:g}, "
             f"{report.num_inadmissible_edges} inadmissible edges)")
-    if params.arc_samples != params.ruling_samples:
-        raise ValueError(
-            "arc_samples and ruling_samples must agree: one ruling is "
-            "emitted per arc station")
 
     count = params.arc_samples
     fr, fc = net.face_shape
@@ -181,19 +181,13 @@ def tessellate(net: LNet, params: TessellationParams = TessellationParams(),
         return base
 
     # Planar vertex quads (interior vertices only).
-    corner_contact = {}
-    for i in range(fr):
-        for j in range(fc):
-            c = net.centers[i, j]
-            r = net.radii[i, j]
-            for k, (da, db) in enumerate(CORNERS):
-                corner_contact[(i, j, k)] = c - r * net.normals[i + da, j + db]
+    corner_contact = contact_points(net).reshape(fr, fc, 4, 3)
     for i in range(1, vr - 1):
         for j in range(1, vc - 1):
-            quad = [corner_contact[(i - 1, j - 1, 3)],
-                    corner_contact[(i, j - 1, 1)],
-                    corner_contact[(i, j, 0)],
-                    corner_contact[(i - 1, j, 2)]]
+            quad = [corner_contact[i - 1, j - 1, 3],
+                    corner_contact[i, j - 1, 1],
+                    corner_contact[i, j, 0],
+                    corner_contact[i - 1, j, 2]]
             base = emit(quad)
             triangles.append((base, base + 1, base + 2))
             triangles.append((base, base + 2, base + 3))
@@ -247,20 +241,26 @@ def tessellate(net: LNet, params: TessellationParams = TessellationParams(),
 
 
 def dedupe_mesh(mesh: LabeledMesh) -> LabeledMesh:
-    """Merge exactly equal vertices and drop degenerate triangles."""
-    index = {}
-    remap = np.empty(mesh.vertices.shape[0], dtype=int)
-    unique = []
-    for k, vert in enumerate(mesh.vertices):
-        key = vert.tobytes()
-        at = index.get(key)
-        if at is None:
-            at = len(unique)
-            index[key] = at
-            unique.append(vert)
-        remap[k] = at
-    tris = remap[mesh.triangles]
-    keep = [(t[0] != t[1] and t[1] != t[2] and t[0] != t[2]) for t in tris]
-    tris = tris[np.asarray(keep, dtype=bool)]
-    labels = [lab for lab, k in zip(mesh.labels, keep) if k]
-    return LabeledMesh(np.asarray(unique), tris, labels)
+    """Merge bit-identical vertices and drop degenerate triangles.
+
+    Vertices are keyed on the bit pattern of their coordinates, so
+    ``-0.0`` and ``0.0`` stay distinct. A triangle with two corners on the
+    same key is dropped together with its label. The surviving vertices
+    are numbered by first appearance in the corner stream of the kept
+    triangles, in triangle order; vertices that no kept triangle uses are
+    dropped. This is the single vertex merge of the export path.
+    """
+    verts = np.ascontiguousarray(mesh.vertices)
+    keys = verts.view(np.dtype((np.void, 3 * verts.itemsize))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True,
+                                  return_inverse=True)
+    tris = inverse[mesh.triangles]
+    keep = ((tris[:, 0] != tris[:, 1]) & (tris[:, 1] != tris[:, 2])
+            & (tris[:, 0] != tris[:, 2]))
+    corners = tris[keep].ravel()
+    used, at = np.unique(corners, return_index=True)
+    order = used[np.argsort(at)]
+    number = np.empty(first.size, dtype=int)
+    number[order] = np.arange(order.size)
+    labels = [lab for lab, k in zip(mesh.labels, keep.tolist()) if k]
+    return LabeledMesh(verts[first[order]], number[corners], labels)

@@ -12,9 +12,9 @@ from lnets import (BSplineSurface, ConfigError, CurvatureSignError,
                    frame_at_params, load_surface, normal_derivatives,
                    oriented_normal, principal_frame, project_points,
                    save_surface)
-from lnets.bspline import (_jet_rows, _seed_select, evaluate_jets,
-                           oriented_normals, surface_from_dict,
-                           surface_to_dict)
+from lnets.bspline import (_SEED_BLOCK, _jet_rows, _seed_select,
+                           evaluate_jets, oriented_normals,
+                           surface_from_dict, surface_to_dict)
 
 from conftest import make_frame, mixed_patch
 
@@ -298,6 +298,20 @@ def test_seed_tie_break_prefers_smaller_u_then_v():
     xs = np.array([[0.5, 0., 0.], [0., 0.5, 0.]])
     # Exact distance ties; the earlier point (u-major order) must win.
     assert _seed_select(pts, xs).tolist() == [0, 0]
+
+
+def test_blocked_seed_select_equals_one_shot_argmin():
+    # Integer seed lattice; half-integer queries tie between 2 or 4 seeds.
+    gx, gy = np.meshgrid(np.arange(24.0), np.arange(24.0), indexing="ij")
+    pts = np.stack([gx.ravel(), gy.ravel(), np.zeros(576)], axis=1)
+    rng = np.random.default_rng(7)
+    n = 2 * _SEED_BLOCK + 37
+    xs = rng.uniform(-1.0, 24.0, size=(n, 3))
+    xs[::3, :2] = rng.integers(0, 23, size=(len(xs[::3]), 2)) + 0.5
+    xs[::3, 2] = 0.0
+    d2 = ((pts[None, :, :] - xs[:, None, :]) ** 2).sum(axis=2)
+    assert np.sum(d2 == d2.min(axis=1, keepdims=True), axis=1).max() == 4
+    assert np.array_equal(_seed_select(pts, xs), np.argmin(d2, axis=1))
 
 
 def test_closest_point_is_deterministic_on_symmetric_queries(patch):

@@ -9,7 +9,10 @@ import pytest
 from lnets import ConfigError, save_surface
 from lnets.cli import (config_from_dict, export_obj, load_config, main,
                        report, run_pipeline)
-from lnets.tessellate import LabeledMesh
+from lnets.tessellate import (LabeledMesh, TessellationParams, dedupe_mesh,
+                              tessellate)
+
+from conftest import solved_sphere_net, translational_offset_net
 
 
 def base_config(tmp_path, patch, **overrides):
@@ -55,6 +58,13 @@ def test_config_rejects_unknown_and_missing_fields(tmp_path, patch):
     bad4["surface"] = "missing.json"
     with pytest.raises(ConfigError, match="missing.json"):
         config_from_dict(bad4, tmp_path)
+
+
+def test_config_rejects_mismatched_sample_counts(tmp_path, patch):
+    good = json.loads(base_config(tmp_path, patch).read_text())
+    bad = dict(good, tessellation={"arc_samples": 8, "ruling_samples": 6})
+    with pytest.raises(ConfigError, match="tessellation"):
+        config_from_dict(bad, tmp_path)
 
 
 def test_explicit_radius_defaults_to_fixed(tmp_path, patch):
@@ -125,10 +135,64 @@ def test_export_obj_dedupes_shared_vertices(tmp_path):
     tris = np.array([[0, 1, 2], [3, 5, 4]])
     mesh = LabeledMesh(verts, tris, ["planar", "conical"])
     path = tmp_path / "two.obj"
-    export_obj(mesh, path)
+    export_obj(dedupe_mesh(mesh), path)
     v_lines = [l for l in path.read_text().splitlines()
                if l.startswith("v ")]
     assert len(v_lines) == 4  # shared pair emitted once
+
+
+def reference_obj_text(mesh):
+    """OBJ text of the former two-pass export: a dict merge of exactly
+    equal vertices, then a second per-corner dict merge at write time."""
+    index, unique = {}, []
+    remap = np.empty(mesh.vertices.shape[0], dtype=int)
+    for k, vert in enumerate(mesh.vertices):
+        key = vert.tobytes()
+        if key not in index:
+            index[key] = len(unique)
+            unique.append(vert)
+        remap[k] = index[key]
+    tris = remap[mesh.triangles]
+    keep = [t[0] != t[1] and t[1] != t[2] and t[0] != t[2] for t in tris]
+    labels = [lab for lab, k in zip(mesh.labels, keep) if k]
+    tris = tris[np.asarray(keep, dtype=bool)]
+
+    index, verts = {}, []
+    groups = {"planar": [], "conical": [], "spherical": []}
+    for tri, label in zip(tris, labels):
+        ids = []
+        for vid in tri:
+            key = unique[vid].tobytes()
+            if key not in index:
+                index[key] = len(verts)
+                verts.append(unique[vid])
+            ids.append(index[key])
+        if ids[0] != ids[1] and ids[1] != ids[2] and ids[0] != ids[2]:
+            groups[label].append(ids)
+    lines = ["# lnets mesh format_version=1"]
+    lines += [f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}" for v in verts]
+    for label in ("planar", "conical", "spherical"):
+        if groups[label]:
+            lines.append(f"g {label}")
+            lines += [f"f {a + 1} {b + 1} {c + 1}"
+                      for a, b, c in groups[label]]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("count", [8, 5])
+def test_export_matches_two_pass_reference(tmp_path, patch, count):
+    params = TessellationParams(count, count)
+    # A solved net, and a point-sphere net whose collapsed patches give
+    # degenerate triangles and vertices only they use.
+    for name, net in (("solved", solved_sphere_net(patch, 5, 4)),
+                      ("points", translational_offset_net(3, 3, d=0.0))):
+        raw = tessellate(net, params)
+        mesh = dedupe_mesh(raw)
+        if name == "points":
+            assert mesh.triangles.shape[0] < raw.triangles.shape[0]
+        path = tmp_path / f"{name}.obj"
+        export_obj(mesh, path)
+        assert path.read_text(encoding="utf-8") == reference_obj_text(raw)
 
 
 def test_export_obj_empty_mesh(tmp_path):

@@ -8,7 +8,7 @@ from lnets import (AdmissibilityError, ConfigError, CongruenceSpec,
                    evaluate_jets, initialize, oriented_normal,
                    strip_contact_points, tangential_distance, verify)
 from lnets.bspline import BSplineSurface, SurfaceJet2
-from lnets.lnet import (contact_points, ell_points, gamma_points,
+from lnets.lnet import (contact_points, ell_points, face_pairs, gamma_points,
                         lnet_from_dict, lnet_to_dict, load_lnet, save_lnet)
 
 from conftest import solved_sphere_net, translational_offset_net
@@ -94,14 +94,27 @@ def test_verify_exact_and_perturbed():
 
 
 def test_verify_counts_inadmissible_edges():
-    normals = np.zeros((2, 3, 3))
+    normals = np.zeros((4, 4, 3))
     normals[..., 2] = 1.0
-    intercepts = np.zeros((2, 3))
-    centers = np.zeros((1, 2, 3))
-    radii = np.array([[0.5, 1.0]])  # concentric spheres on the shared edge
+    intercepts = np.zeros((4, 4))
+    ii, jj = np.meshgrid(np.arange(3.0), np.arange(3.0), indexing="ij")
+    centers = np.stack([ii, jj, np.zeros_like(ii)], axis=2)
+    radii = np.full((3, 3), 0.25)
+    # Axis 0: concentric spheres on faces (0, 0) and (1, 0).
+    centers[1, 0] = centers[0, 0]
+    radii[1, 0] = 0.5
+    # Axis 1: |c_a - c_b| == |r_a - r_b| (internally tangent, no cone).
+    centers[2, 2] = (2.0, 1.5, 0.0)
+    radii[2, 2] = 0.75
     rep = verify(LNet(normals, intercepts, centers, radii))
-    assert rep.num_inadmissible_edges >= 1
+    assert rep.num_inadmissible_edges == 2
     assert not rep.is_lnet
+
+
+def test_face_pairs_axis0_first_row_major():
+    assert face_pairs(2, 3).tolist() == [[0, 3], [1, 4], [2, 5],
+                                         [0, 1], [1, 2], [3, 4], [4, 5]]
+    assert face_pairs(1, 1).shape == (0, 2)
 
 
 def test_solved_net_is_exact(patch):

@@ -8,6 +8,7 @@ import scipy.sparse.linalg as spla
 from lnets import (CongruenceSpec, CurvatureSignError, LNet, QuadGrid,
                    Schedule, Weights, assemble, initialize, jacobian, lm_run,
                    optimize, verify)
+from lnets.lnet import face_pairs
 from lnets.optimize import (BandLayout, _attempt_step, pack,
                             solve_normal_equations, unpack)
 
@@ -69,6 +70,12 @@ def test_td_residual_example(patch):
     assert td.shape == (1,)
     assert td[0] == pytest.approx(25.0)
     assert system.raw_energies(pack(net))["td"] == pytest.approx(625.0)
+
+
+def test_td_pairs_are_the_shared_face_pair_table(patch):
+    net = translational_offset_net(4, 3, d=0.2)
+    system = assemble(net, patch, Weights())
+    assert np.array_equal(system.td_pairs, face_pairs(4, 3))
 
 
 def test_oc_jacobian_closed_form(patch):

@@ -7,7 +7,7 @@ import pytest
 
 from lnets import LnetsError, TessellationParams, tessellate
 from lnets.tessellate import (LABEL_CONICAL, LABEL_PLANAR, LABEL_SPHERICAL,
-                              dedupe_mesh)
+                              LabeledMesh, dedupe_mesh)
 
 from conftest import solved_sphere_net, translational_offset_net
 
@@ -81,6 +81,42 @@ def test_watertight_after_exact_dedupe(patch):
             rim_deg[a] += 1
             rim_deg[b] += 1
     assert rim_deg and all(d == 2 for d in rim_deg.values())
+
+
+def test_dedupe_numbers_vertices_by_first_appearance():
+    a, b, c, d = [0., 0., 0.], [1., 0., 0.], [1., 1., 0.], [0., 1., 0.]
+    mesh = LabeledMesh(np.array([a, b, c, d, c, d]),
+                       np.array([[3, 2, 1], [0, 1, 4], [5, 0, 1]]),
+                       [LABEL_PLANAR, LABEL_CONICAL, LABEL_SPHERICAL])
+    out = dedupe_mesh(mesh)
+    assert np.array_equal(out.vertices, np.array([d, c, b, a]))
+    assert out.triangles.tolist() == [[0, 1, 2], [3, 2, 1], [0, 3, 2]]
+    assert out.labels == mesh.labels
+
+
+def test_dedupe_drops_degenerate_triangle_label_and_orphan_vertex():
+    verts = np.array([[0., 0., 0.], [1., 0., 0.], [0., 1., 0.],
+                      [0., 0., 0.], [5., 5., 5.]])
+    # The second triangle has corners 0 and 3 on one vertex; vertex 4 is
+    # used by no other triangle.
+    mesh = LabeledMesh(verts, np.array([[0, 1, 2], [3, 4, 0], [1, 3, 2]]),
+                       [LABEL_PLANAR, LABEL_CONICAL, LABEL_SPHERICAL])
+    out = dedupe_mesh(mesh)
+    assert np.array_equal(out.vertices, verts[:3])
+    assert out.triangles.tolist() == [[0, 1, 2], [1, 0, 2]]
+    assert out.labels == [LABEL_PLANAR, LABEL_SPHERICAL]
+
+
+def test_dedupe_keeps_signed_zeros_apart():
+    verts = np.array([[0., 0., 0.], [-0., 0., 0.], [1., 0., 0.],
+                      [0., 1., 0.]])
+    mesh = LabeledMesh(verts, np.array([[0, 1, 2], [1, 2, 3]]),
+                       [LABEL_PLANAR, LABEL_PLANAR])
+    out = dedupe_mesh(mesh)
+    assert out.vertices.shape == (4, 3)
+    assert np.signbit(out.vertices[:, 0]).tolist() == [False, True, False,
+                                                       False]
+    assert out.triangles.tolist() == [[0, 1, 2], [1, 2, 3]]
 
 
 def test_watertight_constant_radius_net():
