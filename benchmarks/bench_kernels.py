@@ -1,10 +1,11 @@
-"""Benchmark the jet kernels, the batched projection and one LM iteration's
-two heaviest layers.
+"""Benchmark the jet kernels, the batched projection, one LM iteration's
+two heaviest layers and the export stages.
 
 Run: python benchmarks/bench_kernels.py --points 20000 --repeats 20
 
 Every timing is the median of ``--repeats`` runs (a fifth as many for the
-projection and the LM layers), after one untimed warm-up call.
+projection, the LM layers and the export stages), after one untimed
+warm-up call.
 
 - ``jets``: the same batch of parameter points through the pure-numpy
   kernel and, when numba is importable, the jitted one.
@@ -13,18 +14,27 @@ projection and the LM layers), after one untimed warm-up call.
   (``mu = 1e-4``, banded Cholesky) on uniform 10x10 and 40x40 lattices of
   the default patch, with the variable count, the bandwidth after the
   reverse Cuthill-McKee ordering and the size of the band.
+- ``export``: ``tessellate``, ``dedupe_mesh`` and ``export_obj`` (to a
+  temporary file) of an exactly tangent 64x64 net on the default
+  paraboloid, built in closed form, with the raw vertex and triangle
+  counts.
 """
 
 import argparse
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 
-from lnets import (CongruenceSpec, QuadGrid, Weights, assemble,
+from lnets import (CongruenceSpec, LNet, QuadGrid, Weights, assemble,
                    convex_paraboloid_patch, initialize, project_points)
+from lnets.cli import export_obj
 from lnets.kernels import (HAS_NUMBA, surface_jets_batch_numba,
                            surface_jets_batch_numpy)
+from lnets.lnet import CORNERS
 from lnets.optimize import pack, solve_normal_equations
+from lnets.tessellate import dedupe_mesh, tessellate
 
 
 def time_fn(fn, repeats):
@@ -47,6 +57,31 @@ def lattice_system(surf, size):
     grid = QuadGrid(np.stack([uu, vv], axis=2), surf.domain)
     net = initialize(grid, surf, CongruenceSpec("tau_min", tau=0.6))
     return assemble(net, surf, Weights()), pack(net)
+
+
+def exact_paraboloid_net(size, alpha=1.0, beta=0.4, d=0.25):
+    """Exactly tangent ``size x size`` net on ``z = (alpha x^2 + beta y^2)/2``.
+
+    Vertex planes are the upward tangent planes on an asymmetric lattice
+    of ``[-0.88, 0.74] x [-0.78, 0.86]``; each face sphere solves its four
+    corner contact equations; the net is offset by ``d`` so every radius
+    is positive.
+    """
+    x, y = np.meshgrid(np.linspace(-0.88, 0.74, size),
+                       np.linspace(-0.78, 0.86, size), indexing="ij")
+    points = np.stack([x, y, 0.5 * (alpha * x * x + beta * y * y)], axis=2)
+    normals = np.stack([-alpha * x, -beta * y, np.ones_like(x)], axis=2)
+    normals /= np.linalg.norm(normals, axis=2, keepdims=True)
+    intercepts = -np.vecdot(points, normals)
+    m = size - 1
+    a = np.empty((m, m, 4, 4))
+    b = np.empty((m, m, 4))
+    for k, (da, db) in enumerate(CORNERS):
+        a[:, :, k, :3] = normals[da:da + m, db:db + m]
+        a[:, :, k, 3] = -1.0
+        b[:, :, k] = -intercepts[da:da + m, db:db + m]
+    sol = np.linalg.solve(a, b[..., None])[..., 0]
+    return LNet(normals, intercepts + d, sol[..., :3], sol[..., 3] + d)
 
 
 def main():
@@ -91,6 +126,19 @@ def main():
         print(f"lm {size}x{size}    : footpoints {t_foot:8.2f} ms, solve "
               f"{t_solve:8.2f} ms  ({layout.n} vars, bandwidth {layout.bw}, "
               f"band {band_mb:.1f} MB)")
+
+    net = exact_paraboloid_net(64)
+    raw = tessellate(net)
+    mesh = dedupe_mesh(raw)
+    t_tess = time_fn(lambda: tessellate(net), few)
+    t_dedupe = time_fn(lambda: dedupe_mesh(raw), few)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mesh.obj"
+        t_obj = time_fn(lambda: export_obj(mesh, path), few)
+    print(f"export 64x64: tessellate {t_tess:8.2f} ms, dedupe "
+          f"{t_dedupe:8.2f} ms, export_obj {t_obj:8.2f} ms  "
+          f"({raw.vertices.shape[0]} raw vertices, "
+          f"{raw.triangles.shape[0]} triangles)")
 
 
 if __name__ == "__main__":

@@ -367,8 +367,9 @@ def project_points(surface: BSplineSurface, xs: np.ndarray,
     to the domain; points that have not converged after ``max_iter`` steps
     fall back to their seed parameters.
 
-    Returns ``(uv, feet, normals, converged)`` with shapes
-    ``(N, 2), (N, 3), (N, 3), (N,)``. A footpoint without an oriented
+    Returns ``(uv, feet, normals, converged, jets)`` with shapes
+    ``(N, 2), (N, 3), (N, 3), (N,), (N, 6, 3)``; ``jets`` are the surface
+    jets at the returned parameters. A footpoint without an oriented
     normal (see :func:`oriented_normals`) raises with its row in ``index``
     and its parameters in ``uv``.
     """
@@ -440,7 +441,7 @@ def project_points(surface: BSplineSurface, xs: np.ndarray,
         raise located(type(exc), f"footpoint at (u={uv[k, 0]:.6g}, "
                       f"v={uv[k, 1]:.6g}): {exc}", index=k,
                       uv=uv[k].copy()) from exc
-    return uv, feet, normals, converged
+    return uv, feet, normals, converged, jets
 
 
 def closest_point(surface: BSplineSurface, x,
@@ -453,7 +454,7 @@ def closest_point(surface: BSplineSurface, x,
     divergence the seed parameters are returned with ``converged=False``.
     The result is clamped to the domain when the minimizer is exterior.
     """
-    uv, feet, normals, conv = project_points(
+    uv, feet, normals, conv, _ = project_points(
         surface, np.asarray(x, dtype=float).reshape(1, 3),
         grid_m=grid_m, max_iter=max_iter)
     return ProjectionResult(float(uv[0, 0]), float(uv[0, 1]),

@@ -41,6 +41,9 @@ LOG_FORMAT_VERSION = 1
 OBJ_FORMAT_VERSION = 1
 SUMMARY_FORMAT_VERSION = 1
 
+# Rows of the mesh formatted per write of :func:`export_obj`.
+OBJ_BLOCK_ROWS = 8192
+
 LOG_COLUMNS = ("iter", "E_total", "E_oc", "E_prox", "E_tan", "E_td",
                "E_lfair", "E_gfair", "E_unit", "ms")
 
@@ -177,6 +180,14 @@ def load_config(path) -> RunConfig:
         return config_from_dict(json.load(fh), base_dir=path.parent)
 
 
+def _write_rows(fh, line: str, rows: np.ndarray) -> None:
+    """Write ``line % row`` for every row, :data:`OBJ_BLOCK_ROWS` rows per
+    formatting call."""
+    for lo in range(0, rows.shape[0], OBJ_BLOCK_ROWS):
+        block = rows[lo:lo + OBJ_BLOCK_ROWS]
+        fh.write((line * block.shape[0]) % tuple(block.ravel().tolist()))
+
+
 def export_obj(mesh: LabeledMesh, path) -> None:
     """Write a labeled triangle mesh as an ASCII OBJ file.
 
@@ -185,19 +196,19 @@ def export_obj(mesh: LabeledMesh, path) -> None:
     function writes what it is given. All ``v`` lines come first, in mesh
     order and printed with 17 significant digits, followed by one ``g``
     group per non-empty patch label (planar, conical, spherical) with its
-    1-based ``f`` lines in triangle order.
+    1-based ``f`` lines in triangle order. Lines are formatted and
+    written in blocks of rows, so the whole text is never held in memory.
     """
-    lines = [f"# lnets mesh format_version={OBJ_FORMAT_VERSION}"]
-    lines.extend(f"v {x:.17g} {y:.17g} {z:.17g}"
-                 for x, y, z in mesh.vertices.tolist())
     labels = np.asarray(mesh.labels, dtype=str)
     faces = mesh.triangles + 1
-    for label in (LABEL_PLANAR, LABEL_CONICAL, LABEL_SPHERICAL):
-        group = faces[labels == label].tolist()
-        if group:
-            lines.append(f"g {label}")
-            lines.extend(f"f {a} {b} {c}" for a, b, c in group)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# lnets mesh format_version={OBJ_FORMAT_VERSION}\n")
+        _write_rows(fh, "v %.17g %.17g %.17g\n", mesh.vertices)
+        for label in (LABEL_PLANAR, LABEL_CONICAL, LABEL_SPHERICAL):
+            group = faces[labels == label]
+            if group.size:
+                fh.write(f"g {label}\n")
+                _write_rows(fh, "f %d %d %d\n", group)
 
 
 def _radius_token(cfg: RunConfig) -> str:

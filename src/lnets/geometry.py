@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AdmissibilityError
+from .errors import AdmissibilityError, located
 
 # Tolerance for unit-normal checks; well above double rounding, far below
 # geometric feature scale.
@@ -197,16 +197,17 @@ def offset(e, d: float):
 
 
 def _plane_basis(w_hat: np.ndarray):
-    """Deterministic orthonormal basis of the plane orthogonal to ``w_hat``.
+    """Deterministic orthonormal bases of the planes orthogonal to the rows
+    of ``w_hat`` ``(N, 3)``.
 
-    Uses the coordinate axis of smallest absolute component of ``w_hat``
-    (lowest index on ties) to avoid near-parallel degeneracy.
+    Each row uses the coordinate axis of smallest absolute component of
+    its ``w_hat`` (lowest index on ties) to avoid near-parallel
+    degeneracy.
     """
-    k = int(np.argmin(np.abs(w_hat)))
-    axis = np.zeros(3)
-    axis[k] = 1.0
-    e1 = axis - np.dot(axis, w_hat) * w_hat
-    e1 /= np.linalg.norm(e1)
+    axis = np.zeros_like(w_hat)
+    axis[np.arange(w_hat.shape[0]), np.argmin(np.abs(w_hat), axis=1)] = 1.0
+    e1 = axis - np.vecdot(axis, w_hat)[:, None] * w_hat
+    e1 /= np.sqrt(np.vecdot(e1, e1))[:, None]
     e2 = np.cross(w_hat, e1)
     return e1, e2
 
@@ -216,17 +217,15 @@ def common_tangent_normals(fam: SphereFamily, k: int) -> list[OrPlane]:
 
     The normals of all common tangent planes form the circle
     ``{n : |n| = 1, <n, c1-c0> = r1-r0}``; they are sampled at uniform
-    angles starting from the deterministic basis of :func:`_plane_basis`.
-    Intercepts are ``h = r0 - <n, c0>``.
+    angles starting from the deterministic basis of
+    :func:`tangent_normal_circle`. Intercepts are ``h = r0 - <n, c0>``.
     """
     if k < 1:
         raise ValueError("k must be positive")
-    w = fam.s1.center - fam.s0.center
-    length = float(np.linalg.norm(w))
-    w_hat = w / length
-    alpha = (fam.s1.radius - fam.s0.radius) / length
+    alpha, w_hat, e1, e2 = (a[0] for a in tangent_normal_circle(
+        fam.s0.center[None], np.array([fam.s0.radius]),
+        fam.s1.center[None], np.array([fam.s1.radius])))
     rho = float(np.sqrt(1.0 - alpha * alpha))
-    e1, e2 = _plane_basis(w_hat)
     planes = []
     for i in range(k):
         t = 2.0 * np.pi * i / k
@@ -236,17 +235,32 @@ def common_tangent_normals(fam: SphereFamily, k: int) -> list[OrPlane]:
     return planes
 
 
-def tangent_normal_circle(fam: SphereFamily):
-    """Parameterization data ``(alpha, w_hat, e1, e2)`` of the normal circle.
+def tangent_normal_circle(c0: np.ndarray, r0: np.ndarray, c1: np.ndarray,
+                          r1: np.ndarray):
+    """Normal circles ``(alpha, w_hat, e1, e2)`` of a batch of sphere pairs.
 
-    A normal at angle ``t`` is ``alpha*w_hat + sqrt(1-alpha^2) *
-    (cos(t) e1 + sin(t) e2)``. Exposed for arc construction in the
-    tessellator.
+    Row ``k`` pairs the sphere ``(c0[k], r0[k])`` with ``(c1[k], r1[k])``
+    (centers ``(N, 3)``, radii ``(N,)``). The normals of the planes in
+    oriented contact with both spheres are ``alpha*w_hat +
+    sqrt(1-alpha^2) * (cos(t) e1 + sin(t) e2)``: ``alpha`` is ``(N,)``,
+    ``w_hat`` the unit center offset and ``e1, e2`` an orthonormal basis
+    of its orthogonal plane, each ``(N, 3)``. The first pair that admits
+    no common tangent plane (``|c1-c0|^2 <= (r1-r0)^2``) raises
+    :class:`AdmissibilityError` with its row in ``index``.
     """
-    w = fam.s1.center - fam.s0.center
-    length = float(np.linalg.norm(w))
-    w_hat = w / length
-    alpha = (fam.s1.radius - fam.s0.radius) / length
+    w = c1 - c0
+    d2 = np.vecdot(w, w)
+    dr2 = (r1 - r0) ** 2
+    bad = np.flatnonzero(~(d2 > dr2))
+    if bad.size:
+        k = int(bad[0])
+        raise located(AdmissibilityError,
+                      f"spheres admit no common tangent planes: "
+                      f"|c0-c1|^2 = {d2[k]:g} <= (r0-r1)^2 = {dr2[k]:g}",
+                      index=k)
+    length = np.sqrt(d2)
+    w_hat = w / length[:, None]
+    alpha = (r1 - r0) / length
     e1, e2 = _plane_basis(w_hat)
     return alpha, w_hat, e1, e2
 

@@ -102,10 +102,9 @@ def initialize(grid: QuadGrid, surface: BSplineSurface,
 
     bary = 0.25 * (points[:-1, :-1] + points[1:, :-1]
                    + points[1:, 1:] + points[:-1, 1:])
-    uv_feet, feet, foot_normals, _ = project_points(surface,
-                                                    bary.reshape(-1, 3))
+    uv_feet, feet, foot_normals, _, foot_jets = project_points(
+        surface, bary.reshape(-1, 3))
     fr, fc = vr - 1, vc - 1
-    foot_jets = evaluate_jets(surface, uv_feet[:, 0], uv_feet[:, 1])
     radii = spec.radii(principal_frames(foot_jets).kappa1, uv_feet)
     centers = feet + radii[:, None] * foot_normals
     return LNet(normals, intercepts,

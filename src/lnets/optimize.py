@@ -226,13 +226,13 @@ class ResidualSystem:
         available; fallbacks to grid seeding are counted.
         """
         pts = self.contact_points_of(x)
-        uv, feet, normals, conv = self._project(pts, self.foot_uv,
-                                                np.arange(len(pts)))
+        uv, feet, normals, conv, _ = self._project(pts, self.foot_uv,
+                                                   np.arange(len(pts)))
         if not np.all(conv) and self.foot_uv is not None:
             # Re-seed the stragglers from the coarse grid.
             bad = ~conv
-            uv_b, feet_b, n_b, conv_b = self._project(pts[bad], None,
-                                                      np.flatnonzero(bad))
+            uv_b, feet_b, n_b, conv_b, _ = self._project(
+                pts[bad], None, np.flatnonzero(bad))
             uv[bad] = uv_b
             feet[bad] = feet_b
             normals[bad] = n_b

@@ -5,17 +5,31 @@ Watertightness is obtained constructively: every curve shared by two
 patches is sampled once and both patches reference the very same floating
 point values, so shared boundary vertices are bit-identical and collapse
 under :func:`dedupe_mesh`, the one vertex merge before OBJ export.
+
+Each patch kind is emitted as one array. The contact-normal arcs of all
+vertex edges are two tables, one per parameter direction; cone strips are
+broadcast against them; the spherical faces are one batch of Coons grids
+re-projected to their spheres; triangles are a fixed index template per
+patch kind plus per-patch vertex offsets. The order of the raw mesh is
+fixed: planar quads of the interior vertices (row-major), then cone
+strips of the interior edges (axis 0, then axis 1, each row-major; the
+arc on the first face's sphere, then on the second's), then the
+spherical patches of the faces with nonzero radius (row-major, each a
+``count x count`` grid). The arcs take ``atan2`` and ``acos`` from
+:mod:`math`, one call per arc end: numpy's versions can differ from them
+in the last bit, which would move the sampled vertices.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
 from .errors import LnetsError
-from .geometry import SphereFamily, tangent_normal_circle
+from .geometry import tangent_normal_circle
 from .lnet import DEFAULT_TOL_OC, LNet, contact_points, verify
 
 LABEL_PLANAR = "planar"
@@ -60,80 +74,102 @@ class LabeledMesh:
             raise ValueError("one label per triangle required")
 
 
-def _slerp_arc(n0: np.ndarray, n1: np.ndarray, count: int) -> np.ndarray:
-    """Spherical interpolation between two unit normals, endpoints exact."""
-    out = np.empty((count, 3))
-    out[0] = n0
-    out[-1] = n1
-    omega = math.acos(min(1.0, max(-1.0, float(np.dot(n0, n1)))))
-    for k in range(1, count - 1):
-        t = k / (count - 1)
-        if omega < 1e-9:
-            n = (1.0 - t) * n0 + t * n1
-        else:
-            n = (math.sin((1.0 - t) * omega) * n0
-                 + math.sin(t * omega) * n1) / math.sin(omega)
-        out[k] = n / np.linalg.norm(n)
+def _slerp_arcs(n0: np.ndarray, n1: np.ndarray, count: int) -> np.ndarray:
+    """Spherical interpolation from each unit normal of ``n0`` to the same
+    row of ``n1`` (both ``(N, 3)``) as ``(N, count, 3)``; the endpoints
+    are taken verbatim."""
+    out = np.empty((n0.shape[0], count, 3))
+    out[:, 0] = n0
+    out[:, -1] = n1
+    omega = np.array([math.acos(min(1.0, max(-1.0, d)))
+                      for d in np.vecdot(n0, n1).tolist()])
+    t = (np.arange(1, count - 1) / (count - 1))[None, :, None]
+    n = (1.0 - t) * n0[:, None] + t * n1[:, None]
+    arc = omega >= 1e-9
+    w = omega[arc][:, None, None]
+    n[arc] = (np.sin((1.0 - t) * w) * n0[arc][:, None]
+              + np.sin(t * w) * n1[arc][:, None]) / np.sin(w)
+    out[:, 1:-1] = n / np.sqrt(np.vecdot(n, n))[..., None]
     return out
 
 
-def _circle_arc(net: LNet, face_a, face_b, va, vb, count: int) -> np.ndarray:
-    """Normals along the common-tangent circle of two adjacent spheres,
-    running from the normal of vertex ``va`` to that of ``vb`` along the
-    minor arc. The endpoint normals are taken verbatim from the net."""
-    fam = SphereFamily(net.sphere(*face_a), net.sphere(*face_b))
-    alpha, w_hat, e1, e2 = tangent_normal_circle(fam)
-    rho = math.sqrt(max(0.0, 1.0 - alpha * alpha))
-    n0 = net.normals[va]
-    n1 = net.normals[vb]
-    t0 = math.atan2(float(np.dot(n0, e2)), float(np.dot(n0, e1)))
-    t1 = math.atan2(float(np.dot(n1, e2)), float(np.dot(n1, e1)))
-    dt = t1 - t0
-    if dt > math.pi:
-        dt -= 2.0 * math.pi
-    elif dt <= -math.pi:
-        dt += 2.0 * math.pi
-    out = np.empty((count, 3))
-    out[0] = n0
-    out[-1] = n1
-    for k in range(1, count - 1):
-        t = t0 + dt * k / (count - 1)
-        out[k] = alpha * w_hat + rho * (math.cos(t) * e1 + math.sin(t) * e2)
+def _circle_arcs(c0, r0, c1, r1, n0, n1, count: int) -> np.ndarray:
+    """Normals along the common-tangent circles of sphere pairs.
+
+    Row ``k`` pairs the spheres ``(c0[k], r0[k])`` and ``(c1[k], r1[k])``
+    and runs from the normal ``n0[k]`` to ``n1[k]`` along the minor arc,
+    as ``(N, count, 3)``; the endpoints are taken verbatim.
+    """
+    alpha, w_hat, e1, e2 = tangent_normal_circle(c0, r0, c1, r1)
+    rho = np.sqrt(np.maximum(0.0, 1.0 - alpha * alpha))
+
+    def angle(n):
+        return np.array(list(map(math.atan2, np.vecdot(n, e2).tolist(),
+                                 np.vecdot(n, e1).tolist())))
+
+    t0 = angle(n0)
+    dt = angle(n1) - t0
+    dt = np.where(dt > math.pi, dt - 2.0 * math.pi,
+                  np.where(dt <= -math.pi, dt + 2.0 * math.pi, dt))
+    t = t0[:, None] + dt[:, None] * np.arange(1, count - 1) / (count - 1)
+    cos_t = np.cos(t)[..., None]
+    sin_t = np.sin(t)[..., None]
+    out = np.empty((n0.shape[0], count, 3))
+    out[:, 0] = n0
+    out[:, -1] = n1
+    out[:, 1:-1] = (alpha[:, None, None] * w_hat[:, None]
+                    + rho[:, None, None] * (cos_t * e1[:, None]
+                                            + sin_t * e2[:, None]))
     return out
 
 
-def _edge_tables(net: LNet, count: int):
-    """Arc-normal samples for every interior face edge.
+def _arc_tables(net: LNet, count: int):
+    """Contact-normal samples along every vertex edge of the net.
 
-    Keys are ``(axis, i, j)`` for the edge between faces ``(i, j)`` and
-    its axis-neighbor; values run from the first bounding vertex to the
-    second (ordering documented in the module body).
+    ``a[i, j]`` runs from the normal of vertex ``(i, j)`` to that of
+    ``(i, j+1)``, shape ``(fr+1, fc, count, 3)``; ``b[i, j]`` from
+    ``(i, j)`` to ``(i+1, j)``, shape ``(fr, fc+1, count, 3)``. An
+    interior edge follows the common-tangent circle of the two faces it
+    separates (the lower-index face first); a rim edge follows the great
+    circle between its end normals.
     """
     fr, fc = net.face_shape
-    arcs = {}
-    for i in range(fr - 1):
-        for j in range(fc):
-            arcs[(0, i, j)] = _circle_arc(net, (i, j), (i + 1, j),
-                                          (i + 1, j), (i + 1, j + 1), count)
-    for i in range(fr):
-        for j in range(fc - 1):
-            arcs[(1, i, j)] = _circle_arc(net, (i, j), (i, j + 1),
-                                          (i, j + 1), (i + 1, j + 1), count)
-    return arcs
+    n, c, r = net.normals, net.centers, net.radii
+
+    def circle(c0, r0, c1, r1, n0, n1):
+        lead = r0.shape
+        return _circle_arcs(c0.reshape(-1, 3), r0.ravel(), c1.reshape(-1, 3),
+                            r1.ravel(), n0.reshape(-1, 3), n1.reshape(-1, 3),
+                            count).reshape(lead + (count, 3))
+
+    def slerp(n0, n1):
+        return _slerp_arcs(n0.reshape(-1, 3), n1.reshape(-1, 3),
+                           count).reshape(n0.shape[:2] + (count, 3))
+
+    a = np.empty((fr + 1, fc, count, 3))
+    b = np.empty((fr, fc + 1, count, 3))
+    a[1:-1] = circle(c[:-1], r[:-1], c[1:], r[1:], n[1:-1, :-1], n[1:-1, 1:])
+    b[:, 1:-1] = circle(c[:, :-1], r[:, :-1], c[:, 1:], r[:, 1:],
+                        n[:-1, 1:-1], n[1:, 1:-1])
+    a[[0, -1]] = slerp(n[[0, -1], :-1], n[[0, -1], 1:])
+    b[:, [0, -1]] = slerp(n[:-1, [0, -1]], n[1:, [0, -1]])
+    return a, b
 
 
 def _coons(bottom, top, left, right):
-    """Transfinite interpolation of four compatible boundary polylines."""
-    s_n = bottom.shape[0]
-    t_n = left.shape[0]
-    s = np.linspace(0.0, 1.0, s_n)[:, None, None]
-    t = np.linspace(0.0, 1.0, t_n)[None, :, None]
-    grid = ((1.0 - t) * bottom[:, None, :] + t * top[:, None, :]
-            + (1.0 - s) * left[None, :, :] + s * right[None, :, :]
-            - ((1.0 - s) * (1.0 - t) * bottom[0]
-               + s * (1.0 - t) * bottom[-1]
-               + (1.0 - s) * t * top[0]
-               + s * t * top[-1]))
+    """Transfinite interpolation of four compatible boundary polylines per
+    patch: ``(M, s_n, 3)`` bottom/top and ``(M, t_n, 3)`` left/right give
+    the ``(M, s_n, t_n, 3)`` grids."""
+    s_n = bottom.shape[1]
+    t_n = left.shape[1]
+    s = np.linspace(0.0, 1.0, s_n)[None, :, None, None]
+    t = np.linspace(0.0, 1.0, t_n)[None, None, :, None]
+    grid = ((1.0 - t) * bottom[:, :, None, :] + t * top[:, :, None, :]
+            + (1.0 - s) * left[:, None, :, :] + s * right[:, None, :, :]
+            - ((1.0 - s) * (1.0 - t) * bottom[:, None, None, 0]
+               + s * (1.0 - t) * bottom[:, None, None, -1]
+               + (1.0 - s) * t * top[:, None, None, 0]
+               + s * t * top[:, None, None, -1]))
     return grid
 
 
@@ -159,85 +195,66 @@ def tessellate(net: LNet, params: TessellationParams = TessellationParams(),
 
     count = params.arc_samples
     fr, fc = net.face_shape
-    vr, vc = net.vertex_shape
-    arcs = _edge_tables(net, count)
+    c, r = net.centers, net.radii
+    a, b = _arc_tables(net, count)
 
-    def side_points(face, key, va, vb):
-        c = net.centers[face]
-        r = net.radii[face]
-        if key in arcs:
-            normals = arcs[key]
-        else:
-            normals = _slerp_arc(net.normals[va], net.normals[vb], count)
-        return c - r * normals
+    # Planar quads of the interior vertices, row-major.
+    cc = contact_points(net).reshape(fr, fc, 4, 3)
+    quads = np.stack([cc[:-1, :-1, 3], cc[1:, :-1, 1], cc[1:, 1:, 0],
+                      cc[:-1, 1:, 2]], axis=2).reshape(-1, 4, 3)
 
-    vertices = []
-    triangles = []
-    labels = []
+    # Cone strips along interior edges, axis 0 then axis 1, each row-major:
+    # the arc on the first face's sphere, then on the second's.
+    def strips(arcs, c0, r0, c1, r1):
+        return np.stack([c0[:, :, None] - r0[:, :, None, None] * arcs,
+                         c1[:, :, None] - r1[:, :, None, None] * arcs],
+                        axis=2).reshape(-1, 2 * count, 3)
 
-    def emit(points):
-        base = len(vertices)
-        vertices.extend(points)
-        return base
+    cones = np.concatenate([
+        strips(a[1:-1], c[:-1], r[:-1], c[1:], r[1:]),
+        strips(b[:, 1:-1], c[:, :-1], r[:, :-1], c[:, 1:], r[:, 1:])])
 
-    # Planar vertex quads (interior vertices only).
-    corner_contact = contact_points(net).reshape(fr, fc, 4, 3)
-    for i in range(1, vr - 1):
-        for j in range(1, vc - 1):
-            quad = [corner_contact[i - 1, j - 1, 3],
-                    corner_contact[i, j - 1, 1],
-                    corner_contact[i, j, 0],
-                    corner_contact[i - 1, j, 2]]
-            base = emit(quad)
-            triangles.append((base, base + 1, base + 2))
-            triangles.append((base, base + 2, base + 3))
-            labels.extend([LABEL_PLANAR, LABEL_PLANAR])
+    # Spherical face patches, row-major. Point spheres (the planar-faces
+    # limit) have no spherical surface; their patch is skipped entirely.
+    live = r != 0.0
+    cs = c[live][:, None]
+    rs = r[live][:, None, None]
+    bottom = cs - rs * b[:, :-1][live]
+    top = cs - rs * b[:, 1:][live]
+    left = cs - rs * a[:-1][live]
+    right = cs - rs * a[1:][live]
+    grid = _coons(bottom, top, left, right)
+    rel = grid[:, 1:-1, 1:-1] - cs[:, None]
+    norms = np.linalg.norm(rel, axis=-1, keepdims=True)
+    np.divide(rel, norms, out=rel, where=norms > 0)
+    grid[:, 1:-1, 1:-1] = cs[:, None] + np.abs(rs[:, None]) * rel
+    grid[:, :, 0] = bottom
+    grid[:, :, -1] = top
+    grid[:, 0, :] = left
+    grid[:, -1, :] = right
+    spheres = grid.reshape(-1, count * count, 3)
 
-    # Cone strips along interior edges.
-    for (axis, i, j), normals in arcs.items():
-        fa = (i, j)
-        fb = (i + 1, j) if axis == 0 else (i, j + 1)
-        pa = net.centers[fa] - net.radii[fa] * normals
-        pb = net.centers[fb] - net.radii[fb] * normals
-        base_a = emit(pa)
-        base_b = emit(pb)
-        for k in range(count - 1):
-            triangles.append((base_a + k, base_a + k + 1, base_b + k + 1))
-            triangles.append((base_a + k, base_b + k + 1, base_b + k))
-            labels.extend([LABEL_CONICAL, LABEL_CONICAL])
-
-    # Spherical face patches. Point spheres (the planar-faces limit) have
-    # no spherical surface; their patch is skipped entirely.
-    for i in range(fr):
-        for j in range(fc):
-            c = net.centers[i, j]
-            r = net.radii[i, j]
-            if r == 0.0:
-                continue
-            bottom = side_points((i, j), (1, i, j - 1), (i, j), (i + 1, j))
-            top = side_points((i, j), (1, i, j), (i, j + 1), (i + 1, j + 1))
-            left = side_points((i, j), (0, i - 1, j), (i, j), (i, j + 1))
-            right = side_points((i, j), (0, i, j), (i + 1, j), (i + 1, j + 1))
-            grid = _coons(bottom, top, left, right)
-            inner = grid[1:-1, 1:-1]
-            rel = inner - c
-            norms = np.linalg.norm(rel, axis=2, keepdims=True)
-            np.divide(rel, norms, out=rel, where=norms > 0)
-            grid[1:-1, 1:-1] = c + abs(r) * rel
-            grid[:, 0] = bottom
-            grid[:, -1] = top
-            grid[0, :] = left
-            grid[-1, :] = right
-            base = emit(grid.reshape(-1, 3))
-            for p in range(count - 1):
-                for q in range(count - 1):
-                    v00 = base + p * count + q
-                    v10 = base + (p + 1) * count + q
-                    triangles.append((v00, v10, v10 + 1))
-                    triangles.append((v00, v10 + 1, v00 + 1))
-                    labels.extend([LABEL_SPHERICAL, LABEL_SPHERICAL])
-
-    return LabeledMesh(np.asarray(vertices), np.asarray(triangles), labels)
+    # Triangles: one index template per patch kind, shifted by the first
+    # vertex of each patch.
+    k = np.arange(count - 1)
+    strip_tpl = np.stack([k, k + 1, count + k + 1,
+                          k, count + k + 1, count + k], axis=1)
+    v00 = (k[:, None] * count + k[None, :]).ravel()
+    v10 = v00 + count
+    sphere_tpl = np.stack([v00, v10, v10 + 1, v00, v10 + 1, v00 + 1], axis=1)
+    patches = ((quads, np.array([0, 1, 2, 0, 2, 3]), LABEL_PLANAR),
+               (cones, strip_tpl, LABEL_CONICAL),
+               (spheres, sphere_tpl, LABEL_SPHERICAL))
+    triangles, labels, base = [], [], 0
+    for points, template, label in patches:
+        n_patches, size = points.shape[:2]
+        template = template.reshape(-1, 3)
+        offsets = base + size * np.arange(n_patches)
+        triangles.append((offsets[:, None, None] + template).reshape(-1, 3))
+        labels += [label] * (n_patches * template.shape[0])
+        base += n_patches * size
+    vertices = np.concatenate([p.reshape(-1, 3) for p, _, _ in patches])
+    return LabeledMesh(vertices, np.concatenate(triangles), labels)
 
 
 def dedupe_mesh(mesh: LabeledMesh) -> LabeledMesh:
@@ -251,9 +268,16 @@ def dedupe_mesh(mesh: LabeledMesh) -> LabeledMesh:
     dropped. This is the single vertex merge of the export path.
     """
     verts = np.ascontiguousarray(mesh.vertices)
-    keys = verts.view(np.dtype((np.void, 3 * verts.itemsize))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True,
-                                  return_inverse=True)
+    bits = verts.view(np.uint64)
+    # Stable sort on the bit patterns: each run of equal keys starts at
+    # its first vertex.
+    order = np.lexsort((bits[:, 2], bits[:, 1], bits[:, 0]))
+    keys = bits[order]
+    start = np.ones(order.size, dtype=bool)
+    start[1:] = np.any(keys[1:] != keys[:-1], axis=1)
+    first = order[start]
+    inverse = np.empty(order.size, dtype=np.intp)
+    inverse[order] = np.cumsum(start) - 1
     tris = inverse[mesh.triangles]
     keep = ((tris[:, 0] != tris[:, 1]) & (tris[:, 1] != tris[:, 2])
             & (tris[:, 0] != tris[:, 2]))
@@ -262,5 +286,5 @@ def dedupe_mesh(mesh: LabeledMesh) -> LabeledMesh:
     order = used[np.argsort(at)]
     number = np.empty(first.size, dtype=int)
     number[order] = np.arange(order.size)
-    labels = [lab for lab, k in zip(mesh.labels, keep.tolist()) if k]
+    labels = list(compress(mesh.labels, keep.tolist()))
     return LabeledMesh(verts[first[order]], number[corners], labels)

@@ -102,13 +102,15 @@ def mixed_patch(c=0.0):
                           ctrl)
 
 
-def translational_offset_net(rows_f, cols_f, d=0.2):
+def translational_offset_net(rows_f, cols_f, d=0.2, bend_at=0):
     """Exact constant-radius net: an offset of a point-sphere net.
 
     Face points form a translational net (all vertex quads are
     parallelograms), vertex planes pass through their adjacent face
     points, and the whole structure is offset by ``d`` so that every face
-    sphere has radius exactly ``d``.
+    sphere has radius exactly ``d``. The second profile is straight up to
+    face column ``bend_at``; for ``bend_at >= 2`` the vertex normals of
+    columns ``0..bend_at`` coincide within each row.
     """
     if rows_f < 3 or cols_f < 3:
         raise ValueError("fixture needs at least a 3x3 face grid")
@@ -117,7 +119,7 @@ def translational_offset_net(rows_f, cols_f, d=0.2):
     g = np.stack([0.3 * gi, np.zeros_like(gi, dtype=float),
                   0.05 * gi ** 2], axis=1)
     h = np.stack([np.zeros_like(gj, dtype=float), 0.25 * gj,
-                  0.04 * gj ** 2], axis=1)
+                  0.04 * np.maximum(gj - bend_at, 0) ** 2], axis=1)
     b = g[:, None, :] + h[None, :, :]
 
     # Difference vectors extended by linear extrapolation so that

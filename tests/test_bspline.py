@@ -275,7 +275,7 @@ def test_closest_point_gradient_vanishes_interior(patch):
     rng = np.random.default_rng(47)
     xs = rng.uniform(-0.3, 0.3, size=(20, 3))
     xs[:, 2] = rng.uniform(0.3, 0.8, size=20)
-    uv, feet, _, conv = project_points(patch, xs)
+    uv, feet, _, conv, _ = project_points(patch, xs)
     for k in range(xs.shape[0]):
         if not conv[k]:
             continue

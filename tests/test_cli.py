@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from lnets import ConfigError, save_surface
-from lnets.cli import (config_from_dict, export_obj, load_config, main,
-                       report, run_pipeline)
+from lnets.cli import (OBJ_BLOCK_ROWS, config_from_dict, export_obj,
+                       load_config, main, report, run_pipeline)
 from lnets.tessellate import (LabeledMesh, TessellationParams, dedupe_mesh,
                               tessellate)
 
@@ -193,6 +193,40 @@ def test_export_matches_two_pass_reference(tmp_path, patch, count):
         path = tmp_path / f"{name}.obj"
         export_obj(mesh, path)
         assert path.read_text(encoding="utf-8") == reference_obj_text(raw)
+
+
+def joined_obj_text(mesh):
+    """Reference OBJ text for the streamed writer: every line built, then
+    joined."""
+    lines = ["# lnets mesh format_version=1"]
+    lines += [f"v {x:.17g} {y:.17g} {z:.17g}"
+              for x, y, z in mesh.vertices.tolist()]
+    labels = np.asarray(mesh.labels, dtype=str)
+    faces = mesh.triangles + 1
+    for label in ("planar", "conical", "spherical"):
+        group = faces[labels == label].tolist()
+        if group:
+            lines.append(f"g {label}")
+            lines += [f"f {a} {b} {c}" for a, b, c in group]
+    return "\n".join(lines) + "\n"
+
+
+def test_export_obj_streams_blocks_as_the_joined_text(tmp_path):
+    rng = np.random.default_rng(29)
+    n = 2 * OBJ_BLOCK_ROWS + 37
+    verts = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-12, 12,
+                                                           size=(n, 3))
+    verts[:5] = [[-0.0, 0.0, 1.0], [1e-300, -2.5, 3.0],
+                 [1.0 / 3.0, 2.0 ** 60, -7.0], [0.1, 0.2, 0.3],
+                 [-1e22, 5e-324, 123456789.0]]
+    tris = rng.integers(0, n, size=(2 * n + 11, 3))
+    # Interleaved labels; the conical group alone spans more than a block.
+    labels = rng.choice(["planar", "conical", "conical", "spherical"],
+                        size=tris.shape[0]).tolist()
+    mesh = LabeledMesh(verts, tris, labels)
+    path = tmp_path / "big.obj"
+    export_obj(mesh, path)
+    assert path.read_text(encoding="utf-8") == joined_obj_text(mesh)
 
 
 def test_export_obj_empty_mesh(tmp_path):

@@ -7,6 +7,7 @@ from lnets import (AdmissibilityError, IsotropicHyperplane, LineClass,
                    MinkowskiPoint, OrPlane, OrSphere, SphereFamily,
                    classify_direction, common_tangent_normals, cone_vertex,
                    contact_residual, lift, minkowski_inner, offset)
+from lnets.geometry import tangent_normal_circle
 
 
 def test_minkowski_inner_signature_cases():
@@ -113,6 +114,41 @@ def test_common_tangent_normals_cone_case():
 def test_common_tangent_normals_reject_inadmissible():
     with pytest.raises(AdmissibilityError):
         SphereFamily(OrSphere((0, 0, 0), 0), OrSphere((0, 0, 0.5), 1))
+
+
+def random_admissible_pairs(rng, n):
+    """``n`` sphere pairs ``(c0, r0, c1, r1)`` with ``|c1-c0| > |r1-r0|``."""
+    c0 = rng.normal(size=(n, 3))
+    r0 = rng.normal(size=n)
+    r1 = r0 + rng.normal(size=n)
+    direction = rng.normal(size=(n, 3))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    dist = np.abs(r1 - r0) + rng.uniform(0.5, 3.0, size=n)
+    return c0, r0, c0 + dist[:, None] * direction, r1
+
+
+def test_batched_tangent_normal_circle_samples_common_tangent_normals():
+    rng = np.random.default_rng(19)
+    c0, r0, c1, r1 = random_admissible_pairs(rng, 200)
+    alpha, w_hat, e1, e2 = tangent_normal_circle(c0, r0, c1, r1)
+    rho = np.sqrt(1.0 - alpha ** 2)
+    for t in np.linspace(0.0, 2.0 * np.pi, 9):
+        n = alpha[:, None] * w_hat + rho[:, None] * (np.cos(t) * e1
+                                                     + np.sin(t) * e2)
+        assert np.allclose(np.linalg.norm(n, axis=1), 1.0, rtol=0,
+                           atol=1e-14)
+        assert np.allclose(np.vecdot(n, c1 - c0), r1 - r0, rtol=0,
+                           atol=1e-13)
+
+
+def test_batched_tangent_normal_circle_names_first_inadmissible_row():
+    rng = np.random.default_rng(23)
+    c0, r0, c1, r1 = random_admissible_pairs(rng, 6)
+    # Rows 2 and 4 are concentric with distinct radii.
+    c1[[2, 4]] = c0[[2, 4]]
+    with pytest.raises(AdmissibilityError) as info:
+        tangent_normal_circle(c0, r0, c1, r1)
+    assert info.value.index == 2
 
 
 def test_tangent_planes_touch_whole_linear_family():

@@ -1,11 +1,13 @@
 """Tessellation structure, counting contracts and watertightness."""
 
+import math
 from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
 
 from lnets import LnetsError, TessellationParams, tessellate
+from lnets.lnet import contact_points
 from lnets.tessellate import (LABEL_CONICAL, LABEL_PLANAR, LABEL_SPHERICAL,
                               LabeledMesh, dedupe_mesh)
 
@@ -23,9 +25,8 @@ def edge_counts(mesh):
 def test_params_validation():
     with pytest.raises(ValueError):
         TessellationParams(arc_samples=1)
-    net = translational_offset_net(3, 3, d=0.2)
     with pytest.raises(ValueError):
-        tessellate(net, TessellationParams(arc_samples=4, ruling_samples=6))
+        TessellationParams(arc_samples=4, ruling_samples=6)
 
 
 def test_rejects_unverified_net():
@@ -150,3 +151,165 @@ def test_strip_boundary_rulings_match_planar_quads(patch):
                 conical.add(key)
     # Every planar-quad corner is an end of some strip ruling.
     assert planar <= conical
+
+
+def reference_tessellate(net, count):
+    """Per-patch loop tessellator, the reference for the array emission.
+
+    One scalar arc per face edge (common-tangent circle through
+    ``math.atan2``, rim slerp through ``math.acos``), vertices appended
+    patch by patch and triangles as tuples.
+    """
+    def plane_basis(w_hat):
+        axis = np.zeros(3)
+        axis[int(np.argmin(np.abs(w_hat)))] = 1.0
+        e1 = axis - np.dot(axis, w_hat) * w_hat
+        e1 /= np.linalg.norm(e1)
+        return e1, np.cross(w_hat, e1)
+
+    def slerp_arc(n0, n1):
+        out = np.empty((count, 3))
+        out[0] = n0
+        out[-1] = n1
+        omega = math.acos(min(1.0, max(-1.0, float(np.dot(n0, n1)))))
+        for k in range(1, count - 1):
+            t = k / (count - 1)
+            if omega < 1e-9:
+                n = (1.0 - t) * n0 + t * n1
+            else:
+                n = (math.sin((1.0 - t) * omega) * n0
+                     + math.sin(t * omega) * n1) / math.sin(omega)
+            out[k] = n / np.linalg.norm(n)
+        return out
+
+    def circle_arc(face_a, face_b, va, vb):
+        w = net.centers[face_b] - net.centers[face_a]
+        length = float(np.linalg.norm(w))
+        w_hat = w / length
+        alpha = (net.radii[face_b] - net.radii[face_a]) / length
+        e1, e2 = plane_basis(w_hat)
+        rho = math.sqrt(max(0.0, 1.0 - alpha * alpha))
+        n0 = net.normals[va]
+        n1 = net.normals[vb]
+        t0 = math.atan2(float(np.dot(n0, e2)), float(np.dot(n0, e1)))
+        t1 = math.atan2(float(np.dot(n1, e2)), float(np.dot(n1, e1)))
+        dt = t1 - t0
+        if dt > math.pi:
+            dt -= 2.0 * math.pi
+        elif dt <= -math.pi:
+            dt += 2.0 * math.pi
+        out = np.empty((count, 3))
+        out[0] = n0
+        out[-1] = n1
+        for k in range(1, count - 1):
+            t = t0 + dt * k / (count - 1)
+            out[k] = alpha * w_hat + rho * (math.cos(t) * e1
+                                            + math.sin(t) * e2)
+        return out
+
+    def coons(bottom, top, left, right):
+        s = np.linspace(0.0, 1.0, bottom.shape[0])[:, None, None]
+        t = np.linspace(0.0, 1.0, left.shape[0])[None, :, None]
+        return ((1.0 - t) * bottom[:, None, :] + t * top[:, None, :]
+                + (1.0 - s) * left[None, :, :] + s * right[None, :, :]
+                - ((1.0 - s) * (1.0 - t) * bottom[0]
+                   + s * (1.0 - t) * bottom[-1]
+                   + (1.0 - s) * t * top[0]
+                   + s * t * top[-1]))
+
+    fr, fc = net.face_shape
+    vr, vc = net.vertex_shape
+    arcs = {}
+    for i in range(fr - 1):
+        for j in range(fc):
+            arcs[(0, i, j)] = circle_arc((i, j), (i + 1, j), (i + 1, j),
+                                         (i + 1, j + 1))
+    for i in range(fr):
+        for j in range(fc - 1):
+            arcs[(1, i, j)] = circle_arc((i, j), (i, j + 1), (i, j + 1),
+                                         (i + 1, j + 1))
+
+    def side_points(face, key, va, vb):
+        normals = (arcs[key] if key in arcs
+                   else slerp_arc(net.normals[va], net.normals[vb]))
+        return net.centers[face] - net.radii[face] * normals
+
+    vertices, triangles, labels = [], [], []
+
+    def emit(points):
+        base = len(vertices)
+        vertices.extend(points)
+        return base
+
+    corner = contact_points(net).reshape(fr, fc, 4, 3)
+    for i in range(1, vr - 1):
+        for j in range(1, vc - 1):
+            base = emit([corner[i - 1, j - 1, 3], corner[i, j - 1, 1],
+                         corner[i, j, 0], corner[i - 1, j, 2]])
+            triangles += [(base, base + 1, base + 2),
+                          (base, base + 2, base + 3)]
+            labels += [LABEL_PLANAR] * 2
+    for (axis, i, j), normals in arcs.items():
+        fb = (i + 1, j) if axis == 0 else (i, j + 1)
+        base_a = emit(net.centers[i, j] - net.radii[i, j] * normals)
+        base_b = emit(net.centers[fb] - net.radii[fb] * normals)
+        for k in range(count - 1):
+            triangles += [(base_a + k, base_a + k + 1, base_b + k + 1),
+                          (base_a + k, base_b + k + 1, base_b + k)]
+            labels += [LABEL_CONICAL] * 2
+    for i in range(fr):
+        for j in range(fc):
+            c = net.centers[i, j]
+            r = net.radii[i, j]
+            if r == 0.0:
+                continue
+            bottom = side_points((i, j), (1, i, j - 1), (i, j), (i + 1, j))
+            top = side_points((i, j), (1, i, j), (i, j + 1), (i + 1, j + 1))
+            left = side_points((i, j), (0, i - 1, j), (i, j), (i, j + 1))
+            right = side_points((i, j), (0, i, j), (i + 1, j),
+                                (i + 1, j + 1))
+            grid = coons(bottom, top, left, right)
+            rel = grid[1:-1, 1:-1] - c
+            norms = np.linalg.norm(rel, axis=2, keepdims=True)
+            np.divide(rel, norms, out=rel, where=norms > 0)
+            grid[1:-1, 1:-1] = c + abs(r) * rel
+            grid[:, 0] = bottom
+            grid[:, -1] = top
+            grid[0, :] = left
+            grid[-1, :] = right
+            base = emit(grid.reshape(-1, 3))
+            for p in range(count - 1):
+                for q in range(count - 1):
+                    v00 = base + p * count + q
+                    v10 = base + (p + 1) * count + q
+                    triangles += [(v00, v10, v10 + 1), (v00, v10 + 1, v00 + 1)]
+                    labels += [LABEL_SPHERICAL] * 2
+    return np.asarray(vertices), np.asarray(triangles), labels
+
+
+def coincident_rim_normal_net():
+    """Net whose rim vertices (0, 0) and (0, 1) share one unit normal with
+    ``<n, n> >= 1`` in floating point, so their rim arc takes the linear
+    branch of the slerp."""
+    net = translational_offset_net(4, 4, d=0.2, bend_at=2)
+    n = net.normals
+    assert np.array_equal(n[0, 0], n[0, 1])
+    assert float(np.dot(n[0, 0], n[0, 1])) >= 1.0
+    return net
+
+
+@pytest.mark.parametrize("case, count", [
+    ("solved_5x4", 8), ("solved_5x4", 5), ("solved_6x6", 8),
+    ("point_spheres", 8), ("coincident_rim_normals", 8)])
+def test_tessellate_equals_loop_reference(patch, case, count):
+    # On the 6x6 net np.arctan2 and math.atan2 differ in the last bit for
+    # some arc endpoints; the arcs must use the latter.
+    net = {"solved_5x4": lambda: solved_sphere_net(patch, 5, 4),
+           "solved_6x6": lambda: solved_sphere_net(patch, 6, 6),
+           "point_spheres": lambda: translational_offset_net(4, 4, d=0.0),
+           "coincident_rim_normals": coincident_rim_normal_net}[case]()
+    mesh = tessellate(net, TessellationParams(count, count))
+    vertices, triangles, labels = reference_tessellate(net, count)
+    assert np.array_equal(mesh.vertices, vertices)
+    assert np.array_equal(mesh.triangles, triangles)
+    assert mesh.labels == labels
