@@ -366,6 +366,8 @@ def _march(field_fn, domain, family: int, starts, refs, budgets,
     while active.any():
         for _ in range(steps):
             _rk4_step(field_fn, domain, family, p, direction, active, h_eff)
+            if not active.any():
+                break
         for i in np.flatnonzero(active):
             out[i].append(p[i].copy())
             if len(out[i]) == budgets[i]:

@@ -202,6 +202,22 @@ def test_tracer_never_queries_outside_domain():
     assert np.all((pts >= 0.0) & (pts <= 1.0))
 
 
+def test_tracer_never_evaluates_an_empty_batch():
+    # Every line of both marches leaves the unit box part-way through an
+    # edge; no RK4 stage may follow once all of them have stopped.
+    inner = constant_field((1, 0), (0, 1))
+    sizes = []
+
+    def recording(uv):
+        sizes.append(len(uv))
+        return inner(uv)
+
+    grid = trace_grid_from_field(recording, (0, 1, 0, 1),
+                                 GridSpec(50, 50, 0.2))
+    assert grid.rows == 5 and grid.cols == 5
+    assert min(sizes) > 0
+
+
 def test_trace_grid_warns_once_when_clipped(patch, caplog):
     spec = CongruenceSpec("tau_min", tau=0.75)
     field = AngleField.constant(math.pi / 4)
