@@ -7,8 +7,8 @@ Every timing is the median of ``--repeats`` runs (a fifth as many for the
 projection, the LM layers and the export stages), after one untimed
 warm-up call.
 
-- ``jets``: the same batch of parameter points through the pure-numpy
-  kernel and, when numba is importable, the jitted one.
+- ``jets``: one batch of ``--points`` parameter points and one single
+  point through the per-span jet kernel.
 - ``projection``: the grid-seeded batched closest-point projection.
 - ``lm``: one ``refresh_footpoints`` and one normal-equation solve
   (``mu = 1e-4``, banded Cholesky) on uniform 10x10 and 40x40 lattices of
@@ -30,8 +30,7 @@ import numpy as np
 from lnets import (CongruenceSpec, LNet, QuadGrid, Weights, assemble,
                    convex_paraboloid_patch, initialize, project_points)
 from lnets.cli import export_obj
-from lnets.kernels import (HAS_NUMBA, surface_jets_batch_numba,
-                           surface_jets_batch_numpy)
+from lnets.kernels import surface_jets_batch
 from lnets.lnet import CORNERS
 from lnets.optimize import pack, solve_normal_equations
 from lnets.tessellate import dedupe_mesh, tessellate
@@ -95,20 +94,13 @@ def main():
     rng = np.random.default_rng(0)
     us = rng.uniform(0.0, 1.0, args.points)
     vs = rng.uniform(0.0, 1.0, args.points)
-    call = (surf.knots_u, surf.knots_v, surf.degree_u, surf.degree_v,
-            surf.control_grid, us, vs)
-
-    t_np = time_fn(lambda: surface_jets_batch_numpy(*call), args.repeats)
-    print(f"jets  numpy : {t_np:8.2f} ms  ({args.points} points)")
-    if HAS_NUMBA:
-        t_nb = time_fn(lambda: surface_jets_batch_numba(*call), args.repeats)
-        print(f"jets  numba : {t_nb:8.2f} ms")
-        print(f"speedup     : {t_np / t_nb:8.2f}x")
-        a = surface_jets_batch_numpy(*call)
-        b = surface_jets_batch_numba(*call)
-        print(f"max |diff|  : {np.max(np.abs(a - b)):.3e}")
-    else:
-        print("numba not available; numpy path only")
+    call = (surf.breaks_u, surf.breaks_v, surf.degree_u, surf.degree_v,
+            surf.coeffs)
+    t_batch = time_fn(lambda: surface_jets_batch(*call, us, vs), args.repeats)
+    t_one = time_fn(lambda: surface_jets_batch(*call, us[:1], vs[:1]),
+                    args.repeats)
+    print(f"jets        : {t_batch:8.2f} ms  ({args.points} points), "
+          f"{t_one * 1e3:8.1f} us  (1 point)")
 
     queries = rng.uniform(-0.5, 0.5, size=(2000, 3))
     queries[:, 2] += 0.5

@@ -22,7 +22,6 @@ from .geometry import (IsotropicHyperplane, LineClass, MinkowskiPoint,
                        OrPlane, OrSphere, SphereFamily, classify_direction,
                        common_tangent_normals, cone_vertex, contact_residual,
                        lift, minkowski_inner, offset)
-from .kernels import active_backend
 from .lnet import (LNet, StripContactPoints, VerifyReport, initialize,
                    load_lnet, save_lnet, strip_contact_points,
                    tangential_distance, verify)

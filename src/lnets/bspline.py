@@ -9,7 +9,7 @@ validation, orientation and the Newton projection logic.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -29,21 +29,26 @@ _SEED_BLOCK = 256
 
 @dataclass(frozen=True)
 class BSplineSurface:
-    """Clamped tensor-product B-spline surface with 3D control points."""
+    """Clamped tensor-product B-spline surface with 3D control points.
+
+    Interior knots repeat at most ``degree`` times. ``breaks_u``,
+    ``breaks_v`` and ``coeffs`` hold the per-span polynomial patches
+    (:func:`lnets.kernels.power_coefficients`) that every jet reads.
+    """
 
     degree_u: int
     degree_v: int
     knots_u: np.ndarray
     knots_v: np.ndarray
     control_grid: np.ndarray
+    breaks_u: np.ndarray = field(init=False, repr=False, compare=False)
+    breaks_v: np.ndarray = field(init=False, repr=False, compare=False)
+    coeffs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "knots_u",
-                           np.ascontiguousarray(self.knots_u, dtype=float))
-        object.__setattr__(self, "knots_v",
-                           np.ascontiguousarray(self.knots_v, dtype=float))
-        object.__setattr__(self, "control_grid",
-                           np.ascontiguousarray(self.control_grid, dtype=float))
+        for name in ("knots_u", "knots_v", "control_grid"):
+            object.__setattr__(self, name, np.ascontiguousarray(
+                getattr(self, name), dtype=float))
         if self.degree_u < 1 or self.degree_v < 1:
             raise ValueError("degrees must be >= 1")
         if self.control_grid.ndim != 3 or self.control_grid.shape[2] != 3:
@@ -59,24 +64,27 @@ class BSplineSurface:
                     f"got {knots.shape[0]}")
             if np.any(np.diff(knots) < 0):
                 raise ValueError(f"{name} must be nondecreasing")
-            if (not np.all(knots[:degree + 1] == knots[0])
-                    or not np.all(knots[-(degree + 1):] == knots[-1])):
+            # Exact end multiplicities also make the domain nonempty.
+            mult = np.unique(knots, return_counts=True)[1]
+            if mult[0] != degree + 1 or mult[-1] != degree + 1:
                 raise ValueError(f"{name} must be clamped "
                                  f"(end multiplicity {degree + 1})")
-            if knots[degree] >= knots[n_ctrl]:
-                raise ValueError(f"{name} spans an empty parameter interval")
+            if mult[1:-1].max(initial=0) > degree:
+                raise ValueError(
+                    f"{name} has an interior knot of multiplicity "
+                    f"{mult[1:-1].max()} > degree {degree}; the surface "
+                    f"would be discontinuous there")
+        for name, value in zip(("breaks_u", "breaks_v", "coeffs"),
+                               kernels.power_coefficients(
+                                   self.knots_u, self.knots_v, self.degree_u,
+                                   self.degree_v, self.control_grid)):
+            object.__setattr__(self, name, value)
 
     @property
     def domain(self):
         """Parameter rectangle ``(u_min, u_max, v_min, v_max)``."""
-        return (float(self.knots_u[self.degree_u]),
-                float(self.knots_u[self.control_grid.shape[0]]),
-                float(self.knots_v[self.degree_v]),
-                float(self.knots_v[self.control_grid.shape[1]]))
-
-    def contains(self, u: float, v: float) -> bool:
-        u0, u1, v0, v1 = self.domain
-        return u0 <= u <= u1 and v0 <= v <= v1
+        return (float(self.breaks_u[0]), float(self.breaks_u[-1]),
+                float(self.breaks_v[0]), float(self.breaks_v[-1]))
 
 
 @dataclass(frozen=True)
@@ -139,14 +147,13 @@ def evaluate_jets(surface: BSplineSurface, us, vs) -> np.ndarray:
             or np.any(vs < v0) or np.any(vs > v1)):
         raise ValueError("parameters outside the surface domain")
     return kernels.surface_jets_batch(
-        surface.knots_u, surface.knots_v, surface.degree_u, surface.degree_v,
-        surface.control_grid, us, vs)
+        surface.breaks_u, surface.breaks_v, surface.degree_u,
+        surface.degree_v, surface.coeffs, us, vs)
 
 
 def evaluate_jet(surface: BSplineSurface, u: float, v: float) -> SurfaceJet2:
     """Jet of the surface at a single parameter point."""
-    j = evaluate_jets(surface, [u], [v])[0]
-    return SurfaceJet2(j[0], j[1], j[2], j[3], j[4], j[5])
+    return SurfaceJet2(*evaluate_jets(surface, [u], [v])[0])
 
 
 @dataclass(frozen=True)

@@ -1,262 +1,104 @@
-"""Hot numeric kernels: batched tensor-product B-spline jet evaluation.
+"""Batched tensor-product B-spline jets by Bézier extraction.
 
-Two interchangeable backends are provided:
-
-* a ``numba``-jitted scalar implementation (default when numba imports), and
-* a pure-numpy implementation vectorized across evaluation points.
-
-Set the environment variable ``LNETS_PURE_NUMPY=1`` before import to force
-the numpy path; the numpy path is also used automatically when numba is not
-installed. Both backends implement the identical Cox-de Boor recursion and
-agree to floating-point roundoff. ``benchmarks/bench_kernels.py`` compares
-their throughput.
-
-The batch entry point ``surface_jets_batch`` returns, for ``N`` parameter
-pairs, an ``(N, 6, 3)`` array whose second axis is ordered
-``f, f_u, f_v, f_uu, f_uv, f_vv``.
+A clamped surface is split once into one polynomial patch per knot span
+(:func:`power_coefficients`); a jet batch (:func:`surface_jets_batch`)
+is then a span lookup, the powers of the local parameters, one gather
+of span coefficients and two small batched matmuls. See Piegl & Tiller,
+*The NURBS Book* (2nd ed.), A5.1 and A5.6, and Borden, Scott, Evans &
+Hughes, *Isogeometric finite element data structures based on Bézier
+extraction of NURBS* (IJNME 87, 2011).
 """
 
 from __future__ import annotations
 
-import os
+from math import comb
 
 import numpy as np
 
-_FORCE_NUMPY = os.environ.get("LNETS_PURE_NUMPY", "0") not in ("", "0")
 
-try:
-    from numba import njit
+def _power_segments(knots, degree, ctrl):
+    """Breakpoints and per-span power coefficients along axis 0 of ``ctrl``.
 
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-
-        return wrap(args[0]) if args and callable(args[0]) else wrap
-
-
-def find_spans(knots: np.ndarray, degree: int, n_ctrl: int,
-               params: np.ndarray) -> np.ndarray:
-    """Knot-span index per parameter, clamped to valid spans.
-
-    The returned ``span`` satisfies ``knots[span] <= u < knots[span+1]``
-    except at the right domain end, where the last non-empty span is used.
+    Knot insertion (Boehm's rule) raises every interior knot to
+    multiplicity ``degree``, which leaves ``degree + 1`` Bézier points
+    per span; they are rewritten in the power basis of the local
+    parameter ``s`` in ``[0, 1]``. Returns ``(breaks, segs)``;
+    ``segs[k, j]`` is the coefficient of ``s**j`` on span ``k``.
     """
-    spans = np.searchsorted(knots, params, side="right") - 1
-    return np.clip(spans, degree, n_ctrl - 1)
+    breaks, mult = np.unique(knots, return_counts=True)
+    shape = (-1,) + (1,) * (ctrl.ndim - 1)
+    for u, m in zip(breaks[1:-1], mult[1:-1]):
+        for _ in range(degree - m):
+            k = int(np.searchsorted(knots, u, side="right")) - 1
+            i = np.arange(k - degree + 1, k + 1)
+            alpha = ((u - knots[i]) / (knots[i + degree] - knots[i]))
+            alpha = alpha.reshape(shape)
+            ctrl = np.concatenate([
+                ctrl[:k - degree + 1],
+                alpha * ctrl[i] + (1.0 - alpha) * ctrl[i - 1], ctrl[k:]])
+            knots = np.insert(knots, k + 1, u)
+    bezier = ctrl[degree * np.arange(breaks.size - 1)[:, None]
+                  + np.arange(degree + 1)]
+    # s**j coefficient of the Bernstein form: C(p, j) C(j, i) (-1)**(j-i).
+    to_power = np.array([[comb(degree, j) * comb(j, i) * (-1) ** (j - i)
+                          for i in range(degree + 1)]
+                         for j in range(degree + 1)], dtype=float)
+    return breaks, np.einsum("ji,si...->sj...", to_power, bezier)
 
 
-def _ders_basis_batch_np(knots, degree, spans, params, n_ders):
-    """All nonzero basis functions and derivatives, vectorized over points.
+def power_coefficients(knots_u, knots_v, degree_u, degree_v, ctrl):
+    """Per-span polynomial patches of a clamped B-spline surface whose
+    interior knots repeat at most ``degree`` times.
 
-    Returns an array of shape ``(n_ders+1, N, degree+1)``.
+    Returns ``(breaks_u, breaks_v, coeffs)``: the distinct knot values
+    and a ``(spans_u, spans_v, degree_u + 1, degree_v + 1, 3)`` tensor
+    whose ``[a, b, i, j]`` entry is the coefficient of ``s**i t**j`` on
+    span ``(a, b)``, with ``s, t`` its local parameters in ``[0, 1]``.
+    Extraction runs along u first, then along v.
     """
-    p = degree
-    n = params.shape[0]
-    du = min(n_ders, p)
-
-    left = np.empty((n, p + 1))
-    right = np.empty((n, p + 1))
-    ndu = np.empty((n, p + 1, p + 1))
-    ndu[:, 0, 0] = 1.0
-    for j in range(1, p + 1):
-        left[:, j] = params - knots[spans + 1 - j]
-        right[:, j] = knots[spans + j] - params
-        saved = np.zeros(n)
-        for r in range(j):
-            ndu[:, j, r] = right[:, r + 1] + left[:, j - r]
-            temp = ndu[:, r, j - 1] / ndu[:, j, r]
-            ndu[:, r, j] = saved + right[:, r + 1] * temp
-            saved = left[:, j - r] * temp
-        ndu[:, j, j] = saved
-
-    ders = np.zeros((n_ders + 1, n, p + 1))
-    ders[0] = ndu[:, :, p]
-
-    a = np.empty((n, 2, p + 1))
-    for r in range(p + 1):
-        s1, s2 = 0, 1
-        a[:, 0, 0] = 1.0
-        for k in range(1, du + 1):
-            d = np.zeros(n)
-            rk = r - k
-            pk = p - k
-            if r >= k:
-                a[:, s2, 0] = a[:, s1, 0] / ndu[:, pk + 1, rk]
-                d = a[:, s2, 0] * ndu[:, rk, pk]
-            j1 = 1 if rk >= -1 else -rk
-            j2 = k - 1 if r - 1 <= pk else p - r
-            for j in range(j1, j2 + 1):
-                a[:, s2, j] = (a[:, s1, j] - a[:, s1, j - 1]) / ndu[:, pk + 1, rk + j]
-                d = d + a[:, s2, j] * ndu[:, rk + j, pk]
-            if r <= pk:
-                a[:, s2, k] = -a[:, s1, k - 1] / ndu[:, pk + 1, r]
-                d = d + a[:, s2, k] * ndu[:, r, pk]
-            ders[k, :, r] = d
-            s1, s2 = s2, s1
-
-    fact = float(p)
-    for k in range(1, du + 1):
-        ders[k] *= fact
-        fact *= p - k
-    return ders
+    breaks_u, cu = _power_segments(knots_u, degree_u, ctrl)
+    breaks_v, cuv = _power_segments(knots_v, degree_v,
+                                    np.moveaxis(cu, 2, 0))
+    return (breaks_u, breaks_v,
+            np.ascontiguousarray(cuv.transpose(2, 0, 3, 1, 4)))
 
 
-def surface_jets_batch_numpy(knots_u, knots_v, degree_u, degree_v, ctrl,
-                             us, vs):
-    """Pure-numpy backend for batched surface jets."""
-    us = np.ascontiguousarray(us, dtype=float)
-    vs = np.ascontiguousarray(vs, dtype=float)
-    n_u, n_v = ctrl.shape[0], ctrl.shape[1]
-    su = find_spans(knots_u, degree_u, n_u, us)
-    sv = find_spans(knots_v, degree_v, n_v, vs)
-    bu = _ders_basis_batch_np(knots_u, degree_u, su, us, 2)
-    bv = _ders_basis_batch_np(knots_v, degree_v, sv, vs, 2)
+def _power_rows(breaks, degree, params):
+    """Span index and ``(N, 3, degree + 1)`` rows; row ``a`` holds the
+    ``a``-th parameter derivatives of ``s**0 .. s**degree``.
 
-    iu = (su - degree_u)[:, None] + np.arange(degree_u + 1)[None, :]
-    jv = (sv - degree_v)[:, None] + np.arange(degree_v + 1)[None, :]
-    block = ctrl[iu[:, :, None], jv[:, None, :]]  # (N, pu+1, pv+1, 3)
-
-    out = np.empty((us.shape[0], 6, 3))
-    orders = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
-    for slot, (a, b) in enumerate(orders):
-        out[:, slot, :] = np.einsum("ni,nj,nijc->nc", bu[a], bv[b], block)
-    return out
+    Spans are right-continuous; the right end of the domain belongs to
+    the last span.
+    """
+    span = np.searchsorted(breaks[1:-1], params, side="right")
+    lo = breaks[span]
+    h = breaks[span + 1] - lo
+    j = np.arange(degree + 1)
+    powers = np.vander((params - lo) / h, degree + 1, increasing=True)
+    rows = np.zeros((params.size, 3, degree + 1))
+    rows[:, 0] = powers
+    rows[:, 1, 1:] = powers[:, :-1] * (j[1:] / h[:, None])
+    rows[:, 2, 2:] = powers[:, :-2] * ((j[2:] * (j[2:] - 1))
+                                       / (h * h)[:, None])
+    return span, rows
 
 
-@njit(cache=True)
-def _find_span_nb(knots, degree, n_ctrl, u):  # pragma: no cover - jitted
-    lo = degree
-    hi = n_ctrl - 1
-    if u >= knots[n_ctrl]:
-        return n_ctrl - 1
-    if u <= knots[degree]:
-        return degree
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if knots[mid] <= u:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+def surface_jets_batch(breaks_u, breaks_v, degree_u, degree_v, coeffs,
+                       us, vs):
+    """Jets at the parameter pairs of the float arrays ``us``, ``vs``
+    (``N`` each) from :func:`power_coefficients`.
 
-
-@njit(cache=True)
-def _ders_basis_nb(knots, degree, span, u, n_ders, ders):  # pragma: no cover
-    p = degree
-    du = n_ders if n_ders < p else p
-    left = np.empty(p + 1)
-    right = np.empty(p + 1)
-    ndu = np.empty((p + 1, p + 1))
-    ndu[0, 0] = 1.0
-    for j in range(1, p + 1):
-        left[j] = u - knots[span + 1 - j]
-        right[j] = knots[span + j] - u
-        saved = 0.0
-        for r in range(j):
-            ndu[j, r] = right[r + 1] + left[j - r]
-            temp = ndu[r, j - 1] / ndu[j, r]
-            ndu[r, j] = saved + right[r + 1] * temp
-            saved = left[j - r] * temp
-        ndu[j, j] = saved
-
-    for k in range(n_ders + 1):
-        for r in range(p + 1):
-            ders[k, r] = 0.0
-    for r in range(p + 1):
-        ders[0, r] = ndu[r, p]
-
-    a = np.empty((2, p + 1))
-    for r in range(p + 1):
-        s1 = 0
-        s2 = 1
-        a[0, 0] = 1.0
-        for k in range(1, du + 1):
-            d = 0.0
-            rk = r - k
-            pk = p - k
-            if r >= k:
-                a[s2, 0] = a[s1, 0] / ndu[pk + 1, rk]
-                d = a[s2, 0] * ndu[rk, pk]
-            j1 = 1 if rk >= -1 else -rk
-            j2 = k - 1 if r - 1 <= pk else p - r
-            for j in range(j1, j2 + 1):
-                a[s2, j] = (a[s1, j] - a[s1, j - 1]) / ndu[pk + 1, rk + j]
-                d += a[s2, j] * ndu[rk + j, pk]
-            if r <= pk:
-                a[s2, k] = -a[s1, k - 1] / ndu[pk + 1, r]
-                d += a[s2, k] * ndu[r, pk]
-            ders[k, r] = d
-            s1, s2 = s2, s1
-
-    fact = float(p)
-    for k in range(1, du + 1):
-        for j in range(p + 1):
-            ders[k, j] *= fact
-        fact *= p - k
-
-
-@njit(cache=True)
-def _surface_jets_nb(knots_u, knots_v, degree_u, degree_v, ctrl, us, vs,
-                     out):  # pragma: no cover - jitted
-    n_u = ctrl.shape[0]
-    n_v = ctrl.shape[1]
-    bu = np.empty((3, degree_u + 1))
-    bv = np.empty((3, degree_v + 1))
-    for idx in range(us.shape[0]):
-        u = us[idx]
-        v = vs[idx]
-        su = _find_span_nb(knots_u, degree_u, n_u, u)
-        sv = _find_span_nb(knots_v, degree_v, n_v, v)
-        _ders_basis_nb(knots_u, degree_u, su, u, 2, bu)
-        _ders_basis_nb(knots_v, degree_v, sv, v, 2, bv)
-        for slot in range(6):
-            if slot == 0:
-                a, b = 0, 0
-            elif slot == 1:
-                a, b = 1, 0
-            elif slot == 2:
-                a, b = 0, 1
-            elif slot == 3:
-                a, b = 2, 0
-            elif slot == 4:
-                a, b = 1, 1
-            else:
-                a, b = 0, 2
-            for c in range(3):
-                acc = 0.0
-                for i in range(degree_u + 1):
-                    wi = bu[a, i]
-                    if wi != 0.0:
-                        row = 0.0
-                        for j in range(degree_v + 1):
-                            row += bv[b, j] * ctrl[su - degree_u + i,
-                                                   sv - degree_v + j, c]
-                        acc += wi * row
-                out[idx, slot, c] = acc
-
-
-def surface_jets_batch_numba(knots_u, knots_v, degree_u, degree_v, ctrl,
-                             us, vs):
-    """Numba backend for batched surface jets."""
-    us = np.ascontiguousarray(us, dtype=float)
-    vs = np.ascontiguousarray(vs, dtype=float)
-    out = np.empty((us.shape[0], 6, 3))
-    _surface_jets_nb(knots_u, knots_v, degree_u, degree_v, ctrl, us, vs, out)
-    return out
-
-
-if HAS_NUMBA and not _FORCE_NUMPY:
-    surface_jets_batch = surface_jets_batch_numba
-    _BACKEND = "numba"
-else:
-    surface_jets_batch = surface_jets_batch_numpy
-    _BACKEND = "numpy"
-
-
-def active_backend() -> str:
-    """Name of the kernel backend selected at import time."""
-    return _BACKEND
+    Returns an ``(N, 6, 3)`` array whose second axis is ordered
+    ``f, f_u, f_v, f_uu, f_uv, f_vv``. The gathered span coefficients
+    are contracted with the v rows, then with the u rows. Each row
+    depends only on its own parameters, so it equals the one-point
+    evaluation bit for bit.
+    """
+    su, ru = _power_rows(breaks_u, degree_u, us)
+    sv, rv = _power_rows(breaks_v, degree_v, vs)
+    n = us.shape[0]
+    # along_v[n, i, b, c]: b-th v-derivative of the s**i coefficient.
+    along_v = np.matmul(rv[:, None], coeffs[su, sv])
+    both = np.matmul(ru, along_v.reshape(n, degree_u + 1, 9))
+    # both[n, a, b, c]: the (a, b)-th derivative; take the six jet slots.
+    return both.reshape(n, 3, 3, 3)[:, [0, 1, 0, 2, 1, 0], [0, 0, 1, 0, 1, 2]]

@@ -346,6 +346,36 @@ def test_surface_validation_rejects_bad_knots():
         BSplineSurface(2, 2, [0, 0, 0, 1, 1], [0, 0, 0, 1, 1, 1], ctrl)
 
 
+def test_surface_rejects_knots_above_the_degree(tmp_path):
+    # A triple interior knot leaves a biquadratic surface discontinuous.
+    clamped = [0, 0, 0, 1, 1, 1]
+    triple = [0, 0, 0, 0.5, 0.5, 0.5, 1, 1, 1]
+    ctrl = np.random.default_rng(3).normal(size=(6, 3, 3))
+    with pytest.raises(ValueError, match="interior knot of multiplicity 3"):
+        BSplineSurface(2, 2, triple, clamped, ctrl)
+    with pytest.raises(ValueError, match="interior knot"):
+        BSplineSurface(2, 2, clamped, triple, ctrl.transpose(1, 0, 2))
+    # An end knot repeated beyond degree + 1 would zero a basis function.
+    with pytest.raises(ValueError, match="clamped"):
+        BSplineSurface(2, 2, [0, 0, 0, 0, 0.5, 1, 1, 1, 1], clamped, ctrl)
+    data = {"degree_u": 2, "degree_v": 2, "knots_u": triple,
+            "knots_v": clamped, "control_points": ctrl.tolist()}
+    with pytest.raises(ConfigError, match="interior knot"):
+        surface_from_dict(data)
+    path = tmp_path / "surf.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(ConfigError, match="interior knot"):
+        load_surface(path)
+    # A double interior knot stays valid: the surface is C0 there.
+    surf = BSplineSurface(2, 2, [0, 0, 0, 0.5, 0.5, 1, 1, 1], clamped,
+                          ctrl[:5])
+    assert surf.coeffs.shape == (2, 1, 3, 3, 3)
+    left, right = evaluate_jets(surf, [0.5 - 1e-12, 0.5], [0.3, 0.3])[:, 0]
+    assert np.allclose(left, right, atol=1e-10)
+    # There the surface interpolates control row 2 (Bernstein in v).
+    assert np.allclose(right, [0.49, 0.42, 0.09] @ ctrl[2], atol=1e-14)
+
+
 def test_builtin_patch_is_positively_curved_without_umbilics(patch):
     us = np.linspace(0, 1, 41)
     min_gap = np.inf
