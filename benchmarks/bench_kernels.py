@@ -1,5 +1,5 @@
-"""Benchmark the jet kernels, the batched projection, one LM iteration's
-two heaviest layers and the export stages.
+"""Benchmark the jet kernels, the batched projection, the layers of one LM
+iteration and the export stages.
 
 Run: python benchmarks/bench_kernels.py --points 20000 --repeats 20
 
@@ -10,10 +10,11 @@ warm-up call.
 - ``jets``: one batch of ``--points`` parameter points and one single
   point through the per-span jet kernel.
 - ``projection``: the grid-seeded batched closest-point projection.
-- ``lm``: one ``refresh_footpoints`` and one normal-equation solve
-  (``mu = 1e-4``, banded Cholesky) on uniform 10x10 and 40x40 lattices of
-  the default patch, with the variable count, the bandwidth after the
-  reverse Cuthill-McKee ordering and the size of the band.
+- ``lm``: one ``refresh_footpoints``, one ``residual``, one analytic
+  ``jacobian`` and one normal-equation solve (``mu = 1e-4``, banded
+  Cholesky) on uniform 10x10 and 40x40 lattices of the default patch,
+  with the variable count, the bandwidth after the reverse Cuthill-McKee
+  ordering and the size of the band.
 - ``export``: ``tessellate``, ``dedupe_mesh`` and ``export_obj`` (to a
   temporary file) of an exactly tangent 64x64 net on the default
   paraboloid, built in closed form, with the raw vertex and triangle
@@ -110,12 +111,15 @@ def main():
     for size in (10, 40):
         system, x = lattice_system(surf, size)
         t_foot = time_fn(lambda: system.refresh_footpoints(x), few)
+        t_res = time_fn(lambda: system.residual(x), few)
+        t_jac = time_fn(lambda: system.jacobian(x), few)
         jac = system.jacobian(x)
         layout = system.band_layout(jac)
         eqs = layout.form(jac, system.residual(x))
         t_solve = time_fn(lambda: solve_normal_equations(eqs, 1e-4), few)
         band_mb = (layout.bw + 1) * layout.n * 8 / 2 ** 20
-        print(f"lm {size}x{size}    : footpoints {t_foot:8.2f} ms, solve "
+        print(f"lm {size}x{size}    : footpoints {t_foot:8.2f} ms, residual "
+              f"{t_res:8.2f} ms, jacobian {t_jac:8.2f} ms, solve "
               f"{t_solve:8.2f} ms  ({layout.n} vars, bandwidth {layout.bw}, "
               f"band {band_mb:.1f} MB)")
 

@@ -22,8 +22,8 @@ from .geometry import (IsotropicHyperplane, LineClass, MinkowskiPoint,
                        OrPlane, OrSphere, SphereFamily, classify_direction,
                        common_tangent_normals, cone_vertex, contact_residual,
                        lift, minkowski_inner, offset)
-from .lnet import (LNet, StripContactPoints, VerifyReport, initialize,
-                   load_lnet, save_lnet, strip_contact_points,
+from .lnet import (LNet, VerifyReport, contact_incidences, initialize,
+                   load_lnet, save_lnet, strip_incidences,
                    tangential_distance, verify)
 from .optimize import (IterationRecord, ResidualSystem, Schedule, Weights,
                        assemble, jacobian, lm_run)

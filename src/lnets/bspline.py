@@ -104,9 +104,7 @@ class SurfaceJet2:
             if v.shape != (3,):
                 raise ValueError(f"{name} must be a 3-vector")
             object.__setattr__(self, name, v)
-        cross = np.cross(self.f_u, self.f_v)
-        lim = EPS_REG * np.linalg.norm(self.f_u) * np.linalg.norm(self.f_v)
-        if np.linalg.norm(cross) <= lim:
+        if _unit_normals(self.f_u[None], self.f_v[None])[1][0]:
             raise ValueError("jet is not regular: f_u and f_v are parallel")
 
 
@@ -185,6 +183,21 @@ def _jet_rows(jet: SurfaceJet2) -> np.ndarray:
                      jet.f_vv])[None]
 
 
+def _unit_normals(f_u: np.ndarray, f_v: np.ndarray):
+    """Unit normals ``f_u x f_v / |f_u x f_v|`` of ``(N, 3)`` tangents.
+
+    Returns ``(m, irregular)``. A row is irregular when its tangents are
+    parallel, ``|f_u x f_v| <= EPS_REG |f_u| |f_v|``; it keeps the
+    unnormalized cross product.
+    """
+    m = _cross(f_u, f_v)
+    m_norm = np.sqrt(np.vecdot(m, m))
+    irregular = m_norm <= EPS_REG * np.sqrt(np.vecdot(f_u, f_u)) * np.sqrt(
+        np.vecdot(f_v, f_v))
+    m /= np.where(irregular, 1.0, m_norm)[:, None]
+    return m, irregular
+
+
 def _oriented_forms(jets: np.ndarray):
     """Oriented normals and shape operators of ``(N, 6, 3)`` jets.
 
@@ -198,13 +211,10 @@ def _oriented_forms(jets: np.ndarray):
     alone bit for bit.
     """
     f_u, f_v = jets[:, 1], jets[:, 2]
+    m, irregular = _unit_normals(f_u, f_v)
     e = np.vecdot(f_u, f_u)
     f = np.vecdot(f_u, f_v)
     g = np.vecdot(f_v, f_v)
-    m = _cross(f_u, f_v)
-    m_norm = np.sqrt(np.vecdot(m, m))
-    irregular = m_norm <= EPS_REG * np.sqrt(e) * np.sqrt(g)
-    m /= np.where(irregular, 1.0, m_norm)[:, None]
     ll = np.vecdot(jets[:, 3], m)
     mm = np.vecdot(jets[:, 4], m)
     nn = np.vecdot(jets[:, 5], m)

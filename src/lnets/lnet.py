@@ -6,6 +6,12 @@ Grid conventions: the vertex grid has shape ``(vr, vc)``; faces form the
 ``(i+1, j)``, ``(i+1, j+1)``, ``(i, j+1)``. Axis 0 triples advance the
 first index, axis 1 triples the second. Boundary vertices touch fewer than
 four faces; iteration is always over existing incidences only.
+
+A face-corner incidence ``k = 4 f + m`` joins face ``f`` (row-major) to
+its corner vertex ``m`` of :data:`CORNERS`; its contact point is
+``c_f - r_f n_v``. :func:`contact_incidences` and
+:func:`strip_incidences` are the one source of this numbering and of the
+incidences that bound each cone strip.
 """
 
 from __future__ import annotations
@@ -111,109 +117,77 @@ def initialize(grid: QuadGrid, surface: BSplineSurface,
                 centers.reshape(fr, fc, 3), radii.reshape(fr, fc))
 
 
+def contact_incidences(fr: int, fc: int):
+    """Face and vertex of every face-corner incidence, two ``(4 F,)`` arrays.
+
+    Incidence ``k = 4 f + m`` joins face ``f`` (row-major) to its corner
+    ``m`` of :data:`CORNERS`.
+    """
+    i, j = np.divmod(np.arange(fr * fc), fc)
+    da, db = np.array(CORNERS).T
+    vert = (i[:, None] + da) * (fc + 1) + j[:, None] + db
+    return np.repeat(np.arange(fr * fc), 4), vert.reshape(-1)
+
+
+def strip_incidences(fr: int, fc: int):
+    """Contact incidences bounding the strips, as ``(ell, gamma)``.
+
+    Each is a ``(T, 8)`` array of incidence indices (see
+    :func:`contact_incidences`). Let ``e`` be the axis step and ``x`` the
+    cross step; face ``(i, j)`` and vertex ``(i, j)`` share indices.
+
+    - ``ell`` row of the face triple ``f, f+e, f+2e``: ``a0..a3`` are the
+      contacts of ``f`` and ``f+e`` with plane ``f+e``, then of ``f+e``
+      and ``f+2e`` with plane ``f+2e``; ``b0..b3`` the same with planes
+      ``f+e+x`` and ``f+2e+x``.
+    - ``gamma`` row of the plane triple ``p, p+e, p+2e``: ``alpha0..3``
+      are the contacts of sphere ``p-x`` with planes ``p`` and ``p+e``,
+      then of sphere ``p-x+e`` with ``p+e`` and ``p+2e``; ``beta0..3``
+      the same with spheres ``p`` and ``p+e``.
+
+    Rows go axis 0 first, then row-major by the first face or plane.
+    """
+    def inc(face, corner):
+        # CORNERS lists (da, db) at index 2 da + db.
+        return 4 * (face[0] * fc + face[1]) + 2 * corner[0] + corner[1]
+
+    def shift(face, step):
+        return face[0] + step[0], face[1] + step[1]
+
+    o, d = (0, 0), (1, 1)
+    ell, gamma = [], []
+    for e, x in (((1, 0), (0, 1)), ((0, 1), (1, 0))):
+        f0 = np.meshgrid(np.arange(fr - 2 * e[0]), np.arange(fc - 2 * e[1]),
+                         indexing="ij")
+        f1 = shift(f0, e)
+        f2 = shift(f1, e)
+        ell.append(np.stack([
+            inc(f0, e), inc(f1, o), inc(f1, e), inc(f2, o),
+            inc(f0, d), inc(f1, x), inc(f1, d), inc(f2, x)],
+            axis=-1).reshape(-1, 8))
+        # s0 = p - x runs over the faces whose neighbour s0 + (1, 1) exists.
+        s0 = np.meshgrid(np.arange(fr - 1), np.arange(fc - 1), indexing="ij")
+        s1 = shift(s0, e)
+        s3 = shift(s0, x)
+        s2 = shift(s1, x)
+        gamma.append(np.stack([
+            inc(s0, x), inc(s0, d), inc(s1, x), inc(s1, d),
+            inc(s3, o), inc(s3, e), inc(s2, o), inc(s2, e)],
+            axis=-1).reshape(-1, 8))
+    return np.concatenate(ell), np.concatenate(gamma)
+
+
 def contact_points(net: LNet) -> np.ndarray:
     """All sphere/plane contact points ``c - r n`` as ``(F, 4, 3)``.
 
     Second axis follows the corner order of :data:`CORNERS` for each face
     in row-major order.
     """
-    fr, fc = net.face_shape
-    out = np.empty((fr, fc, 4, 3))
-    for k, (da, db) in enumerate(CORNERS):
-        n = net.normals[da:da + fr, db:db + fc]
-        out[:, :, k, :] = (net.centers
-                           - net.radii[..., None] * n)
-    return out.reshape(fr * fc, 4, 3)
-
-
-@dataclass(frozen=True)
-class StripContactPoints:
-    """The sixteen contact points bounding one strip location.
-
-    ``a``/``b`` are the straight-segment endpoints of a face triple
-    (rows ``a0..a3`` / ``b0..b3``); ``alpha``/``beta`` are the arc
-    endpoints of the plane triple anchored at the same start index.
-    """
-
-    a: np.ndarray
-    b: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
-
-
-def _face_triple_planes(i: int, j: int, axis: int):
-    """Shared corner-plane indices (p0, p1, p3, p2) of a face triple."""
-    if axis == 0:
-        return (i + 1, j), (i + 2, j), (i + 1, j + 1), (i + 2, j + 1)
-    return (i, j + 1), (i, j + 2), (i + 1, j + 1), (i + 1, j + 2)
-
-
-def ell_points(net: LNet, i: int, j: int, axis: int = 0):
-    """Straight-segment endpoints ``a0..a3, b0..b3`` of a face triple.
-
-    The triple starts at face ``(i, j)`` and advances along ``axis``;
-    ``a`` points lie on the first shared-plane side, ``b`` on the other.
-    """
-    fr, fc = net.face_shape
-    step = (1, 0) if axis == 0 else (0, 1)
-    fi = [(i + k * step[0], j + k * step[1]) for k in range(3)]
-    if not (0 <= fi[2][0] < fr and 0 <= fi[2][1] < fc) or i < 0 or j < 0:
-        raise IndexError("face triple out of range")
-    p0, p1, p3, p2 = _face_triple_planes(i, j, axis)
-    c = [net.centers[f] for f in fi]
-    r = [net.radii[f] for f in fi]
-    n0, n1 = net.normals[p0], net.normals[p1]
-    n3, n2 = net.normals[p3], net.normals[p2]
-    a = np.array([c[0] - r[0] * n0, c[1] - r[1] * n0,
-                  c[1] - r[1] * n1, c[2] - r[2] * n1])
-    b = np.array([c[0] - r[0] * n3, c[1] - r[1] * n3,
-                  c[1] - r[1] * n2, c[2] - r[2] * n2])
-    return a, b
-
-
-def gamma_points(net: LNet, i: int, j: int, axis: int = 0):
-    """Arc endpoints ``alpha0..alpha3, beta0..beta3`` of a plane triple.
-
-    The triple starts at vertex ``(i, j)`` and advances along ``axis``.
-    The four spheres touching consecutive plane pairs must exist, so the
-    cross index must be interior (``1 <= j <= fc-1`` for axis 0).
-    """
-    vr, vc = net.vertex_shape
-    fr, fc = net.face_shape
-    if axis == 0:
-        if not (0 <= i and i + 2 < vr and 1 <= j <= fc - 1):
-            raise IndexError("plane triple out of range")
-        planes = [(i + k, j) for k in range(3)]
-        s0, s3 = (i, j - 1), (i, j)
-        s1, s2 = (i + 1, j - 1), (i + 1, j)
-    else:
-        if not (0 <= j and j + 2 < vc and 1 <= i <= fr - 1):
-            raise IndexError("plane triple out of range")
-        planes = [(i, j + k) for k in range(3)]
-        s0, s3 = (i - 1, j), (i, j)
-        s1, s2 = (i - 1, j + 1), (i, j + 1)
-    ni, nj, nk = (net.normals[p] for p in planes)
-    c0, r0 = net.centers[s0], net.radii[s0]
-    c1, r1 = net.centers[s1], net.radii[s1]
-    c2, r2 = net.centers[s2], net.radii[s2]
-    c3, r3 = net.centers[s3], net.radii[s3]
-    alpha = np.array([c0 - r0 * ni, c0 - r0 * nj, c1 - r1 * nj, c1 - r1 * nk])
-    beta = np.array([c3 - r3 * ni, c3 - r3 * nj, c2 - r2 * nj, c2 - r2 * nk])
-    return alpha, beta
-
-
-def strip_contact_points(net: LNet, i: int, j: int,
-                         axis: int = 0) -> StripContactPoints:
-    """All sixteen strip points anchored at start index ``(i, j)``.
-
-    ``a``/``b`` come from the face triple starting at face ``(i, j)``,
-    ``alpha``/``beta`` from the plane triple starting at vertex ``(i, j)``
-    along the same axis; the latter requires the cross index to be
-    interior (see :func:`gamma_points`).
-    """
-    a, b = ell_points(net, i, j, axis)
-    alpha, beta = gamma_points(net, i, j, axis)
-    return StripContactPoints(a, b, alpha, beta)
+    face, vert = contact_incidences(*net.face_shape)
+    c = net.centers.reshape(-1, 3)
+    r = net.radii.reshape(-1)
+    return (c[face] - r[face, None]
+            * net.normals.reshape(-1, 3)[vert]).reshape(-1, 4, 3)
 
 
 def tangential_distance(si: OrSphere, sj: OrSphere) -> float:
@@ -262,16 +236,14 @@ def verify(net: LNet, tol_oc: float = DEFAULT_TOL_OC) -> VerifyReport:
     length (informational).
     """
     fr, fc = net.face_shape
-    max_res = 0.0
-    for da, db in CORNERS:
-        n = net.normals[da:da + fr, db:db + fc]
-        h = net.intercepts[da:da + fr, db:db + fc]
-        res = np.einsum("ijc,ijc->ij", net.centers, n) + h - net.radii
-        max_res = max(max_res, float(np.max(np.abs(res))))
-
-    fa, fb = face_pairs(fr, fc).T
+    face, vert = contact_incidences(fr, fc)
     c = net.centers.reshape(-1, 3)
     r = net.radii.reshape(-1)
+    res = (np.einsum("kc,kc->k", c[face], net.normals.reshape(-1, 3)[vert])
+           + net.intercepts.reshape(-1)[vert] - r[face])
+    max_res = float(np.max(np.abs(res)))
+
+    fa, fb = face_pairs(fr, fc).T
     d = c[fa] - c[fb]
     bad = int(np.count_nonzero(~(np.vecdot(d, d) > (r[fa] - r[fb]) ** 2)))
 

@@ -7,7 +7,11 @@ four per vertex plane (``nx, ny, nz, h``, vertices in row-major order).
 Residual blocks appear in the fixed order unit, contact, segment
 fairness, arc fairness, proximity, tangency, tangential distance,
 regularization; blocks whose weight is zero are omitted from the residual
-vector (raw energies are still reported for all of them). The
+vector (raw energies are still reported for all of them). The two
+fairness blocks are second differences of the contact points ``P = c - r
+n`` that bound the strips: each row ``k`` of the ``ell`` (segment) or
+``gamma`` (arc) table of :func:`lnets.lnet.strip_incidences` gives
+``(P[k1] - P[k0]) - (P[k3] - P[k2])`` and the same for ``k4..k7``. The
 regularization block doubles as the Levenberg damping term: its residual
 vanishes at the expansion point, so it contributes exactly ``w_reg * I``
 to the normal equations. It therefore stays active in the contact-only
@@ -32,7 +36,8 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .bspline import BSplineSurface, project_points
 from .errors import LnetsError, located
-from .lnet import CORNERS, LNet, face_pairs
+from .lnet import (CORNERS, LNet, contact_incidences, face_pairs,
+                   strip_incidences)
 
 BLOCK_ORDER = ("unit", "oc", "lfair", "gfair", "prox", "tan", "td", "reg")
 
@@ -84,6 +89,8 @@ class Schedule:
             raise ValueError("iteration counts must be nonnegative")
         if self.decay_every < 1 or self.converge_patience < 1:
             raise ValueError("decay_every and converge_patience must be >= 1")
+        if not self.fairness_decay >= 0.0:
+            raise ValueError("fairness_decay must be nonnegative")
 
 
 def pack(net: LNet) -> np.ndarray:
@@ -131,66 +138,17 @@ class ResidualSystem:
         self.x_prev = self.x0.copy() if x_prev is None else np.asarray(
             x_prev, dtype=float).copy()
 
-        fi, fj = np.meshgrid(np.arange(fr), np.arange(fc), indexing="ij")
-
-        def fflat(i, j):
-            return (i * fc + j).ravel()
-
-        def vflat(i, j):
-            return (i * vc + j).ravel()
-
-        # Contact incidences: faces row-major, corners in CORNERS order.
-        corners = np.stack([vflat(fi + da, fj + db) for da, db in CORNERS],
-                           axis=1)
-        self.oc_face = np.repeat(fflat(fi, fj), 4)
-        self.oc_vert = corners.reshape(-1)
-
-        # Fairness triples of consecutive faces (axis 0 first).
-        tri_f, tri_p = [], []
-        if fr >= 3:
-            ti, tj = np.meshgrid(np.arange(fr - 2), np.arange(fc),
-                                 indexing="ij")
-            tri_f.append(np.stack([fflat(ti, tj), fflat(ti + 1, tj),
-                                   fflat(ti + 2, tj)], axis=1))
-            tri_p.append(np.stack([vflat(ti + 1, tj), vflat(ti + 2, tj),
-                                   vflat(ti + 1, tj + 1),
-                                   vflat(ti + 2, tj + 1)], axis=1))
-        if fc >= 3:
-            ti, tj = np.meshgrid(np.arange(fr), np.arange(fc - 2),
-                                 indexing="ij")
-            tri_f.append(np.stack([fflat(ti, tj), fflat(ti, tj + 1),
-                                   fflat(ti, tj + 2)], axis=1))
-            tri_p.append(np.stack([vflat(ti, tj + 1), vflat(ti, tj + 2),
-                                   vflat(ti + 1, tj + 1),
-                                   vflat(ti + 1, tj + 2)], axis=1))
-        self.lf_faces = (np.concatenate(tri_f) if tri_f
-                         else np.empty((0, 3), dtype=int))
-        self.lf_planes = (np.concatenate(tri_p) if tri_p
-                          else np.empty((0, 4), dtype=int))
-
-        # Fairness triples of consecutive planes with their four spheres.
-        gtri_p, gtri_s = [], []
-        if vr >= 3 and fc >= 2:
-            ti, tj = np.meshgrid(np.arange(vr - 2), np.arange(1, fc),
-                                 indexing="ij")
-            gtri_p.append(np.stack([vflat(ti, tj), vflat(ti + 1, tj),
-                                    vflat(ti + 2, tj)], axis=1))
-            gtri_s.append(np.stack([fflat(ti, tj - 1), fflat(ti + 1, tj - 1),
-                                    fflat(ti + 1, tj), fflat(ti, tj)],
-                                   axis=1))
-        if vc >= 3 and fr >= 2:
-            ti, tj = np.meshgrid(np.arange(1, fr), np.arange(vc - 2),
-                                 indexing="ij")
-            gtri_p.append(np.stack([vflat(ti, tj), vflat(ti, tj + 1),
-                                    vflat(ti, tj + 2)], axis=1))
-            gtri_s.append(np.stack([fflat(ti - 1, tj), fflat(ti - 1, tj + 1),
-                                    fflat(ti, tj + 1), fflat(ti, tj)],
-                                   axis=1))
-        # Column order below: s0, s1, s2, s3.
-        self.gf_planes = (np.concatenate(gtri_p) if gtri_p
-                          else np.empty((0, 3), dtype=int))
-        self.gf_spheres = (np.concatenate(gtri_s) if gtri_s
-                           else np.empty((0, 4), dtype=int))
+        # Contact incidences k = 4 f + m and the strips they bound. The
+        # fairness partials read the faces and planes of strip points:
+        # lfair's faces at a0, a1, a3 and planes at a0, a2, b0, b2;
+        # gfair's planes at alpha0, alpha1, alpha3 and spheres s0..s3 at
+        # alpha0, alpha2, beta2, beta0.
+        self.oc_face, self.oc_vert = contact_incidences(fr, fc)
+        self.ell, self.gamma = strip_incidences(fr, fc)
+        self.lf_faces = self.oc_face[self.ell[:, [0, 1, 3]]]
+        self.lf_planes = self.oc_vert[self.ell[:, [0, 2, 4, 6]]]
+        self.gf_planes = self.oc_vert[self.gamma[:, [0, 1, 3]]]
+        self.gf_spheres = self.oc_face[self.gamma[:, [0, 2, 6, 4]]]
 
         # Adjacent sphere pairs of the tangential-distance block.
         self.td_pairs = face_pairs(fr, fc)
@@ -269,35 +227,14 @@ class ResidualSystem:
         if kind == "oc":
             return (np.einsum("kc,kc->k", c[self.oc_face], n[self.oc_vert])
                     + h[self.oc_vert] - r[self.oc_face])
-        if kind == "lfair":
-            if self.lf_faces.shape[0] == 0:
-                return np.empty(0)
-            ci = c[self.lf_faces[:, 0]]
-            cj = c[self.lf_faces[:, 1]]
-            ck = c[self.lf_faces[:, 2]]
-            ri = r[self.lf_faces[:, 0], None]
-            rj = r[self.lf_faces[:, 1], None]
-            rk = r[self.lf_faces[:, 2], None]
-            n0 = n[self.lf_planes[:, 0]]
-            n1 = n[self.lf_planes[:, 1]]
-            n3 = n[self.lf_planes[:, 2]]
-            n2 = n[self.lf_planes[:, 3]]
-            va = 2.0 * cj - ci - ck + (ri - rj) * n0 + (rk - rj) * n1
-            vb = 2.0 * cj - ci - ck + (ri - rj) * n3 + (rk - rj) * n2
-            return np.concatenate([va, vb], axis=1).reshape(-1)
-        if kind == "gfair":
-            if self.gf_planes.shape[0] == 0:
-                return np.empty(0)
-            ni = n[self.gf_planes[:, 0]]
-            nj = n[self.gf_planes[:, 1]]
-            nk = n[self.gf_planes[:, 2]]
-            r0 = r[self.gf_spheres[:, 0], None]
-            r1 = r[self.gf_spheres[:, 1], None]
-            r2 = r[self.gf_spheres[:, 2], None]
-            r3 = r[self.gf_spheres[:, 3], None]
-            va = r0 * (ni - nj) + r1 * (nk - nj)
-            vb = r3 * (ni - nj) + r2 * (nk - nj)
-            return np.concatenate([va, vb], axis=1).reshape(-1)
+        if kind in ("lfair", "gfair"):
+            # Second differences (P[k1] - P[k0]) - (P[k3] - P[k2]) of the
+            # contact points along both halves of every strip.
+            pts = self.contact_points_of(x)
+            k = (self.ell if kind == "lfair" else self.gamma).reshape(-1, 2, 4)
+            p0, p1, p2, p3 = (np.take(pts, k[..., m], axis=0)
+                              for m in range(4))
+            return ((p1 - p0) - (p3 - p2)).reshape(-1)
         if kind == "prox":
             return (self.contact_points_of(x) - self.foot_x).reshape(-1)
         if kind == "tan":
@@ -327,8 +264,8 @@ class ResidualSystem:
     def block_slices(self) -> dict:
         """Row ranges of the active blocks in the residual vector."""
         sizes = {"unit": self.n_planes, "oc": self.oc_face.size,
-                 "lfair": 6 * self.lf_faces.shape[0],
-                 "gfair": 6 * self.gf_planes.shape[0],
+                 "lfair": 6 * self.ell.shape[0],
+                 "gfair": 6 * self.gamma.shape[0],
                  "prox": 3 * self.oc_face.size, "tan": self.oc_face.size,
                  "td": self.td_pairs.shape[0], "reg": self.n_vars}
         out = {}

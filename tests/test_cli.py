@@ -60,6 +60,12 @@ def test_config_rejects_unknown_and_missing_fields(tmp_path, patch):
         config_from_dict(bad4, tmp_path)
 
 
+def test_config_rejects_negative_fairness_decay(tmp_path, patch):
+    path = base_config(tmp_path, patch, schedule={"fairness_decay": -0.1})
+    with pytest.raises(ConfigError, match="schedule: fairness_decay"):
+        load_config(path)
+
+
 def test_config_rejects_mismatched_sample_counts(tmp_path, patch):
     good = json.loads(base_config(tmp_path, patch).read_text())
     bad = dict(good, tessellation={"arc_samples": 8, "ruling_samples": 6})

@@ -6,9 +6,9 @@ import pytest
 from lnets import (AdmissibilityError, ConfigError, CongruenceSpec,
                    CurvatureSignError, LNet, OrSphere, QuadGrid,
                    evaluate_jets, initialize, oriented_normal,
-                   strip_contact_points, tangential_distance, verify)
+                   strip_incidences, tangential_distance, verify)
 from lnets.bspline import BSplineSurface, SurfaceJet2
-from lnets.lnet import (contact_points, ell_points, face_pairs, gamma_points,
+from lnets.lnet import (contact_incidences, contact_points, face_pairs,
                         lnet_from_dict, lnet_to_dict, load_lnet, save_lnet)
 
 from conftest import solved_sphere_net, translational_offset_net
@@ -141,13 +141,23 @@ def test_translational_offset_net_is_exact_and_constant_radius():
                 assert abs(res) <= 1e-12
 
 
+def strip_points(net):
+    """Contact points of the ``ell`` and ``gamma`` rows, ``(T, 8, 3)`` each."""
+    pts = contact_points(net).reshape(-1, 3)
+    ell, gamma = strip_incidences(*net.face_shape)
+    return pts[ell], pts[gamma]
+
+
 def test_strip_point_formulas():
     rng = np.random.default_rng(3)
     normals = rng.normal(size=(4, 3, 3))
     normals /= np.linalg.norm(normals, axis=2, keepdims=True)
     net = LNet(normals, rng.normal(size=(4, 3)),
                rng.normal(size=(3, 2, 3)), rng.uniform(0.1, 1.0, size=(3, 2)))
-    a, b = ell_points(net, 0, 0, axis=0)
+    ell, gamma = strip_points(net)
+    # Axis-0 face triples start at faces (0, 0), (0, 1); axis 1 has none.
+    assert ell.shape == (2, 8, 3)
+    a, b = ell[0, :4], ell[0, 4:]
     c0, r0 = net.centers[0, 0], net.radii[0, 0]
     c1, r1 = net.centers[1, 0], net.radii[1, 0]
     c2, r2 = net.centers[2, 0], net.radii[2, 0]
@@ -158,25 +168,28 @@ def test_strip_point_formulas():
     assert np.allclose(b[0], c0 - r0 * net.normals[1, 1])
     assert np.allclose(b[3], c2 - r2 * net.normals[2, 1])
 
-    alpha, beta = gamma_points(net, 0, 1, axis=0)
+    # Axis-0 plane triples start at vertices (0, 1), (1, 1); axis 1 at
+    # vertices (1, 0), (2, 0).
+    assert gamma.shape == (4, 8, 3)
+    alpha, beta = gamma[0, :4], gamma[0, 4:]
     s0, s3 = net.centers[0, 0], net.centers[0, 1]
     assert np.allclose(alpha[0], s0 - net.radii[0, 0] * net.normals[0, 1])
     assert np.allclose(alpha[1], s0 - net.radii[0, 0] * net.normals[1, 1])
     assert np.allclose(beta[0], s3 - net.radii[0, 1] * net.normals[0, 1])
-
-    sp = strip_contact_points(net, 0, 1, axis=0)
-    assert np.allclose(sp.alpha, alpha) and np.allclose(sp.beta, beta)
-    with pytest.raises(IndexError):
-        ell_points(net, 1, 0, axis=0)
-    with pytest.raises(IndexError):
-        gamma_points(net, 0, 0, axis=0)
+    alpha, beta = gamma[3, :4], gamma[3, 4:]
+    assert np.allclose(alpha[3], net.centers[1, 1]
+                       - net.radii[1, 1] * net.normals[2, 2])
+    assert np.allclose(beta[2], net.centers[2, 1]
+                       - net.radii[2, 1] * net.normals[2, 1])
 
 
 def test_strip_points_zero_radius_and_sphere_membership():
     net = translational_offset_net(5, 4, d=0.35)
-    sp = strip_contact_points(net, 1, 1, axis=0)
-    for pts in (sp.a, sp.b, sp.alpha, sp.beta):
-        assert pts.shape == (4, 3)
+    ell, gamma = strip_points(net)
+    # Face triples: 3 x 4 along axis 0, 5 x 2 along axis 1; plane
+    # triples: 4 x 3 per axis.
+    assert ell.shape == (22, 8, 3)
+    assert gamma.shape == (24, 8, 3)
     # Contact points lie on their spheres.
     cp = contact_points(net).reshape(-1, 3)
     fr, fc = net.face_shape
@@ -195,12 +208,19 @@ def test_strip_points_zero_radius_and_sphere_membership():
 
 def test_strip_segment_points_lie_on_their_plane():
     net = translational_offset_net(6, 5, d=0.25)
-    a, b = ell_points(net, 1, 1, axis=0)
-    n0 = net.normals[2, 1]
-    h0 = net.intercepts[2, 1]
-    # a0 and a1 are the contact points of the two spheres with plane p0.
-    for pt in (a[0], a[1]):
-        assert abs(float(np.dot(n0, pt)) + h0) <= 1e-12
+    ell, _ = strip_incidences(*net.face_shape)
+    _, vert = contact_incidences(*net.face_shape)
+    pts = contact_points(net).reshape(-1, 3)
+    n = net.normals.reshape(-1, 3)
+    h = net.intercepts.reshape(-1)
+    # a0/a1, a2/a3, b0/b1 and b2/b3 are the contact points of two
+    # spheres with one plane.
+    for first, second in ((0, 1), (2, 3), (4, 5), (6, 7)):
+        plane = vert[ell[:, first]]
+        assert np.array_equal(plane, vert[ell[:, second]])
+        for col in (first, second):
+            res = np.vecdot(n[plane], pts[ell[:, col]]) + h[plane]
+            assert np.max(np.abs(res)) <= 1e-12
 
 
 def test_tangential_distance():

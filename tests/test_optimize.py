@@ -111,6 +111,72 @@ def test_jacobian_matches_finite_differences(patch, rows, cols):
     assert np.max(np.abs(analytic - fd)) <= 1e-6 * scale
 
 
+def reference_fairness(net, axis):
+    """``lfair`` and ``gfair`` rows of one axis, term by term.
+
+    Rows follow the documented table order: row-major by the first face
+    of each face triple and by the first plane of each plane triple.
+    """
+    c, r, n = net.centers, net.radii, net.normals
+    fr, fc = net.face_shape
+    vr, vc = net.vertex_shape
+    e = (1, 0) if axis == 0 else (0, 1)
+    x = (0, 1) if axis == 0 else (1, 0)
+
+    def at(a, idx, *steps):
+        return a[tuple(idx[k] + sum(s[k] for s in steps) for k in (0, 1))]
+
+    lf = []
+    for i in range(fr - 2 * e[0]):
+        for j in range(fc - 2 * e[1]):
+            f = (i, j)
+            ci, cj, ck = at(c, f), at(c, f, e), at(c, f, e, e)
+            ri, rj, rk = at(r, f), at(r, f, e), at(r, f, e, e)
+            n0, n1 = at(n, f, e), at(n, f, e, e)
+            n3, n2 = at(n, f, e, x), at(n, f, e, e, x)
+            lf += [2.0 * cj - ci - ck + (ri - rj) * n0 + (rk - rj) * n1,
+                   2.0 * cj - ci - ck + (ri - rj) * n3 + (rk - rj) * n2]
+    gf = []
+    for i in range(x[0], vr - 2 * e[0] - x[0]):
+        for j in range(x[1], vc - 2 * e[1] - x[1]):
+            p = (i, j)
+            s0 = (i - x[0], j - x[1])
+            ni, nj, nk = at(n, p), at(n, p, e), at(n, p, e, e)
+            r0, r1 = at(r, s0), at(r, s0, e)
+            r3, r2 = at(r, p), at(r, p, e)
+            gf += [r0 * (ni - nj) + r1 * (nk - nj),
+                   r3 * (ni - nj) + r2 * (nk - nj)]
+    return (np.reshape(lf, (-1, 6)), np.reshape(gf, (-1, 6)))
+
+
+def test_fairness_blocks_match_term_by_term_formulas(patch):
+    rng = np.random.default_rng(11)
+    net = lattice_net(patch, 5, 7)
+    x = pack(net) + 1e-2 * rng.standard_normal(pack(net).size)
+    net = unpack(x, net.vertex_shape)
+    system = assemble(net, patch, Weights())
+    refs = [reference_fairness(net, axis) for axis in (0, 1)]
+    for kind, m in (("lfair", 0), ("gfair", 1)):
+        ref = np.concatenate([refs[0][m], refs[1][m]])
+        got = system._block_raw(x, kind).reshape(-1, 6)
+        assert got.shape == ref.shape and ref.shape[0] > 0
+        assert np.max(np.abs(got - ref)) <= 1e-15
+
+
+def test_jacobian_sparsity_is_structural(patch):
+    # Constant radii make the lfair plane partials r_i - r_j zero by value;
+    # the pattern, which the band layout is built from, must not change.
+    net = translational_offset_net(5, 4, d=0.2)
+    system = assemble(net, patch, Weights())
+    x = pack(net)
+    y = x.copy()
+    y[3:system.plane_base:4] += 1e-3 * np.arange(system.n_faces)
+    a, b = system.jacobian(x), system.jacobian(y)
+    assert np.count_nonzero(a.data == 0.0) > 0
+    assert np.array_equal(a.indptr, b.indptr)
+    assert np.array_equal(a.indices, b.indices)
+
+
 def test_jacobian_block_slices_cover_residual(patch):
     net = lattice_net(patch, 4, 4)
     system = assemble(net, patch, Weights(w_td=1e-3))
@@ -137,6 +203,12 @@ def test_toy_linear_least_squares():
     assert escalations == 0
     assert np.linalg.norm(residual(x)) <= 1e-12
     assert np.allclose(x, [1.0, -2.0])
+
+
+def test_schedule_rejects_negative_fairness_decay():
+    with pytest.raises(ValueError, match="fairness_decay"):
+        Schedule(fairness_decay=-0.1)
+    Schedule(fairness_decay=0.0)
 
 
 def test_fairness_weight_schedule(patch):
