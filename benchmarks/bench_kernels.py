@@ -1,14 +1,18 @@
-"""Benchmark the jet kernels, the batched projection, the layers of one LM
-iteration and the export stages.
+"""Benchmark the jet kernels, the streamline tracer, the batched
+projection, the layers of one LM iteration and the export stages.
 
 Run: python benchmarks/bench_kernels.py --points 20000 --repeats 20
 
 Every timing is the median of ``--repeats`` runs (a fifth as many for the
-projection, the LM layers and the export stages), after one untimed
-warm-up call.
+tracer, the projection, the LM layers and the export stages), after one
+untimed warm-up call.
 
 - ``jets``: one batch of ``--points`` parameter points and one single
   point through the per-span jet kernel.
+- ``trace``: ``trace_grid`` on the acceptance config (default
+  paraboloid, ``tau_min`` 0.75, constant angle pi/4, 16x16 requested at
+  edge 0.13), with the number of frame-field batches it evaluates and the
+  realized grid size.
 - ``projection``: the grid-seeded batched closest-point projection.
 - ``lm``: one ``refresh_footpoints``, one ``residual``, one analytic
   ``jacobian`` and one normal-equation solve (``mu = 1e-4``, banded
@@ -22,18 +26,23 @@ warm-up call.
 """
 
 import argparse
+import logging
+import math
 import tempfile
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from lnets import (CongruenceSpec, LNet, QuadGrid, Weights, assemble,
-                   convex_paraboloid_patch, initialize, project_points)
+from lnets import (AngleField, CongruenceSpec, GridSpec, LNet, QuadGrid,
+                   Weights, assemble, convex_paraboloid_patch, initialize,
+                   project_points)
 from lnets.cli import export_obj
 from lnets.kernels import surface_jets_batch
 from lnets.lnet import CORNERS
 from lnets.optimize import pack, solve_normal_equations
+from lnets.remesh import frame_field, trace_grid_from_field
 from lnets.tessellate import dedupe_mesh, tessellate
 
 
@@ -102,6 +111,24 @@ def main():
                     args.repeats)
     print(f"jets        : {t_batch:8.2f} ms  ({args.points} points), "
           f"{t_one * 1e3:8.1f} us  (1 point)")
+
+    # The acceptance grid is trimmed to 16x8 at the domain boundary; its
+    # warning would repeat on every run.
+    logging.getLogger("lnets.remesh").setLevel(logging.ERROR)
+    field = partial(frame_field, surf, CongruenceSpec("tau_min", tau=0.75),
+                    AngleField.constant(math.pi / 4))
+    batches = []
+
+    def counting(uv):
+        batches.append(len(uv))
+        return field(uv)
+
+    spec = GridSpec(16, 16, 0.13)
+    grid = trace_grid_from_field(counting, surf.domain, spec)
+    t_trace = time_fn(lambda: trace_grid_from_field(field, surf.domain, spec),
+                      few)
+    print(f"trace       : {t_trace:8.2f} ms  ({len(batches)} frame batches, "
+          f"{grid.rows}x{grid.cols} grid)")
 
     queries = rng.uniform(-0.5, 0.5, size=(2000, 3))
     queries[:, 2] += 0.5

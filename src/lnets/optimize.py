@@ -219,9 +219,17 @@ class ResidualSystem:
 
     # -- residuals ----------------------------------------------------------
 
-    def _block_raw(self, x: np.ndarray, kind: str) -> np.ndarray:
-        """Unweighted residual entries of one block kind."""
+    def _block_raw(self, x: np.ndarray, kind: str,
+                   pts: np.ndarray | None = None) -> np.ndarray:
+        """Unweighted residual entries of one block kind.
+
+        ``pts`` are the contact points of ``x``
+        (:meth:`contact_points_of`); the fairness, proximity and tangency
+        blocks compute them when not given.
+        """
         c, r, n, h = self._split(x)
+        if pts is None and kind in ("lfair", "gfair", "prox", "tan"):
+            pts = self.contact_points_of(x)
         if kind == "unit":
             return np.einsum("pc,pc->p", n, n) - 1.0
         if kind == "oc":
@@ -230,15 +238,14 @@ class ResidualSystem:
         if kind in ("lfair", "gfair"):
             # Second differences (P[k1] - P[k0]) - (P[k3] - P[k2]) of the
             # contact points along both halves of every strip.
-            pts = self.contact_points_of(x)
             k = (self.ell if kind == "lfair" else self.gamma).reshape(-1, 2, 4)
             p0, p1, p2, p3 = (np.take(pts, k[..., m], axis=0)
                               for m in range(4))
             return ((p1 - p0) - (p3 - p2)).reshape(-1)
         if kind == "prox":
-            return (self.contact_points_of(x) - self.foot_x).reshape(-1)
+            return (pts - self.foot_x).reshape(-1)
         if kind == "tan":
-            diff = self.contact_points_of(x) - self.foot_x
+            diff = pts - self.foot_x
             return np.einsum("kc,kc->k", diff, self.foot_n)
         if kind == "td":
             if self.td_pairs.shape[0] == 0:
@@ -255,10 +262,11 @@ class ResidualSystem:
 
     def residual(self, x: np.ndarray) -> np.ndarray:
         """Stacked residual vector, each block scaled by sqrt(weight)."""
+        pts = self.contact_points_of(x)
         parts = []
         for kind in self.active_blocks():
             parts.append(np.sqrt(self.weights.of(kind))
-                         * self._block_raw(x, kind))
+                         * self._block_raw(x, kind, pts))
         return np.concatenate(parts) if parts else np.empty(0)
 
     def block_slices(self) -> dict:
@@ -291,7 +299,8 @@ class ResidualSystem:
     def _energy_summary(self, x: np.ndarray):
         """``(raw_energies, total_energy, max_contact_residual)`` from one
         evaluation of every block."""
-        blocks = {kind: self._block_raw(x, kind) for kind in BLOCK_ORDER}
+        pts = self.contact_points_of(x)
+        blocks = {kind: self._block_raw(x, kind, pts) for kind in BLOCK_ORDER}
         raw = {kind: float(res @ res) for kind, res in blocks.items()}
         return raw, self._weighted_total(raw), _max_abs(blocks["oc"])
 

@@ -3,10 +3,19 @@ field-aligned regular quad grid in the parameter domain.
 
 :func:`frame_field` samples the conjugate direction pair at a batch of
 parameter points from one jet batch. The tracer integrates the two
-families of the line field with classic RK4 at a fixed parameter step.
-It advances all half-streamlines of a phase in lockstep, and every RK4
-stage evaluates the frame field once, on the stage points of all lines
-still active:
+families of the line field with the embedded Dormand-Prince 5(4) pair
+(Hairer, Norsett & Wanner, *Solving Ordinary Differential Equations I*,
+section II.4). The traced directions have unit 3D speed, so the march
+integrates in arclength. Each line keeps its own step size, at most
+``GridSpec.rk4_step``: a step is accepted when the norm of its local
+error estimate is at most ``TRACE_TOL`` (1e-9 in parameter units), and a
+rejected attempt leaves the line where it was. Steps are cut to the
+arclength left to the next vertex, so vertices land at exactly
+``edge_length`` of arclength with no interpolation. The last stage of a
+step is evaluated at its end point and serves as the first stage of the
+next (FSAL), so an attempt costs six frame batches. The tracer advances
+all half-streamlines of a phase in lockstep, and every stage evaluates
+the frame field once, on the stage points of all lines still active:
 
 1. the two seed half-lines of the second family, marching from the
    domain center toward -v and +v;
@@ -14,17 +23,18 @@ still active:
    half-lines of every seed row.
 
 Direction fields are sign-ambiguous; orientation is propagated by
-choosing, at every evaluation, the sign that maximizes the dot product
-with the previous direction, seeded positively along +u (first family)
+choosing, at every stage, the sign that maximizes the dot product with
+the first stage of the step, seeded positively along +u (first family)
 and +v (second family) at the domain center. The first-family
 orientation of the seed rows is propagated serially along the seed curve.
 
-Each line has an active mask. It is cleared when a stage point leaves the
-domain box, which is checked before evaluating, so the frame field is
-never queried outside the domain and the vertex in progress is dropped;
-and when the line has produced its own vertex budget. The grid is
-trimmed to the maximal complete rectangle, so it may be smaller than
-requested; a trimmed grid is logged as a warning on ``lnets.remesh``.
+Each line has an active mask. It is cleared when a stage point of any
+attempt leaves the domain box, which is checked before evaluating, so the
+frame field is never queried outside the domain and the vertex in
+progress is dropped; and when the line has produced its own vertex
+budget. The grid is trimmed to the maximal complete rectangle, so it may
+be smaller than requested; a trimmed grid is logged as a warning on
+``lnets.remesh``.
 
 Errors. The lines of a phase are numbered in the order a line-by-line
 tracer visits them: seed line 0 runs toward -v and 1 toward +v; row ``i``
@@ -37,7 +47,11 @@ the lowest offending line and its ``(u, v)`` in the message and in the
 ``line`` and ``uv`` fields; an error of the seed batch names the lowest
 offending seed row instead. Every line evaluates the points a
 line-by-line tracer would, so tracing fails exactly when that tracer
-does; with several offending lines the one reported may differ.
+does; with several offending lines the one reported may differ. Where
+the field jumps, as the principal directions do through an umbilic, the
+error estimate stays large until the step shrinks, so stage points
+crowd toward the jump; that is how a line through an umbilic meets the
+frame field's :class:`UmbilicError`.
 """
 
 from __future__ import annotations
@@ -60,6 +74,26 @@ ANGLE_FAMILIES = ("constant", "linear_u", "linear_v", "cosine_u", "cosine_v")
 MIN_FIELD_ANGLE = math.radians(5.0)
 # Smallest tolerated |cell area| relative to the mean cell area.
 EPS_CELL = 1e-8
+# Dormand-Prince 5(4) tableau (Hairer, Norsett & Wanner, Table II.5.2). Row
+# i gives the stage-(i + 2) point from the slopes k1..k(i+1). The last row
+# is the fifth-order solution, so its slope is the next step's k1 (FSAL).
+DP_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+# Fifth- minus fourth-order weights of k1..k7: the local error estimate.
+DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525,
+        -1 / 40)
+# Local error allowed per step, in parameter units.
+TRACE_TOL = 1e-9
+# Step-size controller: safety factor and bounds of the step ratio.
+SAFETY = 0.9
+FAC_MIN = 0.2
+FAC_MAX = 10.0
 
 
 @dataclass(frozen=True)
@@ -217,7 +251,9 @@ class GridSpec:
     """Requested grid size and tracing resolution.
 
     ``edge_length`` is the target spacing between grid vertices measured
-    on the surface; ``rk4_step`` defaults to (domain diagonal) / 400.
+    on the surface. ``rk4_step`` is the largest step of the adaptive
+    tracer, in arclength; it defaults to ``edge_length``. (The name
+    dates from a fixed-step RK4 tracer and is kept so configs load.)
     """
 
     rows: int
@@ -316,59 +352,88 @@ def _stage(field_fn, domain, family: int, lines: np.ndarray, q: np.ndarray,
     return keep, np.where((np.vecdot(w, ref) < 0.0)[:, None], -w, w)
 
 
-def _rk4_step(field_fn, domain, family: int, p: np.ndarray,
-              direction: np.ndarray, active: np.ndarray, h: float) -> None:
-    """One RK4 step of every active line, updating the arrays in place.
+def _combine(weights, ks):
+    """``sum(w * k)`` over the nonzero weights."""
+    return sum(w * k for w, k in zip(weights, ks) if w)
 
-    Lines with a stage point outside the domain leave ``active`` and keep
-    their position.
+
+def _dp_attempt(field_fn, domain, family: int, lines: np.ndarray,
+                p0: np.ndarray, k1: np.ndarray, h: np.ndarray):
+    """One Dormand-Prince attempt of step ``h`` (``(n,)``) for every line.
+
+    Evaluates the six stages after ``k1``, each aligned with ``k1``.
+    Returns ``(keep, p1, k7, err)``: the rows of ``lines`` whose stage
+    points all lie in the domain box, their fifth-order end points, the
+    slopes there and the norms of their local error estimates.
     """
-    lines = np.flatnonzero(active)
-    p0 = p[lines]
-    ks = []
-    for c in (0.0, 0.5, 0.5, 1.0):
-        q = p0 + (c * h) * ks[-1] if ks else p0
-        ref = ks[0] if ks else direction[lines]
-        keep, k = _stage(field_fn, domain, family, lines, q, ref)
-        if keep.size < lines.size:
-            active[lines] = False
-            active[lines[keep]] = True
-            lines, p0, ks = lines[keep], p0[keep], [x[keep] for x in ks]
-            if lines.size == 0:
-                return
+    keep = np.arange(lines.size)
+    h = h[:, None]
+    ks = [k1]
+    for row in DP_A:
+        q = p0 + h * _combine(row, ks)
+        kept, k = _stage(field_fn, domain, family, lines, q, k1)
+        if kept.size < lines.size:
+            if kept.size == 0:
+                return kept, q[:0], k, np.empty(0)
+            keep, lines, p0, h, q, k1 = (a[kept] for a in
+                                         (keep, lines, p0, h, q, k1))
+            ks = [x[kept] for x in ks]
         ks.append(k)
-    k1, k2, k3, k4 = ks
-    p_new = p0 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    step = p_new - p0
-    norm = np.sqrt(np.vecdot(step, step))
-    moved = norm > 0.0
-    direction[lines[moved]] = step[moved] / norm[moved, None]
-    p[lines] = p_new
+    e = h * _combine(DP_E, ks)
+    return keep, q, ks[-1], np.sqrt(np.vecdot(e, e))
 
 
 def _march(field_fn, domain, family: int, starts, refs, budgets,
-           edge_length: float, h: float) -> list:
+           edge_length: float, h_max: float) -> list:
     """Vertices at ``edge_length`` spacing along half-streamlines.
 
     Line ``i`` starts at ``starts[i]`` heading along ``refs[i]`` and stops
     after ``budgets[i]`` vertices or at the domain boundary; all lines
-    advance in lockstep. The spacing is divided into an integral number
-    of RK4 steps close to the requested step size. Returns one list of
+    advance in lockstep, each with its own step size, at most ``h_max``.
+    A step is accepted when its local error estimate is at most
+    ``TRACE_TOL``; a rejected attempt leaves its line where it was. Steps
+    are cut to the arclength left to the next vertex. Returns one list of
     vertices per line.
     """
-    steps = max(1, round(edge_length / h))
-    h_eff = edge_length / steps
     p = np.array(starts, dtype=float)
-    refs = np.asarray(refs, dtype=float)
-    direction = refs / np.sqrt(np.vecdot(refs, refs))[:, None]
-    out = [[] for _ in range(p.shape[0])]
-    active = np.asarray(budgets) > 0
+    n = p.shape[0]
+    out = [[] for _ in range(n)]
+    lines = np.flatnonzero(np.asarray(budgets) > 0)
+    if lines.size == 0:
+        return out
+    keep, k = _stage(field_fn, domain, family, lines, p[lines],
+                     np.asarray(refs, dtype=float)[lines])
+    slope = np.zeros_like(p)
+    slope[lines[keep]] = k
+    active = np.zeros(n, dtype=bool)
+    active[lines[keep]] = True
+    h = np.full(n, float(h_max))
+    left = np.full(n, float(edge_length))
+    grow = np.full(n, FAC_MAX)
     while active.any():
-        for _ in range(steps):
-            _rk4_step(field_fn, domain, family, p, direction, active, h_eff)
-            if not active.any():
-                break
-        for i in np.flatnonzero(active):
+        lines = np.flatnonzero(active)
+        step = np.minimum(h[lines], left[lines])
+        keep, p1, k7, err = _dp_attempt(field_fn, domain, family, lines,
+                                        p[lines], slope[lines], step)
+        active[lines] = False
+        lines, step = lines[keep], step[keep]
+        active[lines] = True
+        ok = err <= TRACE_TOL
+        with np.errstate(divide="ignore"):
+            fac = SAFETY * (err / TRACE_TOL) ** -0.2
+        # fmax maps a NaN estimate to FAC_MIN: a rejection that shrinks
+        # the step, so the march cannot stall on it.
+        fac = np.fmin(grow[lines], np.fmax(FAC_MIN, fac))
+        at_vertex = step == left[lines]
+        h[lines] = np.minimum(h_max, step * fac)
+        # The step after a rejection may not grow.
+        grow[lines] = np.where(ok, FAC_MAX, 1.0)
+        moved = lines[ok]
+        p[moved] = p1[ok]
+        slope[moved] = k7[ok]
+        left[moved] = np.where(at_vertex[ok], edge_length,
+                               left[moved] - step[ok])
+        for i in lines[ok & at_vertex]:
             out[i].append(p[i].copy())
             if len(out[i]) == budgets[i]:
                 active[i] = False
@@ -393,9 +458,7 @@ def trace_grid_from_field(field_fn, domain, spec: GridSpec) -> QuadGrid:
     through the domain center.
     """
     u0, u1, v0, v1 = domain
-    h = spec.rk4_step
-    if h is None:
-        h = math.hypot(u1 - u0, v1 - v0) / 400.0
+    h_max = spec.edge_length if spec.rk4_step is None else spec.rk4_step
     center = np.array([0.5 * (u0 + u1), 0.5 * (v0 + v1)])
     center_sample = field_fn(center[None])
 
@@ -405,7 +468,7 @@ def trace_grid_from_field(field_fn, domain, spec: GridSpec) -> QuadGrid:
     d2_ref = _initial_direction(center_sample, 1)
     lo_pts, hi_pts = _march(field_fn, domain, 1, [center, center],
                             [-d2_ref, d2_ref], [n_lo, n_hi],
-                            spec.edge_length, h)
+                            spec.edge_length, h_max)
     seeds = np.array(lo_pts[::-1] + [center] + hi_pts)
     center_row = len(lo_pts)
 
@@ -424,7 +487,7 @@ def trace_grid_from_field(field_fn, domain, spec: GridSpec) -> QuadGrid:
     c_hi = spec.cols - 1 - c_lo
     halves = _march(field_fn, domain, 0, np.repeat(seeds, 2, axis=0),
                     np.stack([-refs, refs], axis=1).reshape(-1, 2),
-                    [c_lo, c_hi] * len(seeds), spec.edge_length, h)
+                    [c_lo, c_hi] * len(seeds), spec.edge_length, h_max)
     lo, hi = halves[0::2], halves[1::2]
 
     # Trim to the maximal complete rectangle.

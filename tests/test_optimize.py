@@ -191,6 +191,30 @@ def test_jacobian_block_slices_cover_residual(patch):
     assert jac.shape == (res.size, x.size)
 
 
+def test_stacked_residual_and_jacobian_equal_single_blocks(patch):
+    # The full system shares one contact-point evaluation across its
+    # blocks; each single-block system evaluates its own.
+    rng = np.random.default_rng(5)
+    net = lattice_net(patch, 10, 10)
+    x = pack(net) + 1e-3 * rng.standard_normal(pack(net).size)
+    weights = Weights(w_td=1e-3)
+    system = assemble(net, patch, weights)
+    res, jac = system.residual(x), system.jacobian(x).toarray()
+    kinds = system.active_blocks()
+    assert len(kinds) == 8
+    raw = system.raw_energies(x)
+    parts_res, parts_jac = [], []
+    for kind in kinds:
+        system.set_weights(Weights(**{
+            f"w_{k}": weights.of(k) if k == kind else 0.0 for k in kinds}))
+        parts_res.append(system.residual(x))
+        parts_jac.append(system.jacobian(x).toarray())
+        block = system._block_raw(x, kind)
+        assert raw[kind] == float(block @ block)
+    assert np.array_equal(res, np.concatenate(parts_res))
+    assert np.array_equal(jac, np.vstack(parts_jac))
+
+
 def test_toy_linear_least_squares():
     def residual(x):
         return np.array([x[0] - 1.0, x[1] + 2.0])

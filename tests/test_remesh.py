@@ -2,14 +2,18 @@
 
 import logging
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
-from lnets import (AngleField, CongruenceSpec, GridSpec, QuadGrid,
-                   TracingError, UmbilicError, frame_at, frame_field,
-                   theta_eval, trace_grid)
-from lnets.remesh import FrameSample, trace_grid_from_field
+from lnets import (AngleField, CongruenceSpec, CurvatureSignError, GridSpec,
+                   QuadGrid, TracingError, UmbilicError, frame_at,
+                   frame_field, theta_eval, trace_grid)
+from lnets import remesh
+from lnets.remesh import FrameSample, _stage, trace_grid_from_field
+
+from conftest import mixed_patch
 
 
 def test_theta_eval_families():
@@ -263,3 +267,169 @@ def test_quad_grid_rejects_degenerate_cells():
     uv[1, 1] = (1, 0)
     with pytest.raises(ValueError):
         QuadGrid(uv, (0, 1, 0, 1))
+
+
+# -- fixed-step RK4 reference tracer -----------------------------------------
+
+
+def _rk4_step(field_fn, domain, family, p, direction, active, h):
+    """One classic RK4 step of every active line, in place.
+
+    Stage 1 is aligned with the line's last chord direction and stages
+    2-4 with stage 1. Lines with a stage point outside the domain leave
+    ``active`` and keep their position.
+    """
+    lines = np.flatnonzero(active)
+    p0 = p[lines]
+    ks = []
+    for c in (0.0, 0.5, 0.5, 1.0):
+        q = p0 + (c * h) * ks[-1] if ks else p0
+        ref = ks[0] if ks else direction[lines]
+        keep, k = _stage(field_fn, domain, family, lines, q, ref)
+        if keep.size < lines.size:
+            active[lines] = False
+            active[lines[keep]] = True
+            lines, p0, ks = lines[keep], p0[keep], [x[keep] for x in ks]
+            if lines.size == 0:
+                return
+        ks.append(k)
+    k1, k2, k3, k4 = ks
+    p_new = p0 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    step = p_new - p0
+    norm = np.sqrt(np.vecdot(step, step))
+    moved = norm > 0.0
+    direction[lines[moved]] = step[moved] / norm[moved, None]
+    p[lines] = p_new
+
+
+def reference_march(h):
+    """A drop-in for ``remesh._march`` that ignores its maximum step and
+    divides every edge into ``round(edge_length / h)`` equal RK4 steps."""
+
+    def march(field_fn, domain, family, starts, refs, budgets, edge_length,
+              _h_max):
+        steps = max(1, round(edge_length / h))
+        h_eff = edge_length / steps
+        p = np.array(starts, dtype=float)
+        refs = np.asarray(refs, dtype=float)
+        direction = refs / np.sqrt(np.vecdot(refs, refs))[:, None]
+        out = [[] for _ in range(p.shape[0])]
+        active = np.asarray(budgets) > 0
+        while active.any():
+            for _ in range(steps):
+                _rk4_step(field_fn, domain, family, p, direction, active,
+                          h_eff)
+                if not active.any():
+                    break
+            for i in np.flatnonzero(active):
+                out[i].append(p[i].copy())
+                if len(out[i]) == budgets[i]:
+                    active[i] = False
+        return out
+
+    return march
+
+
+ACCEPTANCE_SPEC = CongruenceSpec("tau_min", tau=0.75)
+
+
+@pytest.mark.parametrize("case", ["acceptance", "steep", "mixed"])
+def test_adaptive_trace_matches_fine_rk4_reference(case, patch, steep_patch,
+                                                   monkeypatch):
+    surface, size = {"acceptance": (patch, (16, 16, 0.13)),
+                     "steep": (steep_patch, (9, 21, 0.1)),
+                     "mixed": (mixed_patch(0.5), (5, 5, 0.1))}[case]
+    field = AngleField.constant(math.pi / 4)
+    grid = trace_grid(surface, ACCEPTANCE_SPEC, field, GridSpec(*size))
+    u0, u1, v0, v1 = surface.domain
+    monkeypatch.setattr(remesh, "_march", reference_march(
+        math.hypot(u1 - u0, v1 - v0) / 3200.0))
+    ref = trace_grid(surface, ACCEPTANCE_SPEC, field, GridSpec(*size))
+    assert grid.uv.shape == ref.uv.shape
+    assert np.max(np.abs(grid.uv - ref.uv)) <= 1e-8
+
+
+def test_acceptance_trace_takes_at_most_300_frame_batches(patch):
+    sizes = []
+    inner = partial(frame_field, patch, ACCEPTANCE_SPEC,
+                    AngleField.constant(math.pi / 4))
+
+    def recording(uv):
+        sizes.append(len(uv))
+        return inner(uv)
+
+    grid = trace_grid_from_field(recording, patch.domain,
+                                 GridSpec(16, 16, 0.13))
+    assert (grid.rows, grid.cols) == (16, 8)
+    assert len(sizes) <= 300
+
+
+def test_trace_into_negative_curvature_names_seed_line():
+    # K < 0 above v = 0.5: the +v seed line fails on its first step.
+    with pytest.raises(CurvatureSignError, match="family 1 line 1 ") as info:
+        trace_grid(mixed_patch(0.0), ACCEPTANCE_SPEC,
+                   AngleField.constant(math.pi / 4), GridSpec(9, 9, 0.15))
+    assert info.value.line == 1
+    assert info.value.uv[1] > 0.5
+
+
+def test_trace_through_umbilic_raises(steep_patch):
+    # The centre row (row 4) runs along y = 0, where the principal
+    # directions swap at the umbilics (u, v) = (0.25, 0.5) and (0.75, 0.5).
+    # The jump keeps the error estimate high, so stage points close in on
+    # the umbilic until the frame field rejects one. The two half-lines
+    # are mirror images; rounding decides which one lands close enough.
+    with pytest.raises(UmbilicError) as info:
+        trace_grid(steep_patch, ACCEPTANCE_SPEC, AngleField.constant(0.0),
+                   GridSpec(9, 21, 0.1))
+    exc = info.value
+    assert exc.line in (8, 9)
+    assert str(exc).startswith(f"family 0 line {exc.line} ")
+    umbilic = (0.25, 0.5) if exc.line == 8 else (0.75, 0.5)
+    assert np.max(np.abs(exc.uv - umbilic)) <= 1e-8
+
+
+def circle_field(center):
+    """Unit field whose first family runs counterclockwise on circles
+    about ``center`` and whose second family points away from it."""
+    center = np.asarray(center, float)
+
+    def field_fn(uv):
+        r = uv - center
+        d2 = r / np.sqrt(np.vecdot(r, r))[:, None]
+        d1 = np.stack([-d2[:, 1], d2[:, 0]], axis=1)
+        return FrameSample(uv, d1, d2, np.pad(d1, ((0, 0), (0, 1))),
+                           np.pad(d2, ((0, 0), (0, 1))))
+
+    return field_fn
+
+
+def test_rejected_steps_leave_the_line_in_place():
+    # A radius-0.1 circle turns too fast for a first step of 0.1 at the
+    # tolerance, so the controller must reject. One line: after the start
+    # batch, each attempt is six batches, the first at p0 + h k1 / 5 and
+    # the sixth at the candidate end point.
+    center = np.array([0.5, 0.5])
+    inner = circle_field(center)
+    batches = []
+
+    def recording(uv):
+        batches.append(np.array(uv))
+        return inner(uv)
+
+    radius, edge, budget = 0.1, 0.1, 8
+    start = [0.5, 0.5 - radius]
+    (vertices,) = remesh._march(recording, (0, 1, 0, 1), 0, [start],
+                                [[1.0, 0.0]], [budget], edge, edge)
+    assert (len(batches) - 1) % 6 == 0
+    ends = np.concatenate(batches[6::6])
+    assert abs(np.linalg.norm(ends[0] - center) - radius) > 1e-7
+    # The retry starts from the same point with a shorter step.
+    first, retry = batches[1][0], batches[7][0]
+    assert first[1] == retry[1] == start[1]
+    assert start[0] < retry[0] < first[0]
+    # Vertices sit at exactly edge_length arclength apart on the circle.
+    angle = -0.5 * math.pi + edge / radius * np.arange(1, budget + 1)
+    want = center + radius * np.stack([np.cos(angle), np.sin(angle)], 1)
+    assert len(vertices) == budget
+    assert np.max(np.abs(np.array(vertices) - want)) <= 1e-8
