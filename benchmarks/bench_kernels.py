@@ -18,7 +18,9 @@ untimed warm-up call.
   ``jacobian`` and one normal-equation solve (``mu = 1e-4``, banded
   Cholesky) on uniform 10x10 and 40x40 lattices of the default patch,
   with the variable count, the bandwidth after the reverse Cuthill-McKee
-  ordering and the size of the band.
+  ordering and the size of the band. The Jacobian is timed twice: the
+  first call of a freshly assembled system, which builds the sparsity
+  pattern, and a later call, which only fills it.
 - ``export``: ``tessellate``, ``dedupe_mesh`` and ``export_obj`` (to a
   temporary file) of an exactly tangent 64x64 net on the default
   paraboloid, built in closed form, with the raw vertex and triangle
@@ -41,7 +43,7 @@ from lnets import (AngleField, CongruenceSpec, GridSpec, LNet, QuadGrid,
 from lnets.cli import export_obj
 from lnets.kernels import surface_jets_batch
 from lnets.lnet import CORNERS
-from lnets.optimize import pack, solve_normal_equations
+from lnets.optimize import pack, solve_normal_equations, unpack
 from lnets.remesh import frame_field, trace_grid_from_field
 from lnets.tessellate import dedupe_mesh, tessellate
 
@@ -140,13 +142,21 @@ def main():
         t_foot = time_fn(lambda: system.refresh_footpoints(x), few)
         t_res = time_fn(lambda: system.residual(x), few)
         t_jac = time_fn(lambda: system.jacobian(x), few)
+        firsts = []
+        for _ in range(few):
+            fresh = assemble(unpack(x, system.vertex_shape), surf, Weights())
+            t0 = time.perf_counter()
+            fresh.jacobian(x)
+            firsts.append(time.perf_counter() - t0)
+        t_first = float(np.median(firsts)) * 1e3
         jac = system.jacobian(x)
         layout = system.band_layout(jac)
         eqs = layout.form(jac, system.residual(x))
         t_solve = time_fn(lambda: solve_normal_equations(eqs, 1e-4), few)
         band_mb = (layout.bw + 1) * layout.n * 8 / 2 ** 20
         print(f"lm {size}x{size}    : footpoints {t_foot:8.2f} ms, residual "
-              f"{t_res:8.2f} ms, jacobian {t_jac:8.2f} ms, solve "
+              f"{t_res:8.2f} ms, jacobian first {t_first:8.2f} ms / cached "
+              f"{t_jac:8.2f} ms, solve "
               f"{t_solve:8.2f} ms  ({layout.n} vars, bandwidth {layout.bw}, "
               f"band {band_mb:.1f} MB)")
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import kernels
 from .conjugacy import EPS_CLASS, first_positive
 from .errors import (ConfigError, CurvatureSignError, LnetsError,
-                     UmbilicError, located)
+                     UmbilicError, located, read_json)
 
 # Regularity threshold: |f_u x f_v| must exceed EPS_REG * |f_u| |f_v|.
 EPS_REG = 1e-10
@@ -514,8 +514,7 @@ def surface_from_dict(data: dict) -> BSplineSurface:
 
 def load_surface(path) -> BSplineSurface:
     """Load a surface from its JSON document."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return surface_from_dict(json.load(fh))
+    return surface_from_dict(read_json(path))
 
 
 def save_surface(surface: BSplineSurface, path) -> None:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .bspline import load_surface
 from .conjugacy import CongruenceSpec
-from .errors import ConfigError, LnetsError
+from .errors import ConfigError, LnetsError, read_json
 from .lnet import (DEFAULT_TOL_OC, initialize, load_lnet,
                    save_lnet, verify)
 from .optimize import Schedule, Weights, assemble, lm_run, pack
@@ -148,8 +148,10 @@ def config_from_dict(data: dict, base_dir: Path | None = None) -> RunConfig:
                     "weights")
     try:
         weights = Weights(**weights_data)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"weights: {exc}") from exc
+    if weights.w_reg == 0.0:
+        raise ConfigError("weights: w_reg must be positive (LM damping)")
 
     sched_data = dict(data.get("schedule", {}))
     _reject_unknown(sched_data, set(Schedule.__dataclass_fields__),
@@ -175,9 +177,7 @@ def config_from_dict(data: dict, base_dir: Path | None = None) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        return config_from_dict(json.load(fh), base_dir=path.parent)
+    return config_from_dict(read_json(path), base_dir=Path(path).parent)
 
 
 def _write_rows(fh, line: str, rows: np.ndarray) -> None:
@@ -414,10 +414,13 @@ def main(argv=None) -> int:
             print(f"is_lnet {rep.is_lnet}")
             return 0 if rep.is_lnet else 1
         if args.command == "tessellate":
+            try:
+                params = TessellationParams(args.arc_samples,
+                                            args.ruling_samples)
+            except ValueError as exc:
+                raise ConfigError(f"tessellate: {exc}") from exc
             net = load_lnet(args.lnet)
-            mesh = dedupe_mesh(tessellate(
-                net, TessellationParams(args.arc_samples,
-                                        args.ruling_samples), args.tol))
+            mesh = dedupe_mesh(tessellate(net, params, args.tol))
             export_obj(mesh, args.out)
             print(f"wrote {args.out}: {mesh.vertices.shape[0]} vertices, "
                   f"{mesh.triangles.shape[0]} triangles")

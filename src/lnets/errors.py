@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and a checked JSON reader."""
+
+import json
 
 
 class LnetsError(Exception):
@@ -60,3 +62,12 @@ def located(cls, message: str, **fields) -> Exception:
     for name, value in fields.items():
         setattr(exc, name, value)
     return exc
+
+
+def read_json(path):
+    """The JSON document in ``path``; a malformed file is a ConfigError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: not a JSON document: {exc}") from exc

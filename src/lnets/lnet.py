@@ -25,7 +25,7 @@ import numpy as np
 from .bspline import (BSplineSurface, evaluate_jets, oriented_normals,
                       principal_frames, project_points)
 from .conjugacy import CongruenceSpec
-from .errors import AdmissibilityError, ConfigError
+from .errors import AdmissibilityError, ConfigError, read_json
 from .geometry import OrPlane, OrSphere
 from .remesh import QuadGrid
 
@@ -295,8 +295,7 @@ def lnet_from_dict(data: dict) -> LNet:
 
 
 def load_lnet(path) -> LNet:
-    with open(path, "r", encoding="utf-8") as fh:
-        return lnet_from_dict(json.load(fh))
+    return lnet_from_dict(read_json(path))
 
 
 def save_lnet(net: LNet, path) -> None:

@@ -18,10 +18,13 @@ to the normal equations. It therefore stays active in the contact-only
 polishing pass as solver damping even though all other auxiliary energy
 weights are zero there.
 
-Each iteration solves the damped normal equations by banded Cholesky
-factorization. The free variables are put in reverse Cuthill-McKee order
-once per active block set, which makes ``J^T J`` banded; escalations
-reuse ``J^T J`` and only change the damping on its diagonal.
+The fairness, proximity and tangency blocks are linear in ``P``, so
+their Jacobian rows are sums of ``coef * dP/dx``. The Jacobian's CSR
+pattern (:func:`csr_pattern`) and the reverse Cuthill-McKee order of the
+free variables, which makes ``J^T J`` banded, are built once per active
+block set. Each iteration solves the damped normal equations by banded
+Cholesky factorization; escalations reuse ``J^T J`` and only change the
+damping on its diagonal.
 """
 
 from __future__ import annotations
@@ -57,8 +60,8 @@ class Weights:
 
     def __post_init__(self):
         for name in self.__dataclass_fields__:
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and nonnegative")
 
     def of(self, kind: str) -> float:
         return getattr(self, f"w_{kind}")
@@ -138,17 +141,9 @@ class ResidualSystem:
         self.x_prev = self.x0.copy() if x_prev is None else np.asarray(
             x_prev, dtype=float).copy()
 
-        # Contact incidences k = 4 f + m and the strips they bound. The
-        # fairness partials read the faces and planes of strip points:
-        # lfair's faces at a0, a1, a3 and planes at a0, a2, b0, b2;
-        # gfair's planes at alpha0, alpha1, alpha3 and spheres s0..s3 at
-        # alpha0, alpha2, beta2, beta0.
+        # Contact incidences k = 4 f + m and the strips they bound.
         self.oc_face, self.oc_vert = contact_incidences(fr, fc)
         self.ell, self.gamma = strip_incidences(fr, fc)
-        self.lf_faces = self.oc_face[self.ell[:, [0, 1, 3]]]
-        self.lf_planes = self.oc_vert[self.ell[:, [0, 2, 4, 6]]]
-        self.gf_planes = self.oc_vert[self.gamma[:, [0, 1, 3]]]
-        self.gf_spheres = self.oc_face[self.gamma[:, [0, 2, 6, 4]]]
 
         # Adjacent sphere pairs of the tangential-distance block.
         self.td_pairs = face_pairs(fr, fc)
@@ -159,6 +154,7 @@ class ResidualSystem:
         self.footpoint_fallbacks = 0
         self._layout = None
         self._layout_key = None
+        self._pattern = (None, None)
         self.refresh_footpoints(self.x0)
 
     # -- state ------------------------------------------------------------
@@ -328,9 +324,12 @@ class ResidualSystem:
         return self.plane_base + 4 * p + comp
 
     def _jac_triplets(self, x: np.ndarray):
+        """COO triplets of the scaled Jacobian (repeats add up) and its row
+        count. Fairness, proximity and tangency rows chain through the
+        entries of ``dP_k[comp] / dx``: 1 at ``c_f[comp]``, ``-n_v[comp]``
+        at ``r_f`` and ``-r_f`` at ``n_v[comp]``."""
         c, r, n, h = self._split(x)
         rows, cols, vals = [], [], []
-        at = 0
 
         def add(rr, cc, vv):
             rows.append(np.asarray(rr, dtype=int).ravel())
@@ -338,7 +337,10 @@ class ResidualSystem:
             vals.append(np.asarray(vv, dtype=float).ravel())
 
         comp = np.arange(3)
-        for kind in self.active_blocks():
+        incidence = np.arange(self.oc_face.size)[:, None]
+        slices = self.block_slices()
+        for kind, block in slices.items():
+            at = block.start
             s = np.sqrt(self.weights.of(kind))
             if kind == "unit":
                 rr = at + np.arange(self.n_planes)
@@ -346,7 +348,6 @@ class ResidualSystem:
                     self._pl_col(np.repeat(np.arange(self.n_planes), 3),
                                  np.tile(comp, self.n_planes)),
                     2.0 * s * n.ravel())
-                at += self.n_planes
             elif kind == "oc":
                 k = self.oc_face.size
                 rr = at + np.arange(k)
@@ -356,87 +357,24 @@ class ResidualSystem:
                 add(np.repeat(rr, 3), self._pl_col(self.oc_vert[:, None], comp),
                     s * c[self.oc_face])
                 add(rr, self._pl_col(self.oc_vert, 3), np.full(k, s))
-                at += k
-            elif kind == "lfair":
-                t = self.lf_faces.shape[0]
-                if t:
-                    f_i, f_j, f_k = (self.lf_faces[:, m] for m in range(3))
-                    base = at + 6 * np.arange(t)
-                    for half, (pa, pb) in enumerate(((0, 1), (2, 3))):
-                        rr = (base[:, None] + 3 * half + comp)  # (t, 3)
-                        na = n[self.lf_planes[:, pa]]
-                        nb = n[self.lf_planes[:, pb]]
-                        add(rr, self._sph_col(f_i[:, None], comp),
-                            np.full((t, 3), -s))
-                        add(rr, self._sph_col(f_j[:, None], comp),
-                            np.full((t, 3), 2.0 * s))
-                        add(rr, self._sph_col(f_k[:, None], comp),
-                            np.full((t, 3), -s))
-                        add(rr, np.broadcast_to(
-                            self._sph_col(f_i, 3)[:, None], (t, 3)), s * na)
-                        add(rr, np.broadcast_to(
-                            self._sph_col(f_j, 3)[:, None], (t, 3)),
-                            -s * (na + nb))
-                        add(rr, np.broadcast_to(
-                            self._sph_col(f_k, 3)[:, None], (t, 3)), s * nb)
-                        ri = r[f_i, None]
-                        rj = r[f_j, None]
-                        rk = r[f_k, None]
-                        add(rr, self._pl_col(self.lf_planes[:, pa][:, None],
-                                             comp),
-                            s * np.broadcast_to(ri - rj, (t, 3)))
-                        add(rr, self._pl_col(self.lf_planes[:, pb][:, None],
-                                             comp),
-                            s * np.broadcast_to(rk - rj, (t, 3)))
-                at += 6 * t
-            elif kind == "gfair":
-                t = self.gf_planes.shape[0]
-                if t:
-                    p_i, p_j, p_k = (self.gf_planes[:, m] for m in range(3))
-                    ni = n[p_i]
-                    nj = n[p_j]
-                    nk = n[p_k]
-                    base = at + 6 * np.arange(t)
-                    for half, (sa, sb) in enumerate(((0, 1), (3, 2))):
-                        rr = base[:, None] + 3 * half + comp
-                        fa = self.gf_spheres[:, sa]
-                        fb = self.gf_spheres[:, sb]
-                        ra = r[fa, None]
-                        rb = r[fb, None]
-                        add(rr, np.broadcast_to(
-                            self._sph_col(fa, 3)[:, None], (t, 3)),
-                            s * (ni - nj))
-                        add(rr, np.broadcast_to(
-                            self._sph_col(fb, 3)[:, None], (t, 3)),
-                            s * (nk - nj))
-                        add(rr, self._pl_col(p_i[:, None], comp),
-                            s * np.broadcast_to(ra, (t, 3)))
-                        add(rr, self._pl_col(p_j[:, None], comp),
-                            -s * np.broadcast_to(ra + rb, (t, 3)))
-                        add(rr, self._pl_col(p_k[:, None], comp),
-                            s * np.broadcast_to(rb, (t, 3)))
-                at += 6 * t
-            elif kind == "prox":
-                k = self.oc_face.size
-                rr = (at + 3 * np.arange(k))[:, None] + comp
-                add(rr, self._sph_col(self.oc_face[:, None], comp),
-                    np.full((k, 3), s))
-                add(rr, np.broadcast_to(
-                    self._sph_col(self.oc_face, 3)[:, None], (k, 3)),
-                    -s * n[self.oc_vert])
-                add(rr, self._pl_col(self.oc_vert[:, None], comp),
-                    -s * np.broadcast_to(r[self.oc_face, None], (k, 3)))
-                at += 3 * k
-            elif kind == "tan":
-                k = self.oc_face.size
-                rr = at + np.arange(k)
-                add(np.repeat(rr, 3), self._sph_col(self.oc_face[:, None], comp),
-                    s * self.foot_n)
-                add(rr, self._sph_col(self.oc_face, 3),
-                    -s * np.einsum("kc,kc->k", n[self.oc_vert], self.foot_n))
-                add(np.repeat(rr, 3), self._pl_col(self.oc_vert[:, None], comp),
-                    -s * r[self.oc_face, None] * self.foot_n)
-                at += k
+            elif kind in ("lfair", "gfair", "prox", "tan"):
+                # Row rr gets ww dP_kk[comp] / dx. Fairness rows take the
+                # signs of P[k0..k3] in (P[k1] - P[k0]) - (P[k3] - P[k2]).
+                kk, rr, ww = incidence, at + 3 * incidence + comp, s
+                if kind == "tan":
+                    rr, ww = at + incidence, s * self.foot_n
+                elif kind != "prox":
+                    kk = (self.ell if kind == "lfair"
+                          else self.gamma).reshape(-1, 2, 4, 1)
+                    rr = at + 3 * np.arange(kk.size // 4).reshape(
+                        -1, 2, 1, 1) + comp
+                    ww = s * np.array([-1.0, 1.0, 1.0, -1.0])[:, None]
+                rr, kk, cc, ww = (a.ravel() for a in np.broadcast_arrays(
+                    rr, kk, comp, ww))
+                f, v = self.oc_face[kk], self.oc_vert[kk]
+                add(rr, self._sph_col(f, cc), ww)
+                add(rr, self._sph_col(f, 3), -ww * n.ravel()[3 * v + cc])
+                add(rr, self._pl_col(v, cc), -ww * r[f])
             elif kind == "td":
                 k = self.td_pairs.shape[0]
                 if k:
@@ -451,41 +389,51 @@ class ResidualSystem:
                         -2.0 * s * d)
                     add(rr, self._sph_col(fa, 3), -2.0 * s * dr)
                     add(rr, self._sph_col(fb, 3), 2.0 * s * dr)
-                at += k
             elif kind == "reg":
                 rr = at + np.arange(self.n_vars)
                 add(rr, np.arange(self.n_vars), np.full(self.n_vars, s))
-                at += self.n_vars
-        return rows, cols, vals, at
+        return rows, cols, vals, max((b.stop for b in slices.values()),
+                                     default=0)
 
     def jacobian(self, x: np.ndarray, mode: str = "analytic") -> sp.csr_matrix:
         """Sparse Jacobian of the scaled residual vector.
 
-        ``analytic`` uses the closed-form partials (the proximity blocks
-        treat their footpoints as constants); ``finite_diff`` builds
-        central differences with step ``1e-6 * (1 + |x_i|)`` per variable.
+        ``analytic`` fills the shared, read-only pattern of the active
+        block set (the proximity blocks treat their footpoints as
+        constants); ``finite_diff`` takes central differences with step
+        ``1e-6 * (1 + |x_i|)`` per variable.
         """
         if mode == "analytic":
             rows, cols, vals, n_rows = self._jac_triplets(x)
             if not rows:
                 return sp.csr_matrix((0, self.n_vars))
-            return sp.coo_matrix(
-                (np.concatenate(vals),
-                 (np.concatenate(rows), np.concatenate(cols))),
-                shape=(n_rows, self.n_vars)).tocsr()
+            shape = (n_rows, self.n_vars)
+            if self._pattern[0] != self.active_blocks():
+                self._pattern = self.active_blocks(), csr_pattern(
+                    np.concatenate(rows), np.concatenate(cols), shape)
+            indptr, indices, slot = self._pattern[1]
+            data = np.bincount(slot, np.concatenate(vals), indices.size)
+            return sp.csr_matrix((data, indices, indptr), shape=shape)
         if mode != "finite_diff":
             raise ValueError(f"unknown jacobian mode {mode!r}")
         x = np.asarray(x, dtype=float)
-        base = self.residual(x)
-        jac = np.zeros((base.size, x.size))
-        for i in range(x.size):
-            step = 1e-6 * (1.0 + abs(x[i]))
-            xp = x.copy()
-            xp[i] += step
-            xm = x.copy()
-            xm[i] -= step
-            jac[:, i] = (self.residual(xp) - self.residual(xm)) / (2.0 * step)
-        return sp.csr_matrix(jac)
+        steps = 1e-6 * (1.0 + np.abs(x))
+        return sp.csr_matrix(np.column_stack([
+            (self.residual(x + e) - self.residual(x - e)) / (2.0 * step)
+            for step, e in zip(steps, np.diag(steps))]))
+
+
+def csr_pattern(rows: np.ndarray, cols: np.ndarray, shape):
+    """Read-only int32 CSR ``(indptr, indices, slot)`` of COO positions:
+    ``np.bincount(slot, vals, indices.size)`` is the CSR data, repeats
+    summed and cancelled entries kept."""
+    pattern = sp.csr_array((np.ones(rows.size), (rows, cols)), shape=shape)
+    pattern.data = np.arange(pattern.nnz, dtype=float)
+    out = tuple(a.astype(np.int32) for a in (
+        pattern.indptr, pattern.indices, pattern[rows, cols]))
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def assemble(net: LNet, surface: BSplineSurface, weights: Weights,

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from lnets import ConfigError, save_surface
+from lnets import (ConfigError, load_lnet, load_surface, save_lnet,
+                   save_surface)
 from lnets.cli import (OBJ_BLOCK_ROWS, config_from_dict, export_obj,
                        load_config, main, report, run_pipeline)
 from lnets.tessellate import (LabeledMesh, TessellationParams, dedupe_mesh,
@@ -71,6 +72,37 @@ def test_config_rejects_mismatched_sample_counts(tmp_path, patch):
     bad = dict(good, tessellation={"arc_samples": 8, "ruling_samples": 6})
     with pytest.raises(ConfigError, match="tessellation"):
         config_from_dict(bad, tmp_path)
+
+
+@pytest.mark.parametrize("weights", [{"w_lfair": math.nan},
+                                     {"w_tan": math.inf}, {"w_reg": 0.0}])
+def test_config_rejects_nonfinite_weights_and_zero_damping(tmp_path, patch,
+                                                           weights):
+    # Python's json reads and writes NaN and Infinity.
+    path = base_config(tmp_path, patch, weights=weights)
+    (name,) = weights
+    with pytest.raises(ConfigError, match=f"weights: {name}"):
+        load_config(path)
+    assert main(["run", "--config", str(path)]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_malformed_input_exits_with_an_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    for loader in (load_config, load_lnet, load_surface):
+        with pytest.raises(ConfigError, match="bad.json"):
+            loader(bad)
+    good = tmp_path / "lnet.json"
+    save_lnet(translational_offset_net(3, 3), good)
+    for argv in (["run", "--config", str(bad)],
+                 ["verify", "--lnet", str(bad)],
+                 ["tessellate", "--lnet", str(bad)],
+                 ["tessellate", "--lnet", str(good), "--arc-samples", "5"]):
+        assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 4 and all(e.startswith("error: ") for e in err)
+    assert "arc_samples and ruling_samples must agree" in err[-1]
 
 
 def test_explicit_radius_defaults_to_fixed(tmp_path, patch):

@@ -1,5 +1,7 @@
 """Residual blocks, analytic Jacobians, and the refinement loop."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -97,6 +99,15 @@ def test_oc_jacobian_closed_form(patch):
     assert row[base + 4 * p + 3] == 1.0
 
 
+def assert_jacobian_matches_finite_differences(system, x):
+    # Every block is at most quadratic in x, so central differences are
+    # exact up to rounding.
+    analytic = system.jacobian(x, "analytic").toarray()
+    fd = system.jacobian(x, "finite_diff").toarray()
+    scale = max(1.0, np.max(np.abs(analytic)))
+    assert np.max(np.abs(analytic - fd)) <= 1e-9 * scale
+
+
 @pytest.mark.parametrize("rows,cols", [(4, 4), (7, 5)])
 def test_jacobian_matches_finite_differences(patch, rows, cols):
     # 3x3 and 6x4 face grids with randomized perturbations.
@@ -104,11 +115,17 @@ def test_jacobian_matches_finite_differences(patch, rows, cols):
     net = lattice_net(patch, rows, cols)
     x = pack(net) + 1e-3 * rng.standard_normal(pack(net).size)
     net_p = unpack(x, net.vertex_shape)
-    system = assemble(net_p, patch, Weights(w_td=1e-3))
-    analytic = system.jacobian(x, "analytic").toarray()
-    fd = system.jacobian(x, "finite_diff").toarray()
-    scale = max(1.0, np.max(np.abs(analytic)))
-    assert np.max(np.abs(analytic - fd)) <= 1e-6 * scale
+    assert_jacobian_matches_finite_differences(
+        assemble(net_p, patch, Weights(w_td=1e-3)), x)
+
+
+def test_jacobian_matches_finite_differences_at_constant_radii(patch):
+    # Equal radii make partials such as r_i - r_j exactly zero; they stay
+    # stored entries of the pattern.
+    net = translational_offset_net(5, 4, d=0.2)
+    system = assemble(net, patch, Weights(w_td=1e-3))
+    assert np.count_nonzero(system.jacobian(pack(net)).data == 0.0) > 0
+    assert_jacobian_matches_finite_differences(system, pack(net))
 
 
 def reference_fairness(net, axis):
@@ -227,6 +244,14 @@ def test_toy_linear_least_squares():
     assert escalations == 0
     assert np.linalg.norm(residual(x)) <= 1e-12
     assert np.allclose(x, [1.0, -2.0])
+
+
+def test_weights_reject_nonfinite_and_negative_values():
+    for bad in (math.nan, math.inf, -1e-3):
+        with pytest.raises(ValueError, match="w_lfair"):
+            Weights(w_lfair=bad)
+    # A system without damping can still be assembled; lm_run rejects it.
+    assert Weights(w_reg=0.0).w_reg == 0.0
 
 
 def test_schedule_rejects_negative_fairness_decay():
@@ -392,6 +417,39 @@ def test_ordering_computed_once_per_active_block_set(patch, monkeypatch):
                         Schedule(max_iters=5, final_pass_iters=3))
     assert [r.phase for r in records] == ["main"] * 5 + ["contact"] * 3
     assert len(calls) == 2
+
+
+def test_jacobian_pattern_built_once_per_active_block_set(patch,
+                                                         monkeypatch):
+    builds = []
+    build = optimize.csr_pattern
+    monkeypatch.setattr(optimize, "csr_pattern",
+                        lambda *a: builds.append(a[2]) or build(*a))
+    net = lattice_net(patch, 4, 4)
+    # Without decay the fairness blocks drop out at iteration 11, and the
+    # contact pass drops the other auxiliary blocks.
+    _, records = lm_run(net, patch, Weights(),
+                        Schedule(max_iters=15, final_pass_iters=3,
+                                 fairness_decay=0.0, converge_rtol=0.0))
+    assert len(records) == 18
+    assert [r.w_lfair > 0 for r in records[9:11]] == [True, False]
+    assert len(builds) == 3
+    assert len(set(builds)) == 3
+
+
+def test_jacobian_after_block_set_switches_equals_fresh_system(patch):
+    rng = np.random.default_rng(3)
+    net = lattice_net(patch, 5, 6)
+    x = pack(net) + 1e-3 * rng.standard_normal(pack(net).size)
+    a, b = Weights(w_td=1e-3), Weights(w_lfair=0.0, w_gfair=0.0)
+    system = assemble(net, patch, a)
+    for weights in (a, b, a):
+        system.set_weights(weights)
+        got = system.jacobian(x)
+        fresh = assemble(net, patch, weights).jacobian(x)
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, attr), getattr(fresh, attr))
+    assert not got.indices.flags.writeable
 
 
 def test_escalations_reuse_the_normal_equations(patch, monkeypatch):
