@@ -110,7 +110,7 @@ def _parse_theta(data: dict) -> AngleField:
         return AngleField(family,
                           float(_require(data, "theta_min", "theta.")),
                           float(_require(data, "theta_max", "theta.")))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"theta: {exc}") from exc
 
 
@@ -140,7 +140,7 @@ def config_from_dict(data: dict, base_dir: Path | None = None) -> RunConfig:
                         float(_require(grid_data, "edge_length", "grid.")),
                         (float(grid_data["rk4_step"])
                          if grid_data.get("rk4_step") is not None else None))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"grid: {exc}") from exc
 
     weights_data = dict(data.get("weights", {}))
@@ -158,7 +158,7 @@ def config_from_dict(data: dict, base_dir: Path | None = None) -> RunConfig:
                     "schedule")
     try:
         schedule = Schedule(**sched_data)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"schedule: {exc}") from exc
 
     tess_data = dict(data.get("tessellation", {}))
@@ -166,7 +166,7 @@ def config_from_dict(data: dict, base_dir: Path | None = None) -> RunConfig:
                     "tessellation")
     try:
         tess = TessellationParams(**{k: int(v) for k, v in tess_data.items()})
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"tessellation: {exc}") from exc
 
     return RunConfig(surface_path=surface_path, radius=radius,

@@ -87,6 +87,18 @@ def test_config_rejects_nonfinite_weights_and_zero_damping(tmp_path, patch,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("field,value", [
+    ("schedule", {"max_iters": "5"}), ("grid", {"rows": None, "cols": 6,
+                                                "edge_length": 0.3}),
+    ("theta", {"family": "constant", "value": None}),
+    ("tessellation", {"arc_samples": None})])
+def test_config_rejects_values_of_the_wrong_type(tmp_path, patch, field,
+                                                  value):
+    path = base_config(tmp_path, patch, **{field: value})
+    with pytest.raises(ConfigError, match=f"{field}: "):
+        load_config(path)
+
+
 def test_cli_malformed_input_exits_with_an_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
