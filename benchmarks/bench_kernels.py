@@ -14,13 +14,15 @@ untimed warm-up call.
   edge 0.13), with the number of frame-field batches it evaluates and the
   realized grid size.
 - ``projection``: the grid-seeded batched closest-point projection.
-- ``lm``: one ``refresh_footpoints``, one ``residual``, one analytic
-  ``jacobian`` and one normal-equation solve (``mu = 1e-4``, banded
-  Cholesky) on uniform 10x10 and 40x40 lattices of the default patch,
-  with the variable count, the bandwidth after the reverse Cuthill-McKee
-  ordering and the size of the band. The Jacobian is timed twice: the
-  first call of a freshly assembled system, which builds the sparsity
-  pattern, and a later call, which only fills it.
+- ``lm``: one warm ``refresh_footpoints`` (the net moves by about 1e-4
+  between calls, as an LM step does; with the jet batches it evaluates),
+  one ``residual``, one analytic ``jacobian`` and one normal-equation
+  solve (``mu = 1e-4``, banded Cholesky) on uniform 10x10 and 40x40
+  lattices of the default patch, with the variable count, the bandwidth
+  after the reverse Cuthill-McKee ordering and the size of the band. The
+  Jacobian is timed twice: the first call of a freshly assembled system,
+  which builds the sparsity pattern and the index tables, and a later
+  call, which only fills in the values.
 - ``export``: ``tessellate``, ``dedupe_mesh`` and ``export_obj`` (to a
   temporary file) of an exactly tangent 64x64 net on the default
   paraboloid, built in closed form, with the raw vertex and triangle
@@ -28,6 +30,7 @@ untimed warm-up call.
 """
 
 import argparse
+import itertools
 import logging
 import math
 import tempfile
@@ -41,6 +44,7 @@ from lnets import (AngleField, CongruenceSpec, GridSpec, LNet, QuadGrid,
                    Weights, assemble, convex_paraboloid_patch, initialize,
                    project_points)
 from lnets.cli import export_obj
+from lnets import kernels
 from lnets.kernels import surface_jets_batch
 from lnets.lnet import CORNERS
 from lnets.optimize import pack, solve_normal_equations, unpack
@@ -57,6 +61,18 @@ def time_fn(fn, repeats):
         fn()
         times.append(time.perf_counter() - t0)
     return float(np.median(times)) * 1e3
+
+
+def count_jet_batches(fn):
+    """Number of jet batches that ``fn()`` evaluates."""
+    calls = []
+    kernel = kernels.surface_jets_batch
+    kernels.surface_jets_batch = lambda *a: calls.append(1) or kernel(*a)
+    try:
+        fn()
+    finally:
+        kernels.surface_jets_batch = kernel
+    return len(calls)
 
 
 def lattice_system(surf, size):
@@ -139,7 +155,10 @@ def main():
 
     for size in (10, 40):
         system, x = lattice_system(surf, size)
-        t_foot = time_fn(lambda: system.refresh_footpoints(x), few)
+        nets = itertools.cycle((x + 1e-4 * rng.standard_normal(x.size), x))
+        t_foot = time_fn(lambda: system.refresh_footpoints(next(nets)), few)
+        n_foot = count_jet_batches(
+            lambda: system.refresh_footpoints(next(nets)))
         t_res = time_fn(lambda: system.residual(x), few)
         t_jac = time_fn(lambda: system.jacobian(x), few)
         firsts = []
@@ -154,8 +173,9 @@ def main():
         eqs = layout.form(jac, system.residual(x))
         t_solve = time_fn(lambda: solve_normal_equations(eqs, 1e-4), few)
         band_mb = (layout.bw + 1) * layout.n * 8 / 2 ** 20
-        print(f"lm {size}x{size}    : footpoints {t_foot:8.2f} ms, residual "
-              f"{t_res:8.2f} ms, jacobian first {t_first:8.2f} ms / cached "
+        print(f"lm {size}x{size}    : footpoints {t_foot:8.2f} ms "
+              f"({n_foot} jet batches), residual "
+              f"{t_res:8.2f} ms, jacobian first {t_first:8.2f} ms / fill "
               f"{t_jac:8.2f} ms, solve "
               f"{t_solve:8.2f} ms  ({layout.n} vars, bandwidth {layout.bw}, "
               f"band {band_mb:.1f} MB)")

@@ -376,13 +376,14 @@ def _seed_select(points: np.ndarray, xs: np.ndarray) -> np.ndarray:
 def project_points(surface: BSplineSurface, xs: np.ndarray,
                    seeds_uv: np.ndarray | None = None,
                    grid_m: int = PROJECTION_SEED_GRID,
-                   max_iter: int = 50):
+                   max_iter: int = 50, seed_jets: np.ndarray | None = None):
     """Batched closest-point projection by damped Newton iteration.
 
     Seeds come from the best of an inclusive ``grid_m x grid_m`` parameter
-    sample unless ``seeds_uv`` provides warm starts. Iterates are clamped
-    to the domain; points that have not converged after ``max_iter`` steps
-    fall back to their seed parameters.
+    sample unless ``seeds_uv`` (and ``seed_jets``, their jets) provide warm
+    starts. Iterates are clamped to the domain; points that have not
+    converged after ``max_iter`` steps fall back to their seed parameters.
+    Each row keeps the jets of its last iterate; none is evaluated twice.
 
     Returns ``(uv, feet, normals, converged, jets)`` with shapes
     ``(N, 2), (N, 3), (N, 3), (N,), (N, 6, 3)``; ``jets`` are the surface
@@ -397,20 +398,21 @@ def project_points(surface: BSplineSurface, xs: np.ndarray,
 
     if seeds_uv is None:
         gu, gv = _seed_grid(surface, grid_m)
-        feet = evaluate_jets(surface, gu, gv)[:, 0, :]
-        best = _seed_select(feet, xs)
+        jets = evaluate_jets(surface, gu, gv)
+        best = _seed_select(jets[:, 0, :], xs)
         uv = np.stack([gu[best], gv[best]], axis=1)
+        jets = jets[best]
     else:
         uv = np.asarray(seeds_uv, dtype=float).reshape(-1, 2).copy()
+        jets = (evaluate_jets(surface, uv[:, 0], uv[:, 1])
+                if seed_jets is None else seed_jets)
     seeds = uv.copy()
 
+    out = jets.copy()
     converged = np.zeros(n_pts, dtype=bool)
     active = np.ones(n_pts, dtype=bool)
     for _ in range(max_iter):
         idx = np.flatnonzero(active)
-        if idx.size == 0:
-            break
-        jets = evaluate_jets(surface, uv[idx, 0], uv[idx, 1])
         diff = jets[:, 0, :] - xs[idx]
         g1 = np.einsum("nc,nc->n", diff, jets[:, 1, :])
         g2 = np.einsum("nc,nc->n", diff, jets[:, 2, :])
@@ -421,6 +423,7 @@ def project_points(surface: BSplineSurface, xs: np.ndarray,
         done = np.hypot(g1, g2) <= tol
         converged[idx[done]] = True
         active[idx[done]] = False
+        out[idx[done]] = jets[done]
         if np.all(done):
             break
 
@@ -447,18 +450,18 @@ def project_points(surface: BSplineSurface, xs: np.ndarray,
         shrink = np.where(step > lim, lim / step, 1.0)
         uv[sub, 0] = np.clip(uv[sub, 0] - shrink * du, u0, u1)
         uv[sub, 1] = np.clip(uv[sub, 1] - shrink * dv, v0, v1)
+        jets = evaluate_jets(surface, uv[sub, 0], uv[sub, 1])
 
     uv[~converged] = seeds[~converged]
-    jets = evaluate_jets(surface, uv[:, 0], uv[:, 1])
-    feet = jets[:, 0, :]
+    feet = out[:, 0, :]
     try:
-        normals = oriented_normals(jets)
+        normals = oriented_normals(out)
     except (LnetsError, ValueError) as exc:
         k = exc.index
         raise located(type(exc), f"footpoint at (u={uv[k, 0]:.6g}, "
                       f"v={uv[k, 1]:.6g}): {exc}", index=k,
                       uv=uv[k].copy()) from exc
-    return uv, feet, normals, converged, jets
+    return uv, feet, normals, converged, out
 
 
 def closest_point(surface: BSplineSurface, x,

@@ -65,10 +65,13 @@ class RunConfig:
     raw: dict
 
 
-def _require(mapping: dict, key: str, where: str):
+def _require(mapping: dict, key: str, where: str, convert=None):
     if key not in mapping:
         raise ConfigError(f"missing config field {where}{key}")
-    return mapping[key]
+    try:
+        return mapping[key] if convert is None else convert(mapping[key])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}{key}: {exc}") from exc
 
 
 def _reject_unknown(mapping: dict, allowed: set, where: str):
@@ -82,7 +85,7 @@ def _parse_radius(data: dict):
     _reject_unknown(data, {"mode", "tau", "value", "fix_radii"}, "radius")
     mode = _require(data, "mode", "radius.")
     if mode == "tau_min":
-        tau = float(_require(data, "tau", "radius."))
+        tau = _require(data, "tau", "radius.", float)
         if not 0.0 < tau < 1.0:
             raise ConfigError(f"radius.tau={tau:g} must lie in (0, 1)")
         if "fix_radii" in data or "value" in data:
@@ -90,11 +93,13 @@ def _parse_radius(data: dict):
                               "explicit mode")
         return CongruenceSpec("tau_min", tau=tau), False
     if mode == "explicit":
-        value = float(_require(data, "value", "radius."))
+        value = _require(data, "value", "radius.", float)
         if not value > 0.0:
             raise ConfigError(f"radius.value={value:g} must be positive")
         # Prescribed constant radii are held fixed by default.
-        fix = bool(data.get("fix_radii", True))
+        fix = data.get("fix_radii", True)
+        if not isinstance(fix, bool):
+            raise ConfigError(f"radius.fix_radii={fix!r} must be a boolean")
         return CongruenceSpec("explicit", value=value), fix
     raise ConfigError(f"radius.mode={mode!r} must be tau_min or explicit")
 
@@ -169,11 +174,14 @@ def config_from_dict(data: dict, base_dir: Path | None = None) -> RunConfig:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"tessellation: {exc}") from exc
 
+    seed = data.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ConfigError(f"seed={seed!r} must be an integer")
     return RunConfig(surface_path=surface_path, radius=radius,
                      fix_radii=fix_radii, theta=theta, grid=grid,
                      weights=weights, schedule=schedule, tessellation=tess,
                      output_dir=base / str(_require(data, "output_dir", "")),
-                     seed=int(data.get("seed", 0)), raw=data)
+                     seed=seed, raw=data)
 
 
 def load_config(path) -> RunConfig:

@@ -74,8 +74,9 @@ class Schedule:
     Fairness weights are multiplied by ``fairness_decay`` every
     ``decay_every`` iterations; after the main iterations a contact-only
     pass of ``final_pass_iters`` steps runs with only the contact and
-    unit-normal energies (plus solver damping). Footpoints are refreshed
-    every iteration. The main loop also stops early when the relative
+    unit-normal energies (plus solver damping). Footpoints are refreshed in
+    the iterations whose proximity or tangency weight is positive and once
+    at the returned net. The main loop also stops early when the relative
     total-energy change stays below ``converge_rtol`` for
     ``converge_patience`` consecutive iterations.
     """
@@ -88,12 +89,15 @@ class Schedule:
     converge_patience: int = 3
 
     def __post_init__(self):
-        if self.max_iters < 0 or self.final_pass_iters < 0:
-            raise ValueError("iteration counts must be nonnegative")
-        if self.decay_every < 1 or self.converge_patience < 1:
-            raise ValueError("decay_every and converge_patience must be >= 1")
-        if not self.fairness_decay >= 0.0:
-            raise ValueError("fairness_decay must be nonnegative")
+        for name, low in (("max_iters", 0), ("final_pass_iters", 0),
+                          ("decay_every", 1), ("converge_patience", 1)):
+            n = getattr(self, name)
+            if (isinstance(n, bool) or not isinstance(n, (int, np.integer))
+                    or n < low):
+                raise ValueError(f"{name}={n!r} must be an integer >= {low}")
+        for name in ("fairness_decay", "converge_rtol"):
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"{name} must be nonnegative")
 
 
 def pack(net: LNet) -> np.ndarray:
@@ -151,10 +155,12 @@ class ResidualSystem:
         self.foot_x = None
         self.foot_n = None
         self.foot_uv = None
+        self.foot_jets = None
         self.footpoint_fallbacks = 0
         self._layout = None
         self._layout_key = None
-        self._pattern = (None, None)
+        self._jac = (None, None)
+        self._evaluated = (None, None, None, {})
         self.refresh_footpoints(self.x0)
 
     # -- state ------------------------------------------------------------
@@ -176,34 +182,33 @@ class ResidualSystem:
     def refresh_footpoints(self, x: np.ndarray) -> None:
         """Project all contact points onto the reference surface.
 
-        Projections warm-start from the previous parameters once
-        available; fallbacks to grid seeding are counted.
+        Projections warm-start from the previous parameters and their jets
+        once available; fallbacks to grid seeding are counted.
         """
         pts = self.contact_points_of(x)
-        uv, feet, normals, conv, _ = self._project(pts, self.foot_uv,
-                                                   np.arange(len(pts)))
+        uv, feet, normals, conv, jets = self._project(
+            pts, self.foot_uv, self.foot_jets, np.arange(len(pts)))
         if not np.all(conv) and self.foot_uv is not None:
             # Re-seed the stragglers from the coarse grid.
             bad = ~conv
-            uv_b, feet_b, n_b, conv_b, _ = self._project(
-                pts[bad], None, np.flatnonzero(bad))
-            uv[bad] = uv_b
-            feet[bad] = feet_b
-            normals[bad] = n_b
-            conv[bad] = conv_b
+            uv[bad], feet[bad], normals[bad], conv[bad], jets[bad] = (
+                self._project(pts[bad], None, None, np.flatnonzero(bad)))
         self.footpoint_fallbacks = int(np.sum(~conv))
         self.foot_uv = uv
         self.foot_x = feet
         self.foot_n = normals
+        self.foot_jets = jets
 
-    def _project(self, pts: np.ndarray, seeds_uv, incidences: np.ndarray):
+    def _project(self, pts: np.ndarray, seeds_uv, seed_jets,
+                 incidences: np.ndarray):
         """:func:`project_points` of the contact points of ``incidences``.
 
         A located footpoint error is re-raised naming the face and corner
         of its contact incidence, which becomes its ``index``.
         """
         try:
-            return project_points(self.surface, pts, seeds_uv=seeds_uv)
+            return project_points(self.surface, pts, seeds_uv=seeds_uv,
+                                  seed_jets=seed_jets)
         except (LnetsError, ValueError) as exc:
             if getattr(exc, "index", None) is None:
                 raise
@@ -259,10 +264,11 @@ class ResidualSystem:
     def residual(self, x: np.ndarray) -> np.ndarray:
         """Stacked residual vector, each block scaled by sqrt(weight)."""
         pts = self.contact_points_of(x)
-        parts = []
-        for kind in self.active_blocks():
-            parts.append(np.sqrt(self.weights.of(kind))
-                         * self._block_raw(x, kind, pts))
+        blocks = {kind: self._block_raw(x, kind, pts)
+                  for kind in self.active_blocks()}
+        self._evaluated = (x.copy(), self.x_prev, self.foot_x, blocks)
+        parts = [np.sqrt(self.weights.of(kind)) * res
+                 for kind, res in blocks.items()]
         return np.concatenate(parts) if parts else np.empty(0)
 
     def block_slices(self) -> dict:
@@ -294,9 +300,15 @@ class ResidualSystem:
 
     def _energy_summary(self, x: np.ndarray):
         """``(raw_energies, total_energy, max_contact_residual)`` from one
-        evaluation of every block."""
+        evaluation of every block that :meth:`residual` has not just
+        evaluated at the same ``x``, ``x_prev`` and footpoints."""
+        at, x_prev, foot_x, known = self._evaluated
+        if not (x_prev is self.x_prev and foot_x is self.foot_x
+                and np.array_equal(at, x)):
+            known = {}
         pts = self.contact_points_of(x)
-        blocks = {kind: self._block_raw(x, kind, pts) for kind in BLOCK_ORDER}
+        blocks = {kind: known[kind] if kind in known
+                  else self._block_raw(x, kind, pts) for kind in BLOCK_ORDER}
         raw = {kind: float(res @ res) for kind, res in blocks.items()}
         return raw, self._weighted_total(raw), _max_abs(blocks["oc"])
 
@@ -317,102 +329,103 @@ class ResidualSystem:
 
     # -- Jacobian -----------------------------------------------------------
 
-    def _sph_col(self, f, comp):
-        return 4 * f + comp
-
-    def _pl_col(self, p, comp):
-        return self.plane_base + 4 * p + comp
-
-    def _jac_triplets(self, x: np.ndarray):
-        """COO triplets of the scaled Jacobian (repeats add up) and its row
-        count. Fairness, proximity and tangency rows chain through the
+    def _jac_tables(self):
+        """Pattern (:func:`csr_pattern`), shape and value segments of the
+        Jacobian's COO triplets (repeats add up). The ``size`` triplets of
+        segment ``(kind, size, coef, gather, minus)`` are ``sqrt(w_kind) *
+        coef`` (times ``foot_n`` for ``tan``) times ``x[gather] - x[minus]``
+        where given. Fairness, proximity and tangency rows chain through the
         entries of ``dP_k[comp] / dx``: 1 at ``c_f[comp]``, ``-n_v[comp]``
         at ``r_f`` and ``-r_f`` at ``n_v[comp]``."""
-        c, r, n, h = self._split(x)
-        rows, cols, vals = [], [], []
+        rows, cols, segments = [], [], []
 
-        def add(rr, cc, vv):
-            rows.append(np.asarray(rr, dtype=int).ravel())
-            cols.append(np.asarray(cc, dtype=int).ravel())
-            vals.append(np.asarray(vv, dtype=float).ravel())
+        def add(kind, rr, cc, coef, gather=None, minus=None):
+            rows.append(np.ravel(rr))
+            cols.append(np.ravel(cc))
+            segments.append((kind, rows[-1].size, coef) + tuple(
+                None if g is None else np.ravel(g).astype(np.int32)
+                for g in (gather, minus)))
 
+        # Columns of sphere f and plane p: sph[f, comp], pl[p, comp].
+        var = np.arange(self.n_vars).reshape(-1, 4)
+        sph, pl = var[:self.n_faces], var[self.n_faces:]
         comp = np.arange(3)
         incidence = np.arange(self.oc_face.size)[:, None]
         slices = self.block_slices()
         for kind, block in slices.items():
             at = block.start
-            s = np.sqrt(self.weights.of(kind))
             if kind == "unit":
-                rr = at + np.arange(self.n_planes)
-                add(np.repeat(rr, 3),
-                    self._pl_col(np.repeat(np.arange(self.n_planes), 3),
-                                 np.tile(comp, self.n_planes)),
-                    2.0 * s * n.ravel())
+                cc = pl[:, :3]
+                add(kind, at + np.arange(3 * self.n_planes) // 3, cc, 2, cc)
             elif kind == "oc":
-                k = self.oc_face.size
-                rr = at + np.arange(k)
-                add(np.repeat(rr, 3), self._sph_col(self.oc_face[:, None], comp),
-                    s * n[self.oc_vert])
-                add(rr, self._sph_col(self.oc_face, 3), np.full(k, -s))
-                add(np.repeat(rr, 3), self._pl_col(self.oc_vert[:, None], comp),
-                    s * c[self.oc_face])
-                add(rr, self._pl_col(self.oc_vert, 3), np.full(k, s))
+                rr = at + np.arange(self.oc_face.size)
+                fc, vc = sph[self.oc_face, :3], pl[self.oc_vert, :3]
+                add(kind, np.repeat(rr, 3), fc, 1, vc)
+                add(kind, rr, sph[self.oc_face, 3], -1)
+                add(kind, np.repeat(rr, 3), vc, 1, fc)
+                add(kind, rr, pl[self.oc_vert, 3], 1)
             elif kind in ("lfair", "gfair", "prox", "tan"):
-                # Row rr gets ww dP_kk[comp] / dx. Fairness rows take the
-                # signs of P[k0..k3] in (P[k1] - P[k0]) - (P[k3] - P[k2]).
-                kk, rr, ww = incidence, at + 3 * incidence + comp, s
+                # Row rr gets sign * dP_kk[comp] / dx. Fairness rows take
+                # the signs of P[k0..k3] in (P[k1] - P[k0]) - (P[k3] - P[k2]).
+                kk, rr, sign = incidence, at + 3 * incidence + comp, 1
                 if kind == "tan":
-                    rr, ww = at + incidence, s * self.foot_n
+                    rr = at + incidence
                 elif kind != "prox":
                     kk = (self.ell if kind == "lfair"
                           else self.gamma).reshape(-1, 2, 4, 1)
                     rr = at + 3 * np.arange(kk.size // 4).reshape(
                         -1, 2, 1, 1) + comp
-                    ww = s * np.array([-1.0, 1.0, 1.0, -1.0])[:, None]
-                rr, kk, cc, ww = (a.ravel() for a in np.broadcast_arrays(
-                    rr, kk, comp, ww))
+                    sign = np.array([-1, 1, 1, -1])[:, None]
+                rr, kk, cc, sign = (a.ravel() for a in np.broadcast_arrays(
+                    rr, kk, comp, sign))
+                sign = sign.astype(np.int8)
                 f, v = self.oc_face[kk], self.oc_vert[kk]
-                add(rr, self._sph_col(f, cc), ww)
-                add(rr, self._sph_col(f, 3), -ww * n.ravel()[3 * v + cc])
-                add(rr, self._pl_col(v, cc), -ww * r[f])
+                r_col, n_col = sph[f, 3], pl[v, cc]
+                add(kind, rr, sph[f, cc], sign)
+                add(kind, rr, r_col, -sign, n_col)
+                add(kind, rr, n_col, -sign, r_col)
             elif kind == "td":
-                k = self.td_pairs.shape[0]
-                if k:
-                    rr = at + np.arange(k)
-                    fa = self.td_pairs[:, 0]
-                    fb = self.td_pairs[:, 1]
-                    d = c[fa] - c[fb]
-                    dr = r[fa] - r[fb]
-                    add(np.repeat(rr, 3), self._sph_col(fa[:, None], comp),
-                        2.0 * s * d)
-                    add(np.repeat(rr, 3), self._sph_col(fb[:, None], comp),
-                        -2.0 * s * d)
-                    add(rr, self._sph_col(fa, 3), -2.0 * s * dr)
-                    add(rr, self._sph_col(fb, 3), 2.0 * s * dr)
+                rr = at + np.arange(self.td_pairs.shape[0])
+                a, b = sph[self.td_pairs[:, 0]], sph[self.td_pairs[:, 1]]
+                add(kind, np.repeat(rr, 3), a[:, :3], 2, a[:, :3], b[:, :3])
+                add(kind, np.repeat(rr, 3), b[:, :3], -2, a[:, :3], b[:, :3])
+                add(kind, rr, a[:, 3], -2, a[:, 3], b[:, 3])
+                add(kind, rr, b[:, 3], 2, a[:, 3], b[:, 3])
             elif kind == "reg":
-                rr = at + np.arange(self.n_vars)
-                add(rr, np.arange(self.n_vars), np.full(self.n_vars, s))
-        return rows, cols, vals, max((b.stop for b in slices.values()),
-                                     default=0)
+                add(kind, at + var.ravel(), var, 1)
+        shape = (max((b.stop for b in slices.values()), default=0),
+                 self.n_vars)
+        if not rows:
+            return None, shape, segments
+        return (csr_pattern(np.concatenate(rows), np.concatenate(cols),
+                            shape), shape, segments)
 
     def jacobian(self, x: np.ndarray, mode: str = "analytic") -> sp.csr_matrix:
         """Sparse Jacobian of the scaled residual vector.
 
         ``analytic`` fills the shared, read-only pattern of the active
-        block set (the proximity blocks treat their footpoints as
-        constants); ``finite_diff`` takes central differences with step
-        ``1e-6 * (1 + |x_i|)`` per variable.
+        block set from its static tables (the proximity blocks treat their
+        footpoints as constants); ``finite_diff`` takes central
+        differences with step ``1e-6 * (1 + |x_i|)`` per variable.
         """
         if mode == "analytic":
-            rows, cols, vals, n_rows = self._jac_triplets(x)
-            if not rows:
+            if self._jac[0] != self.active_blocks():
+                self._jac = self.active_blocks(), self._jac_tables()
+            pattern, shape, segments = self._jac[1]
+            if pattern is None:
                 return sp.csr_matrix((0, self.n_vars))
-            shape = (n_rows, self.n_vars)
-            if self._pattern[0] != self.active_blocks():
-                self._pattern = self.active_blocks(), csr_pattern(
-                    np.concatenate(rows), np.concatenate(cols), shape)
-            indptr, indices, slot = self._pattern[1]
-            data = np.bincount(slot, np.concatenate(vals), indices.size)
+            indptr, indices, slot = pattern
+            vals = np.empty(slot.size)
+            at = 0
+            for kind, size, coef, gather, minus in segments:
+                w = np.sqrt(self.weights.of(kind)) * (
+                    coef * self.foot_n.ravel() if kind == "tan" else coef)
+                if gather is not None:
+                    w = w * (x[gather] if minus is None
+                             else x[gather] - x[minus])
+                vals[at:at + size] = w
+                at += size
+            data = np.bincount(slot, vals, indices.size)
             return sp.csr_matrix((data, indices, indptr), shape=shape)
         if mode != "finite_diff":
             raise ValueError(f"unknown jacobian mode {mode!r}")
@@ -460,7 +473,8 @@ class BandLayout:
     bandwidth ``bw``. Entry ``(i, j)``, ``i <= j``, of the reordered
     matrix lives at ``band[bw + i - j, j]`` of LAPACK upper band storage
     of shape ``(bw + 1, n)``, flattened in Fortran order; the band takes
-    ``(bw + 1) * n`` doubles.
+    ``(bw + 1) * n`` doubles. The band slots of ``J^T J`` are kept for its
+    last pattern, which changes only when an entry cancels exactly.
     """
 
     def __init__(self, jac: sp.csr_matrix, free: np.ndarray | None = None):
@@ -477,23 +491,29 @@ class BandLayout:
         # Band variable i is Jacobian column order[i]; frozen columns
         # have rank -1.
         self.order = cols[self.perm]
-        self.rank = np.full(jac.shape[1], -1, dtype=np.int64)
+        self.rank = np.full(jac.shape[1], -1, dtype=np.int32)
         self.rank[self.order] = np.arange(n)
         pattern = pattern.tocoo()
         width = self.rank[cols[pattern.col]] - self.rank[cols[pattern.row]]
         self.bw = int(np.max(width)) if width.size else 0
         self.diag = self.bw + (self.bw + 1) * np.arange(n)
+        self._slots = (None, None, None, None)
 
     def form(self, jac: sp.csr_matrix, res: np.ndarray) -> NormalEquations:
         """``J^T J`` and ``-J^T r`` of a Jacobian with this layout's pattern."""
-        ata = (jac.T @ jac).tocoo()
-        i, j = self.rank[ata.row], self.rank[ata.col]
-        upper = (i >= 0) & (i <= j)
-        i, j = i[upper], j[upper]
-        if np.any(j - i > self.bw):
-            raise ValueError("Jacobian sparsity exceeds the layout's band")
-        return NormalEquations(self, self.bw + i - j + (self.bw + 1) * j,
-                               ata.data[upper], -(jac.T @ res)[self.order])
+        ata = jac.T @ jac
+        indptr, indices, upper, slots = self._slots
+        if not (np.array_equal(indptr, ata.indptr)
+                and np.array_equal(indices, ata.indices)):
+            i, j = (self.rank[a] for a in ata.tocoo(copy=False).coords)
+            upper = (i >= 0) & (i <= j)
+            i, j = i[upper], j[upper]
+            if np.any(j - i > self.bw):
+                raise ValueError("Jacobian sparsity exceeds the layout's band")
+            slots = self.bw + i - j + (self.bw + 1) * j
+            self._slots = ata.indptr, ata.indices, upper, slots
+        return NormalEquations(self, slots, ata.data[upper],
+                               -(jac.T @ res)[self.order])
 
 
 @dataclass(frozen=True)
@@ -583,11 +603,13 @@ def _run_phase(system: ResidualSystem, x: np.ndarray, weights: Weights,
         else:
             w_it = weights
         system.set_weights(w_it)
-        system.refresh_footpoints(x)
+        if w_it.w_prox > 0.0 or w_it.w_tan > 0.0:
+            system.refresh_footpoints(x)
         system.x_prev = x.copy()
         res0 = system.residual(x)
         jac_x = system.jacobian(x)
         eqs = system.band_layout(jac_x, free).form(jac_x, res0)
+        del jac_x  # free it before the band is allocated
         x, escal = _attempt_step(system.residual, x, res0, eqs,
                                  weights.w_reg)
         raw, total, max_oc = system._energy_summary(x)
@@ -634,4 +656,10 @@ def lm_run(net: LNet, surface: BSplineSurface, weights: Weights = Weights(),
                       w_prox=0.0, w_tan=0.0, w_td=0.0)
     x = _run_phase(system, x, w_final, schedule, schedule.final_pass_iters,
                    "contact", free, records, decay_fairness=False)
+    if records:
+        # The last record reports E_prox and E_tan at the returned net.
+        system.refresh_footpoints(x)
+        last = records[-1]
+        last.energies, last.e_total, last.max_oc = system._energy_summary(x)
+        last.footpoint_fallbacks = system.footpoint_fallbacks
     return unpack(x, system.vertex_shape), records

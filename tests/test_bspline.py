@@ -288,6 +288,23 @@ def test_closest_point_gradient_vanishes_interior(patch):
         assert np.linalg.norm(grad) <= 1e-10
 
 
+def test_project_points_warm_jets_leave_the_result_unchanged(patch):
+    rng = np.random.default_rng(5)
+    xs = rng.uniform(-0.3, 0.3, size=(40, 3))
+    xs[:, 2] = rng.uniform(0.3, 0.8, size=40)
+    xs[:3, 0] = 5.0  # clamped at u = 1: these fall back to their seeds
+    uv0, _, _, conv0, jets0 = project_points(patch, xs)
+    assert np.array_equal(jets0, evaluate_jets(patch, uv0[:, 0], uv0[:, 1]))
+    moved = xs + 1e-3 * rng.standard_normal(xs.shape)
+    cold = project_points(patch, moved, seeds_uv=uv0)
+    warm = project_points(patch, moved, seeds_uv=uv0, seed_jets=jets0)
+    assert not conv0[:3].any() and not warm[3][:3].any() and warm[3][3:].all()
+    for got, want in zip(warm, cold):
+        assert np.array_equal(got, want)
+    uv, jets = warm[0], warm[4]
+    assert np.array_equal(jets, evaluate_jets(patch, uv[:, 0], uv[:, 1]))
+
+
 def test_closest_point_clamps_exterior_queries(patch):
     res = closest_point(patch, np.array([5.0, 0.0, 0.5]))
     assert res.u == 1.0  # clamped to the domain edge nearest the query

@@ -99,6 +99,31 @@ def test_config_rejects_values_of_the_wrong_type(tmp_path, patch, field,
         load_config(path)
 
 
+@pytest.mark.parametrize("overrides,field", [
+    ({"radius": {"mode": "tau_min", "tau": "abc"}}, "radius.tau"),
+    ({"radius": {"mode": "explicit", "value": "abc"}}, "radius.value"),
+    ({"radius": {"mode": "explicit", "value": 0.2, "fix_radii": "false"}},
+     "radius.fix_radii"),
+    ({"seed": "x"}, "seed"), ({"seed": 1.5}, "seed")])
+def test_config_rejects_radius_and_seed_of_the_wrong_type(tmp_path, patch,
+                                                          overrides, field):
+    path = base_config(tmp_path, patch, **overrides)
+    with pytest.raises(ConfigError, match=field):
+        load_config(path)
+    assert main(["run", "--config", str(path)]) == 2
+
+
+@pytest.mark.parametrize("schedule", [
+    {"max_iters": 2.5}, {"final_pass_iters": True}, {"decay_every": 2.0},
+    {"converge_patience": 3.0}, {"converge_rtol": math.nan},
+    {"converge_rtol": -1e-14}])
+def test_config_rejects_non_integer_counts_and_bad_tolerances(tmp_path, patch,
+                                                              schedule):
+    path = base_config(tmp_path, patch, schedule=schedule)
+    with pytest.raises(ConfigError, match=f"schedule: {next(iter(schedule))}"):
+        load_config(path)
+
+
 def test_cli_malformed_input_exits_with_an_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -319,6 +344,20 @@ def test_cli_run_verify_tessellate_report(tmp_path, patch, capsys):
     captured = capsys.readouterr()
     assert "is_lnet True" in captured.out
     assert main(["verify", "--lnet", str(tmp_path / "nope.json")]) == 2
+
+
+def test_last_log_row_is_measured_at_the_returned_net(tmp_path, patch):
+    # The acceptance config; contact-pass rows keep the footpoints of the
+    # last main iteration, the last row those of the returned net.
+    path = base_config(
+        tmp_path, patch, grid={"rows": 16, "cols": 16, "edge_length": 0.13},
+        weights={"w_prox": 1e-4, "w_tan": 1e-4, "w_td": 1e-5},
+        schedule={"max_iters": 100, "final_pass_iters": 20})
+    summary = run_pipeline(load_config(path))
+    lines = (tmp_path / "out" / "iterations.csv").read_text().splitlines()
+    last = dict(zip(lines[2].split(","), map(float, lines[-1].split(","))))
+    assert last["E_oc"] + last["E_prox"] + last["E_tan"] == pytest.approx(
+        summary["combined_residual"], rel=1e-12, abs=0.0)
 
 
 def test_csv_log_has_documented_columns(tmp_path, patch):

@@ -8,8 +8,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from lnets import (CongruenceSpec, CurvatureSignError, LNet, QuadGrid,
-                   Schedule, Weights, assemble, initialize, jacobian, lm_run,
-                   optimize, verify)
+                   Schedule, Weights, assemble, initialize, jacobian, kernels,
+                   lm_run, optimize, verify)
 from lnets.lnet import face_pairs
 from lnets.optimize import (BandLayout, _attempt_step, pack,
                             solve_normal_equations, unpack)
@@ -449,6 +449,58 @@ def test_jacobian_after_block_set_switches_equals_fresh_system(patch):
         for attr in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(got, attr), getattr(fresh, attr))
     assert not got.indices.flags.writeable
+
+
+def test_jacobian_after_fairness_decay_equals_fresh_system(patch,
+                                                           monkeypatch):
+    builds = []
+    build = optimize.csr_pattern
+    monkeypatch.setattr(optimize, "csr_pattern",
+                        lambda *a: builds.append(1) or build(*a))
+    rng = np.random.default_rng(4)
+    net = lattice_net(patch, 5, 6)
+    x = pack(net) + 1e-3 * rng.standard_normal(pack(net).size)
+    system = assemble(net, patch, Weights(w_td=1e-3))
+    system.jacobian(x)
+    decayed = Weights(w_td=1e-3, w_lfair=1e-4, w_gfair=1e-4)
+    system.set_weights(decayed)
+    got = system.jacobian(x)
+    want = assemble(net, patch, decayed).jacobian(x)
+    for attr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, attr), getattr(want, attr))
+    assert len(builds) == 2  # the decay reuses the system's tables
+
+
+def test_footpoints_refreshed_only_where_the_energy_uses_them(patch,
+                                                              monkeypatch):
+    calls = []
+    refresh = optimize.ResidualSystem.refresh_footpoints
+    monkeypatch.setattr(
+        optimize.ResidualSystem, "refresh_footpoints",
+        lambda self, x: calls.append(self.weights.w_prox > 0)
+        or refresh(self, x))
+    _, records = lm_run(lattice_net(patch, 4, 4), patch, Weights(),
+                        Schedule(max_iters=100, final_pass_iters=20,
+                                 converge_rtol=0.0))
+    assert [r.phase for r in records] == ["main"] * 100 + ["contact"] * 20
+    # Assembly, each main iteration, none in the contact pass, the end.
+    assert calls == [True] * 101 + [False]
+
+
+def test_refresh_at_an_unchanged_net_evaluates_no_jets(patch, monkeypatch):
+    system = assemble(lattice_net(patch, 5, 5), patch, Weights())
+    assert system.footpoint_fallbacks == 0
+    feet, normals = system.foot_x.copy(), system.foot_n.copy()
+    batches = []
+    jets = kernels.surface_jets_batch
+    monkeypatch.setattr(kernels, "surface_jets_batch",
+                        lambda *a: batches.append(1) or jets(*a))
+    system.refresh_footpoints(system.x0)
+    assert batches == []
+    assert np.array_equal(system.foot_x, feet)
+    assert np.array_equal(system.foot_n, normals)
+    system.refresh_footpoints(system.x0 + 1e-4)
+    assert 0 < len(batches) <= 3
 
 
 def test_escalations_reuse_the_normal_equations(patch, monkeypatch):
