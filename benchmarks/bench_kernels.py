@@ -18,11 +18,11 @@ untimed warm-up call.
   between calls, as an LM step does; with the jet batches it evaluates),
   one ``residual``, one analytic ``jacobian`` and one normal-equation
   solve (``mu = 1e-4``, banded Cholesky) on uniform 10x10 and 40x40
-  lattices of the default patch, with the variable count, the bandwidth
-  after the reverse Cuthill-McKee ordering and the size of the band. The
-  Jacobian is timed twice: the first call of a freshly assembled system,
-  which builds the sparsity pattern and the index tables, and a later
-  call, which only fills in the values.
+  lattices of the default patch, with the variable count and, for the
+  main pass and the contact-only pass, the bandwidth in the lattice order
+  and the size of the band. The Jacobian is timed twice: the first call
+  of a freshly assembled system, which builds the sparsity pattern and
+  the index tables, and a later call, which only fills in the values.
 - ``export``: ``tessellate``, ``dedupe_mesh`` and ``export_obj`` (to a
   temporary file) of an exactly tangent 64x64 net on the default
   paraboloid, built in closed form, with the raw vertex and triangle
@@ -50,6 +50,11 @@ from lnets.lnet import CORNERS
 from lnets.optimize import pack, solve_normal_equations, unpack
 from lnets.remesh import frame_field, trace_grid_from_field
 from lnets.tessellate import dedupe_mesh, tessellate
+
+
+# The weights of the contact-only pass of ``lm_run``.
+CONTACT_PASS = Weights(w_lfair=0.0, w_gfair=0.0, w_prox=0.0, w_tan=0.0,
+                       w_td=0.0)
 
 
 def time_fn(fn, repeats):
@@ -172,13 +177,18 @@ def main():
         layout = system.band_layout(jac)
         eqs = layout.form(jac, system.residual(x))
         t_solve = time_fn(lambda: solve_normal_equations(eqs, 1e-4), few)
-        band_mb = (layout.bw + 1) * layout.n * 8 / 2 ** 20
+        bands = []
+        for weights in (Weights(), CONTACT_PASS):
+            system.set_weights(weights)
+            lay = system.band_layout(system.jacobian(x))
+            bands.append(f"bandwidth {lay.bw}, band "
+                         f"{(lay.bw + 1) * lay.n * 8 / 2 ** 20:.1f} MB")
         print(f"lm {size}x{size}    : footpoints {t_foot:8.2f} ms "
               f"({n_foot} jet batches), residual "
               f"{t_res:8.2f} ms, jacobian first {t_first:8.2f} ms / fill "
               f"{t_jac:8.2f} ms, solve "
-              f"{t_solve:8.2f} ms  ({layout.n} vars, bandwidth {layout.bw}, "
-              f"band {band_mb:.1f} MB)")
+              f"{t_solve:8.2f} ms  ({layout.n} vars; main {bands[0]}; "
+              f"contact {bands[1]})")
 
     net = exact_paraboloid_net(64)
     raw = tessellate(net)

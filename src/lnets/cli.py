@@ -30,7 +30,7 @@ from .conjugacy import CongruenceSpec
 from .errors import ConfigError, LnetsError, read_json
 from .lnet import (DEFAULT_TOL_OC, initialize, load_lnet,
                    save_lnet, verify)
-from .optimize import Schedule, Weights, assemble, lm_run, pack
+from .optimize import Schedule, Weights, lm_run
 from .remesh import AngleField, GridSpec, trace_grid
 from .tessellate import (LABEL_CONICAL, LABEL_PLANAR, LABEL_SPHERICAL,
                          LabeledMesh, TessellationParams, dedupe_mesh,
@@ -267,8 +267,6 @@ def run_pipeline(cfg: RunConfig) -> dict:
                               fix_radii=cfg.fix_radii)
         stage = "verify"
         report_v = verify(net, DEFAULT_TOL_OC)
-        final_sys = assemble(net, surface, cfg.weights)
-        final_raw = final_sys.raw_energies(pack(net))
         stage = "tessellate"
         mesh = dedupe_mesh(tessellate(net, cfg.tessellation))
         stage = "write"
@@ -288,9 +286,11 @@ def run_pipeline(cfg: RunConfig) -> dict:
         write_iteration_log(csv_path, records, cfg, timestamp)
         written.append(csv_path)
 
+        # The last record is measured at the returned net. A run without
+        # records returns the initialized net, which tessellate rejects.
+        final_raw = records[-1].energies
         n_main = sum(1 for r in records if r.phase == "main")
-        ms_mean = (sum(r.ms for r in records) / len(records)
-                   if records else 0.0)
+        ms_mean = sum(r.ms for r in records) / len(records)
         summary = {
             "format_version": SUMMARY_FORMAT_VERSION,
             "timestamp": timestamp,

@@ -5,26 +5,25 @@ Variable layout: one block of four scalars per face sphere
 four per vertex plane (``nx, ny, nz, h``, vertices in row-major order).
 
 Residual blocks appear in the fixed order unit, contact, segment
-fairness, arc fairness, proximity, tangency, tangential distance,
-regularization; blocks whose weight is zero are omitted from the residual
-vector (raw energies are still reported for all of them). The two
-fairness blocks are second differences of the contact points ``P = c - r
-n`` that bound the strips: each row ``k`` of the ``ell`` (segment) or
-``gamma`` (arc) table of :func:`lnets.lnet.strip_incidences` gives
-``(P[k1] - P[k0]) - (P[k3] - P[k2])`` and the same for ``k4..k7``. The
-regularization block doubles as the Levenberg damping term: its residual
-vanishes at the expansion point, so it contributes exactly ``w_reg * I``
-to the normal equations. It therefore stays active in the contact-only
-polishing pass as solver damping even though all other auxiliary energy
-weights are zero there.
+fairness, arc fairness, proximity, tangency, tangential distance; blocks
+whose weight is zero are omitted from the residual vector (raw energies
+are still reported for all of them). The two fairness blocks are second
+differences of the contact points ``P = c - r n`` that bound the strips:
+each row ``k`` of the ``ell`` (segment) or ``gamma`` (arc) table of
+:func:`lnets.lnet.strip_incidences` gives ``(P[k1] - P[k0]) - (P[k3] -
+P[k2])`` and the same for ``k4..k7``.
+
+Each LM step is proximal: it minimizes ``|r(x + d)|^2 + w_reg |d|^2``
+to first order, so ``w_reg`` is added to the diagonal of ``J^T J`` in
+both passes, and escalations add ``w_reg * 10^k`` on top of it.
 
 The fairness, proximity and tangency blocks are linear in ``P``, so
 their Jacobian rows are sums of ``coef * dP/dx``. The Jacobian's CSR
-pattern (:func:`csr_pattern`) and the reverse Cuthill-McKee order of the
-free variables, which makes ``J^T J`` banded, are built once per active
-block set. Each iteration solves the damped normal equations by banded
-Cholesky factorization; escalations reuse ``J^T J`` and only change the
-damping on its diagonal.
+pattern (:func:`csr_pattern`) is built once per active block set, and
+the lattice order of the free variables (:func:`lattice_order`) makes
+``J^T J`` banded. Each iteration solves the damped normal equations by
+banded Cholesky factorization; escalations reuse ``J^T J`` and only
+change the damping on its diagonal.
 """
 
 from __future__ import annotations
@@ -35,19 +34,20 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import LinAlgError, solveh_banded
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .bspline import BSplineSurface, project_points
 from .errors import LnetsError, located
 from .lnet import (CORNERS, LNet, contact_incidences, face_pairs,
                    strip_incidences)
 
-BLOCK_ORDER = ("unit", "oc", "lfair", "gfair", "prox", "tan", "td", "reg")
+BLOCK_ORDER = ("unit", "oc", "lfair", "gfair", "prox", "tan", "td")
 
 
 @dataclass(frozen=True)
 class Weights:
-    """Energy weights; the defaults are the tuning the pipeline ships with."""
+    """Energy weights and the LM damping weight ``w_reg``, which is not an
+    energy: each step minimizes ``|r(x + d)|^2 + w_reg |d|^2``. The
+    defaults are the tuning the pipeline ships with."""
 
     w_oc: float = 1.0
     w_lfair: float = 1e-3
@@ -74,11 +74,11 @@ class Schedule:
     Fairness weights are multiplied by ``fairness_decay`` every
     ``decay_every`` iterations; after the main iterations a contact-only
     pass of ``final_pass_iters`` steps runs with only the contact and
-    unit-normal energies (plus solver damping). Footpoints are refreshed in
-    the iterations whose proximity or tangency weight is positive and once
-    at the returned net. The main loop also stops early when the relative
-    total-energy change stays below ``converge_rtol`` for
-    ``converge_patience`` consecutive iterations.
+    unit-normal energies (still damped by ``w_reg``). Footpoints are
+    refreshed in the iterations whose proximity or tangency weight is
+    positive and once at the returned net. The main loop also stops early
+    when the relative total-energy change stays below ``converge_rtol``
+    for ``converge_patience`` consecutive iterations.
     """
 
     max_iters: int = 100
@@ -113,6 +113,18 @@ def pack(net: LNet) -> np.ndarray:
     return np.concatenate([sph.ravel(), pl.ravel()])
 
 
+def lattice_order(vertex_shape) -> np.ndarray:
+    """Band order of the variables: sorted by lattice position, plane ``(i,
+    j)`` at ``(2i, 2j)`` and sphere ``(i, j)`` at ``(2i + 1, 2j + 1)``,
+    along the longer vertex axis first, so the band spans one
+    cross-section of the shorter axis."""
+    vr, vc = vertex_shape
+    spheres = 2 * np.indices((vr - 1, vc - 1)).reshape(2, -1) + 1
+    planes = 2 * np.indices((vr, vc)).reshape(2, -1)
+    rows, cols = np.repeat(np.concatenate([spheres, planes], axis=1), 4, 1)
+    return np.lexsort((cols, rows) if vr >= vc else (rows, cols))
+
+
 def unpack(x: np.ndarray, vertex_shape) -> LNet:
     """Rebuild a net from a variable vector."""
     vr, vc = vertex_shape
@@ -125,13 +137,11 @@ def unpack(x: np.ndarray, vertex_shape) -> LNet:
 class ResidualSystem:
     """Residual blocks and sparse Jacobian layout for one net shape.
 
-    Holds the static incidence index arrays, the current weights, the
-    previous-iterate vector used by the regularization block and the
+    Holds the static incidence index arrays, the current weights and the
     frozen footpoint data of the proximity blocks.
     """
 
-    def __init__(self, net: LNet, surface: BSplineSurface, weights: Weights,
-                 x_prev: np.ndarray | None = None):
+    def __init__(self, net: LNet, surface: BSplineSurface, weights: Weights):
         self.surface = surface
         self.weights = weights
         vr, vc = net.vertex_shape
@@ -142,8 +152,6 @@ class ResidualSystem:
         self.n_vars = 4 * (self.n_faces + self.n_planes)
         self.plane_base = 4 * self.n_faces
         self.x0 = pack(net)
-        self.x_prev = self.x0.copy() if x_prev is None else np.asarray(
-            x_prev, dtype=float).copy()
 
         # Contact incidences k = 4 f + m and the strips they bound.
         self.oc_face, self.oc_vert = contact_incidences(fr, fc)
@@ -160,7 +168,7 @@ class ResidualSystem:
         self._layout = None
         self._layout_key = None
         self._jac = (None, None)
-        self._evaluated = (None, None, None, {})
+        self._evaluated = (None, None, {})
         self.refresh_footpoints(self.x0)
 
     # -- state ------------------------------------------------------------
@@ -254,8 +262,6 @@ class ResidualSystem:
             d = c[self.td_pairs[:, 0]] - c[self.td_pairs[:, 1]]
             dr = r[self.td_pairs[:, 0]] - r[self.td_pairs[:, 1]]
             return np.einsum("kc,kc->k", d, d) - dr * dr
-        if kind == "reg":
-            return x - self.x_prev
         raise ValueError(f"unknown block kind {kind!r}")
 
     def active_blocks(self):
@@ -266,7 +272,7 @@ class ResidualSystem:
         pts = self.contact_points_of(x)
         blocks = {kind: self._block_raw(x, kind, pts)
                   for kind in self.active_blocks()}
-        self._evaluated = (x.copy(), self.x_prev, self.foot_x, blocks)
+        self._evaluated = (x.copy(), self.foot_x, blocks)
         parts = [np.sqrt(self.weights.of(kind)) * res
                  for kind, res in blocks.items()]
         return np.concatenate(parts) if parts else np.empty(0)
@@ -277,7 +283,7 @@ class ResidualSystem:
                  "lfair": 6 * self.ell.shape[0],
                  "gfair": 6 * self.gamma.shape[0],
                  "prox": 3 * self.oc_face.size, "tan": self.oc_face.size,
-                 "td": self.td_pairs.shape[0], "reg": self.n_vars}
+                 "td": self.td_pairs.shape[0]}
         out = {}
         at = 0
         for kind in self.active_blocks():
@@ -301,10 +307,9 @@ class ResidualSystem:
     def _energy_summary(self, x: np.ndarray):
         """``(raw_energies, total_energy, max_contact_residual)`` from one
         evaluation of every block that :meth:`residual` has not just
-        evaluated at the same ``x``, ``x_prev`` and footpoints."""
-        at, x_prev, foot_x, known = self._evaluated
-        if not (x_prev is self.x_prev and foot_x is self.foot_x
-                and np.array_equal(at, x)):
+        evaluated at the same ``x`` and footpoints."""
+        at, foot_x, known = self._evaluated
+        if not (foot_x is self.foot_x and np.array_equal(at, x)):
             known = {}
         pts = self.contact_points_of(x)
         blocks = {kind: known[kind] if kind in known
@@ -316,14 +321,17 @@ class ResidualSystem:
                     free: np.ndarray | None = None) -> BandLayout:
         """Layout of the normal equations for the current active block set.
 
-        Built from ``jac``, the analytic Jacobian, on the first call for an
-        active block set and ``free`` mask, and reused while both stay the
-        same.
+        Built in :func:`lattice_order` from ``jac``, the analytic Jacobian,
+        on the first call for an active block set and ``free`` mask, and
+        reused while both stay the same.
         """
         key = (self.active_blocks(),
                None if free is None else np.asarray(free, bool).tobytes())
         if key != self._layout_key:
-            self._layout = BandLayout(jac, free)
+            order = lattice_order(self.vertex_shape)
+            if free is not None:
+                order = order[np.asarray(free, bool)[order]]
+            self._layout = BandLayout(jac, order)
             self._layout_key = key
         return self._layout
 
@@ -391,8 +399,6 @@ class ResidualSystem:
                 add(kind, np.repeat(rr, 3), b[:, :3], -2, a[:, :3], b[:, :3])
                 add(kind, rr, a[:, 3], -2, a[:, 3], b[:, 3])
                 add(kind, rr, b[:, 3], 2, a[:, 3], b[:, 3])
-            elif kind == "reg":
-                add(kind, at + var.ravel(), var, 1)
         shape = (max((b.stop for b in slices.values()), default=0),
                  self.n_vars)
         if not rows:
@@ -449,10 +455,10 @@ def csr_pattern(rows: np.ndarray, cols: np.ndarray, shape):
     return out
 
 
-def assemble(net: LNet, surface: BSplineSurface, weights: Weights,
-             x_prev: np.ndarray | None = None) -> ResidualSystem:
+def assemble(net: LNet, surface: BSplineSurface,
+             weights: Weights) -> ResidualSystem:
     """Residual system for a net, with footpoints frozen at assembly."""
-    return ResidualSystem(net, surface, weights, x_prev)
+    return ResidualSystem(net, surface, weights)
 
 
 def _max_abs(a: np.ndarray) -> float:
@@ -468,34 +474,26 @@ def jacobian(system: ResidualSystem, x: np.ndarray | None = None,
 class BandLayout:
     """Banded Cholesky layout of ``J^T J`` for one Jacobian sparsity pattern.
 
-    The free columns (all, or those set in ``free``) are put in reverse
-    Cuthill-McKee order of the pattern of ``J^T J``, which bounds its
-    bandwidth ``bw``. Entry ``(i, j)``, ``i <= j``, of the reordered
-    matrix lives at ``band[bw + i - j, j]`` of LAPACK upper band storage
-    of shape ``(bw + 1, n)``, flattened in Fortran order; the band takes
-    ``(bw + 1) * n`` doubles. The band slots of ``J^T J`` are kept for its
-    last pattern, which changes only when an entry cancels exactly.
+    Band variable ``i`` is Jacobian column ``order[i]``; other columns are
+    frozen. ``bw``, the largest rank span of any Jacobian row, is the
+    bandwidth of ``J^T J``. Entry ``(i, j)``, ``i <= j``, lives at
+    ``band[bw + i - j, j]`` of LAPACK upper band storage of shape ``(bw +
+    1, n)``, flattened in Fortran order. The band slots of ``J^T J`` are
+    kept for its last pattern, which changes only when an entry cancels
+    exactly.
     """
 
-    def __init__(self, jac: sp.csr_matrix, free: np.ndarray | None = None):
-        cols = (np.arange(jac.shape[1]) if free is None
-                else np.flatnonzero(free))
-        n = self.n = cols.size
+    def __init__(self, jac: sp.csr_matrix, order: np.ndarray):
+        self.order = np.asarray(order)
+        n = self.n = self.order.size
         self.n_vars = jac.shape[1]
-        # Structural pattern of J^T J over the free columns: sums of ones
-        # are positive, so no entry cancels.
-        ones = sp.csr_matrix((np.ones(jac.nnz), jac.indices, jac.indptr),
-                             shape=jac.shape)[:, cols]
-        pattern = (ones.T @ ones).tocsr()
-        self.perm = reverse_cuthill_mckee(pattern, symmetric_mode=True)
-        # Band variable i is Jacobian column order[i]; frozen columns
-        # have rank -1.
-        self.order = cols[self.perm]
         self.rank = np.full(jac.shape[1], -1, dtype=np.int32)
         self.rank[self.order] = np.arange(n)
-        pattern = pattern.tocoo()
-        width = self.rank[cols[pattern.col]] - self.rank[cols[pattern.row]]
-        self.bw = int(np.max(width)) if width.size else 0
+        rank = self.rank[jac.indices]
+        starts = jac.indptr[:-1][np.diff(jac.indptr) > 0]
+        span = (np.maximum.reduceat(rank, starts)
+                - np.minimum.reduceat(np.where(rank < 0, n, rank), starts))
+        self.bw = int(np.max(span, initial=0))
         self.diag = self.bw + (self.bw + 1) * np.arange(n)
         self._slots = (None, None, None, None)
 
@@ -566,24 +564,25 @@ class IterationRecord:
 
 
 def _attempt_step(residual_fn, x: np.ndarray, res0: np.ndarray,
-                  eqs: NormalEquations, base_mu: float,
+                  eqs: NormalEquations, w_reg: float,
                   max_escalations: int = 8):
-    """One damped step with escalation on energy increase or solver failure.
+    """One proximal step with escalation on energy increase or solver failure.
 
-    ``eqs`` holds the normal equations at ``x``; each damping level solves
-    them once. Returns ``(x_new, escalations)``; falls back to a zero step
-    when no damping level yields a non-increasing energy.
+    Level ``k`` solves ``eqs``, the normal equations at ``x``, with ``w_reg
+    + mu_k`` on the diagonal (``mu_0 = 0``, ``mu_k = w_reg 10^k``) and
+    accepts ``d`` if ``|r(x + d)|^2 + w_reg |d|^2 <= |r(x)|^2``. Returns
+    ``(x_new, escalations)``; a zero step when no level is accepted.
     """
     e0 = float(res0 @ res0)
     for k in range(max_escalations + 1):
-        mu = 0.0 if k == 0 else base_mu * 10.0 ** k
+        mu = 0.0 if k == 0 else w_reg * 10.0 ** k
         try:
-            delta = solve_normal_equations(eqs, mu)
+            delta = solve_normal_equations(eqs, w_reg + mu)
         except RuntimeError:
             continue
         x_try = x + delta
         res1 = residual_fn(x_try)
-        if float(res1 @ res1) <= e0:
+        if float(res1 @ res1) + w_reg * float(delta @ delta) <= e0:
             return x_try, k
     return x.copy(), max_escalations + 1
 
@@ -605,7 +604,6 @@ def _run_phase(system: ResidualSystem, x: np.ndarray, weights: Weights,
         system.set_weights(w_it)
         if w_it.w_prox > 0.0 or w_it.w_tan > 0.0:
             system.refresh_footpoints(x)
-        system.x_prev = x.copy()
         res0 = system.residual(x)
         jac_x = system.jacobian(x)
         eqs = system.band_layout(jac_x, free).form(jac_x, res0)

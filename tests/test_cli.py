@@ -370,3 +370,14 @@ def test_csv_log_has_documented_columns(tmp_path, patch):
     first = lines[3].split(",")
     assert first[0] == "1"
     assert len(first) == 10
+
+
+def test_run_without_iterations_fails_verification(tmp_path, patch, capsys):
+    # No LM records: the initialized net reaches tessellate unrefined.
+    path = base_config(tmp_path, patch,
+                       schedule={"max_iters": 0, "final_pass_iters": 0})
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "[stage tessellate] net fails verification" in err
+    out = tmp_path / "out"
+    assert not out.is_dir() or not list(out.iterdir())

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from lnets import (CongruenceSpec, CurvatureSignError, LNet, QuadGrid,
                    Schedule, Weights, assemble, initialize, jacobian, kernels,
                    lm_run, optimize, verify)
 from lnets.lnet import face_pairs
-from lnets.optimize import (BandLayout, _attempt_step, pack,
+from lnets.optimize import (BandLayout, _attempt_step, lattice_order, pack,
                             solve_normal_equations, unpack)
 
 from conftest import mixed_patch, translational_offset_net
@@ -202,7 +203,7 @@ def test_jacobian_block_slices_cover_residual(patch):
     total = sum(s.stop - s.start for s in slices.values())
     assert total == res.size
     assert list(slices) == ["unit", "oc", "lfair", "gfair", "prox", "tan",
-                            "td", "reg"]
+                            "td"]
     jac = system.jacobian(x)
     assert jac.shape == (res.size, x.size)
 
@@ -217,7 +218,7 @@ def test_stacked_residual_and_jacobian_equal_single_blocks(patch):
     system = assemble(net, patch, weights)
     res, jac = system.residual(x), system.jacobian(x).toarray()
     kinds = system.active_blocks()
-    assert len(kinds) == 8
+    assert len(kinds) == 7
     raw = system.raw_energies(x)
     parts_res, parts_jac = [], []
     for kind in kinds:
@@ -238,11 +239,59 @@ def test_toy_linear_least_squares():
     x0 = np.zeros(2)
     jac = sp.csr_matrix(np.eye(2))
     res0 = residual(x0)
-    eqs = BandLayout(jac).form(jac, res0)
+    eqs = BandLayout(jac, np.arange(2)).form(jac, res0)
     x, escalations = _attempt_step(residual, x0, res0, eqs, 1e-4)
+    # The first attempt is already damped: (1 + w_reg) d = -r.
     assert escalations == 0
-    assert np.linalg.norm(residual(x)) <= 1e-12
-    assert np.allclose(x, [1.0, -2.0])
+    assert np.allclose(x, np.array([1.0, -2.0]) / (1.0 + 1e-4),
+                       rtol=1e-14, atol=0.0)
+    # A residual that no step lowers: w_reg |d|^2 rejects every level.
+    x, escalations = _attempt_step(lambda x: res0, x0, res0, eqs, 1e-4)
+    assert escalations == 9
+    assert np.array_equal(x, x0)
+
+
+def _residual_block_damping_step(system, x, w_reg, max_escalations=8):
+    """The damping as a residual block: ``J`` stacked over ``sqrt(w_reg)
+    I`` and ``sqrt(w_reg) (x' - x)`` appended to the residual, with
+    ``mu_0 = 0``, ``mu_k = w_reg * 10^k`` and no energy increase."""
+    jac = sp.vstack([system.jacobian(x),
+                     np.sqrt(w_reg) * sp.identity(x.size)]).tocsr()
+
+    def residual(y):
+        return np.concatenate([system.residual(y), np.sqrt(w_reg) * (y - x)])
+
+    res0 = residual(x)
+    eqs = BandLayout(jac, lattice_order(system.vertex_shape)).form(jac, res0)
+    for k in range(max_escalations + 1):
+        mu = 0.0 if k == 0 else w_reg * 10.0 ** k
+        y = x + solve_normal_equations(eqs, mu)
+        res1 = residual(y)
+        if res1 @ res1 <= res0 @ res0:
+            return y, k
+    return x.copy(), max_escalations + 1
+
+
+@pytest.mark.parametrize("w_reg", [1e-4, 1e-6])
+def test_diagonal_damping_equals_the_damping_residual_block(patch, w_reg):
+    rng = np.random.default_rng(7)
+    net = lattice_net(patch, 6, 5)
+    x0 = pack(net) + 1e-3 * rng.standard_normal(pack(net).size)
+    system = assemble(unpack(x0, net.vertex_shape), patch,
+                      Weights(w_td=1e-3, w_reg=w_reg))
+    x, want = x0, x0
+    counts = []
+    for _ in range(5):
+        res0, jac = system.residual(x), system.jacobian(x)
+        eqs = system.band_layout(jac).form(jac, res0)
+        x, escalations = _attempt_step(system.residual, x, res0, eqs, w_reg)
+        want, want_escalations = _residual_block_damping_step(system, want,
+                                                              w_reg)
+        assert escalations == want_escalations
+        assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
+        counts.append(escalations)
+    # On this net w_reg = 1e-6 escalates every step and 1e-4 never does.
+    assert (max(counts) > 0) == (w_reg < 1e-4)
 
 
 def test_weights_reject_nonfinite_and_negative_values():
@@ -385,9 +434,45 @@ def test_banded_solve_matches_sparse_lu(patch, mu, fix_radii):
         assert np.all(d[~free] == 0.0)
 
 
+def _normal_pattern(jac, order):
+    """Structural pattern of ``J^T J`` over the columns ``order``, in that
+    order; sums of ones are positive, so no entry cancels."""
+    ones = sp.csr_matrix((np.ones(jac.nnz), jac.indices, jac.indptr),
+                         shape=jac.shape)[:, order]
+    return (ones.T @ ones).tocsr()
+
+
+def _bandwidth(pattern):
+    coo = pattern.tocoo()
+    return int(np.max(np.abs(coo.col - coo.row)))
+
+
+@pytest.mark.parametrize("rows,cols", [(10, 10), (17, 9), (9, 17),
+                                       (60, 20)])
+def test_lattice_band_is_structural_and_no_wider_than_rcm(patch, rows, cols):
+    net = lattice_net(patch, rows, cols)
+    system = assemble(net, patch, Weights())
+    x = pack(net)
+    fixed_radii = np.ones(x.size, dtype=bool)
+    fixed_radii[4 * np.arange(system.n_faces) + 3] = False
+    contact = Weights(w_lfair=0.0, w_gfair=0.0, w_prox=0.0, w_tan=0.0,
+                      w_td=0.0)
+    for weights in (Weights(), contact):
+        system.set_weights(weights)
+        jac = system.jacobian(x)
+        for free, free_cols in ((None, np.arange(x.size)),
+                                (fixed_radii, np.flatnonzero(fixed_radii))):
+            layout = system.band_layout(jac, free)
+            assert np.array_equal(np.sort(layout.order), free_cols)
+            pattern = _normal_pattern(jac, layout.order)
+            assert layout.bw == _bandwidth(pattern)
+            perm = reverse_cuthill_mckee(pattern, symmetric_mode=True)
+            assert layout.bw <= _bandwidth(pattern[perm][:, perm])
+
+
 def test_singular_normal_equations_raise_runtime_error():
     jac = sp.csr_matrix(np.array([[1.0, 1.0], [2.0, 2.0]]))
-    eqs = BandLayout(jac).form(jac, np.ones(2))
+    eqs = BandLayout(jac, np.arange(2)).form(jac, np.ones(2))
     with pytest.raises(RuntimeError, match="singular"):
         solve_normal_equations(eqs, 0.0)
     assert np.all(np.isfinite(solve_normal_equations(eqs, 1e-3)))
@@ -395,7 +480,7 @@ def test_singular_normal_equations_raise_runtime_error():
 
 def test_layout_rejects_a_jacobian_outside_its_band():
     jac = sp.csr_matrix(np.eye(3))
-    layout = BandLayout(jac)
+    layout = BandLayout(jac, np.arange(3))
     other = sp.csr_matrix(np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0],
                                      [0.0, 0.0, 1.0]]))
     with pytest.raises(ValueError, match="band"):
@@ -404,13 +489,9 @@ def test_layout_rejects_a_jacobian_outside_its_band():
 
 def test_ordering_computed_once_per_active_block_set(patch, monkeypatch):
     calls = []
-
-    def spy(graph, symmetric_mode=False):
-        calls.append(graph.shape)
-        return rcm(graph, symmetric_mode=symmetric_mode)
-
-    rcm = optimize.reverse_cuthill_mckee
-    monkeypatch.setattr(optimize, "reverse_cuthill_mckee", spy)
+    layout = optimize.BandLayout
+    monkeypatch.setattr(optimize, "BandLayout",
+                        lambda *a: calls.append(a[0].shape) or layout(*a))
     net = lattice_net(patch, 4, 4)
     _, records = lm_run(net, patch, Weights(),
                         Schedule(max_iters=5, final_pass_iters=3))
