@@ -2,19 +2,17 @@
 of planar vertex quads, cone strips and spherical faces."""
 
 from .bspline import (BSplineSurface, PrincipalFrame, PrincipalFrames,
-                      ProjectionResult, SurfaceJet2, closest_point,
-                      convex_paraboloid_patch, evaluate_jet, evaluate_jets,
-                      frame_at_params, load_surface, normal_derivatives,
+                      SurfaceJet2, convex_paraboloid_patch, evaluate_jet,
+                      evaluate_jets, load_surface, normal_derivatives,
                       oriented_normal, oriented_normals, principal_frame,
                       principal_frames, project_points, save_surface)
 from .conjugacy import (ContactClass, CongruenceSpec, DualCurvature,
                         LiftedFormCoeffs, SpecialAngles, classify_contact,
                         classify_element, dual_curvature,
                         dual_curvature_record, lconj_partner, lifted_form,
-                        lifted_form_from_first, lifted_form_from_second,
-                        midsphere_radius, ordinary_conjugate,
-                        pseudo_lconj_partner, pseudo_lconj_partners,
-                        special_angles)
+                        lifted_form_from_first, midsphere_radius,
+                        ordinary_conjugate, pseudo_lconj_partner,
+                        pseudo_lconj_partners, special_angles)
 from .errors import (AdmissibilityError, ConfigError, CurvatureSignError,
                      FlatError, LnetsError, SingularRadiusError,
                      TracingError, UmbilicError)

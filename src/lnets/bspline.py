@@ -16,13 +16,16 @@ import numpy as np
 
 from . import kernels
 from .conjugacy import EPS_CLASS, first_positive
-from .errors import (ConfigError, CurvatureSignError, LnetsError,
-                     UmbilicError, located, read_json)
+from .errors import (CurvatureSignError, LnetsError, UmbilicError, checked,
+                     json_fields, located, read_json)
 
 # Regularity threshold: |f_u x f_v| must exceed EPS_REG * |f_u| |f_v|.
 EPS_REG = 1e-10
-# Default sample-grid resolution used to seed closest-point projection.
+# Sample-grid resolution used to seed closest-point projection.
 PROJECTION_SEED_GRID = 24
+# Newton steps of closest-point projection before a point falls back to
+# its seed.
+PROJECTION_MAX_ITER = 50
 # Query rows per seed-distance block: 256 x 576 seeds x 3 doubles = 3.5 MB.
 _SEED_BLOCK = 256
 
@@ -53,6 +56,9 @@ class BSplineSurface:
             raise ValueError("degrees must be >= 1")
         if self.control_grid.ndim != 3 or self.control_grid.shape[2] != 3:
             raise ValueError("control_grid must have shape (n_u, n_v, 3)")
+        for name in ("knots_u", "knots_v", "control_grid"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
         for name, knots, degree, n_ctrl in (
                 ("knots_u", self.knots_u, self.degree_u, self.control_grid.shape[0]),
                 ("knots_v", self.knots_v, self.degree_v, self.control_grid.shape[1])):
@@ -334,22 +340,6 @@ def principal_frame(jet: SurfaceJet2) -> PrincipalFrame:
                           fr.kappa1[0], fr.kappa2[0])
 
 
-def frame_at_params(surface: BSplineSurface, u: float, v: float) -> PrincipalFrame:
-    """Principal frame of the surface at parameters ``(u, v)``."""
-    return principal_frame(evaluate_jet(surface, u, v))
-
-
-@dataclass(frozen=True)
-class ProjectionResult:
-    """Result of a closest-point projection."""
-
-    u: float
-    v: float
-    foot: np.ndarray
-    normal: np.ndarray
-    converged: bool
-
-
 def _seed_grid(surface: BSplineSurface, m: int):
     u0, u1, v0, v1 = surface.domain
     us = np.linspace(u0, u1, m)
@@ -375,14 +365,15 @@ def _seed_select(points: np.ndarray, xs: np.ndarray) -> np.ndarray:
 
 def project_points(surface: BSplineSurface, xs: np.ndarray,
                    seeds_uv: np.ndarray | None = None,
-                   grid_m: int = PROJECTION_SEED_GRID,
-                   max_iter: int = 50, seed_jets: np.ndarray | None = None):
+                   seed_jets: np.ndarray | None = None):
     """Batched closest-point projection by damped Newton iteration.
 
-    Seeds come from the best of an inclusive ``grid_m x grid_m`` parameter
-    sample unless ``seeds_uv`` (and ``seed_jets``, their jets) provide warm
-    starts. Iterates are clamped to the domain; points that have not
-    converged after ``max_iter`` steps fall back to their seed parameters.
+    Seeds come from the best of an inclusive :data:`PROJECTION_SEED_GRID`
+    square parameter sample (ties resolved toward smaller ``u``, then
+    smaller ``v``) unless ``seeds_uv`` (and ``seed_jets``, their jets)
+    provide warm starts. Iterates are clamped to the domain; points that
+    have not converged after :data:`PROJECTION_MAX_ITER` steps fall back to
+    their seed parameters.
     Each row keeps the jets of its last iterate; none is evaluated twice.
 
     Returns ``(uv, feet, normals, converged, jets)`` with shapes
@@ -397,7 +388,7 @@ def project_points(surface: BSplineSurface, xs: np.ndarray,
     scale = max(u1 - u0, v1 - v0)
 
     if seeds_uv is None:
-        gu, gv = _seed_grid(surface, grid_m)
+        gu, gv = _seed_grid(surface, PROJECTION_SEED_GRID)
         jets = evaluate_jets(surface, gu, gv)
         best = _seed_select(jets[:, 0, :], xs)
         uv = np.stack([gu[best], gv[best]], axis=1)
@@ -411,7 +402,7 @@ def project_points(surface: BSplineSurface, xs: np.ndarray,
     out = jets.copy()
     converged = np.zeros(n_pts, dtype=bool)
     active = np.ones(n_pts, dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(PROJECTION_MAX_ITER):
         idx = np.flatnonzero(active)
         diff = jets[:, 0, :] - xs[idx]
         g1 = np.einsum("nc,nc->n", diff, jets[:, 1, :])
@@ -464,25 +455,9 @@ def project_points(surface: BSplineSurface, xs: np.ndarray,
     return uv, feet, normals, converged, out
 
 
-def closest_point(surface: BSplineSurface, x,
-                  grid_m: int = PROJECTION_SEED_GRID,
-                  max_iter: int = 50) -> ProjectionResult:
-    """Closest-point projection of a single query point.
-
-    Newton iteration seeded from the best of a coarse ``grid_m x grid_m``
-    sample (ties resolved toward smaller ``u``, then smaller ``v``); on
-    divergence the seed parameters are returned with ``converged=False``.
-    The result is clamped to the domain when the minimizer is exterior.
-    """
-    uv, feet, normals, conv, _ = project_points(
-        surface, np.asarray(x, dtype=float).reshape(1, 3),
-        grid_m=grid_m, max_iter=max_iter)
-    return ProjectionResult(float(uv[0, 0]), float(uv[0, 1]),
-                            feet[0], normals[0], bool(conv[0]))
-
-
-_SURFACE_KEYS = {"degree_u", "degree_v", "knots_u", "knots_v",
-                 "control_points"}
+# Kinds of the surface document (see :func:`lnets.errors.json_fields`).
+_SURFACE_KINDS = {"degree_u": int, "degree_v": int, "knots_u": np.ndarray,
+                  "knots_v": np.ndarray, "control_points": np.ndarray}
 
 
 def surface_to_dict(surface: BSplineSurface) -> dict:
@@ -498,21 +473,9 @@ def surface_to_dict(surface: BSplineSurface) -> dict:
 
 def surface_from_dict(data: dict) -> BSplineSurface:
     """Parse the surface schema strictly: unknown keys are rejected."""
-    if not isinstance(data, dict):
-        raise ConfigError("surface document must be a JSON object")
-    unknown = set(data) - _SURFACE_KEYS
-    if unknown:
-        raise ConfigError(f"unknown surface keys: {sorted(unknown)}")
-    missing = _SURFACE_KEYS - set(data)
-    if missing:
-        raise ConfigError(f"missing surface keys: {sorted(missing)}")
-    try:
-        return BSplineSurface(int(data["degree_u"]), int(data["degree_v"]),
-                              np.asarray(data["knots_u"], dtype=float),
-                              np.asarray(data["knots_v"], dtype=float),
-                              np.asarray(data["control_points"], dtype=float))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid surface data: {exc}") from exc
+    f = json_fields(data, "surface", _SURFACE_KINDS, _SURFACE_KINDS)
+    return checked(BSplineSurface, "surface", f["degree_u"], f["degree_v"],
+                   f["knots_u"], f["knots_v"], f["control_points"])
 
 
 def load_surface(path) -> BSplineSurface:

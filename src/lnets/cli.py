@@ -18,20 +18,24 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import reprlib
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from .bspline import load_surface
 from .conjugacy import CongruenceSpec
-from .errors import ConfigError, LnetsError, read_json
+from .errors import (ConfigError, LnetsError, checked, json_fields,
+                     read_json)
 from .lnet import (DEFAULT_TOL_OC, initialize, load_lnet,
                    save_lnet, verify)
 from .optimize import Schedule, Weights, lm_run
-from .remesh import AngleField, GridSpec, trace_grid
+from .remesh import ANGLE_FAMILIES, AngleField, GridSpec, trace_grid
 from .tessellate import (LABEL_CONICAL, LABEL_PLANAR, LABEL_SPHERICAL,
                          LabeledMesh, TessellationParams, dedupe_mesh,
                          tessellate)
@@ -65,123 +69,73 @@ class RunConfig:
     raw: dict
 
 
-def _require(mapping: dict, key: str, where: str, convert=None):
-    if key not in mapping:
-        raise ConfigError(f"missing config field {where}{key}")
-    try:
-        return mapping[key] if convert is None else convert(mapping[key])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}{key}: {exc}") from exc
+# Kinds of the run config (see :func:`lnets.errors.json_fields`). The
+# radius and theta kinds depend on the mode and family.
+_CONFIG_KINDS = {"format_version": int, "surface": str, "radius": dict,
+                 "theta": dict, "grid": dict, "weights": dict,
+                 "schedule": dict, "tessellation": dict, "output_dir": str,
+                 "seed": int}
+_CONFIG_REQUIRED = ("format_version", "surface", "radius", "theta", "grid",
+                    "output_dir")
+_RADIUS_KINDS = {"tau_min": {"mode": str, "tau": float},
+                 "explicit": {"mode": str, "value": float, "fix_radii": bool}}
+_THETA_KINDS = {**dict.fromkeys(ANGLE_FAMILIES, get_type_hints(AngleField)),
+                "constant": {"family": str, "value": float}}
 
 
-def _reject_unknown(mapping: dict, allowed: set, where: str):
-    unknown = set(mapping) - allowed
-    if unknown:
-        raise ConfigError(f"unknown config fields in {where}: "
-                          f"{sorted(unknown)}")
+def _section(cls, data, where: str):
+    """``cls`` built from the JSON object ``data``: its field annotations
+    are the kinds, and the fields without a default are required."""
+    required = [f.name for f in fields(cls) if f.default is MISSING]
+    return checked(cls, where, **json_fields(data, where,
+                                             get_type_hints(cls), required))
 
 
-def _parse_radius(data: dict):
-    _reject_unknown(data, {"mode", "tau", "value", "fix_radii"}, "radius")
-    mode = _require(data, "mode", "radius.")
-    if mode == "tau_min":
-        tau = _require(data, "tau", "radius.", float)
-        if not 0.0 < tau < 1.0:
-            raise ConfigError(f"radius.tau={tau:g} must lie in (0, 1)")
-        if "fix_radii" in data or "value" in data:
-            raise ConfigError("radius.fix_radii/value only apply to "
-                              "explicit mode")
-        return CongruenceSpec("tau_min", tau=tau), False
-    if mode == "explicit":
-        value = _require(data, "value", "radius.", float)
-        if not value > 0.0:
-            raise ConfigError(f"radius.value={value:g} must be positive")
-        # Prescribed constant radii are held fixed by default.
-        fix = data.get("fix_radii", True)
-        if not isinstance(fix, bool):
-            raise ConfigError(f"radius.fix_radii={fix!r} must be a boolean")
-        return CongruenceSpec("explicit", value=value), fix
-    raise ConfigError(f"radius.mode={mode!r} must be tau_min or explicit")
-
-
-def _parse_theta(data: dict) -> AngleField:
-    family = _require(data, "family", "theta.")
-    try:
-        if family == "constant":
-            _reject_unknown(data, {"family", "value"}, "theta")
-            return AngleField.constant(float(_require(data, "value",
-                                                      "theta.")))
-        _reject_unknown(data, {"family", "theta_min", "theta_max"}, "theta")
-        return AngleField(family,
-                          float(_require(data, "theta_min", "theta.")),
-                          float(_require(data, "theta_max", "theta.")))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"theta: {exc}") from exc
+def _variant(section: dict, where: str, key: str, tables: dict) -> dict:
+    """The fields of ``section``, whose ``key`` field is checked first and
+    picks their kinds from ``tables``; all but ``fix_radii`` are required."""
+    choice = section.get(key)
+    if not (isinstance(choice, str) and choice in tables):
+        raise ConfigError(f"{where}: {key} must be one of {list(tables)}, "
+                          f"got {reprlib.repr(choice)}")
+    kinds = tables[choice]
+    return json_fields(section, where, kinds,
+                       [k for k in kinds if k != "fix_radii"])
 
 
 def config_from_dict(data: dict, base_dir: Path | None = None) -> RunConfig:
     """Strict parse and validation of the run-config schema."""
-    if not isinstance(data, dict):
-        raise ConfigError("config must be a JSON object")
-    allowed = {"format_version", "surface", "radius", "theta", "grid",
-               "weights", "schedule", "tessellation", "output_dir", "seed"}
-    _reject_unknown(data, allowed, "config")
-    if _require(data, "format_version", "") != CONFIG_FORMAT_VERSION:
+    top = json_fields(data, "config", _CONFIG_KINDS, _CONFIG_REQUIRED)
+    if top["format_version"] != CONFIG_FORMAT_VERSION:
         raise ConfigError(
-            f"unsupported config format_version {data['format_version']!r}")
+            f"unsupported config format_version {top['format_version']!r}")
     base = Path(base_dir) if base_dir is not None else Path(".")
-    surface_path = base / str(_require(data, "surface", ""))
-    if not surface_path.is_file():
+    surface_path = base / top["surface"]
+    if not os.path.isfile(surface_path):  # False for an unusable name too
         raise ConfigError(f"surface file not found: {surface_path}")
-    radius, fix_radii = _parse_radius(_require(data, "radius", ""))
-    theta = _parse_theta(_require(data, "theta", ""))
 
-    grid_data = _require(data, "grid", "")
-    _reject_unknown(grid_data, {"rows", "cols", "edge_length", "rk4_step"},
-                    "grid")
-    try:
-        grid = GridSpec(int(_require(grid_data, "rows", "grid.")),
-                        int(_require(grid_data, "cols", "grid.")),
-                        float(_require(grid_data, "edge_length", "grid.")),
-                        (float(grid_data["rk4_step"])
-                         if grid_data.get("rk4_step") is not None else None))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"grid: {exc}") from exc
-
-    weights_data = dict(data.get("weights", {}))
-    _reject_unknown(weights_data, set(Weights.__dataclass_fields__),
-                    "weights")
-    try:
-        weights = Weights(**weights_data)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"weights: {exc}") from exc
+    radius = _variant(top["radius"], "radius", "mode", _RADIUS_KINDS)
+    # Prescribed constant radii are held fixed by default.
+    fix_radii = radius.pop("fix_radii", radius["mode"] == "explicit")
+    if radius["mode"] == "explicit" and radius["value"] <= 0.0:
+        raise ConfigError(f"radius: value={radius['value']:g} must be "
+                          f"positive")
+    theta = _variant(top["theta"], "theta", "family", _THETA_KINDS)
+    if "value" in theta:
+        theta["theta_min"] = theta["theta_max"] = theta.pop("value")
+    weights = _section(Weights, top.get("weights", {}), "weights")
     if weights.w_reg == 0.0:
         raise ConfigError("weights: w_reg must be positive (LM damping)")
-
-    sched_data = dict(data.get("schedule", {}))
-    _reject_unknown(sched_data, set(Schedule.__dataclass_fields__),
-                    "schedule")
-    try:
-        schedule = Schedule(**sched_data)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"schedule: {exc}") from exc
-
-    tess_data = dict(data.get("tessellation", {}))
-    _reject_unknown(tess_data, {"arc_samples", "ruling_samples"},
-                    "tessellation")
-    try:
-        tess = TessellationParams(**{k: int(v) for k, v in tess_data.items()})
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"tessellation: {exc}") from exc
-
-    seed = data.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError(f"seed={seed!r} must be an integer")
-    return RunConfig(surface_path=surface_path, radius=radius,
-                     fix_radii=fix_radii, theta=theta, grid=grid,
-                     weights=weights, schedule=schedule, tessellation=tess,
-                     output_dir=base / str(_require(data, "output_dir", "")),
-                     seed=seed, raw=data)
+    return RunConfig(
+        surface_path=surface_path,
+        radius=checked(CongruenceSpec, "radius", **radius),
+        fix_radii=fix_radii, theta=checked(AngleField, "theta", **theta),
+        grid=_section(GridSpec, top["grid"], "grid"), weights=weights,
+        schedule=_section(Schedule, top.get("schedule", {}), "schedule"),
+        tessellation=_section(TessellationParams,
+                              top.get("tessellation", {}), "tessellation"),
+        output_dir=base / top["output_dir"], seed=top.get("seed", 0),
+        raw=data)
 
 
 def load_config(path) -> RunConfig:
@@ -325,29 +279,37 @@ def run_pipeline(cfg: RunConfig) -> dict:
 
 
 def _parse_log_runs(path):
-    """Runs found in an iteration log: (marker dict, final row, n, ms)."""
+    """Runs of an iteration log: dicts of run-marker ``meta`` and numeric
+    ``rows``."""
     runs = []
     current = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line.startswith("# run "):
-                current = {"meta": {}, "rows": []}
-                runs.append(current)
-                for token in line[len("# run "):].split():
-                    if "=" in token:
-                        key, val = token.split("=", 1)
-                        current["meta"][key] = val
-            elif not line or line.startswith("#") or line.startswith("iter,"):
-                continue
-            else:
-                if current is None:
-                    raise ConfigError(f"malformed log {path}: data before "
-                                      "a run marker")
-                parts = line.split(",")
-                if len(parts) != len(LOG_COLUMNS):
-                    raise ConfigError(f"malformed log row: {line!r}")
-                current["rows"].append([float(p) for p in parts])
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"malformed log {path}: {exc}") from exc
+    for line in lines:
+        line = line.strip()
+        if line.startswith("# run "):
+            current = {"meta": {}, "rows": []}
+            runs.append(current)
+            for token in line[len("# run "):].split():
+                if "=" in token:
+                    key, val = token.split("=", 1)
+                    current["meta"][key] = val
+        elif not line or line.startswith("#") or line.startswith("iter,"):
+            continue
+        else:
+            if current is None:
+                raise ConfigError(f"malformed log {path}: data before "
+                                  "a run marker")
+            parts = line.split(",")
+            try:  # an integer iteration count, then numbers
+                row = [int(parts[0])] + [float(p) for p in parts[1:]]
+            except ValueError:
+                row = []
+            if len(row) != len(LOG_COLUMNS):
+                raise ConfigError(f"malformed log row: {line!r}")
+            current["rows"].append(row)
     if not runs or any(not r["rows"] for r in runs):
         raise ConfigError(f"log {path} contains no complete runs")
     return runs
@@ -422,11 +384,8 @@ def main(argv=None) -> int:
             print(f"is_lnet {rep.is_lnet}")
             return 0 if rep.is_lnet else 1
         if args.command == "tessellate":
-            try:
-                params = TessellationParams(args.arc_samples,
-                                            args.ruling_samples)
-            except ValueError as exc:
-                raise ConfigError(f"tessellate: {exc}") from exc
+            params = checked(TessellationParams, "tessellate",
+                             args.arc_samples, args.ruling_samples)
             net = load_lnet(args.lnet)
             mesh = dedupe_mesh(tessellate(net, params, args.tol))
             export_obj(mesh, args.out)

@@ -67,10 +67,6 @@ class CongruenceSpec:
         else:
             raise ValueError(f"unknown congruence mode {self.mode!r}")
 
-    @property
-    def is_constant(self) -> bool:
-        return self.mode == "explicit" and not callable(self.value)
-
     def radii(self, kappa1, uv=None) -> np.ndarray:
         """Congruence radii at a batch of contact elements.
 
@@ -158,14 +154,6 @@ def lifted_form_from_first(s_u, s_v, n_u, n_v) -> LiftedFormCoeffs:
     from .geometry import minkowski_inner as mi
 
     return LiftedFormCoeffs(-mi(s_u, n_u), -mi(s_u, n_v), -mi(s_v, n_v))
-
-
-def lifted_form_from_second(s_uu, s_uv, s_vv, n) -> LiftedFormCoeffs:
-    """Lifted second-form coefficients from second derivatives of the
-    lifted surface and the isotropic normal at the point."""
-    from .geometry import minkowski_inner as mi
-
-    return LiftedFormCoeffs(mi(s_uu, n), mi(s_uv, n), mi(s_vv, n))
 
 
 def first_positive(x: np.ndarray) -> np.ndarray:

@@ -1,6 +1,11 @@
 """Exception types shared across the package, and a checked JSON reader."""
 
 import json
+import reprlib
+import sys
+import typing
+
+import numpy as np
 
 
 class LnetsError(Exception):
@@ -69,5 +74,73 @@ def read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # too deeply nested
             raise ConfigError(f"{path}: not a JSON document: {exc}") from exc
+
+
+# What each kind of :func:`json_fields` takes, for its messages.
+_KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string",
+               bool: "a boolean", list: "an array", dict: "an object",
+               np.ndarray: "an array of numbers", type(None): "null"}
+
+
+def _is_kind(value, kind) -> bool:
+    if isinstance(value, bool) or kind is bool:
+        return isinstance(value, bool) and kind is bool
+    if kind is float:  # an integer beyond the float range is not finite
+        return (isinstance(value, (int, float))
+                and abs(value) <= sys.float_info.max)
+    return isinstance(value, list if kind is np.ndarray else kind)
+
+
+def json_array(value, where: str) -> np.ndarray:
+    """Nested arrays of JSON numbers, all of one shape, as a float array."""
+    leaves = {type(x) for x in np.asarray(value, dtype=object).ravel()}
+    if bool in leaves or not all(issubclass(t, (int, float)) for t in leaves):
+        raise ConfigError(f"{where} must be nested arrays of numbers of one "
+                          f"shape")
+    return checked(np.asarray, where, value, dtype=float)
+
+
+def json_fields(data, where: str, kinds: dict, required=()) -> dict:
+    """The fields of the JSON object ``data``, checked against ``kinds``.
+
+    ``kinds`` maps every allowed key to ``int`` (a JSON integer, never a
+    bool), ``float`` (a finite number; an integer becomes a float),
+    ``np.ndarray`` (see :func:`json_array`), ``str``, ``bool``, ``list``,
+    ``dict`` or a union such as ``float | None``. A missing ``required``
+    key, any other key or a value of another kind is a ConfigError.
+    """
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where} must be a JSON object, got "
+                          f"{reprlib.repr(data)}")
+    unknown = sorted(set(data) - set(kinds))
+    if unknown:
+        raise ConfigError(f"{where}: unknown fields {unknown}")
+    missing = [key for key in required if key not in data]
+    if missing:
+        raise ConfigError(f"{where}: missing fields {missing}")
+    out = {}
+    for key, value in data.items():
+        options = typing.get_args(kinds[key]) or (kinds[key],)
+        kind = next((k for k in options if _is_kind(value, k)), None)
+        if kind is None:
+            raise ConfigError(
+                f"{where}: {key} must be "
+                f"{' or '.join(_KIND_NAMES[k] for k in options)}, got "
+                f"{reprlib.repr(value)}")
+        if kind is float:
+            value = float(value)
+        elif kind is np.ndarray:
+            value = json_array(value, f"{where}: {key}")
+        out[key] = value
+    return out
+
+
+def checked(make, where: str, *args, **kwargs):
+    """``make(*args, **kwargs)``, with the ValueError, TypeError or
+    OverflowError of its checks raised as a ConfigError naming ``where``."""
+    try:
+        return make(*args, **kwargs)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc

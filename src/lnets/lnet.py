@@ -25,8 +25,9 @@ import numpy as np
 from .bspline import (BSplineSurface, evaluate_jets, oriented_normals,
                       principal_frames, project_points)
 from .conjugacy import CongruenceSpec
-from .errors import AdmissibilityError, ConfigError, read_json
-from .geometry import OrPlane, OrSphere
+from .errors import (AdmissibilityError, ConfigError, checked, json_array,
+                     json_fields, read_json)
+from .geometry import OrSphere
 from .remesh import QuadGrid
 
 # Default absolute tolerance on per-incidence contact residuals.
@@ -82,12 +83,6 @@ class LNet:
     @property
     def face_shape(self):
         return self.centers.shape[:2]
-
-    def plane(self, i: int, j: int) -> OrPlane:
-        return OrPlane(self.normals[i, j], self.intercepts[i, j])
-
-    def sphere(self, i: int, j: int) -> OrSphere:
-        return OrSphere(self.centers[i, j], self.radii[i, j])
 
 
 def initialize(grid: QuadGrid, surface: BSplineSurface,
@@ -253,7 +248,8 @@ def verify(net: LNet, tol_oc: float = DEFAULT_TOL_OC) -> VerifyReport:
                         unit_dev)
 
 
-_LNET_KEYS = {"format_version", "planes", "spheres"}
+# Kinds of the net document (see :func:`lnets.errors.json_fields`).
+_LNET_KINDS = {"format_version": int, "planes": list, "spheres": list}
 
 
 def lnet_to_dict(net: LNet) -> dict:
@@ -269,29 +265,23 @@ def lnet_to_dict(net: LNet) -> dict:
             "planes": planes, "spheres": spheres}
 
 
+def _cells(grid: list, where: str):
+    """Vectors and scalars of a grid of ``[[x, y, z], s]`` cells."""
+    cells = np.asarray(grid, dtype=object)
+    if cells.ndim != 3 or cells.shape[2] != 2:
+        raise ConfigError(f"{where} must be a grid of [[x, y, z], s] cells")
+    return (json_array(cells[..., 0].tolist(), where),
+            json_array(cells[..., 1].tolist(), where))
+
+
 def lnet_from_dict(data: dict) -> LNet:
     """Strict parse of the net schema."""
-    if not isinstance(data, dict):
-        raise ConfigError("net document must be a JSON object")
-    unknown = set(data) - _LNET_KEYS
-    if unknown:
-        raise ConfigError(f"unknown net keys: {sorted(unknown)}")
-    missing = _LNET_KEYS - set(data)
-    if missing:
-        raise ConfigError(f"missing net keys: {sorted(missing)}")
-    if data["format_version"] != LNET_FORMAT_VERSION:
+    f = json_fields(data, "net", _LNET_KINDS, _LNET_KINDS)
+    if f["format_version"] != LNET_FORMAT_VERSION:
         raise ConfigError(
-            f"unsupported net format_version {data['format_version']!r}")
-    try:
-        planes = data["planes"]
-        normals = np.asarray([[e[0] for e in row] for row in planes], float)
-        intercepts = np.asarray([[e[1] for e in row] for row in planes], float)
-        spheres = data["spheres"]
-        centers = np.asarray([[e[0] for e in row] for row in spheres], float)
-        radii = np.asarray([[e[1] for e in row] for row in spheres], float)
-        return LNet(normals, intercepts, centers, radii)
-    except (TypeError, ValueError, IndexError) as exc:
-        raise ConfigError(f"invalid net data: {exc}") from exc
+            f"unsupported net format_version {f['format_version']!r}")
+    return checked(LNet, "net", *_cells(f["planes"], "net: planes"),
+                   *_cells(f["spheres"], "net: spheres"))
 
 
 def load_lnet(path) -> LNet:

@@ -4,9 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from lnets import LNet, convex_paraboloid_patch
 from lnets.bspline import PrincipalFrame
+
+# Property tests draw the same examples on every run, with no time limit
+# per example, so the suite stays deterministic.
+settings.register_profile("lnets", derandomize=True, deadline=None)
+settings.load_profile("lnets")
 
 
 @pytest.fixture(scope="session")

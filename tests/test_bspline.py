@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 from lnets import (BSplineSurface, ConfigError, CurvatureSignError,
-                   SurfaceJet2, UmbilicError, closest_point,
-                   convex_paraboloid_patch, evaluate_jet,
-                   frame_at_params, load_surface, normal_derivatives,
+                   SurfaceJet2, UmbilicError, convex_paraboloid_patch,
+                   evaluate_jet, load_surface, normal_derivatives,
                    oriented_normal, principal_frame, project_points,
                    save_surface)
 from lnets.bspline import (_SEED_BLOCK, _jet_rows, _seed_select,
@@ -135,7 +134,7 @@ def test_frame_orientation_flips_for_downward_graph():
 def test_frame_is_right_handed_orthonormal(patch):
     rng = np.random.default_rng(31)
     for u, v in rng.uniform(0.02, 0.98, size=(40, 2)):
-        fr = frame_at_params(patch, u, v)
+        fr = principal_frame(evaluate_jet(patch, u, v))
         assert np.linalg.norm(fr.n - np.cross(fr.t1, fr.t2)) <= 1e-9
         for a, b in ((fr.t1, fr.t2), (fr.t1, fr.n), (fr.t2, fr.n)):
             assert abs(np.dot(a, b)) <= 1e-12
@@ -254,9 +253,9 @@ def test_closest_point_fixed_point(patch):
     rng = np.random.default_rng(43)
     for u, v in rng.uniform(0.05, 0.95, size=(10, 2)):
         x = evaluate_jet(patch, u, v).f
-        res = closest_point(patch, x)
-        assert res.converged
-        assert np.linalg.norm(res.foot - x) <= 1e-10
+        _, feet, _, conv, _ = project_points(patch, x)
+        assert conv[0]
+        assert np.linalg.norm(feet[0] - x) <= 1e-10
 
 
 def test_closest_point_normal_offset_oracle(patch):
@@ -266,9 +265,9 @@ def test_closest_point_normal_offset_oracle(patch):
         jet = evaluate_jet(patch, u, v)
         fr = principal_frame(jet)
         delta = 0.01 / fr.kappa1
-        res = closest_point(patch, jet.f + delta * fr.n)
-        assert res.converged
-        assert np.linalg.norm(res.foot - jet.f) <= 1e-8
+        _, feet, _, conv, _ = project_points(patch, jet.f + delta * fr.n)
+        assert conv[0]
+        assert np.linalg.norm(feet[0] - jet.f) <= 1e-8
 
 
 def test_closest_point_gradient_vanishes_interior(patch):
@@ -306,8 +305,8 @@ def test_project_points_warm_jets_leave_the_result_unchanged(patch):
 
 
 def test_closest_point_clamps_exterior_queries(patch):
-    res = closest_point(patch, np.array([5.0, 0.0, 0.5]))
-    assert res.u == 1.0  # clamped to the domain edge nearest the query
+    uv, _, _, _, _ = project_points(patch, np.array([5.0, 0.0, 0.5]))
+    assert uv[0, 0] == 1.0  # clamped to the domain edge nearest the query
 
 
 def test_seed_tie_break_prefers_smaller_u_then_v():
@@ -333,10 +332,10 @@ def test_blocked_seed_select_equals_one_shot_argmin():
 
 def test_closest_point_is_deterministic_on_symmetric_queries(patch):
     x = np.array([0.0, 0.0, 2.0])
-    r1 = closest_point(patch, x)
-    r2 = closest_point(patch, x)
-    assert r1.u == r2.u and r1.v == r2.v
-    assert np.array_equal(r1.foot, r2.foot)
+    uv1, feet1, _, _, _ = project_points(patch, x)
+    uv2, feet2, _, _, _ = project_points(patch, x)
+    assert np.array_equal(uv1, uv2)
+    assert np.array_equal(feet1, feet2)
 
 
 def test_surface_schema_roundtrip_and_strictness(patch, tmp_path):
@@ -353,6 +352,25 @@ def test_surface_schema_roundtrip_and_strictness(patch, tmp_path):
     del data["degree_u"]
     with pytest.raises(ConfigError):
         surface_from_dict(data)
+
+
+def test_surface_rejects_non_finite_input(patch, tmp_path):
+    knots = [0, 0, 0, 1, 1, 1]
+    ctrl = patch.control_grid.copy()
+    ctrl[1, 1, 2] = np.nan
+    with pytest.raises(ValueError, match="control_grid must be finite"):
+        BSplineSurface(2, 2, knots, knots, ctrl)
+    with pytest.raises(ValueError, match="knots_v must be finite"):
+        BSplineSurface(2, 2, knots, [0, 0, 0, np.inf, np.inf, np.inf],
+                       patch.control_grid)
+    # Python's json reads and writes NaN; loading reports the bad field
+    # instead of failing later in tracing.
+    data = surface_to_dict(patch)
+    data["control_points"][1][1][2] = math.nan
+    path = tmp_path / "surf.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(ConfigError, match="control_grid must be finite"):
+        load_surface(path)
 
 
 def test_surface_validation_rejects_bad_knots():
@@ -398,7 +416,7 @@ def test_builtin_patch_is_positively_curved_without_umbilics(patch):
     min_gap = np.inf
     for u in us:
         for v in us:
-            fr = frame_at_params(patch, u, v)
+            fr = principal_frame(evaluate_jet(patch, u, v))
             min_gap = min(min_gap, (fr.kappa1 - fr.kappa2) / fr.kappa1)
     assert min_gap > 0.05
 

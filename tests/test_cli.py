@@ -8,8 +8,8 @@ import pytest
 
 from lnets import (ConfigError, load_lnet, load_surface, save_lnet,
                    save_surface)
-from lnets.cli import (OBJ_BLOCK_ROWS, config_from_dict, export_obj,
-                       load_config, main, report, run_pipeline)
+from lnets.cli import (LOG_COLUMNS, OBJ_BLOCK_ROWS, config_from_dict,
+                       export_obj, load_config, main, report, run_pipeline)
 from lnets.tessellate import (LabeledMesh, TessellationParams, dedupe_mesh,
                               tessellate)
 
@@ -36,7 +36,7 @@ def base_config(tmp_path, patch, **overrides):
 def test_config_validation_names_offending_field(tmp_path, patch):
     path = base_config(tmp_path, patch,
                        radius={"mode": "tau_min", "tau": 1.2})
-    with pytest.raises(ConfigError, match="radius.tau"):
+    with pytest.raises(ConfigError, match="radius: tau"):
         load_config(path)
 
 
@@ -108,7 +108,7 @@ def test_config_rejects_values_of_the_wrong_type(tmp_path, patch, field,
 def test_config_rejects_radius_and_seed_of_the_wrong_type(tmp_path, patch,
                                                           overrides, field):
     path = base_config(tmp_path, patch, **overrides)
-    with pytest.raises(ConfigError, match=field):
+    with pytest.raises(ConfigError, match=field.replace(".", ": ")):
         load_config(path)
     assert main(["run", "--config", str(path)]) == 2
 
@@ -329,6 +329,22 @@ def test_report_renders_runs(tmp_path, patch):
     assert len(report(doubled).splitlines()) == 3
     with pytest.raises(ConfigError):
         report(base_config(tmp_path, patch))  # not a log file
+
+
+def test_report_rejects_a_malformed_log(tmp_path, capsys):
+    head = ("# lnets iteration log format_version=1\n# run timestamp=t\n"
+            + ",".join(LOG_COLUMNS) + "\n")
+    log = tmp_path / "log.csv"
+    # A non-numeric cell, a fractional iteration count, a short row.
+    for row in ("1,abc,1,1,1,1,1,1,1,1", "1.5,1,1,1,1,1,1,1,1,1", "1,1,1"):
+        log.write_text(head + row + "\n", encoding="utf-8")
+        assert main(["report", "--log", str(log)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: malformed log row: {row!r}"]
+    log.write_bytes(b"\xff\xfe not text")
+    assert main(["report", "--log", str(log)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: malformed log ")
 
 
 def test_cli_run_verify_tessellate_report(tmp_path, patch, capsys):

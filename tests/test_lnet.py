@@ -6,7 +6,8 @@ import pytest
 from lnets import (AdmissibilityError, ConfigError, CongruenceSpec,
                    CurvatureSignError, LNet, OrSphere, QuadGrid,
                    evaluate_jets, initialize, oriented_normal,
-                   strip_incidences, tangential_distance, verify)
+                   project_points, strip_incidences, tangential_distance,
+                   verify)
 from lnets.bspline import BSplineSurface, SurfaceJet2
 from lnets.lnet import (contact_incidences, contact_points, face_pairs,
                         lnet_from_dict, lnet_to_dict, load_lnet, save_lnet)
@@ -42,16 +43,15 @@ def test_initialize_plane_and_sphere_formulas(patch):
 
     # Sphere centers sit one radius along the normal above the surface
     # projection of the quad barycenter.
-    from lnets import closest_point
     for i in range(4):
         for j in range(3):
             bary = 0.25 * (pts[i, j] + pts[i + 1, j] + pts[i + 1, j + 1]
                            + pts[i, j + 1])
-            res = closest_point(patch, bary)
+            _, feet, normals, _, _ = project_points(patch, bary)
             c = net.centers[i, j]
             r = net.radii[i, j]
             assert r > 0
-            assert np.allclose(c, res.foot + r * res.normal, atol=1e-9)
+            assert np.allclose(c, feet[0] + r * normals[0], atol=1e-9)
 
 
 def test_initialize_flat_surface_propagates_curvature_error():
