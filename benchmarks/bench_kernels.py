@@ -23,6 +23,11 @@ untimed warm-up call.
   and the size of the band. The Jacobian is timed twice: the first call
   of a freshly assembled system, which builds the sparsity pattern and
   the index tables, and a later call, which only fills in the values.
+- ``cold``: the cold start of an LM run on the same lattices: the
+  grid-seeded projection of every contact point, split into the seed
+  selection and the Newton iteration from the selected seeds, and the
+  first contact-pass Jacobian of a system whose main-pass Jacobian is
+  built.
 - ``export``: ``tessellate``, ``dedupe_mesh`` and ``export_obj`` (to a
   temporary file) of an exactly tangent 64x64 net on the default
   paraboloid, built in closed form, with the raw vertex and triangle
@@ -45,6 +50,8 @@ from lnets import (AngleField, CongruenceSpec, GridSpec, LNet, QuadGrid,
                    project_points)
 from lnets.cli import export_obj
 from lnets import kernels
+from lnets.bspline import (PROJECTION_SEED_GRID, _seed_grid, _seed_select,
+                           evaluate_jets)
 from lnets.kernels import surface_jets_batch
 from lnets.lnet import CORNERS
 from lnets.optimize import pack, solve_normal_equations, unpack
@@ -166,13 +173,18 @@ def main():
             lambda: system.refresh_footpoints(next(nets)))
         t_res = time_fn(lambda: system.residual(x), few)
         t_jac = time_fn(lambda: system.jacobian(x), few)
-        firsts = []
+        firsts, contacts = [], []
         for _ in range(few):
             fresh = assemble(unpack(x, system.vertex_shape), surf, Weights())
             t0 = time.perf_counter()
             fresh.jacobian(x)
-            firsts.append(time.perf_counter() - t0)
+            t1 = time.perf_counter()
+            fresh.set_weights(CONTACT_PASS)
+            fresh.jacobian(x)
+            firsts.append(t1 - t0)
+            contacts.append(time.perf_counter() - t1)
         t_first = float(np.median(firsts)) * 1e3
+        t_contact = float(np.median(contacts)) * 1e3
         jac = system.jacobian(x)
         layout = system.band_layout(jac)
         eqs = layout.form(jac, system.residual(x))
@@ -189,6 +201,20 @@ def main():
               f"{t_jac:8.2f} ms, solve "
               f"{t_solve:8.2f} ms  ({layout.n} vars; main {bands[0]}; "
               f"contact {bands[1]})")
+
+        pts = system.contact_points_of(x)
+        gu, gv = _seed_grid(surf, PROJECTION_SEED_GRID)
+        grid_jets = evaluate_jets(surf, gu, gv)
+        best = _seed_select(grid_jets[:, 0], pts)
+        seeds_uv = np.stack([gu[best], gv[best]], axis=1)
+        t_cold = time_fn(lambda: project_points(surf, pts), few)
+        t_seed = time_fn(lambda: _seed_select(grid_jets[:, 0], pts), few)
+        t_newton = time_fn(lambda: project_points(
+            surf, pts, seeds_uv=seeds_uv, seed_jets=grid_jets[best]), few)
+        print(f"cold {size}x{size}  : projection {t_cold:8.2f} ms "
+              f"({len(pts)} points; seeds {t_seed:8.2f} ms, Newton "
+              f"{t_newton:8.2f} ms), contact-pass jacobian first "
+              f"{t_contact:8.2f} ms")
 
     net = exact_paraboloid_net(64)
     raw = tessellate(net)

@@ -3,9 +3,9 @@ of planar vertex quads, cone strips and spherical faces."""
 
 from .bspline import (BSplineSurface, PrincipalFrame, PrincipalFrames,
                       SurfaceJet2, convex_paraboloid_patch, evaluate_jet,
-                      evaluate_jets, load_surface, normal_derivatives,
-                      oriented_normal, oriented_normals, principal_frame,
-                      principal_frames, project_points, save_surface)
+                      evaluate_jets, load_surface, oriented_normal,
+                      oriented_normals, principal_frame, principal_frames,
+                      project_points, save_surface)
 from .conjugacy import (ContactClass, CongruenceSpec, DualCurvature,
                         LiftedFormCoeffs, SpecialAngles, classify_contact,
                         classify_element, dual_curvature,

@@ -26,8 +26,13 @@ PROJECTION_SEED_GRID = 24
 # Newton steps of closest-point projection before a point falls back to
 # its seed.
 PROJECTION_MAX_ITER = 50
-# Query rows per seed-distance block: 256 x 576 seeds x 3 doubles = 3.5 MB.
+# Query rows per seed-screening block: a (256, 576) product per block, 1.2 MB
+# for 576 seeds.
 _SEED_BLOCK = 256
+# Screening tolerance 2 delta = _SEED_TOL (|x| + R)^2 in centred coordinates
+# (see :func:`_seed_select`): 32 units of roundoff. The smallest normal
+# number is added to it to cover underflow.
+_SEED_TOL = 16.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -277,22 +282,6 @@ def oriented_normal(jet: SurfaceJet2) -> np.ndarray:
     return oriented_normals(_jet_rows(jet))[0]
 
 
-def normal_derivatives(jet: SurfaceJet2):
-    """Oriented normal and its parameter derivatives ``(n, n_u, n_v)``.
-
-    The derivatives follow from the shape operator expressed in the
-    ``(f_u, f_v)`` basis: ``n_u = -(s11 f_u + s21 f_v)`` and
-    ``n_v = -(s12 f_u + s22 f_v)``, with the operator taken relative to
-    the oriented normal of :func:`oriented_normals`.
-    """
-    n, shape, gauss, irregular = _oriented_forms(_jet_rows(jet))
-    _raise_first(_convex_checks(gauss, irregular))
-    s11, s12, s21, s22 = (s[0] for s in shape)
-    n_u = -(s11 * jet.f_u + s21 * jet.f_v)
-    n_v = -(s12 * jet.f_u + s22 * jet.f_v)
-    return n[0], n_u, n_v
-
-
 def principal_frames(jets: np.ndarray) -> PrincipalFrames:
     """Principal frames and curvatures from ``(N, 6, 3)`` jets.
 
@@ -352,14 +341,47 @@ def _seed_select(points: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Index of the closest seed per query; first minimum wins on ties.
 
     Seeds are ordered u-major then v, so the first minimum is the one with
-    the smallest ``u`` and then the smallest ``v``. Queries are taken
-    :data:`_SEED_BLOCK` rows at a time to bound the difference array.
+    the smallest ``u`` and then the smallest ``v``. The result equals
+    ``np.argmin(((points - x) ** 2).sum(axis=1))`` per query ``x``, ties
+    and all.
+
+    Queries are screened :data:`_SEED_BLOCK` rows at a time by ``s = |p|^2
+    - 2 x.p``, one matrix product per block, in coordinates centred on the
+    seeds' centroid. With ``u`` the unit roundoff, ``R`` the largest
+    centred seed norm and ``|x|`` the centred query norm, the computed
+    ``s`` lies within ``9 u (|x| + R)^2`` of the exact ``|x - p|^2 -
+    |x|^2``, and the squared distance above within ``5 u (|x| + R)^2`` of
+    the exact one. So the seed that the exact expression ranks first has a
+    screened value within ``2 delta = 32 u (|x| + R)^2`` of the row's
+    smallest. A row with no other seed that close takes its screened
+    minimum; the others rank their seeds within ``2 delta`` by the exact
+    expression. Non-finite values make every seed of the row a candidate.
     """
+    centre = points.mean(axis=0)
+    p = points - centre
+    sq = np.vecdot(p, p)
+    # Rows (x, 1) times columns (-2 p, |p|^2) give s in one product.
+    screen = np.vstack([-2.0 * p.T, sq])
+    x = np.column_stack([xs - centre, np.ones(xs.shape[0])])
+    tol = (_SEED_TOL * (np.sqrt(np.vecdot(x[:, :3], x[:, :3]))
+                        + np.sqrt(sq.max(initial=0.0))) ** 2
+           + np.finfo(float).tiny)
     best = np.empty(xs.shape[0], dtype=np.intp)
     for lo in range(0, xs.shape[0], _SEED_BLOCK):
-        block = xs[lo:lo + _SEED_BLOCK]
-        d2 = ((points[None, :, :] - block[:, None, :]) ** 2).sum(axis=2)
-        best[lo:lo + _SEED_BLOCK] = np.argmin(d2, axis=1)
+        s = x[lo:lo + _SEED_BLOCK] @ screen
+        rows = np.arange(s.shape[0])
+        first = np.argmin(s, axis=1)
+        best[lo:lo + _SEED_BLOCK] = first
+        lim = s[rows, first] + tol[lo:lo + _SEED_BLOCK]
+        s[rows, first] = np.inf
+        tied = np.flatnonzero(~(s.min(axis=1) > lim))
+        if tied.size:
+            cand = ~(s[tied] > lim[tied, None])
+            cand[np.arange(tied.size), first[tied]] = True
+            t, k = np.nonzero(cand)
+            d2 = np.full(cand.shape, np.inf)
+            d2[t, k] = ((points[k] - xs[lo + tied[t]]) ** 2).sum(axis=1)
+            best[lo + tied] = np.argmin(d2, axis=1)
     return best
 
 

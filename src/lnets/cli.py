@@ -205,8 +205,10 @@ def write_iteration_log(path, records, cfg: RunConfig,
 def run_pipeline(cfg: RunConfig) -> dict:
     """Execute surface -> field -> grid -> net -> optimization -> export.
 
-    Returns the summary dictionary. Any stage failure removes artifacts
-    written so far and re-raises the error prefixed with the stage name.
+    Returns the summary dictionary. Any exception removes the artifacts
+    written so far. An :class:`LnetsError` is re-raised as its own type and
+    an ``OSError`` as an ``LnetsError``, both prefixed with the stage name;
+    any other exception, a fault of the program, propagates unchanged.
     """
     written = []
     stage = "load-surface"
@@ -275,7 +277,9 @@ def run_pipeline(cfg: RunConfig) -> dict:
                 pass
         if isinstance(exc, LnetsError):
             raise type(exc)(f"[stage {stage}] {exc}") from exc
-        raise LnetsError(f"[stage {stage}] {exc}") from exc
+        if isinstance(exc, OSError):
+            raise LnetsError(f"[stage {stage}] {exc}") from exc
+        raise
 
 
 def _parse_log_runs(path):

@@ -96,11 +96,6 @@ class CongruenceSpec:
             raise located(SingularRadiusError, msg, index=k)
         return r
 
-    def radius_at(self, frame, uv=None) -> float:
-        """Congruence radius at one contact element (see :meth:`radii`)."""
-        uv = None if uv is None else [uv]
-        return float(self.radii([frame.kappa1], uv)[0])
-
 
 @dataclass(frozen=True)
 class LiftedFormCoeffs:

@@ -48,7 +48,8 @@ class FlatError(LnetsError):
 
 
 class TracingError(LnetsError):
-    """Streamline tracing hit a field degeneracy (near-parallel directions)."""
+    """Streamline tracing failed: near-parallel field directions, a step
+    below the tracer's floor, or a grid trimmed below 2x2."""
 
     def __init__(self, message, uv=None, line=None):
         super().__init__(message)

@@ -167,6 +167,9 @@ class ResidualSystem:
         self.footpoint_fallbacks = 0
         self._layout = None
         self._layout_key = None
+        # Jacobian tables of the blocks weighted at assembly (built on the
+        # first analytic Jacobian), and the pattern of the active blocks.
+        self._tables = (self.active_blocks(), None)
         self._jac = (None, None)
         self._evaluated = (None, None, {})
         self.refresh_footpoints(self.x0)
@@ -277,8 +280,9 @@ class ResidualSystem:
                  for kind, res in blocks.items()]
         return np.concatenate(parts) if parts else np.empty(0)
 
-    def block_slices(self) -> dict:
-        """Row ranges of the active blocks in the residual vector."""
+    def block_slices(self, kinds=None) -> dict:
+        """Row ranges of the blocks ``kinds`` (default: the active ones)
+        stacked in :data:`BLOCK_ORDER`, as in the residual vector."""
         sizes = {"unit": self.n_planes, "oc": self.oc_face.size,
                  "lfair": 6 * self.ell.shape[0],
                  "gfair": 6 * self.gamma.shape[0],
@@ -286,7 +290,7 @@ class ResidualSystem:
                  "td": self.td_pairs.shape[0]}
         out = {}
         at = 0
-        for kind in self.active_blocks():
+        for kind in self.active_blocks() if kinds is None else kinds:
             out[kind] = slice(at, at + sizes[kind])
             at += sizes[kind]
         return out
@@ -337,9 +341,10 @@ class ResidualSystem:
 
     # -- Jacobian -----------------------------------------------------------
 
-    def _jac_tables(self):
+    def _jac_tables(self, kinds):
         """Pattern (:func:`csr_pattern`), shape and value segments of the
-        Jacobian's COO triplets (repeats add up). The ``size`` triplets of
+        COO triplets (repeats add up) of the Jacobian rows of the blocks
+        ``kinds``, and their row ranges. The ``size`` triplets of
         segment ``(kind, size, coef, gather, minus)`` are ``sqrt(w_kind) *
         coef`` (times ``foot_n`` for ``tan``) times ``x[gather] - x[minus]``
         where given. Fairness, proximity and tangency rows chain through the
@@ -359,7 +364,7 @@ class ResidualSystem:
         sph, pl = var[:self.n_faces], var[self.n_faces:]
         comp = np.arange(3)
         incidence = np.arange(self.oc_face.size)[:, None]
-        slices = self.block_slices()
+        slices = self.block_slices(kinds)
         for kind, block in slices.items():
             at = block.start
             if kind == "unit":
@@ -402,9 +407,51 @@ class ResidualSystem:
         shape = (max((b.stop for b in slices.values()), default=0),
                  self.n_vars)
         if not rows:
-            return None, shape, segments
+            return None, shape, segments, slices
         return (csr_pattern(np.concatenate(rows), np.concatenate(cols),
-                            shape), shape, segments)
+                            shape), shape, segments, slices)
+
+    def _jac_pattern(self, kinds):
+        """``(pattern, shape, segments)`` of the blocks ``kinds``: the
+        system's tables restricted to their rows.
+
+        The tables cover the blocks weighted at assembly and are built on
+        the first call; a call for a block outside them rebuilds them for
+        both sets. The restriction keeps each row's entries and each
+        block's triplets in order, so ``np.bincount`` sums every entry as
+        a fresh pattern of ``kinds`` would.
+        """
+        if not kinds:
+            return None, (0, self.n_vars), []
+        built, tables = self._tables
+        if tables is None or not set(kinds) <= set(built):
+            built = tuple(k for k in BLOCK_ORDER if k in built or k in kinds)
+            tables = self._jac_tables(built)
+            self._tables = built, tables
+        pattern, shape, segments, slices = tables
+        if kinds == built:
+            return pattern, shape, segments
+        # Entry e of a kept block moves to e - shift[kind], shift being the
+        # entries of the dropped blocks before it.
+        indptr, indices, slot = pattern
+        ptr, idx, shift, kept = [indptr[:1]], [], {}, 0
+        for kind in kinds:
+            e0, e1 = indptr[slices[kind].start], indptr[slices[kind].stop]
+            shift[kind] = int(e0) - kept
+            ptr.append(indptr[slices[kind].start + 1:slices[kind].stop + 1]
+                       - shift[kind])
+            idx.append(indices[e0:e1])
+            kept += int(e1 - e0)
+        slots, kept_segments, at = [], [], 0
+        for seg in segments:
+            if seg[0] in shift:
+                slots.append(slot[at:at + seg[1]] - shift[seg[0]])
+                kept_segments.append(seg)
+            at += seg[1]
+        out = tuple(np.concatenate(a) for a in (ptr, idx, slots))
+        for a in out:
+            a.flags.writeable = False
+        return out, (out[0].size - 1, self.n_vars), kept_segments
 
     def jacobian(self, x: np.ndarray, mode: str = "analytic") -> sp.csr_matrix:
         """Sparse Jacobian of the scaled residual vector.
@@ -415,8 +462,9 @@ class ResidualSystem:
         differences with step ``1e-6 * (1 + |x_i|)`` per variable.
         """
         if mode == "analytic":
-            if self._jac[0] != self.active_blocks():
-                self._jac = self.active_blocks(), self._jac_tables()
+            active = self.active_blocks()
+            if self._jac[0] != active:
+                self._jac = active, self._jac_pattern(active)
             pattern, shape, segments = self._jac[1]
             if pattern is None:
                 return sp.csr_matrix((0, self.n_vars))

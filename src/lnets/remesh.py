@@ -51,7 +51,10 @@ does; with several offending lines the one reported may differ. Where
 the field jumps, as the principal directions do through an umbilic, the
 error estimate stays large until the step shrinks, so stage points
 crowd toward the jump; that is how a line through an umbilic meets the
-frame field's :class:`UmbilicError`.
+frame field's :class:`UmbilicError`. A line whose error estimate does not
+fall with the step (a NaN estimate, say) would shrink it without end; a
+rejection below ``MIN_STEP`` times the domain diagonal raises
+:class:`TracingError` instead. So does a grid trimmed below 2x2.
 """
 
 from __future__ import annotations
@@ -94,6 +97,9 @@ TRACE_TOL = 1e-9
 SAFETY = 0.9
 FAC_MIN = 0.2
 FAC_MAX = 10.0
+# Smallest step a rejected attempt may leave, relative to the domain
+# diagonal. Steps toward a field jump, such as an umbilic, stay above 1e-7.
+MIN_STEP = 1e-12
 
 
 @dataclass(frozen=True)
@@ -392,11 +398,15 @@ def _march(field_fn, domain, family: int, starts, refs, budgets,
     advance in lockstep, each with its own step size, at most ``h_max``.
     A step is accepted when its local error estimate is at most
     ``TRACE_TOL``; a rejected attempt leaves its line where it was. Steps
-    are cut to the arclength left to the next vertex. Returns one list of
+    are cut to the arclength left to the next vertex. A rejection that
+    leaves a step below ``MIN_STEP`` times the domain diagonal raises
+    :class:`TracingError` for the lowest such line. Returns one list of
     vertices per line.
     """
     p = np.array(starts, dtype=float)
     n = p.shape[0]
+    h_min = MIN_STEP * math.hypot(domain[1] - domain[0],
+                                  domain[3] - domain[2])
     out = [[] for _ in range(n)]
     lines = np.flatnonzero(np.asarray(budgets) > 0)
     if lines.size == 0:
@@ -426,6 +436,14 @@ def _march(field_fn, domain, family: int, starts, refs, budgets,
         fac = np.fmin(grow[lines], np.fmax(FAC_MIN, fac))
         at_vertex = step == left[lines]
         h[lines] = np.minimum(h_max, step * fac)
+        stalled = ~ok & (h[lines] < h_min)
+        if stalled.any():
+            line = int(lines[np.argmax(stalled)])
+            raise TracingError(
+                f"family {family} line {line} at (u={p[line, 0]:.6g}, "
+                f"v={p[line, 1]:.6g}): step {h[line]:.3g} below the floor "
+                f"{h_min:.3g}; the error estimate does not fall with the "
+                f"step", uv=p[line].copy(), line=line)
         # The step after a rejection may not grow.
         grow[lines] = np.where(ok, FAC_MAX, 1.0)
         moved = lines[ok]
@@ -493,6 +511,10 @@ def trace_grid_from_field(field_fn, domain, spec: GridSpec) -> QuadGrid:
     # Trim to the maximal complete rectangle.
     keep_lo = min(map(len, lo))
     keep_hi = min(map(len, hi))
+    if len(seeds) < 2 or keep_lo + keep_hi < 1:
+        raise TracingError(
+            f"traced grid is {len(seeds)}x{keep_lo + keep_hi + 1} after "
+            f"trimming at the domain boundary; a grid needs at least 2x2")
     uv = np.empty((len(seeds), keep_lo + keep_hi + 1, 2))
     for i, seed in enumerate(seeds):
         uv[i] = lo[i][:keep_lo][::-1] + [seed] + hi[i][:keep_hi]

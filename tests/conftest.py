@@ -7,7 +7,7 @@ import pytest
 from hypothesis import settings
 
 from lnets import LNet, convex_paraboloid_patch
-from lnets.bspline import PrincipalFrame
+from lnets.bspline import PrincipalFrame, _jet_rows, _oriented_forms
 
 # Property tests draw the same examples on every run, with no time limit
 # per example, so the suite stays deterministic.
@@ -25,6 +25,19 @@ def patch():
 def steep_patch():
     """Patch with curvatures (2, 1) at the center; umbilic at x = +-0.5."""
     return convex_paraboloid_patch(alpha=2.0, beta=1.0)
+
+
+def normal_derivatives(jet):
+    """Oriented normal and its parameter derivatives ``(n, n_u, n_v)``.
+
+    The derivatives follow from the shape operator in the ``(f_u, f_v)``
+    basis: ``n_u = -(s11 f_u + s21 f_v)`` and ``n_v = -(s12 f_u + s22
+    f_v)``, relative to the oriented normal of ``oriented_normals``.
+    """
+    n, (s11, s12, s21, s22), _, _ = _oriented_forms(_jet_rows(jet))
+    n_u = -(s11[0] * jet.f_u + s21[0] * jet.f_v)
+    n_v = -(s12[0] * jet.f_u + s22[0] * jet.f_v)
+    return n[0], n_u, n_v
 
 
 def make_frame(kappa1, kappa2):

@@ -8,14 +8,13 @@ import pytest
 
 from lnets import (BSplineSurface, ConfigError, CurvatureSignError,
                    SurfaceJet2, UmbilicError, convex_paraboloid_patch,
-                   evaluate_jet, load_surface, normal_derivatives,
-                   oriented_normal, principal_frame, project_points,
-                   save_surface)
+                   evaluate_jet, load_surface, oriented_normal,
+                   principal_frame, project_points, save_surface)
 from lnets.bspline import (_SEED_BLOCK, _jet_rows, _seed_select,
                            evaluate_jets, oriented_normals,
                            surface_from_dict, surface_to_dict)
 
-from conftest import make_frame, mixed_patch
+from conftest import make_frame, mixed_patch, normal_derivatives
 
 
 def bilinear_patch():
@@ -327,6 +326,25 @@ def test_blocked_seed_select_equals_one_shot_argmin():
     xs[::3, 2] = 0.0
     d2 = ((pts[None, :, :] - xs[:, None, :]) ** 2).sum(axis=2)
     assert np.sum(d2 == d2.min(axis=1, keepdims=True), axis=1).max() == 4
+    assert np.array_equal(_seed_select(pts, xs), np.argmin(d2, axis=1))
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e6])
+def test_seed_select_equals_exact_argmin_at_ulp_near_ties(shift):
+    # Midpoints of neighbouring seeds of a jittered lattice, moved by at
+    # most one ulp per coordinate: their two nearest seeds tie or nearly tie.
+    rng = np.random.default_rng(11)
+    gx, gy = np.meshgrid(np.arange(24.0), np.arange(24.0), indexing="ij")
+    pts = np.stack([gx.ravel(), gy.ravel(), 0.1 * rng.standard_normal(576)],
+                   axis=1) + shift
+    n = 2 * _SEED_BLOCK + 37
+    a = rng.integers(0, 23, size=(n, 2)) @ np.array([24, 1])
+    b = a + np.where(rng.random(n) < 0.5, 1, 24)
+    xs = 0.5 * (pts[a] + pts[b])
+    xs = np.nextafter(xs, xs + rng.choice([-1.0, 0.0, 1.0], size=xs.shape))
+    d2 = ((pts[None, :, :] - xs[:, None, :]) ** 2).sum(axis=2)
+    gap = np.diff(np.sort(d2, axis=1)[:, :2], axis=1)
+    assert np.all(gap < 1e-9) and np.any(gap == 0.0)
     assert np.array_equal(_seed_select(pts, xs), np.argmin(d2, axis=1))
 
 

@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from lnets import (ConfigError, load_lnet, load_surface, save_lnet,
-                   save_surface)
+from lnets import (ConfigError, TracingError, cli, load_lnet, load_surface,
+                   save_lnet, save_surface)
 from lnets.cli import (LOG_COLUMNS, OBJ_BLOCK_ROWS, config_from_dict,
                        export_obj, load_config, main, report, run_pipeline)
 from lnets.tessellate import (LabeledMesh, TessellationParams, dedupe_mesh,
@@ -178,10 +178,23 @@ def test_pipeline_stage_error_removes_outputs(tmp_path, patch):
     path = base_config(tmp_path, patch,
                        grid={"rows": 6, "cols": 6, "edge_length": 50.0})
     cfg = load_config(path)
-    with pytest.raises(Exception, match="stage"):
+    with pytest.raises(TracingError, match=r"\[stage remesh\] .* 2x2"):
         run_pipeline(cfg)
     out = tmp_path / "out"
     assert not out.is_dir() or not list(out.iterdir())
+
+
+def test_pipeline_program_fault_propagates_and_removes_outputs(
+        tmp_path, patch, monkeypatch):
+    # The log is written after the net and the mesh.
+    def fault(*args):
+        raise RuntimeError("fault in the log writer")
+
+    monkeypatch.setattr(cli, "write_iteration_log", fault)
+    cfg = load_config(base_config(tmp_path, patch))
+    with pytest.raises(RuntimeError, match="^fault in the log writer$"):
+        run_pipeline(cfg)
+    assert not list((tmp_path / "out").iterdir())
 
 
 def quad_mesh():

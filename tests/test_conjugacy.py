@@ -9,11 +9,11 @@ from lnets import (ContactClass, CongruenceSpec, FlatError,
                    SingularRadiusError, classify_contact, classify_element,
                    dual_curvature, dual_curvature_record, evaluate_jet,
                    lconj_partner, lifted_form, lifted_form_from_first,
-                   midsphere_radius, normal_derivatives, ordinary_conjugate,
-                   principal_frame, pseudo_lconj_partner, special_angles)
+                   midsphere_radius, ordinary_conjugate, principal_frame,
+                   pseudo_lconj_partner, special_angles)
 from lnets.conjugacy import DualCurvature, pseudo_lconj_partners
 
-from conftest import make_frame, random_frame
+from conftest import make_frame, normal_derivatives, random_frame
 
 
 def direction_gap(a, b):
@@ -291,15 +291,15 @@ def test_congruence_spec_validation():
         CongruenceSpec("nope")
     fr = make_frame(2.0, 1.0)
     spec = CongruenceSpec("tau_min", tau=0.75)
-    assert spec.radius_at(fr) == pytest.approx(0.375)
+    assert spec.radii([fr.kappa1])[0] == pytest.approx(0.375)
     good = CongruenceSpec("explicit", value=0.3)
-    assert good.radius_at(fr) == 0.3
+    assert good.radii([fr.kappa1])[0] == 0.3
     with pytest.raises(SingularRadiusError):
-        CongruenceSpec("explicit", value=0.5).radius_at(fr)
+        CongruenceSpec("explicit", value=0.5).radii([fr.kappa1])
     with pytest.raises(SingularRadiusError):
-        CongruenceSpec("explicit", value=-1.0).radius_at(fr)
+        CongruenceSpec("explicit", value=-1.0).radii([fr.kappa1])
     field = CongruenceSpec("explicit", value=lambda u, v: 0.1 + 0.1 * u)
-    assert field.radius_at(fr, uv=(1.0, 0.0)) == pytest.approx(0.2)
+    assert field.radii([fr.kappa1], [(1.0, 0.0)])[0] == pytest.approx(0.2)
 
 
 def test_batched_radii_and_partners_name_first_offending_row():

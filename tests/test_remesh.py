@@ -389,6 +389,32 @@ def test_trace_through_umbilic_raises(steep_patch):
     assert np.max(np.abs(exc.uv - umbilic)) <= 1e-8
 
 
+def test_march_raises_when_the_step_falls_below_the_floor():
+    # The last stage of every attempt, at the candidate end point, returns
+    # a NaN direction, so every error estimate is NaN and every attempt is
+    # rejected. The call cap fails a march that shrinks its step forever.
+    inner = constant_field((1, 0), (0, 1))
+    calls = []
+
+    def nan_at_ends(uv):
+        calls.append(1)
+        if len(calls) > 1000:
+            raise RuntimeError("the march does not stop")
+        s = inner(uv)
+        if len(calls) % 6 == 1 and len(calls) > 1:
+            s.d1_uv[:] = np.nan
+        return s
+
+    start = [0.3, 0.4]
+    with pytest.raises(TracingError, match="family 0 line 0 .*floor") as info:
+        remesh._march(nan_at_ends, (0, 1, 0, 2), 0, [start], [[1.0, 0.0]],
+                      [3], 0.1, 0.1)
+    assert info.value.line == 0
+    assert np.array_equal(info.value.uv, start)
+    # 0.1 shrinks by 5x per attempt to below 1e-12 * sqrt(5) in 16 attempts.
+    assert len(calls) == 1 + 6 * 16
+
+
 def circle_field(center):
     """Unit field whose first family runs counterclockwise on circles
     about ``center`` and whose second family points away from it."""
