@@ -406,8 +406,6 @@ class ResidualSystem:
                 add(kind, rr, b[:, 3], 2, a[:, 3], b[:, 3])
         shape = (max((b.stop for b in slices.values()), default=0),
                  self.n_vars)
-        if not rows:
-            return None, shape, segments, slices
         return (csr_pattern(np.concatenate(rows), np.concatenate(cols),
                             shape), shape, segments, slices)
 
