@@ -2,6 +2,7 @@
 projection, the layers of one LM iteration and the export stages.
 
 Run: python benchmarks/bench_kernels.py --points 20000 --repeats 20
+(``--points 200 --repeats 1`` is a quick smoke run)
 
 Every timing is the median of ``--repeats`` runs (a fifth as many for the
 tracer, the projection, the LM layers and the export stages), after one
@@ -123,11 +124,11 @@ def exact_paraboloid_net(size, alpha=1.0, beta=0.4, d=0.25):
     return LNet(normals, intercepts + d, sol[..., :3], sol[..., 3] + d)
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--points", type=int, default=20000)
     parser.add_argument("--repeats", type=int, default=20)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     few = max(3, args.repeats // 5)
 
     surf = convex_paraboloid_patch()
@@ -185,21 +186,20 @@ def main():
             contacts.append(time.perf_counter() - t1)
         t_first = float(np.median(firsts)) * 1e3
         t_contact = float(np.median(contacts)) * 1e3
-        jac = system.jacobian(x)
-        layout = system.band_layout(jac)
-        eqs = layout.form(jac, system.residual(x))
+        eqs = system.normal_equations(system.jacobian(x), system.residual(x))
         t_solve = time_fn(lambda: solve_normal_equations(eqs, 1e-4), few)
         bands = []
         for weights in (Weights(), CONTACT_PASS):
             system.set_weights(weights)
-            lay = system.band_layout(system.jacobian(x))
+            lay = system.normal_equations(system.jacobian(x),
+                                          system.residual(x)).layout
             bands.append(f"bandwidth {lay.bw}, band "
                          f"{(lay.bw + 1) * lay.n * 8 / 2 ** 20:.1f} MB")
         print(f"lm {size}x{size}    : footpoints {t_foot:8.2f} ms "
               f"({n_foot} jet batches), residual "
               f"{t_res:8.2f} ms, jacobian first {t_first:8.2f} ms / fill "
               f"{t_jac:8.2f} ms, solve "
-              f"{t_solve:8.2f} ms  ({layout.n} vars; main {bands[0]}; "
+              f"{t_solve:8.2f} ms  ({eqs.layout.n} vars; main {bands[0]}; "
               f"contact {bands[1]})")
 
         pts = system.contact_points_of(x)

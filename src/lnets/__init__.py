@@ -24,7 +24,7 @@ from .lnet import (LNet, VerifyReport, contact_incidences, initialize,
                    load_lnet, save_lnet, strip_incidences,
                    tangential_distance, verify)
 from .optimize import (IterationRecord, ResidualSystem, Schedule, Weights,
-                       assemble, jacobian, lm_run)
+                       assemble, lm_run)
 from .remesh import (AngleField, FrameSample, GridSpec, QuadGrid, frame_at,
                      frame_field, theta_eval, trace_grid)
 from .tessellate import LabeledMesh, TessellationParams, tessellate

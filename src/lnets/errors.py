@@ -49,12 +49,8 @@ class FlatError(LnetsError):
 
 class TracingError(LnetsError):
     """Streamline tracing failed: near-parallel field directions, a step
-    below the tracer's floor, or a grid trimmed below 2x2."""
-
-    def __init__(self, message, uv=None, line=None):
-        super().__init__(message)
-        self.uv = uv
-        self.line = line
+    below the tracer's floor, a non-finite field direction, or a grid
+    trimmed below 2x2."""
 
 
 class ConfigError(LnetsError):

@@ -18,12 +18,14 @@ to first order, so ``w_reg`` is added to the diagonal of ``J^T J`` in
 both passes, and escalations add ``w_reg * 10^k`` on top of it.
 
 The fairness, proximity and tangency blocks are linear in ``P``, so
-their Jacobian rows are sums of ``coef * dP/dx``. The Jacobian's CSR
-pattern (:func:`csr_pattern`) is built once per active block set, and
-the lattice order of the free variables (:func:`lattice_order`) makes
-``J^T J`` banded. Each iteration solves the damped normal equations by
-banded Cholesky factorization; escalations reuse ``J^T J`` and only
-change the damping on its diagonal.
+their Jacobian rows are sums of ``coef * dP/dx``. The band order
+(:func:`lattice_order`) is fixed at assembly and makes ``J^T J`` banded.
+Each active block set has one :class:`LMPlan`: its Jacobian's CSR
+pattern, value segments and band layout. The contact pass's blocks lead
+:data:`BLOCK_ORDER`, so its plan slices the main pass's tables. Each
+iteration solves the damped normal equations by banded Cholesky
+factorization; escalations reuse ``J^T J`` and only change the damping
+on its diagonal.
 """
 
 from __future__ import annotations
@@ -71,14 +73,15 @@ class Weights:
 class Schedule:
     """Iteration counts and the fairness decay rule.
 
-    Fairness weights are multiplied by ``fairness_decay`` every
-    ``decay_every`` iterations; after the main iterations a contact-only
-    pass of ``final_pass_iters`` steps runs with only the contact and
-    unit-normal energies (still damped by ``w_reg``). Footpoints are
-    refreshed in the iterations whose proximity or tangency weight is
-    positive and once at the returned net. The main loop also stops early
-    when the relative total-energy change stays below ``converge_rtol``
-    for ``converge_patience`` consecutive iterations.
+    Fairness weights are multiplied by ``fairness_decay`` (in [0, 1])
+    every ``decay_every`` iterations; after the main iterations a
+    contact-only pass of ``final_pass_iters`` steps runs with only the
+    contact and unit-normal energies (still damped by ``w_reg``).
+    Footpoints are refreshed in the iterations whose proximity or
+    tangency weight is positive and once at the returned net. The main
+    loop also stops early when the relative total-energy change stays
+    below ``converge_rtol`` for ``converge_patience`` consecutive
+    iterations.
     """
 
     max_iters: int = 100
@@ -95,9 +98,10 @@ class Schedule:
             if (isinstance(n, bool) or not isinstance(n, (int, np.integer))
                     or n < low):
                 raise ValueError(f"{name}={n!r} must be an integer >= {low}")
-        for name in ("fairness_decay", "converge_rtol"):
-            if not getattr(self, name) >= 0.0:
-                raise ValueError(f"{name} must be nonnegative")
+        if not 0.0 <= self.fairness_decay <= 1.0:
+            raise ValueError("fairness_decay must be in [0, 1]")
+        if not self.converge_rtol >= 0.0:
+            raise ValueError("converge_rtol must be nonnegative")
 
 
 def pack(net: LNet) -> np.ndarray:
@@ -137,11 +141,13 @@ def unpack(x: np.ndarray, vertex_shape) -> LNet:
 class ResidualSystem:
     """Residual blocks and sparse Jacobian layout for one net shape.
 
-    Holds the static incidence index arrays, the current weights and the
-    frozen footpoint data of the proximity blocks.
+    Holds the static incidence index arrays, the current weights, the
+    frozen footpoint data of the proximity blocks, the band ``order`` of
+    the free variables and one :class:`LMPlan` per active block set.
     """
 
-    def __init__(self, net: LNet, surface: BSplineSurface, weights: Weights):
+    def __init__(self, net: LNet, surface: BSplineSurface, weights: Weights,
+                 fix_radii: bool = False):
         self.surface = surface
         self.weights = weights
         vr, vc = net.vertex_shape
@@ -165,12 +171,12 @@ class ResidualSystem:
         self.foot_uv = None
         self.foot_jets = None
         self.footpoint_fallbacks = 0
-        self._layout = None
-        self._layout_key = None
-        # Jacobian tables of the blocks weighted at assembly (built on the
-        # first analytic Jacobian), and the pattern of the active blocks.
-        self._tables = (self.active_blocks(), None)
-        self._jac = (None, None)
+        order = lattice_order(self.vertex_shape)
+        if fix_radii:
+            order = order[(order >= self.plane_base) | (order % 4 != 3)]
+        self.order = order
+        self._assembled = self.active_blocks()
+        self._plans = {}
         self._evaluated = (None, None, {})
         self.refresh_footpoints(self.x0)
 
@@ -321,35 +327,17 @@ class ResidualSystem:
         raw = {kind: float(res @ res) for kind, res in blocks.items()}
         return raw, self._weighted_total(raw), _max_abs(blocks["oc"])
 
-    def band_layout(self, jac: sp.csr_matrix,
-                    free: np.ndarray | None = None) -> BandLayout:
-        """Layout of the normal equations for the current active block set.
-
-        Built in :func:`lattice_order` from ``jac``, the analytic Jacobian,
-        on the first call for an active block set and ``free`` mask, and
-        reused while both stay the same.
-        """
-        key = (self.active_blocks(),
-               None if free is None else np.asarray(free, bool).tobytes())
-        if key != self._layout_key:
-            order = lattice_order(self.vertex_shape)
-            if free is not None:
-                order = order[np.asarray(free, bool)[order]]
-            self._layout = BandLayout(jac, order)
-            self._layout_key = key
-        return self._layout
-
     # -- Jacobian -----------------------------------------------------------
 
-    def _jac_tables(self, kinds):
-        """Pattern (:func:`csr_pattern`), shape and value segments of the
-        COO triplets (repeats add up) of the Jacobian rows of the blocks
-        ``kinds``, and their row ranges. The ``size`` triplets of
-        segment ``(kind, size, coef, gather, minus)`` are ``sqrt(w_kind) *
-        coef`` (times ``foot_n`` for ``tan``) times ``x[gather] - x[minus]``
-        where given. Fairness, proximity and tangency rows chain through the
-        entries of ``dP_k[comp] / dx``: 1 at ``c_f[comp]``, ``-n_v[comp]``
-        at ``r_f`` and ``-r_f`` at ``n_v[comp]``."""
+    def _jac_tables(self, kinds) -> LMPlan:
+        """Plan of the blocks ``kinds``: the pattern (:func:`csr_pattern`)
+        and value segments of the COO triplets (repeats add up) of their
+        Jacobian rows. The ``size`` triplets of segment ``(kind, size,
+        coef, gather, minus)`` are ``sqrt(w_kind) * coef`` (times ``foot_n``
+        for ``tan``) times ``x[gather] - x[minus]`` where given. Fairness,
+        proximity and tangency rows chain through the entries of ``dP_k[comp]
+        / dx``: 1 at ``c_f[comp]``, ``-n_v[comp]`` at ``r_f`` and ``-r_f``
+        at ``n_v[comp]``."""
         rows, cols, segments = [], [], []
 
         def add(kind, rr, cc, coef, gather=None, minus=None):
@@ -406,70 +394,46 @@ class ResidualSystem:
                 add(kind, rr, b[:, 3], 2, a[:, 3], b[:, 3])
         shape = (max((b.stop for b in slices.values()), default=0),
                  self.n_vars)
-        return (csr_pattern(np.concatenate(rows), np.concatenate(cols),
-                            shape), shape, segments, slices)
+        return LMPlan(csr_pattern(np.concatenate(rows), np.concatenate(cols),
+                                  shape), segments)
 
-    def _jac_pattern(self, kinds):
-        """``(pattern, shape, segments)`` of the blocks ``kinds``: the
-        system's tables restricted to their rows.
+    def _plan(self, kinds) -> LMPlan:
+        """The plan of the blocks ``kinds``, built on their first use.
 
-        The tables cover the blocks weighted at assembly and are built on
-        the first call; a call for a block outside them rebuilds them for
-        both sets. The restriction keeps each row's entries and each
-        block's triplets in order, so ``np.bincount`` sums every entry as
-        a fresh pattern of ``kinds`` would.
+        The blocks weighted at assembly own their Jacobian tables. A
+        shorter leading run of them, such as the contact pass's ``unit``
+        and ``oc``, holds the first rows of those tables, so its plan
+        slices them (:meth:`LMPlan.prefix`); any other set builds its own.
         """
-        if not kinds:
-            return None, (0, self.n_vars), []
-        built, tables = self._tables
-        if tables is None or not set(kinds) <= set(built):
-            built = tuple(k for k in BLOCK_ORDER if k in built or k in kinds)
-            tables = self._jac_tables(built)
-            self._tables = built, tables
-        pattern, shape, segments, slices = tables
-        if kinds == built:
-            return pattern, shape, segments
-        # Entry e of a kept block moves to e - shift[kind], shift being the
-        # entries of the dropped blocks before it.
-        indptr, indices, slot = pattern
-        ptr, idx, shift, kept = [indptr[:1]], [], {}, 0
-        for kind in kinds:
-            e0, e1 = indptr[slices[kind].start], indptr[slices[kind].stop]
-            shift[kind] = int(e0) - kept
-            ptr.append(indptr[slices[kind].start + 1:slices[kind].stop + 1]
-                       - shift[kind])
-            idx.append(indices[e0:e1])
-            kept += int(e1 - e0)
-        slots, kept_segments, at = [], [], 0
-        for seg in segments:
-            if seg[0] in shift:
-                slots.append(slot[at:at + seg[1]] - shift[seg[0]])
-                kept_segments.append(seg)
-            at += seg[1]
-        out = tuple(np.concatenate(a) for a in (ptr, idx, slots))
-        for a in out:
-            a.flags.writeable = False
-        return out, (out[0].size - 1, self.n_vars), kept_segments
+        plan = self._plans.get(kinds)
+        if plan is None:
+            main = self._assembled
+            if len(kinds) < len(main) and kinds == main[:len(kinds)]:
+                rows = max((b.stop for b in
+                            self.block_slices(kinds).values()), default=0)
+                plan = self._plan(main).prefix(rows, kinds)
+            elif kinds:
+                plan = self._jac_tables(kinds)
+            else:  # no block was weighted at assembly
+                empty = np.empty(0, np.int32)
+                plan = LMPlan((np.zeros(1, np.int32), empty, empty), [])
+            self._plans[kinds] = plan
+        return plan
 
     def jacobian(self, x: np.ndarray, mode: str = "analytic") -> sp.csr_matrix:
         """Sparse Jacobian of the scaled residual vector.
 
         ``analytic`` fills the shared, read-only pattern of the active
-        block set from its static tables (the proximity blocks treat their
-        footpoints as constants); ``finite_diff`` takes central
-        differences with step ``1e-6 * (1 + |x_i|)`` per variable.
+        block set's plan from its value segments (the proximity blocks
+        treat their footpoints as constants); ``finite_diff`` takes
+        central differences with step ``1e-6 * (1 + |x_i|)`` per variable.
         """
         if mode == "analytic":
-            active = self.active_blocks()
-            if self._jac[0] != active:
-                self._jac = active, self._jac_pattern(active)
-            pattern, shape, segments = self._jac[1]
-            if pattern is None:
-                return sp.csr_matrix((0, self.n_vars))
-            indptr, indices, slot = pattern
+            plan = self._plan(self.active_blocks())
+            indptr, indices, slot = plan.pattern
             vals = np.empty(slot.size)
             at = 0
-            for kind, size, coef, gather, minus in segments:
+            for kind, size, coef, gather, minus in plan.segments:
                 w = np.sqrt(self.weights.of(kind)) * (
                     coef * self.foot_n.ravel() if kind == "tan" else coef)
                 if gather is not None:
@@ -477,8 +441,12 @@ class ResidualSystem:
                              else x[gather] - x[minus])
                 vals[at:at + size] = w
                 at += size
-            data = np.bincount(slot, vals, indices.size)
-            return sp.csr_matrix((data, indices, indptr), shape=shape)
+            # Set after construction: the constructor copies a prefix plan's
+            # slices, as scipy prunes views of much larger arrays.
+            jac = sp.csr_matrix((indptr.size - 1, self.n_vars))
+            jac.data, jac.indices, jac.indptr = (
+                np.bincount(slot, vals, indices.size), indices, indptr)
+            return jac
         if mode != "finite_diff":
             raise ValueError(f"unknown jacobian mode {mode!r}")
         x = np.asarray(x, dtype=float)
@@ -486,6 +454,38 @@ class ResidualSystem:
         return sp.csr_matrix(np.column_stack([
             (self.residual(x + e) - self.residual(x - e)) / (2.0 * step)
             for step, e in zip(steps, np.diag(steps))]))
+
+    def normal_equations(self, jac: sp.csr_matrix,
+                         res: np.ndarray) -> NormalEquations:
+        """``J^T J`` and ``-J^T r`` of the active block set's Jacobian and
+        residual in its plan's band layout, which the set's first call
+        builds from ``jac`` in :attr:`order`."""
+        plan = self._plan(self.active_blocks())
+        if plan.layout is None:
+            plan.layout = BandLayout(jac, self.order)
+        return plan.layout.form(jac, res)
+
+
+@dataclass
+class LMPlan:
+    """Static LM structure of one active block set: the read-only CSR
+    ``pattern`` (:func:`csr_pattern`) and value ``segments``
+    (:meth:`ResidualSystem._jac_tables`) of its Jacobian, and the band
+    ``layout`` of its normal equations, built from its first Jacobian."""
+
+    pattern: tuple
+    segments: list
+    layout: BandLayout | None = None
+
+    def prefix(self, rows: int, kinds) -> LMPlan:
+        """The plan of the leading blocks ``kinds`` (the first ``rows``
+        rows): slices of this plan's tables. Their entries and triplets
+        come first, so no entry or slot moves."""
+        indptr, indices, slot = self.pattern
+        segments = [seg for seg in self.segments if seg[0] in kinds]
+        triplets = sum(seg[1] for seg in segments)
+        return LMPlan((indptr[:rows + 1], indices[:indptr[rows]],
+                       slot[:triplets]), segments)
 
 
 def csr_pattern(rows: np.ndarray, cols: np.ndarray, shape):
@@ -501,20 +501,15 @@ def csr_pattern(rows: np.ndarray, cols: np.ndarray, shape):
     return out
 
 
-def assemble(net: LNet, surface: BSplineSurface,
-             weights: Weights) -> ResidualSystem:
-    """Residual system for a net, with footpoints frozen at assembly."""
-    return ResidualSystem(net, surface, weights)
+def assemble(net: LNet, surface: BSplineSurface, weights: Weights,
+             fix_radii: bool = False) -> ResidualSystem:
+    """Residual system for a net, with footpoints frozen at assembly and
+    the radii left out of its band order under ``fix_radii``."""
+    return ResidualSystem(net, surface, weights, fix_radii)
 
 
 def _max_abs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
-
-
-def jacobian(system: ResidualSystem, x: np.ndarray | None = None,
-             mode: str = "analytic") -> sp.csr_matrix:
-    """Jacobian of an assembled system at ``x`` (default: assembly point)."""
-    return system.jacobian(system.x0 if x is None else x, mode)
 
 
 class BandLayout:
@@ -635,24 +630,20 @@ def _attempt_step(residual_fn, x: np.ndarray, res0: np.ndarray,
 
 def _run_phase(system: ResidualSystem, x: np.ndarray, weights: Weights,
                schedule: Schedule, n_iters: int, phase: str,
-               free: np.ndarray | None, records: list,
-               decay_fairness: bool) -> np.ndarray:
+               records: list) -> np.ndarray:
     flat_count = 0
     prev_total = None
     for it in range(1, n_iters + 1):
         t0 = time.perf_counter()
-        if decay_fairness:
-            factor = schedule.fairness_decay ** ((it - 1) // schedule.decay_every)
-            w_it = replace(weights, w_lfair=weights.w_lfair * factor,
-                           w_gfair=weights.w_gfair * factor)
-        else:
-            w_it = weights
+        factor = schedule.fairness_decay ** ((it - 1) // schedule.decay_every)
+        w_it = replace(weights, w_lfair=weights.w_lfair * factor,
+                       w_gfair=weights.w_gfair * factor)
         system.set_weights(w_it)
         if w_it.w_prox > 0.0 or w_it.w_tan > 0.0:
             system.refresh_footpoints(x)
         res0 = system.residual(x)
         jac_x = system.jacobian(x)
-        eqs = system.band_layout(jac_x, free).form(jac_x, res0)
+        eqs = system.normal_equations(jac_x, res0)
         del jac_x  # free it before the band is allocated
         x, escal = _attempt_step(system.residual, x, res0, eqs,
                                  weights.w_reg)
@@ -685,21 +676,16 @@ def lm_run(net: LNet, surface: BSplineSurface, weights: Weights = Weights(),
     """
     if weights.w_reg <= 0.0:
         raise ValueError("w_reg must be positive: it provides the damping")
-    system = assemble(net, surface, weights)
+    system = assemble(net, surface, weights, fix_radii)
     x = system.x0.copy()
-    free = None
-    if fix_radii:
-        free = np.ones(system.n_vars, dtype=bool)
-        free[4 * np.arange(system.n_faces) + 3] = False
-
     records: list[IterationRecord] = []
     x = _run_phase(system, x, weights, schedule, schedule.max_iters,
-                   "main", free, records, decay_fairness=True)
+                   "main", records)
     w_final = Weights(w_oc=weights.w_oc, w_unit=weights.w_unit,
                       w_reg=weights.w_reg, w_lfair=0.0, w_gfair=0.0,
                       w_prox=0.0, w_tan=0.0, w_td=0.0)
     x = _run_phase(system, x, w_final, schedule, schedule.final_pass_iters,
-                   "contact", free, records, decay_fairness=False)
+                   "contact", records)
     if records:
         # The last record reports E_prox and E_tan at the returned net.
         system.refresh_footpoints(x)

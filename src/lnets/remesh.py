@@ -51,10 +51,13 @@ does; with several offending lines the one reported may differ. Where
 the field jumps, as the principal directions do through an umbilic, the
 error estimate stays large until the step shrinks, so stage points
 crowd toward the jump; that is how a line through an umbilic meets the
-frame field's :class:`UmbilicError`. A line whose error estimate does not
-fall with the step (a NaN estimate, say) would shrink it without end; a
-rejection below ``MIN_STEP`` times the domain diagonal raises
-:class:`TracingError` instead. So does a grid trimmed below 2x2.
+frame field's :class:`UmbilicError`. A non-finite direction at a start
+or stage point, which would put the next stage point outside the domain
+box and end the line silently, raises :class:`TracingError` after the
+field-angle check. A line whose error estimate does not fall with the
+step (a NaN estimate, say, from a step's end point) would shrink it
+without end; a rejection below ``MIN_STEP`` times the domain diagonal
+raises :class:`TracingError` instead. So does a grid trimmed below 2x2.
 """
 
 from __future__ import annotations
@@ -327,12 +330,15 @@ def _evaluate(field_fn, q: np.ndarray, label: str, lines: np.ndarray):
 
 
 def _stage(field_fn, domain, family: int, lines: np.ndarray, q: np.ndarray,
-           ref: np.ndarray):
+           ref: np.ndarray, at_end: bool = False):
     """Sign-aligned unit-3D-speed directions at the stage points ``q``.
 
     Returns ``(keep, w)``: the rows of ``lines`` whose point lies in the
     domain box, and their directions of ``family``, aligned with the
     matching rows of ``ref``. Points outside the box are not evaluated.
+    A non-finite direction raises :class:`TracingError` unless the points
+    are a step's candidate end points (``at_end``), where it only makes
+    the error estimate NaN.
     """
     u0, u1, v0, v1 = domain
     keep = np.flatnonzero((u0 <= q[:, 0]) & (q[:, 0] <= u1)
@@ -346,15 +352,17 @@ def _stage(field_fn, domain, family: int, lines: np.ndarray, q: np.ndarray,
     n1 = np.sqrt(np.vecdot(d1, d1))
     n2 = np.sqrt(np.vecdot(d2, d2))
     cosang = np.abs(np.vecdot(d1, d2)) / (n1 * n2)
-    close = np.arccos(np.minimum(cosang, 1.0)) < MIN_FIELD_ANGLE
-    if close.any():
-        k = int(np.argmax(close))
-        line = int(lines[k])
-        raise TracingError(
-            f"family {family} line {line} at (u={q[k, 0]:.6g}, "
-            f"v={q[k, 1]:.6g}): field directions closer than 5 degrees",
-            uv=q[k].copy(), line=line)
     w = (s.d1_uv / n1[:, None]) if family == 0 else (s.d2_uv / n2[:, None])
+    for bad, what in ((np.arccos(np.minimum(cosang, 1.0)) < MIN_FIELD_ANGLE,
+                       "field directions closer than 5 degrees"),
+                      ((not at_end) & ~np.all(np.isfinite(w), axis=1),
+                       "non-finite field direction")):
+        if bad.any():
+            k = int(np.argmax(bad))
+            line = int(lines[k])
+            raise located(TracingError, f"family {family} line {line} at "
+                          f"(u={q[k, 0]:.6g}, v={q[k, 1]:.6g}): {what}",
+                          uv=q[k].copy(), line=line)
     return keep, np.where((np.vecdot(w, ref) < 0.0)[:, None], -w, w)
 
 
@@ -377,7 +385,8 @@ def _dp_attempt(field_fn, domain, family: int, lines: np.ndarray,
     ks = [k1]
     for row in DP_A:
         q = p0 + h * _combine(row, ks)
-        kept, k = _stage(field_fn, domain, family, lines, q, k1)
+        kept, k = _stage(field_fn, domain, family, lines, q, k1,
+                         at_end=row is DP_A[-1])
         if kept.size < lines.size:
             if kept.size == 0:
                 return kept, q[:0], k, np.empty(0)
@@ -439,11 +448,11 @@ def _march(field_fn, domain, family: int, starts, refs, budgets,
         stalled = ~ok & (h[lines] < h_min)
         if stalled.any():
             line = int(lines[np.argmax(stalled)])
-            raise TracingError(
-                f"family {family} line {line} at (u={p[line, 0]:.6g}, "
-                f"v={p[line, 1]:.6g}): step {h[line]:.3g} below the floor "
-                f"{h_min:.3g}; the error estimate does not fall with the "
-                f"step", uv=p[line].copy(), line=line)
+            raise located(
+                TracingError, f"family {family} line {line} at (u="
+                f"{p[line, 0]:.6g}, v={p[line, 1]:.6g}): step {h[line]:.3g} "
+                f"below the floor {h_min:.3g}; the error estimate does not "
+                f"fall with the step", uv=p[line].copy(), line=line)
         # The step after a rejection may not grow.
         grow[lines] = np.where(ok, FAC_MAX, 1.0)
         moved = lines[ok]

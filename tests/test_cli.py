@@ -62,9 +62,11 @@ def test_config_rejects_unknown_and_missing_fields(tmp_path, patch):
 
 
 def test_config_rejects_negative_fairness_decay(tmp_path, patch):
-    path = base_config(tmp_path, patch, schedule={"fairness_decay": -0.1})
-    with pytest.raises(ConfigError, match="schedule: fairness_decay"):
-        load_config(path)
+    # A decay above 1 would overflow the fairness weights during the run.
+    for bad in (-0.1, 1e200):
+        path = base_config(tmp_path, patch, schedule={"fairness_decay": bad})
+        with pytest.raises(ConfigError, match="schedule: fairness_decay"):
+            load_config(path)
 
 
 def test_config_rejects_mismatched_sample_counts(tmp_path, patch):

@@ -10,8 +10,8 @@ import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from lnets import (CongruenceSpec, CurvatureSignError, LNet, QuadGrid,
-                   Schedule, Weights, assemble, initialize, jacobian, kernels,
-                   lm_run, optimize, verify)
+                   Schedule, Weights, assemble, initialize, kernels, lm_run,
+                   optimize, verify)
 from lnets.lnet import face_pairs
 from lnets.optimize import (BandLayout, _attempt_step, lattice_order, pack,
                             solve_normal_equations, unpack)
@@ -284,7 +284,7 @@ def test_diagonal_damping_equals_the_damping_residual_block(patch, w_reg):
     counts = []
     for _ in range(5):
         res0, jac = system.residual(x), system.jacobian(x)
-        eqs = system.band_layout(jac).form(jac, res0)
+        eqs = system.normal_equations(jac, res0)
         x, escalations = _attempt_step(system.residual, x, res0, eqs, w_reg)
         want, want_escalations = _residual_block_damping_step(system, want,
                                                               w_reg)
@@ -304,9 +304,12 @@ def test_weights_reject_nonfinite_and_negative_values():
 
 
 def test_schedule_rejects_negative_fairness_decay():
-    with pytest.raises(ValueError, match="fairness_decay"):
-        Schedule(fairness_decay=-0.1)
+    # A decay above 1 grows the fairness weights until they overflow.
+    for bad in (-0.1, 1.0 + 1e-12, 1e200):
+        with pytest.raises(ValueError, match="fairness_decay"):
+            Schedule(fairness_decay=bad)
     Schedule(fairness_decay=0.0)
+    Schedule(fairness_decay=1.0)
 
 
 def test_fairness_weight_schedule(patch):
@@ -397,13 +400,6 @@ def test_weighted_energy_identity(patch):
     assert system.total_energy(x) == pytest.approx(total, rel=1e-12)
 
 
-def test_jacobian_module_level_wrapper(patch):
-    net = lattice_net(patch, 4, 4)
-    system = assemble(net, patch, Weights())
-    jac = jacobian(system)
-    assert jac.shape[1] == pack(net).size
-
-
 def _reference_step(jac, res, mu, free=None):
     """``(J^T J + mu I) d = -J^T r`` by sparse LU on the free columns."""
     cols = np.arange(jac.shape[1]) if free is None else np.flatnonzero(free)
@@ -418,7 +414,7 @@ def _reference_step(jac, res, mu, free=None):
 @pytest.mark.parametrize("mu", [0.0, 1e-4, 1e2])
 def test_banded_solve_matches_sparse_lu(patch, mu, fix_radii):
     net = lattice_net(patch, 6, 5)
-    system = assemble(net, patch, Weights(w_td=1e-3))
+    system = assemble(net, patch, Weights(w_td=1e-3), fix_radii=fix_radii)
     x = pack(net)
     free = None
     if fix_radii:
@@ -426,9 +422,9 @@ def test_banded_solve_matches_sparse_lu(patch, mu, fix_radii):
         free[4 * np.arange(system.n_faces) + 3] = False
     res = system.residual(x)
     jac = system.jacobian(x)
-    layout = system.band_layout(jac, free)
-    assert layout.bw < layout.n - 1
-    d = solve_normal_equations(layout.form(jac, res), mu)
+    eqs = system.normal_equations(jac, res)
+    assert eqs.layout.bw < eqs.layout.n - 1
+    d = solve_normal_equations(eqs, mu)
     want = _reference_step(jac, res, mu, free)
     assert np.linalg.norm(d - want) <= 1e-9 * np.linalg.norm(want)
     if fix_radii:
@@ -452,18 +448,18 @@ def _bandwidth(pattern):
                                        (60, 20)])
 def test_lattice_band_is_structural_and_no_wider_than_rcm(patch, rows, cols):
     net = lattice_net(patch, rows, cols)
-    system = assemble(net, patch, Weights())
     x = pack(net)
     fixed_radii = np.ones(x.size, dtype=bool)
-    fixed_radii[4 * np.arange(system.n_faces) + 3] = False
+    fixed_radii[4 * np.arange((rows - 1) * (cols - 1)) + 3] = False
     contact = Weights(w_lfair=0.0, w_gfair=0.0, w_prox=0.0, w_tan=0.0,
                       w_td=0.0)
-    for weights in (Weights(), contact):
-        system.set_weights(weights)
-        jac = system.jacobian(x)
-        for free, free_cols in ((None, np.arange(x.size)),
-                                (fixed_radii, np.flatnonzero(fixed_radii))):
-            layout = system.band_layout(jac, free)
+    for fix_radii, free_cols in ((False, np.arange(x.size)),
+                                 (True, np.flatnonzero(fixed_radii))):
+        system = assemble(net, patch, Weights(), fix_radii=fix_radii)
+        for weights in (Weights(), contact):
+            system.set_weights(weights)
+            jac = system.jacobian(x)
+            layout = system.normal_equations(jac, system.residual(x)).layout
             assert np.array_equal(np.sort(layout.order), free_cols)
             pattern = _normal_pattern(jac, layout.order)
             assert layout.bw == _bandwidth(pattern)
@@ -514,8 +510,32 @@ def test_jacobian_pattern_built_once_per_active_block_set(patch,
                                  fairness_decay=0.0, converge_rtol=0.0))
     assert len(records) == 18
     assert [r.w_lfair > 0 for r in records[9:11]] == [True, False]
-    # The main pass's tables serve every later block set.
+    # The set without fairness blocks is no prefix of the assembled one,
+    # so it builds its own tables; the contact pass slices the first.
+    assert len(builds) == 2
+    assert builds[1][0] < builds[0][0]
+
+
+def test_contact_pass_plan_slices_the_assembly_plan(patch, monkeypatch):
+    builds, systems = [], []
+    build, make = optimize.csr_pattern, optimize.assemble
+    monkeypatch.setattr(optimize, "csr_pattern",
+                        lambda *a: builds.append(1) or build(*a))
+    monkeypatch.setattr(optimize, "assemble",
+                        lambda *a: systems.append(make(*a)) or systems[-1])
+    _, records = lm_run(lattice_net(patch, 5, 4), patch, Weights(),
+                        Schedule(max_iters=12, final_pass_iters=3))
+    assert [r.phase for r in records] == ["main"] * 12 + ["contact"] * 3
     assert len(builds) == 1
+    (system,) = systems
+    assert list(system._plans) == [optimize.BLOCK_ORDER, ("unit", "oc")]
+    main, contact = system._plans.values()
+    assert contact.pattern[0].size == 1 + system.n_planes + system.oc_face.size
+    for part, whole in zip(contact.pattern, main.pattern):
+        assert np.shares_memory(part, whole)
+        assert np.array_equal(part, whole[:part.size])
+        assert not part.flags.writeable
+    assert main.layout.bw > contact.layout.bw
 
 
 def test_jacobian_after_block_set_switches_equals_fresh_system(patch,
@@ -531,9 +551,10 @@ def test_jacobian_after_block_set_switches_equals_fresh_system(patch,
     contact = Weights(w_lfair=0.0, w_gfair=0.0, w_prox=0.0, w_tan=0.0,
                       w_td=0.0)
     c = replace(contact, w_lfair=1e-3)
-    # b drops blocks from the middle of a's rows. Assembled with b, the
-    # system rebuilds its tables once, for b's blocks and c's.
-    for sequence, n_builds in (((a, b, contact, a), 1), ((b, c, b, c), 2)):
+    # b drops blocks from the middle of a's rows and c adds one to the
+    # contact blocks, so neither is a prefix of the assembled blocks and
+    # each builds its own tables; the contact blocks slice a's.
+    for sequence, n_builds in (((a, b, contact, a), 2), ((b, c, b, c), 2)):
         builds.clear()
         system = assemble(net, patch, sequence[0])
         got = []

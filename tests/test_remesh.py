@@ -459,3 +459,22 @@ def test_rejected_steps_leave_the_line_in_place():
     want = center + radius * np.stack([np.cos(angle), np.sin(angle)], 1)
     assert len(vertices) == budget
     assert np.max(np.abs(np.array(vertices) - want)) <= 1e-8
+
+
+def test_march_raises_at_a_non_finite_direction():
+    # Beyond u = 0.6 the field is NaN. Its NaN direction at the first stage
+    # point past 0.6 would put the next stage point nowhere, which the
+    # domain check used to take for the boundary, ending the line early.
+    inner = constant_field((1, 0), (0, 1))
+
+    def nan_beyond(uv):
+        s = inner(uv)
+        s.d1_uv[uv[:, 0] > 0.6] = np.nan
+        return s
+
+    with pytest.raises(TracingError, match="family 0 line 0 .*non-finite"
+                       ) as info:
+        remesh._march(nan_beyond, (0, 1, 0, 1), 0, [[0.3, 0.5]],
+                      [[1.0, 0.0]], [6], 0.1, 0.1)
+    assert info.value.line == 0
+    assert 0.6 < info.value.uv[0] <= 0.7 and info.value.uv[1] == 0.5
