@@ -8,10 +8,14 @@ A pipeline run writes four artifacts into the output directory: the
 serialized net (``lnet.json``), the tessellated mesh (``mesh.obj``), the
 per-iteration log (``iterations.csv``) and a run summary
 (``summary.json``). The net and mesh files are byte-identical across
-repeated runs of the same config; the log and summary carry timings.
+repeated runs of the same config; the log and summary carry timings. The
+four are written into a staging directory inside the output directory
+and renamed into place once all exist, so a failed run leaves the
+artifacts of an earlier run as they were.
 
 The mesh is merged once, by :func:`lnets.tessellate.dedupe_mesh`, between
-tessellation and export; :func:`export_obj` writes it as given.
+tessellation and export; :func:`export_obj` writes it as given, one
+group per run of a patch kind.
 """
 
 from __future__ import annotations
@@ -20,7 +24,9 @@ import argparse
 import json
 import os
 import reprlib
+import shutil
 import sys
+import tempfile
 from dataclasses import MISSING, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
@@ -36,9 +42,8 @@ from .lnet import (DEFAULT_TOL_OC, initialize, load_lnet,
                    save_lnet, verify)
 from .optimize import Schedule, Weights, lm_run
 from .remesh import ANGLE_FAMILIES, AngleField, GridSpec, trace_grid
-from .tessellate import (LABEL_CONICAL, LABEL_PLANAR, LABEL_SPHERICAL,
-                         LabeledMesh, TessellationParams, dedupe_mesh,
-                         tessellate)
+from .tessellate import (LABELS, LabeledMesh, TessellationParams,
+                         dedupe_mesh, tessellate)
 
 CONFIG_FORMAT_VERSION = 1
 LOG_FORMAT_VERSION = 1
@@ -124,8 +129,6 @@ def config_from_dict(data: dict, base_dir: Path | None = None) -> RunConfig:
     if "value" in theta:
         theta["theta_min"] = theta["theta_max"] = theta.pop("value")
     weights = _section(Weights, top.get("weights", {}), "weights")
-    if weights.w_reg == 0.0:
-        raise ConfigError("weights: w_reg must be positive (LM damping)")
     return RunConfig(
         surface_path=surface_path,
         radius=checked(CongruenceSpec, "radius", **radius),
@@ -157,17 +160,16 @@ def export_obj(mesh: LabeledMesh, path) -> None:
     vertices, drops degenerate triangles and orders the vertices; this
     function writes what it is given. All ``v`` lines come first, in mesh
     order and printed with 17 significant digits, followed by one ``g``
-    group per non-empty patch label (planar, conical, spherical) with its
-    1-based ``f`` lines in triangle order. Lines are formatted and
-    written in blocks of rows, so the whole text is never held in memory.
+    group per non-empty run of a patch kind (planar, conical, spherical)
+    with its 1-based ``f`` lines in triangle order. Lines are formatted
+    and written in blocks of rows, so the whole text is never held in
+    memory.
     """
-    labels = np.asarray(mesh.labels, dtype=str)
-    faces = mesh.triangles + 1
+    runs = np.split(mesh.triangles + 1, np.cumsum(mesh.counts)[:-1])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# lnets mesh format_version={OBJ_FORMAT_VERSION}\n")
         _write_rows(fh, "v %.17g %.17g %.17g\n", mesh.vertices)
-        for label in (LABEL_PLANAR, LABEL_CONICAL, LABEL_SPHERICAL):
-            group = faces[labels == label]
+        for label, group in zip(LABELS, runs):
             if group.size:
                 fh.write(f"g {label}\n")
                 _write_rows(fh, "f %d %d %d\n", group)
@@ -205,12 +207,11 @@ def write_iteration_log(path, records, cfg: RunConfig,
 def run_pipeline(cfg: RunConfig) -> dict:
     """Execute surface -> field -> grid -> net -> optimization -> export.
 
-    Returns the summary dictionary. Any exception removes the artifacts
-    written so far. An :class:`LnetsError` is re-raised as its own type and
-    an ``OSError`` as an ``LnetsError``, both prefixed with the stage name;
-    any other exception, a fault of the program, propagates unchanged.
+    Returns the summary dictionary; a failed run replaces no artifact. An
+    :class:`LnetsError` is re-raised as its own type and an ``OSError`` as
+    an ``LnetsError``, both prefixed with the stage name; any other
+    exception, a fault of the program, propagates unchanged.
     """
-    written = []
     stage = "load-surface"
     try:
         surface = load_surface(cfg.surface_path)
@@ -226,22 +227,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
         stage = "tessellate"
         mesh = dedupe_mesh(tessellate(net, cfg.tessellation))
         stage = "write"
-        out = cfg.output_dir
-        out.mkdir(parents=True, exist_ok=True)
         timestamp = datetime.now(timezone.utc).isoformat()
-
-        lnet_path = out / "lnet.json"
-        save_lnet(net, lnet_path)
-        written.append(lnet_path)
-
-        obj_path = out / "mesh.obj"
-        export_obj(mesh, obj_path)
-        written.append(obj_path)
-
-        csv_path = out / "iterations.csv"
-        write_iteration_log(csv_path, records, cfg, timestamp)
-        written.append(csv_path)
-
         # The last record is measured at the returned net. A run without
         # records returns the initialized net, which tessellate rejects.
         final_raw = records[-1].energies
@@ -264,17 +250,23 @@ def run_pipeline(cfg: RunConfig) -> dict:
             "is_lnet": report_v.is_lnet,
             "ms_per_iteration": ms_mean,
         }
-        summary_path = out / "summary.json"
-        summary_path.write_text(json.dumps(summary, indent=1),
-                                encoding="utf-8")
-        written.append(summary_path)
+        out = cfg.output_dir
+        out.mkdir(parents=True, exist_ok=True)
+        staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out))
+        try:
+            save_lnet(net, staging / "lnet.json")
+            export_obj(mesh, staging / "mesh.obj")
+            write_iteration_log(staging / "iterations.csv", records, cfg,
+                                timestamp)
+            (staging / "summary.json").write_text(
+                json.dumps(summary, indent=1), encoding="utf-8")
+            for name in ("lnet.json", "mesh.obj", "iterations.csv",
+                         "summary.json"):
+                os.replace(staging / name, out / name)
+        finally:
+            shutil.rmtree(staging, ignore_errors=True)
         return summary
     except Exception as exc:
-        for path in written:
-            try:
-                path.unlink()
-            except OSError:
-                pass
         if isinstance(exc, LnetsError):
             raise type(exc)(f"[stage {stage}] {exc}") from exc
         if isinstance(exc, OSError):

@@ -50,7 +50,7 @@ class FlatError(LnetsError):
 class TracingError(LnetsError):
     """Streamline tracing failed: near-parallel field directions, a step
     below the tracer's floor, a non-finite field direction, or a grid
-    trimmed below 2x2."""
+    trimmed below 2x2 or with a degenerate cell."""
 
 
 class ConfigError(LnetsError):

@@ -48,8 +48,8 @@ BLOCK_ORDER = ("unit", "oc", "lfair", "gfair", "prox", "tan", "td")
 @dataclass(frozen=True)
 class Weights:
     """Energy weights and the LM damping weight ``w_reg``, which is not an
-    energy: each step minimizes ``|r(x + d)|^2 + w_reg |d|^2``. The
-    defaults are the tuning the pipeline ships with."""
+    energy: each step minimizes ``|r(x + d)|^2 + w_reg |d|^2`` with
+    ``w_reg > 0``. The defaults are the tuning the pipeline ships with."""
 
     w_oc: float = 1.0
     w_lfair: float = 1e-3
@@ -64,6 +64,8 @@ class Weights:
         for name in self.__dataclass_fields__:
             if not 0.0 <= getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and nonnegative")
+        if self.w_reg == 0.0:
+            raise ValueError("w_reg must be positive: it provides the damping")
 
     def of(self, kind: str) -> float:
         return getattr(self, f"w_{kind}")
@@ -674,8 +676,6 @@ def lm_run(net: LNet, surface: BSplineSurface, weights: Weights = Weights(),
     is the faithful treatment of an exactly prescribed constant radius.
     Returns the refined net and the list of :class:`IterationRecord`.
     """
-    if weights.w_reg <= 0.0:
-        raise ValueError("w_reg must be positive: it provides the damping")
     system = assemble(net, surface, weights, fix_radii)
     x = system.x0.copy()
     records: list[IterationRecord] = []

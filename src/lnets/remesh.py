@@ -57,7 +57,8 @@ box and end the line silently, raises :class:`TracingError` after the
 field-angle check. A line whose error estimate does not fall with the
 step (a NaN estimate, say, from a step's end point) would shrink it
 without end; a rejection below ``MIN_STEP`` times the domain diagonal
-raises :class:`TracingError` instead. So does a grid trimmed below 2x2.
+raises :class:`TracingError` instead. So does a grid trimmed below 2x2,
+and a grid with a degenerate cell, which names the first such cell.
 """
 
 from __future__ import annotations
@@ -131,22 +132,6 @@ class AngleField:
     @classmethod
     def constant(cls, value: float) -> "AngleField":
         return cls("constant", value, value)
-
-    @classmethod
-    def linear_u(cls, theta_min: float, theta_max: float) -> "AngleField":
-        return cls("linear_u", theta_min, theta_max)
-
-    @classmethod
-    def linear_v(cls, theta_min: float, theta_max: float) -> "AngleField":
-        return cls("linear_v", theta_min, theta_max)
-
-    @classmethod
-    def cosine_u(cls, theta_min: float, theta_max: float) -> "AngleField":
-        return cls("cosine_u", theta_min, theta_max)
-
-    @classmethod
-    def cosine_v(cls, theta_min: float, theta_max: float) -> "AngleField":
-        return cls("cosine_v", theta_min, theta_max)
 
 
 def theta_eval(field: AngleField, u, v):
@@ -279,6 +264,19 @@ class GridSpec:
             raise ValueError("rk4_step must be positive")
 
 
+def _first_degenerate_cell(uv: np.ndarray):
+    """The first cell ``(i, j)`` of the grid ``uv``, row-major, whose area
+    is not above ``EPS_CELL`` times the mean cell area, or ``None``."""
+    # A quad's area is half the cross product of its diagonals.
+    a = uv[1:, 1:] - uv[:-1, :-1]
+    b = uv[:-1, 1:] - uv[1:, :-1]
+    area = 0.5 * np.abs(a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0])
+    bad = ~(area > EPS_CELL * np.mean(area))  # every cell if all are flat
+    if bad.any():
+        return tuple(int(k) for k in np.argwhere(bad)[0])
+    return None
+
+
 @dataclass(frozen=True)
 class QuadGrid:
     """Regular grid of parameter points with implied quad combinatorics."""
@@ -295,17 +293,7 @@ class QuadGrid:
         if (np.any(uv[..., 0] < u0) or np.any(uv[..., 0] > u1)
                 or np.any(uv[..., 1] < v0) or np.any(uv[..., 1] > v1)):
             raise ValueError("grid vertices outside the parameter domain")
-        d10 = uv[1:, :-1] - uv[:-1, :-1]
-        d01 = uv[:-1, 1:] - uv[:-1, :-1]
-        d11 = uv[1:, 1:] - uv[:-1, :-1]
-
-        def cross2(a, b):
-            return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
-
-        # Shoelace area of each cell, split along the (i,j)->(i+1,j+1) diagonal.
-        area = 0.5 * (cross2(d10, d11) + cross2(d11, d01))
-        mean = float(np.mean(np.abs(area)))
-        if mean == 0.0 or np.min(np.abs(area)) < EPS_CELL * mean:
+        if _first_degenerate_cell(uv) is not None:
             raise ValueError("grid contains degenerate cells")
 
     @property
@@ -527,6 +515,11 @@ def trace_grid_from_field(field_fn, domain, spec: GridSpec) -> QuadGrid:
     uv = np.empty((len(seeds), keep_lo + keep_hi + 1, 2))
     for i, seed in enumerate(seeds):
         uv[i] = lo[i][:keep_lo][::-1] + [seed] + hi[i][:keep_hi]
+    cell = _first_degenerate_cell(uv)
+    if cell is not None:
+        raise located(TracingError, f"traced grid cell {cell} at (u="
+                      f"{uv[cell][0]:.6g}, v={uv[cell][1]:.6g}) is degenerate",
+                      uv=uv[cell].copy())
     grid = QuadGrid(uv, tuple(domain))
     if grid.rows < spec.rows or grid.cols < spec.cols:
         logger.warning("traced grid trimmed at the domain boundary: "

@@ -15,7 +15,8 @@ fixed: planar quads of the interior vertices (row-major), then cone
 strips of the interior edges (axis 0, then axis 1, each row-major; the
 arc on the first face's sphere, then on the second's), then the
 spherical patches of the faces with nonzero radius (row-major, each a
-``count x count`` grid). The arcs take ``atan2`` and ``acos`` from
+``count x count`` grid), so each kind is one run of triangles, in the
+order of :data:`LABELS`. The arcs take ``atan2`` and ``acos`` from
 :mod:`math`, one call per arc end: numpy's versions can differ from them
 in the last bit, which would move the sampled vertices.
 """
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 
@@ -32,9 +32,8 @@ from .errors import LnetsError
 from .geometry import tangent_normal_circle
 from .lnet import DEFAULT_TOL_OC, LNet, contact_points, verify
 
-LABEL_PLANAR = "planar"
-LABEL_CONICAL = "conical"
-LABEL_SPHERICAL = "spherical"
+# The patch kinds, in the order of their runs of triangles.
+LABELS = ("planar", "conical", "spherical")
 
 
 @dataclass(frozen=True)
@@ -61,17 +60,22 @@ class TessellationParams:
 
 @dataclass
 class LabeledMesh:
-    """Triangle soup with a patch-kind label per triangle."""
+    """Triangle soup in one run per patch kind: ``counts[k]`` triangles
+    of kind ``LABELS[k]``, in that order."""
 
     vertices: np.ndarray
     triangles: np.ndarray
-    labels: list
+    counts: tuple
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=float).reshape(-1, 3)
         self.triangles = np.asarray(self.triangles, dtype=int).reshape(-1, 3)
-        if len(self.labels) != self.triangles.shape[0]:
-            raise ValueError("one label per triangle required")
+        self.counts = tuple(int(n) for n in self.counts)
+        if (len(self.counts) != len(LABELS) or min(self.counts) < 0
+                or sum(self.counts) != self.triangles.shape[0]):
+            raise ValueError(f"counts {self.counts}: need one nonnegative "
+                             f"triangle count per kind, summing to "
+                             f"{self.triangles.shape[0]}")
 
 
 def _slerp_arcs(n0: np.ndarray, n1: np.ndarray, count: int) -> np.ndarray:
@@ -242,19 +246,18 @@ def tessellate(net: LNet, params: TessellationParams = TessellationParams(),
     v00 = (k[:, None] * count + k[None, :]).ravel()
     v10 = v00 + count
     sphere_tpl = np.stack([v00, v10, v10 + 1, v00, v10 + 1, v00 + 1], axis=1)
-    patches = ((quads, np.array([0, 1, 2, 0, 2, 3]), LABEL_PLANAR),
-               (cones, strip_tpl, LABEL_CONICAL),
-               (spheres, sphere_tpl, LABEL_SPHERICAL))
-    triangles, labels, base = [], [], 0
-    for points, template, label in patches:
+    patches = ((quads, np.array([0, 1, 2, 0, 2, 3])), (cones, strip_tpl),
+               (spheres, sphere_tpl))
+    triangles, counts, base = [], [], 0
+    for points, template in patches:
         n_patches, size = points.shape[:2]
         template = template.reshape(-1, 3)
         offsets = base + size * np.arange(n_patches)
         triangles.append((offsets[:, None, None] + template).reshape(-1, 3))
-        labels += [label] * (n_patches * template.shape[0])
+        counts.append(n_patches * template.shape[0])
         base += n_patches * size
-    vertices = np.concatenate([p.reshape(-1, 3) for p, _, _ in patches])
-    return LabeledMesh(vertices, np.concatenate(triangles), labels)
+    vertices = np.concatenate([p.reshape(-1, 3) for p, _ in patches])
+    return LabeledMesh(vertices, np.concatenate(triangles), counts)
 
 
 def dedupe_mesh(mesh: LabeledMesh) -> LabeledMesh:
@@ -262,7 +265,7 @@ def dedupe_mesh(mesh: LabeledMesh) -> LabeledMesh:
 
     Vertices are keyed on the bit pattern of their coordinates, so
     ``-0.0`` and ``0.0`` stay distinct. A triangle with two corners on the
-    same key is dropped together with its label. The surviving vertices
+    same key is dropped from its kind's count. The surviving vertices
     are numbered by first appearance in the corner stream of the kept
     triangles, in triangle order; vertices that no kept triangle uses are
     dropped. This is the single vertex merge of the export path.
@@ -286,5 +289,6 @@ def dedupe_mesh(mesh: LabeledMesh) -> LabeledMesh:
     order = used[np.argsort(at)]
     number = np.empty(first.size, dtype=int)
     number[order] = np.arange(order.size)
-    labels = list(compress(mesh.labels, keep.tolist()))
-    return LabeledMesh(verts[first[order]], number[corners], labels)
+    counts = [np.count_nonzero(run)
+              for run in np.split(keep, np.cumsum(mesh.counts)[:-1])]
+    return LabeledMesh(verts[first[order]], number[corners], counts)

@@ -6,12 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from lnets import (ConfigError, TracingError, cli, load_lnet, load_surface,
-                   save_lnet, save_surface)
+from lnets import (ConfigError, LnetsError, TracingError, cli, load_lnet,
+                   load_surface, save_lnet, save_surface)
 from lnets.cli import (LOG_COLUMNS, OBJ_BLOCK_ROWS, config_from_dict,
                        export_obj, load_config, main, report, run_pipeline)
-from lnets.tessellate import (LabeledMesh, TessellationParams, dedupe_mesh,
-                              tessellate)
+from lnets.tessellate import (LABELS, LabeledMesh, TessellationParams,
+                              dedupe_mesh, tessellate)
 
 from conftest import solved_sphere_net, translational_offset_net
 
@@ -199,11 +199,31 @@ def test_pipeline_program_fault_propagates_and_removes_outputs(
     assert not list((tmp_path / "out").iterdir())
 
 
+def test_failed_rerun_leaves_the_previous_artifacts(tmp_path, patch,
+                                                    monkeypatch):
+    path = base_config(tmp_path, patch,
+                       grid={"rows": 5, "cols": 5, "edge_length": 0.2},
+                       schedule={"max_iters": 20, "final_pass_iters": 5})
+    run_pipeline(load_config(path))
+    out = tmp_path / "out"
+    names = ["iterations.csv", "lnet.json", "mesh.obj", "summary.json"]
+    before = {name: (out / name).read_bytes() for name in names}
+
+    def fault(*args):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "write_iteration_log", fault)
+    with pytest.raises(LnetsError, match=r"^\[stage write\] disk full$"):
+        run_pipeline(load_config(path))
+    assert sorted(p.name for p in out.iterdir()) == names
+    assert {name: (out / name).read_bytes() for name in names} == before
+
+
 def quad_mesh():
     verts = np.array([[0., 0., 0.], [1., 0., 0.], [1., 1., 0.],
                       [0., 1., 0.]])
     tris = np.array([[0, 1, 2], [0, 2, 3]])
-    return LabeledMesh(verts, tris, ["planar", "planar"])
+    return LabeledMesh(verts, tris, (2, 0, 0))
 
 
 def test_export_obj_single_quad(tmp_path):
@@ -223,12 +243,22 @@ def test_export_obj_dedupes_shared_vertices(tmp_path):
     verts = np.array([[0., 0., 0.], [1., 0., 0.], [0., 1., 0.],
                       [1., 0., 0.], [0., 1., 0.], [1., 1., 0.]])
     tris = np.array([[0, 1, 2], [3, 5, 4]])
-    mesh = LabeledMesh(verts, tris, ["planar", "conical"])
+    mesh = LabeledMesh(verts, tris, (1, 1, 0))
     path = tmp_path / "two.obj"
     export_obj(dedupe_mesh(mesh), path)
     v_lines = [l for l in path.read_text().splitlines()
                if l.startswith("v ")]
     assert len(v_lines) == 4  # shared pair emitted once
+
+
+def test_export_obj_writes_each_nonempty_run_as_a_group(tmp_path):
+    verts = np.eye(3)
+    tris = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+    path = tmp_path / "runs.obj"
+    export_obj(LabeledMesh(verts, tris, (2, 0, 1)), path)
+    lines = path.read_text().splitlines()
+    assert lines[4:] == ["g planar", "f 1 2 3", "f 2 3 1", "g spherical",
+                         "f 3 1 2"]
 
 
 def reference_obj_text(mesh):
@@ -244,7 +274,8 @@ def reference_obj_text(mesh):
         remap[k] = index[key]
     tris = remap[mesh.triangles]
     keep = [t[0] != t[1] and t[1] != t[2] and t[0] != t[2] for t in tris]
-    labels = [lab for lab, k in zip(mesh.labels, keep) if k]
+    labels = [lab for lab, k in zip(np.repeat(LABELS, mesh.counts), keep)
+              if k]
     tris = tris[np.asarray(keep, dtype=bool)]
 
     index, verts = {}, []
@@ -291,7 +322,7 @@ def joined_obj_text(mesh):
     lines = ["# lnets mesh format_version=1"]
     lines += [f"v {x:.17g} {y:.17g} {z:.17g}"
               for x, y, z in mesh.vertices.tolist()]
-    labels = np.asarray(mesh.labels, dtype=str)
+    labels = np.repeat(LABELS, mesh.counts)
     faces = mesh.triangles + 1
     for label in ("planar", "conical", "spherical"):
         group = faces[labels == label].tolist()
@@ -310,10 +341,10 @@ def test_export_obj_streams_blocks_as_the_joined_text(tmp_path):
                  [1.0 / 3.0, 2.0 ** 60, -7.0], [0.1, 0.2, 0.3],
                  [-1e22, 5e-324, 123456789.0]]
     tris = rng.integers(0, n, size=(2 * n + 11, 3))
-    # Interleaved labels; the conical group alone spans more than a block.
-    labels = rng.choice(["planar", "conical", "conical", "spherical"],
-                        size=tris.shape[0]).tolist()
-    mesh = LabeledMesh(verts, tris, labels)
+    # Three runs; the conical one alone spans more than two blocks.
+    conical = 2 * OBJ_BLOCK_ROWS + 501
+    mesh = LabeledMesh(verts, tris, (7001, conical,
+                                     tris.shape[0] - 7001 - conical))
     path = tmp_path / "big.obj"
     export_obj(mesh, path)
     assert path.read_text(encoding="utf-8") == joined_obj_text(mesh)
@@ -322,7 +353,7 @@ def test_export_obj_streams_blocks_as_the_joined_text(tmp_path):
 def test_export_obj_empty_mesh(tmp_path):
     path = tmp_path / "empty.obj"
     export_obj(LabeledMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=int),
-                           []), path)
+                           (0, 0, 0)), path)
     lines = path.read_text().splitlines()
     assert len(lines) == 1 and lines[0].startswith("#")
 

@@ -149,6 +149,7 @@ CLI_CASES = [
     ("run", CONFIG, ("format_version",), True),
     ("run", CONFIG, ("seed",), 1.5),
     ("run", CONFIG, ("grid", "edge_length"), 10 ** 400),
+    ("run", CONFIG, ("grid", "edge_length"), 1e-16),
     ("run", CONFIG, ("theta", "family"), "spiral"),
     ("run", SURFACE, ("degree_u",), 2.7),
     ("run", SURFACE, ("control_points", 1, 1, 2), math.nan),

@@ -299,8 +299,8 @@ def test_weights_reject_nonfinite_and_negative_values():
     for bad in (math.nan, math.inf, -1e-3):
         with pytest.raises(ValueError, match="w_lfair"):
             Weights(w_lfair=bad)
-    # A system without damping can still be assembled; lm_run rejects it.
-    assert Weights(w_reg=0.0).w_reg == 0.0
+    with pytest.raises(ValueError, match="w_reg"):
+        Weights(w_reg=0.0)
 
 
 def test_schedule_rejects_negative_fairness_decay():

@@ -19,19 +19,19 @@ from conftest import mixed_patch
 def test_theta_eval_families():
     assert theta_eval(AngleField.constant(math.pi / 4), 0.3, 0.9) \
         == math.pi / 4
-    lin = AngleField.linear_u(0.0, math.pi / 3)
+    lin = AngleField("linear_u", 0.0, math.pi / 3)
     assert theta_eval(lin, 0.5, 0.0) == pytest.approx(math.pi / 6)
-    assert theta_eval(AngleField.linear_v(0.0, math.pi / 3), 0.0, 1.0) \
+    assert theta_eval(AngleField("linear_v", 0.0, math.pi / 3), 0.0, 1.0) \
         == pytest.approx(math.pi / 3)
-    cos = AngleField.cosine_u(0.0, math.pi / 2)
+    cos = AngleField("cosine_u", 0.0, math.pi / 2)
     assert theta_eval(cos, 0.0, 0.0) == pytest.approx(math.pi / 2)
     assert theta_eval(cos, 0.25, 0.0) == pytest.approx(math.pi / 4)
     assert theta_eval(cos, 0.5, 0.0) == pytest.approx(0.0, abs=1e-16)
 
 
 def test_theta_cosine_is_exactly_periodic():
-    cos_u = AngleField.cosine_u(0.1, 1.3)
-    cos_v = AngleField.cosine_v(0.1, 1.3)
+    cos_u = AngleField("cosine_u", 0.1, 1.3)
+    cos_v = AngleField("cosine_v", 0.1, 1.3)
     # Dyadic samples: u + 1 is exactly representable.
     for k in range(64):
         u = k / 64.0
@@ -43,7 +43,7 @@ def test_angle_field_validation():
     with pytest.raises(ValueError):
         AngleField.constant(2.0)
     with pytest.raises(ValueError):
-        AngleField.linear_u(-0.1, 1.0)
+        AngleField("linear_u", -0.1, 1.0)
     with pytest.raises(ValueError):
         AngleField("spline_u", 0.0, 1.0)
 
@@ -73,9 +73,9 @@ def test_frame_at_umbilic_reports_location(steep_patch):
 
 
 @pytest.mark.parametrize("field", [
-    AngleField.constant(0.6), AngleField.linear_u(0.1, 1.2),
-    AngleField.linear_v(0.2, 1.4), AngleField.cosine_u(0.0, 1.1),
-    AngleField.cosine_v(0.3, 1.5)], ids=lambda f: f.family)
+    AngleField.constant(0.6), AngleField("linear_u", 0.1, 1.2),
+    AngleField("linear_v", 0.2, 1.4), AngleField("cosine_u", 0.0, 1.1),
+    AngleField("cosine_v", 0.3, 1.5)], ids=lambda f: f.family)
 @pytest.mark.parametrize("spec", [
     CongruenceSpec("tau_min", tau=0.7),
     CongruenceSpec("explicit", value=0.3),
@@ -267,6 +267,17 @@ def test_quad_grid_rejects_degenerate_cells():
     uv[1, 1] = (1, 0)
     with pytest.raises(ValueError):
         QuadGrid(uv, (0, 1, 0, 1))
+
+
+@pytest.mark.parametrize("edge_length", [1e-16, 1e-300])
+def test_trace_names_the_first_degenerate_cell(patch, edge_length):
+    # Steps too short to move the points off 0.5 collapse the cells.
+    with pytest.raises(TracingError, match=r"cell \(0, \d\) at \(u=0.5, "
+                       r"v=0.5\) is degenerate") as info:
+        trace_grid(patch, ACCEPTANCE_SPEC, AngleField.constant(math.pi / 4),
+                   GridSpec(4, 4, edge_length))
+    assert np.max(np.abs(info.value.uv - 0.5)) <= 1e-15
+    assert info.value.line is None
 
 
 # -- fixed-step RK4 reference tracer -----------------------------------------

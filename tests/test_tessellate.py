@@ -6,12 +6,17 @@ from collections import Counter, defaultdict
 import numpy as np
 import pytest
 
-from lnets import LnetsError, TessellationParams, tessellate
-from lnets.lnet import contact_points
-from lnets.tessellate import (LABEL_CONICAL, LABEL_PLANAR, LABEL_SPHERICAL,
-                              LabeledMesh, dedupe_mesh)
+from hypothesis import given
+from hypothesis import strategies as st
+
+from lnets import (LnetsError, TessellationParams, convex_paraboloid_patch,
+                   tessellate)
+from lnets.lnet import contact_points, verify
+from lnets.tessellate import LABELS, LabeledMesh, dedupe_mesh
 
 from conftest import solved_sphere_net, translational_offset_net
+
+LABEL_PLANAR, LABEL_CONICAL, LABEL_SPHERICAL = LABELS
 
 
 def edge_counts(mesh):
@@ -20,6 +25,35 @@ def edge_counts(mesh):
         for a, b in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
             cnt[(min(a, b), max(a, b))] += 1
     return cnt
+
+
+def triangle_labels(mesh):
+    """The patch kind of every triangle, expanded from the runs."""
+    return np.repeat(LABELS, mesh.counts)
+
+
+def kind_counts(net, count):
+    """Closed-form triangle counts per kind of a net without point
+    spheres."""
+    fr, fc = net.face_shape
+    vr, vc = net.vertex_shape
+    n_edges = (fr - 1) * fc + fr * (fc - 1)
+    return ((vr - 2) * (vc - 2) * 2, n_edges * 2 * (count - 1),
+            fr * fc * 2 * (count - 1) ** 2)
+
+
+def assert_watertight(mesh):
+    """Every edge is used once or twice, some twice, and the boundary
+    edges (used once) form closed loops: every vertex on the rim is met
+    by exactly two rim edges."""
+    cnt = edge_counts(mesh)
+    assert max(cnt.values()) == 2
+    rim_deg = Counter()
+    for (a, b), c in cnt.items():
+        if c == 1:
+            rim_deg[a] += 1
+            rim_deg[b] += 1
+    assert rim_deg and all(d == 2 for d in rim_deg.values())
 
 
 def test_params_validation():
@@ -43,23 +77,24 @@ def test_patch_triangle_counts(patch):
     net = solved_sphere_net(patch, 4, 4)
     count = 8
     mesh = tessellate(net, TessellationParams(count, count))
-    labels = np.asarray(mesh.labels)
-    fr, fc = net.face_shape
-    vr, vc = net.vertex_shape
-    n_planar = (vr - 2) * (vc - 2) * 2
-    n_edges = (fr - 1) * fc + fr * (fc - 1)
-    n_conical = n_edges * 2 * (count - 1)
-    n_spherical = fr * fc * 2 * (count - 1) ** 2
-    assert int(np.sum(labels == LABEL_PLANAR)) == n_planar
-    assert int(np.sum(labels == LABEL_CONICAL)) == n_conical
-    assert int(np.sum(labels == LABEL_SPHERICAL)) == n_spherical
+    # 2x2 interior vertices, 12 interior edges, 9 faces.
+    assert mesh.counts == kind_counts(net, count) == (8, 168, 882)
+
+
+def test_labeled_mesh_rejects_counts_that_do_not_cover_the_triangles():
+    verts = np.zeros((3, 3))
+    tris = np.array([[0, 1, 2]] * 3)
+    assert LabeledMesh(verts, tris, (1, np.int64(0), 2)).counts == (1, 0, 2)
+    for counts in ((3,), (1, 1, 1, 0), (4, -1, 0), (1, 1, 0), (2, 1, 1)):
+        with pytest.raises(ValueError, match="one nonnegative triangle"):
+            LabeledMesh(verts, tris, counts)
 
 
 def test_shared_boundary_samples_are_bit_identical(patch):
     net = solved_sphere_net(patch, 4, 5)
     mesh = tessellate(net)
     seen = defaultdict(set)
-    for tri, label in zip(mesh.triangles, mesh.labels):
+    for tri, label in zip(mesh.triangles, triangle_labels(mesh)):
         for vid in tri:
             seen[mesh.vertices[vid].tobytes()].add(label)
     shared = [labels for labels in seen.values() if len(labels) > 1]
@@ -71,28 +106,32 @@ def test_shared_boundary_samples_are_bit_identical(patch):
 
 def test_watertight_after_exact_dedupe(patch):
     net = solved_sphere_net(patch, 5, 4)
-    mesh = dedupe_mesh(tessellate(net))
-    cnt = edge_counts(mesh)
-    assert max(cnt.values()) == 2
-    # Boundary edges (count 1) must form closed loops: every vertex on
-    # the rim is met by exactly two rim edges.
-    rim_deg = Counter()
-    for (a, b), c in cnt.items():
-        if c == 1:
-            rim_deg[a] += 1
-            rim_deg[b] += 1
-    assert rim_deg and all(d == 2 for d in rim_deg.values())
+    assert_watertight(dedupe_mesh(tessellate(net)))
+
+
+@given(alpha=st.floats(0.5, 2.0), beta=st.floats(0.1, 0.45),
+       rows=st.integers(4, 7), cols=st.integers(4, 7),
+       d=st.floats(0.05, 0.5), count=st.integers(2, 6))
+def test_tessellation_of_exact_nets_is_watertight(alpha, beta, rows, cols, d,
+                                                   count):
+    # Nets of 3-6 x 3-6 faces on paraboloids with distinct curvatures.
+    net = solved_sphere_net(convex_paraboloid_patch(alpha, beta), rows, cols,
+                            d=d)
+    assert verify(net).is_lnet
+    mesh = dedupe_mesh(tessellate(net, TessellationParams(count, count)))
+    assert_watertight(mesh)
+    assert mesh.counts == kind_counts(net, count)
 
 
 def test_dedupe_numbers_vertices_by_first_appearance():
     a, b, c, d = [0., 0., 0.], [1., 0., 0.], [1., 1., 0.], [0., 1., 0.]
     mesh = LabeledMesh(np.array([a, b, c, d, c, d]),
                        np.array([[3, 2, 1], [0, 1, 4], [5, 0, 1]]),
-                       [LABEL_PLANAR, LABEL_CONICAL, LABEL_SPHERICAL])
+                       (1, 1, 1))
     out = dedupe_mesh(mesh)
     assert np.array_equal(out.vertices, np.array([d, c, b, a]))
     assert out.triangles.tolist() == [[0, 1, 2], [3, 2, 1], [0, 3, 2]]
-    assert out.labels == mesh.labels
+    assert out.counts == (1, 1, 1)
 
 
 def test_dedupe_drops_degenerate_triangle_label_and_orphan_vertex():
@@ -101,18 +140,17 @@ def test_dedupe_drops_degenerate_triangle_label_and_orphan_vertex():
     # The second triangle has corners 0 and 3 on one vertex; vertex 4 is
     # used by no other triangle.
     mesh = LabeledMesh(verts, np.array([[0, 1, 2], [3, 4, 0], [1, 3, 2]]),
-                       [LABEL_PLANAR, LABEL_CONICAL, LABEL_SPHERICAL])
+                       (1, 1, 1))
     out = dedupe_mesh(mesh)
     assert np.array_equal(out.vertices, verts[:3])
     assert out.triangles.tolist() == [[0, 1, 2], [1, 0, 2]]
-    assert out.labels == [LABEL_PLANAR, LABEL_SPHERICAL]
+    assert out.counts == (1, 0, 1)
 
 
 def test_dedupe_keeps_signed_zeros_apart():
     verts = np.array([[0., 0., 0.], [-0., 0., 0.], [1., 0., 0.],
                       [0., 1., 0.]])
-    mesh = LabeledMesh(verts, np.array([[0, 1, 2], [1, 2, 3]]),
-                       [LABEL_PLANAR, LABEL_PLANAR])
+    mesh = LabeledMesh(verts, np.array([[0, 1, 2], [1, 2, 3]]), (2, 0, 0))
     out = dedupe_mesh(mesh)
     assert out.vertices.shape == (4, 3)
     assert np.signbit(out.vertices[:, 0]).tolist() == [False, True, False,
@@ -132,7 +170,7 @@ def test_point_sphere_net_tessellates_without_nonmanifold_edges():
     # triangles are dropped by the deduplicator.
     net = translational_offset_net(4, 4, d=0.0)
     mesh = dedupe_mesh(tessellate(net))
-    assert np.sum(np.asarray(mesh.labels) == LABEL_SPHERICAL) == 0
+    assert mesh.counts[2] == 0
     cnt = edge_counts(mesh)
     assert max(cnt.values()) <= 2
 
@@ -142,7 +180,7 @@ def test_strip_boundary_rulings_match_planar_quads(patch):
     mesh = tessellate(net)
     planar = set()
     conical = set()
-    for tri, label in zip(mesh.triangles, mesh.labels):
+    for tri, label in zip(mesh.triangles, triangle_labels(mesh)):
         for vid in tri:
             key = mesh.vertices[vid].tobytes()
             if label == LABEL_PLANAR:
@@ -312,4 +350,4 @@ def test_tessellate_equals_loop_reference(patch, case, count):
     vertices, triangles, labels = reference_tessellate(net, count)
     assert np.array_equal(mesh.vertices, vertices)
     assert np.array_equal(mesh.triangles, triangles)
-    assert mesh.labels == labels
+    assert triangle_labels(mesh).tolist() == labels
