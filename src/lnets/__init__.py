@@ -7,22 +7,15 @@ from .bspline import (BSplineSurface, PrincipalFrame, PrincipalFrames,
                       oriented_normals, principal_frame, principal_frames,
                       project_points, save_surface)
 from .conjugacy import (ContactClass, CongruenceSpec, DualCurvature,
-                        LiftedFormCoeffs, SpecialAngles, classify_contact,
-                        classify_element, dual_curvature,
-                        dual_curvature_record, lconj_partner, lifted_form,
-                        lifted_form_from_first, midsphere_radius,
-                        ordinary_conjugate, pseudo_lconj_partner,
+                        SpecialAngles, classify_contact,
+                        dual_curvature_record, lconj_partner,
+                        midsphere_radius, pseudo_lconj_partner,
                         pseudo_lconj_partners, special_angles)
 from .errors import (AdmissibilityError, ConfigError, CurvatureSignError,
                      FlatError, LnetsError, SingularRadiusError,
                      TracingError, UmbilicError)
-from .geometry import (IsotropicHyperplane, LineClass, MinkowskiPoint,
-                       OrPlane, OrSphere, SphereFamily, classify_direction,
-                       common_tangent_normals, cone_vertex, contact_residual,
-                       lift, minkowski_inner, offset)
 from .lnet import (LNet, VerifyReport, contact_incidences, initialize,
-                   load_lnet, save_lnet, strip_incidences,
-                   tangential_distance, verify)
+                   load_lnet, save_lnet, strip_incidences, verify)
 from .optimize import (IterationRecord, ResidualSystem, Schedule, Weights,
                        assemble, lm_run)
 from .remesh import (AngleField, FrameSample, GridSpec, QuadGrid, frame_at,

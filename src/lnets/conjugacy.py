@@ -98,15 +98,6 @@ class CongruenceSpec:
 
 
 @dataclass(frozen=True)
-class LiftedFormCoeffs:
-    """Second-form coefficients of the lifted congruence surface."""
-
-    L_P: float
-    M_P: float
-    N_P: float
-
-
-@dataclass(frozen=True)
 class DualCurvature:
     """Dual curvature radii relative to the congruence and their product."""
 
@@ -127,28 +118,6 @@ class SpecialAngles:
 
     asymptotic: float | None
     characteristic: float | None
-
-
-def lifted_form(frame, r: float) -> LiftedFormCoeffs:
-    """Lifted second-form coefficients in a principal parameterization.
-
-    ``(kappa1 - r kappa1^2, 0, kappa2 - r kappa2^2)``; the mixed
-    coefficient vanishes identically in principal coordinates.
-    """
-    k1, k2 = frame.kappa1, frame.kappa2
-    return LiftedFormCoeffs(k1 - r * k1 * k1, 0.0, k2 - r * k2 * k2)
-
-
-def lifted_form_from_first(s_u, s_v, n_u, n_v) -> LiftedFormCoeffs:
-    """Lifted second-form coefficients from first derivatives of the lifted
-    surface and its isotropic normal field.
-
-    Uses the identities ``<<S_uu, N>> = -<<S_u, N_u>>`` (and mixed /
-    second variants), valid because ``N`` is normal to the tangent plane.
-    """
-    from .geometry import minkowski_inner as mi
-
-    return LiftedFormCoeffs(-mi(s_u, n_u), -mi(s_u, n_v), -mi(s_v, n_v))
 
 
 def first_positive(x: np.ndarray) -> np.ndarray:
@@ -194,11 +163,6 @@ def _partners(coef1, coef2, a, scale) -> np.ndarray:
     return b
 
 
-def _partner(coef1: float, coef2: float, a, scale: float) -> np.ndarray:
-    """One-direction :func:`_partners`."""
-    return _partners([coef1], [coef2], np.reshape(a, (1, -1)), scale)[0]
-
-
 def lconj_partner(frame, r: float, a) -> np.ndarray:
     """Direction conjugate to ``a`` relative to the congruence of radius
     ``r``, in principal coordinates.
@@ -208,7 +172,8 @@ def lconj_partner(frame, r: float, a) -> np.ndarray:
     """
     rho1 = 1.0 / frame.kappa1
     rho2 = 1.0 / frame.kappa2
-    return _partner(rho2 - r, rho1 - r, a, max(abs(rho1), abs(rho2)))
+    return _partners([rho2 - r], [rho1 - r], np.reshape(a, (1, -1)),
+                     max(abs(rho1), abs(rho2)))[0]
 
 
 def pseudo_lconj_partners(kappa1, kappa2, r, a) -> np.ndarray:
@@ -230,26 +195,6 @@ def pseudo_lconj_partner(frame, r: float, a) -> np.ndarray:
     (see :func:`pseudo_lconj_partners`)."""
     return pseudo_lconj_partners([frame.kappa1], [frame.kappa2], r,
                                  np.reshape(a, (1, -1)))[0]
-
-
-def ordinary_conjugate(frame, a) -> np.ndarray:
-    """Classical conjugate direction: ``kappa1 a1 b1 + kappa2 a2 b2 = 0``."""
-    return _partner(frame.kappa1, frame.kappa2, a,
-                    max(abs(frame.kappa1), abs(frame.kappa2)))
-
-
-def dual_curvature(frame, r: float, phi: float):
-    """Dual curvature radius relative to the congruence at ruling angle
-    ``phi`` from ``t1``, together with the principal-slot record.
-
-    ``rho*(phi) = rho_2 cos^2 phi + rho_1 sin^2 phi`` and the returned
-    scalar is ``rho*(phi) - r``.
-    """
-    rho1 = 1.0 / frame.kappa1
-    rho2 = 1.0 / frame.kappa2
-    c, s = math.cos(phi), math.sin(phi)
-    rho_star = rho2 * c * c + rho1 * s * s
-    return rho_star - r, DualCurvature(rho2 - r, rho1 - r)
 
 
 def dual_curvature_record(frame, r: float) -> DualCurvature:
@@ -274,12 +219,6 @@ def classify_contact(dc: DualCurvature, scale: float) -> ContactClass:
         return ContactClass.L_PARABOLIC
     return (ContactClass.L_ELLIPTIC if dc.Lambda > 0.0
             else ContactClass.L_HYPERBOLIC)
-
-
-def classify_element(frame, r: float) -> ContactClass:
-    """Classification with the default scale ``max(rho_1, rho_2)``."""
-    scale = max(1.0 / frame.kappa1, 1.0 / frame.kappa2)
-    return classify_contact(dual_curvature_record(frame, r), scale)
 
 
 def special_angles(dc: DualCurvature, scale: float | None = None) -> SpecialAngles:

@@ -7,6 +7,11 @@ Grid conventions: the vertex grid has shape ``(vr, vc)``; faces form the
 first index, axis 1 triples the second. Boundary vertices touch fewer than
 four faces; iteration is always over existing incidences only.
 
+Orientation: a sphere is a center ``c`` and a signed radius ``r``,
+positive for inward-pointing normals (``r = 0`` is a point). A plane is
+``<n, x> + h = 0`` with unit normal ``n``. Sphere and plane are in
+oriented contact when ``<n, c> + h = r``.
+
 A face-corner incidence ``k = 4 f + m`` joins face ``f`` (row-major) to
 its corner vertex ``m`` of :data:`CORNERS`; its contact point is
 ``c_f - r_f n_v``. :func:`contact_incidences` and
@@ -25,13 +30,14 @@ import numpy as np
 from .bspline import (BSplineSurface, evaluate_jets, oriented_normals,
                       principal_frames, project_points)
 from .conjugacy import CongruenceSpec
-from .errors import (AdmissibilityError, ConfigError, checked, json_array,
-                     json_fields, read_json)
-from .geometry import OrSphere
+from .errors import ConfigError, checked, json_array, json_fields, read_json
 from .remesh import QuadGrid
 
 # Default absolute tolerance on per-incidence contact residuals.
 DEFAULT_TOL_OC = 1e-9
+# Tolerance on ``| |n| - 1 |`` of a verified net's plane normals; well
+# above double rounding, far below geometric feature scale.
+TOL_UNIT = 1e-9
 
 LNET_FORMAT_VERSION = 1
 
@@ -185,24 +191,10 @@ def contact_points(net: LNet) -> np.ndarray:
             * net.normals.reshape(-1, 3)[vert]).reshape(-1, 4, 3)
 
 
-def tangential_distance(si: OrSphere, sj: OrSphere) -> float:
-    """Length of the common tangent segment between two spheres.
-
-    ``sqrt(|ci-cj|^2 - (ri-rj)^2)``; requires strict admissibility (the
-    boundary case has no tangent cone and raises
-    :class:`AdmissibilityError`).
-    """
-    d2 = float(np.dot(si.center - sj.center, si.center - sj.center))
-    dr2 = (si.radius - sj.radius) ** 2
-    if not d2 > dr2:
-        raise AdmissibilityError(
-            f"|ci-cj|^2 = {d2:g} <= (ri-rj)^2 = {dr2:g}")
-    return float(np.sqrt(d2 - dr2))
-
-
 @dataclass(frozen=True)
 class VerifyReport:
-    """Outcome of checking the contact and admissibility conditions."""
+    """Outcome of checking the contact, admissibility and unit-normal
+    conditions."""
 
     max_contact_residual: float
     num_inadmissible_edges: int
@@ -223,12 +215,13 @@ def face_pairs(fr: int, fc: int) -> np.ndarray:
 
 
 def verify(net: LNet, tol_oc: float = DEFAULT_TOL_OC) -> VerifyReport:
-    """Check all face-corner contacts and edge admissibilities.
+    """Check all face-corner contacts, edge admissibilities and normals.
 
     ``is_lnet`` holds when the largest contact residual stays within
-    ``tol_oc`` and every adjacent sphere pair admits a tangent cone.
-    ``max_unit_deviation`` reports how far plane normals are from unit
-    length (informational).
+    ``tol_oc``, every adjacent sphere pair admits a tangent cone and
+    every plane normal is unit length within :data:`TOL_UNIT`
+    (``max_unit_deviation``): the contact residual is a distance only
+    for a unit normal.
     """
     fr, fc = net.face_shape
     face, vert = contact_incidences(fr, fc)
@@ -244,8 +237,8 @@ def verify(net: LNet, tol_oc: float = DEFAULT_TOL_OC) -> VerifyReport:
 
     unit_dev = float(np.max(np.abs(
         np.linalg.norm(net.normals, axis=2) - 1.0)))
-    return VerifyReport(max_res, bad, max_res <= tol_oc and bad == 0,
-                        unit_dev)
+    return VerifyReport(max_res, bad, (max_res <= tol_oc and bad == 0
+                                       and unit_dev <= TOL_UNIT), unit_dev)
 
 
 # Kinds of the net document (see :func:`lnets.errors.json_fields`).

@@ -32,15 +32,19 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import LinAlgError, solveh_banded
 
 from .bspline import BSplineSurface, project_points
 from .errors import LnetsError, located
 from .lnet import (CORNERS, LNet, contact_incidences, face_pairs,
                    strip_incidences)
+
+# scipy is imported by the functions that use it, so that only an LM run
+# pays for loading it: the verify, tessellate and report commands never do.
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 BLOCK_ORDER = ("unit", "oc", "lfair", "gfair", "prox", "tan", "td")
 
@@ -430,6 +434,8 @@ class ResidualSystem:
         treat their footpoints as constants); ``finite_diff`` takes
         central differences with step ``1e-6 * (1 + |x_i|)`` per variable.
         """
+        import scipy.sparse as sp
+
         if mode == "analytic":
             plan = self._plan(self.active_blocks())
             indptr, indices, slot = plan.pattern
@@ -494,6 +500,8 @@ def csr_pattern(rows: np.ndarray, cols: np.ndarray, shape):
     """Read-only int32 CSR ``(indptr, indices, slot)`` of COO positions:
     ``np.bincount(slot, vals, indices.size)`` is the CSR data, repeats
     summed and cancelled entries kept."""
+    import scipy.sparse as sp
+
     pattern = sp.csr_array((np.ones(rows.size), (rows, cols)), shape=shape)
     pattern.data = np.arange(pattern.nnz, dtype=float)
     out = tuple(a.astype(np.int32) for a in (
@@ -574,6 +582,8 @@ def solve_normal_equations(eqs: NormalEquations, mu: float) -> np.ndarray:
     Variables outside the layout's free columns get a zero step. Raises
     ``RuntimeError`` when the damped matrix is not positive definite.
     """
+    from scipy.linalg import LinAlgError, solveh_banded
+
     lay = eqs.layout
     band = np.zeros((lay.bw + 1) * lay.n)
     band[eqs.slots] = eqs.values

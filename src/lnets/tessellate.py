@@ -28,8 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LnetsError
-from .geometry import tangent_normal_circle
+from .errors import AdmissibilityError, LnetsError, located
 from .lnet import DEFAULT_TOL_OC, LNet, contact_points, verify
 
 # The patch kinds, in the order of their runs of triangles.
@@ -76,6 +75,52 @@ class LabeledMesh:
             raise ValueError(f"counts {self.counts}: need one nonnegative "
                              f"triangle count per kind, summing to "
                              f"{self.triangles.shape[0]}")
+
+
+def _plane_basis(w_hat: np.ndarray):
+    """Deterministic orthonormal bases of the planes orthogonal to the rows
+    of ``w_hat`` ``(N, 3)``.
+
+    Each row uses the coordinate axis of smallest absolute component of
+    its ``w_hat`` (lowest index on ties) to avoid near-parallel
+    degeneracy.
+    """
+    axis = np.zeros_like(w_hat)
+    axis[np.arange(w_hat.shape[0]), np.argmin(np.abs(w_hat), axis=1)] = 1.0
+    e1 = axis - np.vecdot(axis, w_hat)[:, None] * w_hat
+    e1 /= np.sqrt(np.vecdot(e1, e1))[:, None]
+    e2 = np.cross(w_hat, e1)
+    return e1, e2
+
+
+def tangent_normal_circle(c0: np.ndarray, r0: np.ndarray, c1: np.ndarray,
+                          r1: np.ndarray):
+    """Normal circles ``(alpha, w_hat, e1, e2)`` of a batch of sphere pairs.
+
+    Row ``k`` pairs the sphere ``(c0[k], r0[k])`` with ``(c1[k], r1[k])``
+    (centers ``(N, 3)``, radii ``(N,)``). The normals of the planes in
+    oriented contact with both spheres are ``alpha*w_hat +
+    sqrt(1-alpha^2) * (cos(t) e1 + sin(t) e2)``: ``alpha`` is ``(N,)``,
+    ``w_hat`` the unit center offset and ``e1, e2`` an orthonormal basis
+    of its orthogonal plane, each ``(N, 3)``. The first pair that admits
+    no common tangent plane (``|c1-c0|^2 <= (r1-r0)^2``) raises
+    :class:`AdmissibilityError` with its row in ``index``.
+    """
+    w = c1 - c0
+    d2 = np.vecdot(w, w)
+    dr2 = (r1 - r0) ** 2
+    bad = np.flatnonzero(~(d2 > dr2))
+    if bad.size:
+        k = int(bad[0])
+        raise located(AdmissibilityError,
+                      f"spheres admit no common tangent planes: "
+                      f"|c0-c1|^2 = {d2[k]:g} <= (r0-r1)^2 = {dr2[k]:g}",
+                      index=k)
+    length = np.sqrt(d2)
+    w_hat = w / length[:, None]
+    alpha = (r1 - r0) / length
+    e1, e2 = _plane_basis(w_hat)
+    return alpha, w_hat, e1, e2
 
 
 def _slerp_arcs(n0: np.ndarray, n1: np.ndarray, count: int) -> np.ndarray:
@@ -195,7 +240,8 @@ def tessellate(net: LNet, params: TessellationParams = TessellationParams(),
         raise LnetsError(
             f"net fails verification (max residual "
             f"{report.max_contact_residual:g}, "
-            f"{report.num_inadmissible_edges} inadmissible edges)")
+            f"{report.num_inadmissible_edges} inadmissible edges, max unit "
+            f"deviation {report.max_unit_deviation:g})")
 
     count = params.arc_samples
     fr, fc = net.face_shape

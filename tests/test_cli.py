@@ -2,12 +2,17 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lnets import (ConfigError, LnetsError, TracingError, cli, load_lnet,
-                   load_surface, save_lnet, save_surface)
+import lnets
+from lnets import (ConfigError, LNet, LnetsError, TracingError, cli,
+                   load_lnet, load_surface, save_lnet, save_surface)
 from lnets.cli import (LOG_COLUMNS, OBJ_BLOCK_ROWS, config_from_dict,
                        export_obj, load_config, main, report, run_pipeline)
 from lnets.tessellate import (LABELS, LabeledMesh, TessellationParams,
@@ -142,6 +147,37 @@ def test_cli_malformed_input_exits_with_an_error(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 4 and all(e.startswith("error: ") for e in err)
     assert "arc_samples and ruling_samples must agree" in err[-1]
+
+
+@pytest.mark.parametrize("normal", [(0.0, 0.0, 0.0), (0.0, 0.0, 2.0)])
+def test_cli_rejects_a_net_with_non_unit_normals(tmp_path, capsys, normal):
+    # Every contact satisfies <n, c> + h = r, but with |n| != 1 that
+    # residual measures no distance.
+    ii, jj = np.meshgrid(np.arange(2.0), np.arange(2.0), indexing="ij")
+    centers = np.stack([ii, jj, np.zeros_like(ii)], axis=2)
+    path = tmp_path / "lnet.json"
+    save_lnet(LNet(np.broadcast_to(normal, (3, 3, 3)), np.ones((3, 3)),
+                   centers, np.ones((2, 2))), path)
+    assert main(["verify", "--lnet", str(path)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "max_unit_deviation 1.000000e+00" in out
+    assert out[-1] == "is_lnet False"
+    obj = tmp_path / "mesh.obj"
+    assert main(["tessellate", "--lnet", str(path), "--out", str(obj)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: net fails verification")
+    assert "max unit deviation 1)" in err[0]
+    assert not obj.exists()
+
+
+def test_importing_the_cli_does_not_load_scipy():
+    # Only an LM run needs scipy; verify, tessellate and report do not.
+    src = str(Path(lnets.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", "import lnets.cli, sys; "
+                    "assert 'scipy' not in sys.modules"], env=env,
+                   check=True, timeout=60)
 
 
 def test_explicit_radius_defaults_to_fixed(tmp_path, patch):

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from lnets import (ContactClass, CongruenceSpec, FlatError,
-                   SingularRadiusError, classify_contact, classify_element,
-                   dual_curvature, dual_curvature_record, evaluate_jet,
-                   lconj_partner, lifted_form, lifted_form_from_first,
-                   midsphere_radius, ordinary_conjugate, principal_frame,
-                   pseudo_lconj_partner, special_angles)
+                   SingularRadiusError, classify_contact,
+                   dual_curvature_record, evaluate_jet, lconj_partner,
+                   midsphere_radius, principal_frame, pseudo_lconj_partner,
+                   special_angles)
 from lnets.conjugacy import DualCurvature, pseudo_lconj_partners
 
 from conftest import make_frame, normal_derivatives, random_frame
@@ -34,11 +33,29 @@ def form7(frame, r, a, b):
             + (k2 - r * k2 * k2) * a[1] * b[1])
 
 
+def ordinary_conjugate(frame, a):
+    """Reference classical conjugate of ``a``: the unit solution ``b`` of
+    ``kappa1 a1 b1 + kappa2 a2 b2 = 0``, up to sign."""
+    b = np.array([frame.kappa2 * a[1], -frame.kappa1 * a[0]])
+    return b / np.linalg.norm(b)
+
+
+def lifted_form(frame, r):
+    """Reference second-form coefficients ``(L_P, M_P, N_P)`` of the lifted
+    congruence surface in a principal parameterization: ``kappa_i - r
+    kappa_i^2``; the mixed one vanishes in principal coordinates."""
+    k1, k2 = frame.kappa1, frame.kappa2
+    return k1 - r * k1 * k1, 0.0, k2 - r * k2 * k2
+
+
+def minkowski_inner(a, b):
+    """Inner product of signature ``(+, +, +, -)`` on 4-space."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2] - a[3] * b[3]
+
+
 def test_lifted_form_examples():
-    co = lifted_form(make_frame(2.0, 1.0), 0.25)
-    assert (co.L_P, co.M_P, co.N_P) == (1.0, 0.0, 0.75)
-    co0 = lifted_form(make_frame(2.0, 1.0), 0.0)
-    assert (co0.L_P, co0.M_P, co0.N_P) == (2.0, 0.0, 1.0)
+    assert lifted_form(make_frame(2.0, 1.0), 0.25) == (1.0, 0.0, 0.75)
+    assert lifted_form(make_frame(2.0, 1.0), 0.0) == (2.0, 0.0, 1.0)
 
 
 def test_lconj_partner_examples():
@@ -109,8 +126,8 @@ def lifted_partner_direction(frame, r, a_bar):
     bilinear form with the principal-path coefficients, map back.
     """
     a = ordinary_conjugate(frame, a_bar)
-    co = lifted_form(frame, r)
-    b = np.array([co.N_P * a[1], -co.L_P * a[0]])
+    l_p, _, n_p = lifted_form(frame, r)
+    b = np.array([n_p * a[1], -l_p * a[0]])
     return ordinary_conjugate(frame, b / np.linalg.norm(b))
 
 
@@ -147,7 +164,11 @@ def test_general_lift_path_matches_principal_path(patch):
         s_v = np.append(jet.f_v + r * n_v, 0.0)
         nn_u = np.append(n_u, 0.0)
         nn_v = np.append(n_v, 0.0)
-        co = lifted_form_from_first(s_u, s_v, nn_u, nn_v)
+        # <<S_uu, N>> = -<<S_u, N_u>> and its mixed and v variants hold
+        # because N is normal to the tangent plane.
+        l_p, m_p, n_p = (-minkowski_inner(s_u, nn_u),
+                         -minkowski_inner(s_u, nn_v),
+                         -minkowski_inner(s_v, nn_v))
 
         # Along the symmetry line v = 0.5 the parameterization is
         # principal, so the mixed coefficient must vanish and the
@@ -155,19 +176,15 @@ def test_general_lift_path_matches_principal_path(patch):
         # the parameter speeds.
         e = float(np.dot(jet.f_u, jet.f_u))
         g = float(np.dot(jet.f_v, jet.f_v))
-        princ = lifted_form(fr, r)
-        scale = max(abs(co.L_P), abs(co.N_P))
-        assert abs(co.M_P) <= 1e-10 * scale
-        assert abs(co.L_P / e - princ.L_P) <= 1e-8 * (1 + abs(princ.L_P))
-        assert abs(co.N_P / g - princ.N_P) <= 1e-8 * (1 + abs(princ.N_P))
+        princ_l, _, princ_n = lifted_form(fr, r)
+        scale = max(abs(l_p), abs(n_p))
+        assert abs(m_p) <= 1e-10 * scale
+        assert abs(l_p / e - princ_l) <= 1e-8 * (1 + abs(princ_l))
+        assert abs(n_p / g - princ_n) <= 1e-8 * (1 + abs(princ_n))
 
 
 def test_dual_curvature_examples():
-    fr = make_frame(2.0, 1.0)
-    assert dual_curvature(fr, 0.0, 0.0)[0] == pytest.approx(1.0)
-    assert dual_curvature(fr, 0.0, math.pi / 2)[0] == pytest.approx(0.5)
-    assert dual_curvature(fr, 0.0, math.pi / 4)[0] == pytest.approx(0.75)
-    _, rec = dual_curvature(fr, 0.25, 0.0)
+    rec = dual_curvature_record(make_frame(2.0, 1.0), 0.25)
     assert rec.rho_s1 == pytest.approx(0.75)
     assert rec.rho_s2 == pytest.approx(0.25)
     assert rec.Lambda == pytest.approx(0.1875)
@@ -185,6 +202,13 @@ def test_classification_truth_table():
         is ContactClass.L_FLAT
     with pytest.raises(ValueError):
         classify_contact(DualCurvature(0.1, 0.1), 0.0)
+    # A frame's dual radii, on the scale max(rho_1, rho_2).
+    fr = make_frame(2.0, 1.0)
+    scale = max(1.0 / fr.kappa1, 1.0 / fr.kappa2)
+    for r, cls in ((0.25, ContactClass.L_ELLIPTIC),
+                   (0.75, ContactClass.L_HYPERBOLIC),
+                   (0.5, ContactClass.L_PARABOLIC)):
+        assert classify_contact(dual_curvature_record(fr, r), scale) is cls
 
 
 def test_special_angles():
@@ -315,10 +339,3 @@ def test_batched_radii_and_partners_name_first_offending_row():
         pseudo_lconj_partners(k1, k2, np.array([0.25, 1.0, 0.5]),
                               np.ones((3, 2)))
     assert info.value.index == 1
-
-
-def test_classify_element_uses_radius_scale():
-    fr = make_frame(2.0, 1.0)
-    assert classify_element(fr, 0.25) is ContactClass.L_ELLIPTIC
-    assert classify_element(fr, 0.75) is ContactClass.L_HYPERBOLIC
-    assert classify_element(fr, 0.5) is ContactClass.L_PARABOLIC

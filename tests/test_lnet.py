@@ -3,11 +3,9 @@
 import numpy as np
 import pytest
 
-from lnets import (AdmissibilityError, ConfigError, CongruenceSpec,
-                   CurvatureSignError, LNet, OrSphere, QuadGrid,
-                   evaluate_jets, initialize, oriented_normal,
-                   project_points, strip_incidences, tangential_distance,
-                   verify)
+from lnets import (ConfigError, CongruenceSpec, CurvatureSignError, LNet,
+                   QuadGrid, evaluate_jets, initialize, oriented_normal,
+                   project_points, strip_incidences, verify)
 from lnets.bspline import BSplineSurface, SurfaceJet2
 from lnets.lnet import (contact_incidences, contact_points, face_pairs,
                         lnet_from_dict, lnet_to_dict, load_lnet, save_lnet)
@@ -91,6 +89,13 @@ def test_verify_exact_and_perturbed():
     rep2 = verify(bad)
     assert rep2.max_contact_residual == pytest.approx(1e-3)
     assert not rep2.is_lnet
+
+    # Doubled normals keep <n, c> + h = r, which is then no distance.
+    rep3 = verify(LNet(2.0 * net.normals, net.intercepts, net.centers,
+                       net.radii))
+    assert rep3.max_contact_residual == 0.0
+    assert rep3.max_unit_deviation == 1.0
+    assert not rep3.is_lnet
 
 
 def test_verify_counts_inadmissible_edges():
@@ -200,10 +205,11 @@ def test_strip_points_zero_radius_and_sphere_membership():
                 assert abs(np.linalg.norm(cp[k] - net.centers[i, j])
                            - abs(net.radii[i, j])) <= 1e-12
                 k += 1
-    # Zero radius: the contact point is the center itself.
-    s = OrSphere((1.0, 2.0, 3.0), 0.0)
-    n = np.array([0.0, 0.0, 1.0])
-    assert np.allclose(s.center - s.radius * n, s.center)
+    # Zero radius: every contact point is the center itself.
+    point = one_face_net(tangent_net().normals, h=0.0, center=(1, 2, 3),
+                         radius=0.0)
+    assert np.array_equal(contact_points(point),
+                          np.tile([1.0, 2.0, 3.0], (1, 4, 1)))
 
 
 def test_strip_segment_points_lie_on_their_plane():
@@ -221,20 +227,6 @@ def test_strip_segment_points_lie_on_their_plane():
         for col in (first, second):
             res = np.vecdot(n[plane], pts[ell[:, col]]) + h[plane]
             assert np.max(np.abs(res)) <= 1e-12
-
-
-def test_tangential_distance():
-    assert tangential_distance(OrSphere((0, 0, 0), 1),
-                               OrSphere((5, 0, 0), 1)) == pytest.approx(5.0)
-    assert tangential_distance(OrSphere((0, 0, 0), 0),
-                               OrSphere((3, 4, 0), 0)) == pytest.approx(5.0)
-    with pytest.raises(AdmissibilityError):
-        tangential_distance(OrSphere((0, 0, 0), 0),
-                            OrSphere((0, 0, 0.5), 1))
-    # Boundary equality (tangent spheres) is rejected too.
-    with pytest.raises(AdmissibilityError):
-        tangential_distance(OrSphere((0, 0, 0), 1),
-                            OrSphere((2, 0, 0), -1))
 
 
 def test_serialization_roundtrip_and_strictness(tmp_path):

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lnets import (LnetsError, TessellationParams, convex_paraboloid_patch,
-                   tessellate)
+from lnets import (AdmissibilityError, LnetsError, TessellationParams,
+                   convex_paraboloid_patch, tessellate)
 from lnets.lnet import contact_points, verify
-from lnets.tessellate import LABELS, LabeledMesh, dedupe_mesh
+from lnets.tessellate import (LABELS, LabeledMesh, dedupe_mesh,
+                              tangent_normal_circle)
 
 from conftest import solved_sphere_net, translational_offset_net
 
@@ -54,6 +55,81 @@ def assert_watertight(mesh):
             rim_deg[a] += 1
             rim_deg[b] += 1
     assert rim_deg and all(d == 2 for d in rim_deg.values())
+
+
+def random_admissible_pairs(rng, n):
+    """``n`` sphere pairs ``(c0, r0, c1, r1)`` with ``|c1-c0| > |r1-r0|``."""
+    c0 = rng.normal(size=(n, 3))
+    r0 = rng.normal(size=n)
+    r1 = r0 + rng.normal(size=n)
+    direction = rng.normal(size=(n, 3))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    dist = np.abs(r1 - r0) + rng.uniform(0.5, 3.0, size=n)
+    return c0, r0, c0 + dist[:, None] * direction, r1
+
+
+def circle_normals(circle, t):
+    """Normals at angle ``t`` on the circles ``(alpha, w_hat, e1, e2)`` of
+    :func:`tangent_normal_circle`, ``(N, 3)``."""
+    alpha, w_hat, e1, e2 = circle
+    rho = np.sqrt(1.0 - alpha ** 2)
+    return alpha[:, None] * w_hat + rho[:, None] * (np.cos(t) * e1
+                                                    + np.sin(t) * e2)
+
+
+def test_tangent_normal_circle_samples_common_tangent_normals():
+    rng = np.random.default_rng(19)
+    c0, r0, c1, r1 = random_admissible_pairs(rng, 200)
+    circle = tangent_normal_circle(c0, r0, c1, r1)
+    for t in np.linspace(0.0, 2.0 * np.pi, 9):
+        n = circle_normals(circle, t)
+        assert np.allclose(np.linalg.norm(n, axis=1), 1.0, rtol=0,
+                           atol=1e-14)
+        assert np.allclose(np.vecdot(n, c1 - c0), r1 - r0, rtol=0,
+                           atol=1e-13)
+
+
+def test_tangent_planes_touch_whole_linear_family():
+    # The plane with normal n and h = r0 - <n, c0> touches every member
+    # (1-s) s0 + s s1 of the linear family of the two spheres.
+    rng = np.random.default_rng(11)
+    c0, r0, c1, r1 = random_admissible_pairs(rng, 25)
+    circle = tangent_normal_circle(c0, r0, c1, r1)
+    for t in 2.0 * np.pi * np.arange(7) / 7:
+        n = circle_normals(circle, t)
+        h = r0 - np.vecdot(n, c0)
+        for s in (-1.0, 0.0, 0.3, 1.0, 2.0):
+            c = (1.0 - s) * c0 + s * c1
+            r = (1.0 - s) * r0 + s * r1
+            assert np.max(np.abs(np.vecdot(n, c) + h - r)) <= 1e-12
+
+
+@pytest.mark.parametrize("r0, r1", [pytest.param(0.0, 0.0, id="point_pair"),
+                                    pytest.param(1.0, 1.0, id="cylinder"),
+                                    pytest.param(0.0, 2.0, id="cone")])
+def test_tangent_normal_circle_special_cases(r0, r1):
+    c0, c1 = np.zeros(3), np.array([4.0, 0.0, 0.0])
+    circle = tangent_normal_circle(c0[None], np.array([r0]), c1[None],
+                                   np.array([r1]))
+    alpha = (r1 - r0) / 4.0
+    first = circle_normals(circle, 0.0)[0]
+    assert np.allclose(first, [alpha, math.sqrt(1.0 - alpha ** 2), 0.0],
+                       rtol=0, atol=1e-15)
+    for t in 2.0 * np.pi * np.arange(5) / 5:
+        n = circle_normals(circle, t)[0]
+        h = r0 - n @ c0
+        assert abs(n[0] - alpha) <= 1e-15
+        assert abs(n @ c1 + h - r1) <= 1e-12
+
+
+def test_tangent_normal_circle_names_first_inadmissible_row():
+    rng = np.random.default_rng(23)
+    c0, r0, c1, r1 = random_admissible_pairs(rng, 6)
+    # Rows 2 and 4 are concentric with distinct radii.
+    c1[[2, 4]] = c0[[2, 4]]
+    with pytest.raises(AdmissibilityError) as info:
+        tangent_normal_circle(c0, r0, c1, r1)
+    assert info.value.index == 2
 
 
 def test_params_validation():
