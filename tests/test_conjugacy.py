@@ -202,7 +202,10 @@ def test_classification_truth_table():
         is ContactClass.L_FLAT
     with pytest.raises(ValueError):
         classify_contact(DualCurvature(0.1, 0.1), 0.0)
-    # A frame's dual radii, on the scale max(rho_1, rho_2).
+
+
+def test_classify_element_uses_radius_scale():
+    # A frame's dual radii, classified on the scale max(rho_1, rho_2).
     fr = make_frame(2.0, 1.0)
     scale = max(1.0 / fr.kappa1, 1.0 / fr.kappa2)
     for r, cls in ((0.25, ContactClass.L_ELLIPTIC),
