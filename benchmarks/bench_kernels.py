@@ -30,15 +30,20 @@ untimed warm-up call.
   first contact-pass Jacobian of a system whose main-pass Jacobian is
   built.
 - ``export``: ``tessellate``, ``dedupe_mesh`` and ``export_obj`` (to a
-  temporary file) of an exactly tangent 64x64 net on the default
-  paraboloid, built in closed form, with the raw vertex and triangle
-  counts.
+  temporary file) of an exactly tangent net on the default paraboloid,
+  built in closed form, with the raw vertex and triangle counts. The net
+  has ``min(64, max(8, isqrt(points / 4)))`` vertices per side: 64x64 at
+  the default ``--points``, 8x8 in the smoke run. Beside each time is
+  the rise of the process's peak resident memory (``ru_maxrss``) across
+  the stage's first call. This section runs first, before the others
+  raise the peak.
 """
 
 import argparse
 import itertools
 import logging
 import math
+import resource
 import tempfile
 import time
 from functools import partial
@@ -74,6 +79,11 @@ def time_fn(fn, repeats):
         fn()
         times.append(time.perf_counter() - t0)
     return float(np.median(times)) * 1e3
+
+
+def peak_rss_mb():
+    """Peak resident memory of this process so far, in MB."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def count_jet_batches(fn):
@@ -130,6 +140,32 @@ def main(argv=None):
     parser.add_argument("--repeats", type=int, default=20)
     args = parser.parse_args(argv)
     few = max(3, args.repeats // 5)
+
+    size = min(64, max(8, math.isqrt(args.points // 4)))
+    net = exact_paraboloid_net(size)
+    rises = []
+
+    def first_call(fn):
+        """``fn()``, recording the rise of the peak RSS across it in MB."""
+        before = peak_rss_mb()
+        out = fn()
+        rises.append(peak_rss_mb() - before)
+        return out
+
+    raw = first_call(lambda: tessellate(net))
+    mesh = first_call(lambda: dedupe_mesh(raw))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mesh.obj"
+        first_call(lambda: export_obj(mesh, path))
+        t_obj = time_fn(lambda: export_obj(mesh, path), few)
+    t_tess = time_fn(lambda: tessellate(net), few)
+    t_dedupe = time_fn(lambda: dedupe_mesh(raw), few)
+    print(f"export {size}x{size}: tessellate {t_tess:8.2f} ms "
+          f"(+{rises[0]:.1f} MB), dedupe {t_dedupe:8.2f} ms "
+          f"(+{rises[1]:.1f} MB), export_obj {t_obj:8.2f} ms "
+          f"(+{rises[2]:.1f} MB)  ({raw.vertices.shape[0]} raw vertices, "
+          f"{raw.triangles.shape[0]} triangles)")
+    del raw, mesh
 
     surf = convex_paraboloid_patch()
     rng = np.random.default_rng(0)
@@ -215,19 +251,6 @@ def main(argv=None):
               f"({len(pts)} points; seeds {t_seed:8.2f} ms, Newton "
               f"{t_newton:8.2f} ms), contact-pass jacobian first "
               f"{t_contact:8.2f} ms")
-
-    net = exact_paraboloid_net(64)
-    raw = tessellate(net)
-    mesh = dedupe_mesh(raw)
-    t_tess = time_fn(lambda: tessellate(net), few)
-    t_dedupe = time_fn(lambda: dedupe_mesh(raw), few)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "mesh.obj"
-        t_obj = time_fn(lambda: export_obj(mesh, path), few)
-    print(f"export 64x64: tessellate {t_tess:8.2f} ms, dedupe "
-          f"{t_dedupe:8.2f} ms, export_obj {t_obj:8.2f} ms  "
-          f"({raw.vertices.shape[0]} raw vertices, "
-          f"{raw.triangles.shape[0]} triangles)")
 
 
 if __name__ == "__main__":

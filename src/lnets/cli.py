@@ -11,7 +11,8 @@ per-iteration log (``iterations.csv``) and a run summary
 repeated runs of the same config; the log and summary carry timings. The
 four are written into a staging directory inside the output directory
 and renamed into place once all exist, so a failed run leaves the
-artifacts of an earlier run as they were.
+artifacts of an earlier run as they were. ``tessellate`` stages its OBJ
+the same way.
 
 The mesh is merged once, by :func:`lnets.tessellate.dedupe_mesh`, between
 tessellation and export; :func:`export_obj` writes it as given, one
@@ -21,6 +22,7 @@ group per run of a patch kind.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import reprlib
@@ -145,11 +147,14 @@ def load_config(path) -> RunConfig:
     return config_from_dict(read_json(path), base_dir=Path(path).parent)
 
 
-def _write_rows(fh, line: str, rows: np.ndarray) -> None:
-    """Write ``line % row`` for every row, :data:`OBJ_BLOCK_ROWS` rows per
-    formatting call."""
+def _write_rows(fh, line: str, rows: np.ndarray, offset: int = 0) -> None:
+    """Write ``line % (row + offset)`` for every row, :data:`OBJ_BLOCK_ROWS`
+    rows per formatting call; the offset is added per block, so no shifted
+    copy of ``rows`` is made."""
     for lo in range(0, rows.shape[0], OBJ_BLOCK_ROWS):
         block = rows[lo:lo + OBJ_BLOCK_ROWS]
+        if offset:
+            block = block + offset
         fh.write((line * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
@@ -165,14 +170,26 @@ def export_obj(mesh: LabeledMesh, path) -> None:
     and written in blocks of rows, so the whole text is never held in
     memory.
     """
-    runs = np.split(mesh.triangles + 1, np.cumsum(mesh.counts)[:-1])
+    runs = np.split(mesh.triangles, np.cumsum(mesh.counts)[:-1])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# lnets mesh format_version={OBJ_FORMAT_VERSION}\n")
         _write_rows(fh, "v %.17g %.17g %.17g\n", mesh.vertices)
         for label, group in zip(LABELS, runs):
             if group.size:
                 fh.write(f"g {label}\n")
-                _write_rows(fh, "f %d %d %d\n", group)
+                _write_rows(fh, "f %d %d %d\n", group, offset=1)
+
+
+@contextlib.contextmanager
+def _staging(out_dir: Path):
+    """A fresh directory inside ``out_dir`` for files that are renamed into
+    place once complete; it is removed, with whatever is left in it, on
+    exit."""
+    staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out_dir))
+    try:
+        yield staging
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
 
 
 def _radius_token(cfg: RunConfig) -> str:
@@ -252,8 +269,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
         }
         out = cfg.output_dir
         out.mkdir(parents=True, exist_ok=True)
-        staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out))
-        try:
+        with _staging(out) as staging:
             save_lnet(net, staging / "lnet.json")
             export_obj(mesh, staging / "mesh.obj")
             write_iteration_log(staging / "iterations.csv", records, cfg,
@@ -263,8 +279,6 @@ def run_pipeline(cfg: RunConfig) -> dict:
             for name in ("lnet.json", "mesh.obj", "iterations.csv",
                          "summary.json"):
                 os.replace(staging / name, out / name)
-        finally:
-            shutil.rmtree(staging, ignore_errors=True)
         return summary
     except Exception as exc:
         if isinstance(exc, LnetsError):
@@ -384,7 +398,12 @@ def main(argv=None) -> int:
                              args.arc_samples, args.ruling_samples)
             net = load_lnet(args.lnet)
             mesh = dedupe_mesh(tessellate(net, params, args.tol))
-            export_obj(mesh, args.out)
+            # Written beside the target and renamed over it, so a failed
+            # write leaves an earlier file as it was.
+            out = Path(args.out)
+            with _staging(out.parent) as staging:
+                export_obj(mesh, staging / out.name)
+                os.replace(staging / out.name, out)
             print(f"wrote {args.out}: {mesh.vertices.shape[0]} vertices, "
                   f"{mesh.triangles.shape[0]} triangles")
             return 0

@@ -306,6 +306,86 @@ def tessellate(net: LNet, params: TessellationParams = TessellationParams(),
     return LabeledMesh(vertices, np.concatenate(triangles), counts)
 
 
+# Odd multipliers of :func:`_row_hash`, one per coordinate.
+_ROW_MIX = (0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9)
+
+# Corners renumbered in place per step of :func:`dedupe_mesh`.
+_RENUMBER_BLOCK = 1 << 16
+
+
+def _row_hash(bits: np.ndarray) -> np.ndarray:
+    """A 64-bit mix of the three coordinate bit patterns of each row of
+    ``bits`` ``(N, 3)`` uint64.
+
+    Equal rows get equal hashes. Each step folds the high half of the
+    running hash into the low half before it takes the next column, so
+    sign flips in two coordinates (the top bits of two columns) do not
+    cancel, as they would in a plain xor of the scaled columns.
+    """
+    h = np.zeros(bits.shape[0], dtype=np.uint64)
+    for col, k in zip(bits.T, _ROW_MIX):
+        h ^= h >> 32
+        h ^= col
+        h *= k
+    return h
+
+
+def _split_collisions(bits, order, tied, same) -> None:
+    """Re-sort on the full key the runs of ``order`` whose rows share a
+    hash but not their coordinates, and update ``same`` for them.
+
+    ``tied[i]`` and ``same[i]`` say whether the rows at sorted positions
+    ``i`` and ``i + 1`` share their hash and their bit pattern.
+    """
+    run = np.concatenate(([0], np.cumsum(~tied)))
+    rows = np.flatnonzero(np.isin(run, run[np.flatnonzero(tied & ~same)]))
+    sub = order[rows]
+    key = bits[sub]
+    perm = np.lexsort((key[:, 2], key[:, 1], key[:, 0], run[rows]))
+    order[rows] = sub[perm]
+    key = key[perm]
+    pair = np.flatnonzero(rows[1:] == rows[:-1] + 1)
+    same[rows[pair]] = np.all(key[pair + 1] == key[pair], axis=1)
+
+
+def _group_rows(bits: np.ndarray):
+    """Groups of the bit-identical rows of ``bits`` ``(N, 3)`` uint64: the
+    group of every row and one row of every group.
+
+    The rows are sorted once on :func:`_row_hash` and neighbours are
+    compared on all three columns, so a group is exactly a set of equal
+    rows; a run of rows that share a hash but differ is re-sorted on the
+    full key.
+    """
+    h = _row_hash(bits)
+    order = np.argsort(h)
+    h = h[order]
+    tied = h[1:] == h[:-1]
+    same = tied.copy()
+    for col in bits.T:
+        key = col[order]
+        same &= key[1:] == key[:-1]
+    if not np.array_equal(same, tied):
+        _split_collisions(bits, order, tied, same)
+    start = np.ones(order.size, dtype=bool)
+    start[1:] = ~same
+    group = np.empty(order.size, dtype=np.intp)
+    group[order] = np.cumsum(start) - 1
+    return group, order[start]
+
+
+def _first_appearance(values: np.ndarray, n: int) -> np.ndarray:
+    """The distinct entries of ``values`` (each in ``range(n)``) in order of
+    first appearance, without sorting ``values``."""
+    index = np.min_scalar_type(values.size)
+    # first[g]: the position of the first g (values.size if none).
+    first = np.full(n, values.size, dtype=index)
+    np.minimum.at(first, values, np.arange(values.size, dtype=index))
+    marked = np.zeros(values.size + 1, dtype=bool)
+    marked[first] = True
+    return values[np.flatnonzero(marked[:-1])]
+
+
 def dedupe_mesh(mesh: LabeledMesh) -> LabeledMesh:
     """Merge bit-identical vertices and drop degenerate triangles.
 
@@ -314,27 +394,23 @@ def dedupe_mesh(mesh: LabeledMesh) -> LabeledMesh:
     same key is dropped from its kind's count. The surviving vertices
     are numbered by first appearance in the corner stream of the kept
     triangles, in triangle order; vertices that no kept triangle uses are
-    dropped. This is the single vertex merge of the export path.
+    dropped. This is the single vertex merge of the export path. Its
+    largest temporary is the corner stream, which is renumbered in place.
     """
     verts = np.ascontiguousarray(mesh.vertices)
-    bits = verts.view(np.uint64)
-    # Stable sort on the bit patterns: each run of equal keys starts at
-    # its first vertex.
-    order = np.lexsort((bits[:, 2], bits[:, 1], bits[:, 0]))
-    keys = bits[order]
-    start = np.ones(order.size, dtype=bool)
-    start[1:] = np.any(keys[1:] != keys[:-1], axis=1)
-    first = order[start]
-    inverse = np.empty(order.size, dtype=np.intp)
-    inverse[order] = np.cumsum(start) - 1
-    tris = inverse[mesh.triangles]
+    group, rep = _group_rows(verts.view(np.uint64))
+    tris = group[mesh.triangles]
+    del group
     keep = ((tris[:, 0] != tris[:, 1]) & (tris[:, 1] != tris[:, 2])
             & (tris[:, 0] != tris[:, 2]))
-    corners = tris[keep].ravel()
-    used, at = np.unique(corners, return_index=True)
-    order = used[np.argsort(at)]
-    number = np.empty(first.size, dtype=int)
-    number[order] = np.arange(order.size)
+    corners = (tris if keep.all() else tris[keep]).reshape(-1)
+    del tris
+    seq = _first_appearance(corners, rep.size)
+    number = np.empty(rep.size, dtype=np.intp)
+    number[seq] = np.arange(seq.size)
+    for lo in range(0, corners.size, _RENUMBER_BLOCK):
+        block = corners[lo:lo + _RENUMBER_BLOCK]
+        block[...] = number[block]
     counts = [np.count_nonzero(run)
               for run in np.split(keep, np.cumsum(mesh.counts)[:-1])]
-    return LabeledMesh(verts[first[order]], number[corners], counts)
+    return LabeledMesh(verts[rep[seq]], corners, counts)

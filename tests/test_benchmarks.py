@@ -21,5 +21,5 @@ def test_bench_kernels_prints_every_section(capsys):
         logger.setLevel(level)
     heads = [line.split(":")[0].strip()
              for line in capsys.readouterr().out.splitlines()]
-    assert heads == ["jets", "trace", "projection", "lm 10x10", "cold 10x10",
-                     "lm 40x40", "cold 40x40", "export 64x64"]
+    assert heads == ["export 8x8", "jets", "trace", "projection", "lm 10x10",
+                     "cold 10x10", "lm 40x40", "cold 40x40"]

@@ -171,6 +171,27 @@ def test_cli_rejects_a_net_with_non_unit_normals(tmp_path, capsys, normal):
     assert not obj.exists()
 
 
+def test_failed_tessellate_write_leaves_the_earlier_obj(tmp_path, capsys,
+                                                       monkeypatch):
+    path = tmp_path / "lnet.json"
+    save_lnet(translational_offset_net(3, 3, d=0.2), path)
+    obj = tmp_path / "mesh.obj"
+    assert main(["tessellate", "--lnet", str(path), "--out", str(obj)]) == 0
+    before = obj.read_bytes()
+    capsys.readouterr()
+
+    def fault(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "_write_rows", fault)
+    assert main(["tessellate", "--lnet", str(path), "--out", str(obj),
+                 "--arc-samples", "4", "--ruling-samples", "4"]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: disk full"]
+    assert obj.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["lnet.json",
+                                                           "mesh.obj"]
+
+
 def test_importing_the_cli_does_not_load_scipy():
     # Only an LM run needs scipy; verify, tessellate and report do not.
     src = str(Path(lnets.__file__).resolve().parents[1])

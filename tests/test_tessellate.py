@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from lnets import (AdmissibilityError, LnetsError, TessellationParams,
                    convex_paraboloid_patch, tessellate)
 from lnets.lnet import contact_points, verify
-from lnets.tessellate import (LABELS, LabeledMesh, dedupe_mesh,
-                              tangent_normal_circle)
+from lnets.tessellate import (_ROW_MIX, LABELS, LabeledMesh, _row_hash,
+                              dedupe_mesh, tangent_normal_circle)
 
 from conftest import solved_sphere_net, translational_offset_net
 
@@ -232,6 +232,131 @@ def test_dedupe_keeps_signed_zeros_apart():
     assert np.signbit(out.vertices[:, 0]).tolist() == [False, True, False,
                                                        False]
     assert out.triangles.tolist() == [[0, 1, 2], [1, 2, 3]]
+
+
+def reference_dedupe(mesh):
+    """``dedupe_mesh`` by dictionaries: rows keyed on their bytes, corners
+    numbered by first appearance in the kept triangles."""
+    first = {}
+    key = [first.setdefault(row.tobytes(), i)
+           for i, row in enumerate(mesh.vertices)]
+    number, triangles, counts = {}, [], []
+    bounds = np.cumsum((0,) + mesh.counts)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        kept = 0
+        for tri in mesh.triangles[lo:hi].tolist():
+            corners = [key[v] for v in tri]
+            if len(set(corners)) == 3:
+                triangles.append([number.setdefault(c, len(number))
+                                  for c in corners])
+                kept += 1
+        counts.append(kept)
+    return mesh.vertices[list(number)], triangles, tuple(counts)
+
+
+def assert_dedupes_as_reference(mesh):
+    out = dedupe_mesh(mesh)
+    verts, triangles, counts = reference_dedupe(mesh)
+    assert out.vertices.shape == verts.shape
+    assert np.array_equal(out.vertices.view(np.uint64),
+                          verts.view(np.uint64))
+    assert out.triangles.shape == (len(triangles), 3)
+    assert out.triangles.tolist() == triangles
+    assert out.counts == counts
+
+
+def mix_state(x, y):
+    """The running hash of ``_row_hash`` after the first two columns,
+    just before the third is xored in."""
+    h = 0
+    for col, k in zip((x, y), _ROW_MIX):
+        h ^= h >> 32
+        h = ((h ^ col) * k) % 2 ** 64
+    return h ^ (h >> 32)
+
+
+def colliding_row(row, x, y):
+    """The row ``(x, y, z)`` (bit patterns) whose hash equals that of
+    ``row``: the third column is solved for."""
+    return (x, y, mix_state(*row[:2]) ^ row[2] ^ mix_state(x, y))
+
+
+def bit_rows(rows):
+    return np.array(rows, dtype=np.uint64).reshape(-1, 3).view(np.float64)
+
+
+SPECIAL_BITS = [0x0, 0x8000000000000000, 0x3FF0000000000000,
+                0xBFF0000000000000, 0x0000000000000001, 0x7FF0000000000000,
+                0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001,
+                0x7FF0000000000001]
+bit_patterns = st.sampled_from(SPECIAL_BITS) | st.integers(0, 2 ** 64 - 1)
+bit_rows_st = st.tuples(bit_patterns, bit_patterns, bit_patterns)
+
+
+@st.composite
+def vertex_soups(draw):
+    """Meshes over a few distinct rows (signed zeros, NaN payloads,
+    infinities, random bit patterns), some built to share the hash of
+    another, each drawn as many duplicate vertices."""
+    pool = draw(st.lists(bit_rows_st, min_size=1, max_size=6))
+    for _ in range(draw(st.integers(0, 3))):
+        row = draw(st.sampled_from(pool))
+        pool.append(colliding_row(row, draw(bit_patterns),
+                                  draw(bit_patterns)))
+    rows = draw(st.lists(st.sampled_from(pool), max_size=40))
+    corner = st.integers(0, max(len(rows) - 1, 0))
+    tris = draw(st.lists(st.tuples(corner, corner, corner),
+                         max_size=40 if rows else 0))
+    cut = sorted(draw(st.integers(0, len(tris))) for _ in range(2))
+    return LabeledMesh(bit_rows(rows), np.array(tris, dtype=int),
+                       (cut[0], cut[1] - cut[0], len(tris) - cut[1]))
+
+
+@given(vertex_soups())
+def test_dedupe_matches_the_dictionary_reference(mesh):
+    assert_dedupes_as_reference(mesh)
+
+
+def test_dedupe_splits_rows_that_share_a_hash():
+    a = tuple(int(b) for b in np.array([1.0, 2.0, 3.0]).view(np.uint64))
+    # Three distinct rows on one hash, interleaved with their copies.
+    b = colliding_row(a, 0x4010000000000000, 0x8000000000000000)
+    c = colliding_row(a, 0x7FF8000000000001, 0x0)
+    d = tuple(int(x) for x in np.array([0.0, 0.0, 1.0]).view(np.uint64))
+    verts = bit_rows([a, b, c, d, c, b, a])
+    hashes = _row_hash(verts.view(np.uint64))
+    assert len({a, b, c}) == 3 and len(set(hashes[:3].tolist())) == 1
+    mesh = LabeledMesh(verts, np.array([[0, 1, 3], [4, 5, 6], [6, 1, 0],
+                                        [2, 4, 3]]), (2, 1, 1))
+    out = dedupe_mesh(mesh)
+    assert np.array_equal(out.vertices.view(np.uint64),
+                          bit_rows([a, b, d, c]).view(np.uint64))
+    assert out.triangles.tolist() == [[0, 1, 2], [3, 1, 0]]
+    assert out.counts == (2, 0, 0)
+    assert_dedupes_as_reference(mesh)
+
+
+def test_dedupe_of_an_empty_mesh():
+    for verts in (np.zeros((0, 3)), np.ones((4, 3))):
+        out = dedupe_mesh(LabeledMesh(verts, np.zeros((0, 3), dtype=int),
+                                      (0, 0, 0)))
+        assert out.vertices.shape == (0, 3)
+        assert out.triangles.shape == (0, 3)
+        assert out.triangles.dtype == np.dtype(int)
+        assert out.counts == (0, 0, 0)
+
+
+def test_dedupe_of_a_mesh_whose_triangles_are_all_degenerate():
+    # Repeated corner indices, and distinct vertices with one bit pattern.
+    verts = np.array([[0., 1., 2.], [0., 1., 2.], [3., 4., 5.],
+                      [-0., 1., 2.], [np.nan, 0., 0.], [np.nan, 0., 0.]])
+    mesh = LabeledMesh(verts, np.array([[0, 1, 2], [2, 2, 3], [4, 5, 0],
+                                        [3, 2, 3]]), (1, 2, 1))
+    out = dedupe_mesh(mesh)
+    assert out.vertices.shape == (0, 3)
+    assert out.triangles.shape == (0, 3)
+    assert out.counts == (0, 0, 0)
+    assert_dedupes_as_reference(mesh)
 
 
 def test_watertight_constant_radius_net():
