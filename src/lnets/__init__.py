@@ -1,11 +1,11 @@
 """Approximation of positively curved surfaces by watertight assemblies
 of planar vertex quads, cone strips and spherical faces."""
 
-from .bspline import (BSplineSurface, PrincipalFrame, PrincipalFrames,
-                      SurfaceJet2, convex_paraboloid_patch, evaluate_jet,
-                      evaluate_jets, load_surface, oriented_normal,
-                      oriented_normals, principal_frame, principal_frames,
-                      project_points, save_surface)
+from .bspline import (BSplineSurface, PrincipalFrames, SurfaceJet2,
+                      convex_paraboloid_patch, evaluate_jet, evaluate_jets,
+                      load_surface, oriented_normal, oriented_normals,
+                      principal_frame, principal_frames, project_points,
+                      save_surface)
 from .conjugacy import (ContactClass, CongruenceSpec, DualCurvature,
                         SpecialAngles, classify_contact,
                         dual_curvature_record, lconj_partner,

@@ -119,30 +119,6 @@ class SurfaceJet2:
             raise ValueError("jet is not regular: f_u and f_v are parallel")
 
 
-@dataclass(frozen=True)
-class PrincipalFrame:
-    """Right-handed orthonormal frame ``(t1, t2, n)`` with curvatures.
-
-    ``n`` points to the side that makes both curvatures positive and
-    ``kappa1 >= kappa2``; ``t1`` belongs to ``kappa1``.
-    """
-
-    t1: np.ndarray
-    t2: np.ndarray
-    n: np.ndarray
-    kappa1: float
-    kappa2: float
-
-    def __post_init__(self):
-        for name in ("t1", "t2", "n"):
-            v = np.asarray(getattr(self, name), dtype=float)
-            if v.shape != (3,):
-                raise ValueError(f"{name} must be a 3-vector")
-            object.__setattr__(self, name, v)
-        object.__setattr__(self, "kappa1", float(self.kappa1))
-        object.__setattr__(self, "kappa2", float(self.kappa2))
-
-
 def evaluate_jets(surface: BSplineSurface, us, vs) -> np.ndarray:
     """Batched jet evaluation; returns ``(N, 6, 3)`` arrays.
 
@@ -167,9 +143,12 @@ def evaluate_jet(surface: BSplineSurface, u: float, v: float) -> SurfaceJet2:
 
 @dataclass(frozen=True)
 class PrincipalFrames:
-    """Principal frames of a batch: ``(N, 3)`` vectors, ``(N,)`` curvatures.
+    """Right-handed orthonormal frames ``(t1, t2, n)`` with curvatures.
 
-    Row ``k`` holds the fields of a :class:`PrincipalFrame`.
+    ``n`` points to the side that makes both curvatures positive and
+    ``kappa1 >= kappa2``; ``t1`` belongs to ``kappa1``. A batch of ``N``
+    frames has ``(N, 3)`` vectors and ``(N,)`` curvatures; a single frame
+    drops the leading axis.
     """
 
     t1: np.ndarray
@@ -322,11 +301,11 @@ def principal_frames(jets: np.ndarray) -> PrincipalFrames:
     return PrincipalFrames(t1, _cross(n, t1), n, kappa1, kappa2)
 
 
-def principal_frame(jet: SurfaceJet2) -> PrincipalFrame:
+def principal_frame(jet: SurfaceJet2) -> PrincipalFrames:
     """Principal frame of one jet (see :func:`principal_frames`)."""
     fr = principal_frames(_jet_rows(jet))
-    return PrincipalFrame(fr.t1[0], fr.t2[0], fr.n[0],
-                          fr.kappa1[0], fr.kappa2[0])
+    return PrincipalFrames(fr.t1[0], fr.t2[0], fr.n[0],
+                           fr.kappa1[0], fr.kappa2[0])
 
 
 def _seed_grid(surface: BSplineSurface, m: int):
@@ -511,24 +490,20 @@ def save_surface(surface: BSplineSurface, path) -> None:
                           encoding="utf-8")
 
 
-def convex_paraboloid_patch(alpha: float = 1.0, beta: float = 0.4,
-                            half_extent: float = 1.0) -> BSplineSurface:
+def convex_paraboloid_patch(alpha: float = 1.0,
+                            beta: float = 0.4) -> BSplineSurface:
     """Built-in convex test patch: the graph ``z = (a x^2 + b y^2) / 2``.
 
-    Represented exactly as a biquadratic Bezier patch over
-    ``[-half_extent, half_extent]^2``. For ``alpha != beta`` within the
-    default extents the patch is positively curved and free of umbilic
-    points, which makes it a convenient reference surface for tests and
-    for the command-line examples.
+    Represented exactly as a biquadratic Bezier patch over ``[-1, 1]^2``.
+    For ``alpha != beta`` the patch is positively curved and free of
+    umbilic points, which makes it a convenient reference surface for
+    tests and for the command-line examples.
     """
     if alpha <= 0 or beta <= 0:
         raise ValueError("alpha and beta must be positive")
-    e = float(half_extent)
-    coords = np.array([-e, 0.0, e])
-    pu = np.array([0.5 * alpha * e * e, -0.5 * alpha * e * e,
-                   0.5 * alpha * e * e])
-    qv = np.array([0.5 * beta * e * e, -0.5 * beta * e * e,
-                   0.5 * beta * e * e])
+    coords = np.array([-1.0, 0.0, 1.0])
+    pu = np.array([0.5 * alpha, -0.5 * alpha, 0.5 * alpha])
+    qv = np.array([0.5 * beta, -0.5 * beta, 0.5 * beta])
     ctrl = np.empty((3, 3, 3))
     for i in range(3):
         for j in range(3):

@@ -72,7 +72,6 @@ class RunConfig:
     schedule: Schedule
     tessellation: TessellationParams
     output_dir: Path
-    seed: int
     raw: dict
 
 
@@ -80,8 +79,7 @@ class RunConfig:
 # radius and theta kinds depend on the mode and family.
 _CONFIG_KINDS = {"format_version": int, "surface": str, "radius": dict,
                  "theta": dict, "grid": dict, "weights": dict,
-                 "schedule": dict, "tessellation": dict, "output_dir": str,
-                 "seed": int}
+                 "schedule": dict, "tessellation": dict, "output_dir": str}
 _CONFIG_REQUIRED = ("format_version", "surface", "radius", "theta", "grid",
                     "output_dir")
 _RADIUS_KINDS = {"tau_min": {"mode": str, "tau": float},
@@ -139,8 +137,7 @@ def config_from_dict(data: dict, base_dir: Path | None = None) -> RunConfig:
         schedule=_section(Schedule, top.get("schedule", {}), "schedule"),
         tessellation=_section(TessellationParams,
                               top.get("tessellation", {}), "tessellation"),
-        output_dir=base / top["output_dir"], seed=top.get("seed", 0),
-        raw=data)
+        output_dir=base / top["output_dir"], raw=data)
 
 
 def load_config(path) -> RunConfig:
@@ -373,8 +370,8 @@ def main(argv=None) -> int:
     p_tess = sub.add_parser("tessellate", help="export a stored net as OBJ")
     p_tess.add_argument("--lnet", required=True)
     p_tess.add_argument("--out", default="mesh.obj")
-    p_tess.add_argument("--arc-samples", type=int, default=8)
-    p_tess.add_argument("--ruling-samples", type=int, default=8)
+    p_tess.add_argument("--arc-samples", type=int,
+                        default=TessellationParams.arc_samples)
     p_tess.add_argument("--tol", type=float, default=DEFAULT_TOL_OC)
 
     p_rep = sub.add_parser("report", help="summary table from iteration logs")
@@ -395,7 +392,7 @@ def main(argv=None) -> int:
             return 0 if rep.is_lnet else 1
         if args.command == "tessellate":
             params = checked(TessellationParams, "tessellate",
-                             args.arc_samples, args.ruling_samples)
+                             args.arc_samples)
             net = load_lnet(args.lnet)
             mesh = dedupe_mesh(tessellate(net, params, args.tol))
             # Written beside the target and renamed over it, so a failed

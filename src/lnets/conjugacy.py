@@ -221,7 +221,7 @@ def classify_contact(dc: DualCurvature, scale: float) -> ContactClass:
             else ContactClass.L_HYPERBOLIC)
 
 
-def special_angles(dc: DualCurvature, scale: float | None = None) -> SpecialAngles:
+def special_angles(dc: DualCurvature) -> SpecialAngles:
     """Self-conjugate and principal-symmetric conjugate angles.
 
     For a hyperbolic element the self-conjugate angle is
@@ -230,13 +230,12 @@ def special_angles(dc: DualCurvature, scale: float | None = None) -> SpecialAngl
     parabolic element has the single self-conjugate direction in the
     principal slot of its vanishing radius. Flat elements are rejected.
     """
-    if scale is None:
-        scale = max(abs(dc.rho_s1), abs(dc.rho_s2))
+    scale = max(abs(dc.rho_s1), abs(dc.rho_s2))
     if not scale > 0.0:
         raise FlatError("both dual radii vanish")
+    # The larger radius is the scale, so it never counts as vanishing and
+    # the element is not flat.
     cls = classify_contact(dc, scale)
-    if cls is ContactClass.L_FLAT:
-        raise FlatError("both dual radii vanish")
     if cls is ContactClass.L_PARABOLIC:
         angle = 0.0 if abs(dc.rho_s1) <= EPS_CLASS * scale else math.pi / 2.0
         return SpecialAngles(asymptotic=angle, characteristic=None)

@@ -128,6 +128,10 @@ class AngleField:
             object.__setattr__(self, name, val)
             if not 0.0 <= val <= math.pi / 2.0 + 1e-15:
                 raise ValueError(f"{name}={val:g} outside [0, pi/2]")
+        if self.family == "constant" and self.theta_min != self.theta_max:
+            raise ValueError(f"a constant field has one angle, got "
+                             f"theta_min={self.theta_min:g} and "
+                             f"theta_max={self.theta_max:g}")
 
     @classmethod
     def constant(cls, value: float) -> "AngleField":

@@ -39,22 +39,16 @@ LABELS = ("planar", "conical", "spherical")
 class TessellationParams:
     """Sampling density of the curved patches.
 
-    ``arc_samples`` is the number of samples per circular boundary arc,
-    ``ruling_samples`` the number of rulings across each cone strip. The
-    tessellator places one ruling per arc station, so the two counts must
-    agree for the shared boundaries to match up.
+    ``arc_samples`` is the number of samples per circular boundary arc.
+    Each cone strip is ruled at the stations of its two arcs, one ruling
+    per sample, so the ruling count is ``arc_samples`` too.
     """
 
     arc_samples: int = 8
-    ruling_samples: int = 8
 
     def __post_init__(self):
-        if self.arc_samples < 2 or self.ruling_samples < 2:
-            raise ValueError("sample counts must be at least 2")
-        if self.arc_samples != self.ruling_samples:
-            raise ValueError(
-                "arc_samples and ruling_samples must agree: one ruling is "
-                "emitted per arc station")
+        if self.arc_samples < 2:
+            raise ValueError("arc_samples must be at least 2")
 
 
 @dataclass

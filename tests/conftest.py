@@ -1,18 +1,29 @@
 """Shared fixtures: reference surfaces and exactly-tangent net builders."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from lnets import LNet, convex_paraboloid_patch
-from lnets.bspline import PrincipalFrame, _jet_rows, _oriented_forms
+from lnets import LNet, PrincipalFrames, convex_paraboloid_patch
+from lnets.bspline import _jet_rows, _oriented_forms
 
 # Property tests draw the same examples on every run, with no time limit
 # per example, so the suite stays deterministic.
 settings.register_profile("lnets", derandomize=True, deadline=None)
 settings.load_profile("lnets")
+
+# Another directory's top-level conftest.py (perfbench/) is imported under
+# the same module name "conftest" and may replace this module in
+# sys.modules. The test modules here do ``from conftest import ...``.
+_SELF = sys.modules[__name__]
+
+
+def pytest_collect_file(file_path, parent):
+    """Make ``conftest`` this module again before a file here is imported."""
+    sys.modules["conftest"] = _SELF
 
 
 @pytest.fixture(scope="session")
@@ -42,9 +53,9 @@ def normal_derivatives(jet):
 
 def make_frame(kappa1, kappa2):
     """Axis-aligned frame used by closed-form conjugacy tests."""
-    return PrincipalFrame(np.array([1.0, 0.0, 0.0]),
-                          np.array([0.0, 1.0, 0.0]),
-                          np.array([0.0, 0.0, 1.0]), kappa1, kappa2)
+    return PrincipalFrames(np.array([1.0, 0.0, 0.0]),
+                           np.array([0.0, 1.0, 0.0]),
+                           np.array([0.0, 0.0, 1.0]), kappa1, kappa2)
 
 
 def random_frame(rng, min_gap=0.15):
@@ -58,7 +69,7 @@ def random_frame(rng, min_gap=0.15):
     k1 = k2 * (1.0 + min_gap + rng.uniform(0.0, 1.5))
     rot = Rotation.random(random_state=int(rng.integers(0, 2 ** 31)))
     m = rot.as_matrix()
-    return PrincipalFrame(m[:, 0], m[:, 1], m[:, 2], k1, k2)
+    return PrincipalFrames(m[:, 0], m[:, 1], m[:, 2], k1, k2)
 
 
 def solved_sphere_net(surface, rows, cols, d=0.25):

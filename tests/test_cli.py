@@ -75,10 +75,17 @@ def test_config_rejects_negative_fairness_decay(tmp_path, patch):
 
 
 def test_config_rejects_mismatched_sample_counts(tmp_path, patch):
+    # The ruling count is the arc count: a second count, equal or not, is
+    # an unknown field.
     good = json.loads(base_config(tmp_path, patch).read_text())
-    bad = dict(good, tessellation={"arc_samples": 8, "ruling_samples": 6})
-    with pytest.raises(ConfigError, match="tessellation"):
-        config_from_dict(bad, tmp_path)
+    for extra in ({"ruling_samples": 6}, {"ruling_samples": 5}):
+        bad = dict(good, tessellation={"arc_samples": 5, **extra})
+        with pytest.raises(ConfigError, match="tessellation: unknown fields "
+                                              r"\['ruling_samples'\]"):
+            config_from_dict(bad, tmp_path)
+    cfg = config_from_dict(dict(good, tessellation={"arc_samples": 5}),
+                           tmp_path)
+    assert cfg.tessellation == TessellationParams(5)
 
 
 @pytest.mark.parametrize("weights", [{"w_lfair": math.nan},
@@ -111,7 +118,8 @@ def test_config_rejects_values_of_the_wrong_type(tmp_path, patch, field,
     ({"radius": {"mode": "explicit", "value": "abc"}}, "radius.value"),
     ({"radius": {"mode": "explicit", "value": 0.2, "fix_radii": "false"}},
      "radius.fix_radii"),
-    ({"seed": "x"}, "seed"), ({"seed": 1.5}, "seed")])
+    # The pipeline is deterministic: a seed of any value is unknown.
+    ({"seed": 0}, "seed"), ({"seed": 1.5}, "seed")])
 def test_config_rejects_radius_and_seed_of_the_wrong_type(tmp_path, patch,
                                                           overrides, field):
     path = base_config(tmp_path, patch, **overrides)
@@ -142,11 +150,11 @@ def test_cli_malformed_input_exits_with_an_error(tmp_path, capsys):
     for argv in (["run", "--config", str(bad)],
                  ["verify", "--lnet", str(bad)],
                  ["tessellate", "--lnet", str(bad)],
-                 ["tessellate", "--lnet", str(good), "--arc-samples", "5"]):
+                 ["tessellate", "--lnet", str(good), "--arc-samples", "1"]):
         assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 4 and all(e.startswith("error: ") for e in err)
-    assert "arc_samples and ruling_samples must agree" in err[-1]
+    assert err[-1] == "error: tessellate: arc_samples must be at least 2"
 
 
 @pytest.mark.parametrize("normal", [(0.0, 0.0, 0.0), (0.0, 0.0, 2.0)])
@@ -185,7 +193,7 @@ def test_failed_tessellate_write_leaves_the_earlier_obj(tmp_path, capsys,
 
     monkeypatch.setattr(cli, "_write_rows", fault)
     assert main(["tessellate", "--lnet", str(path), "--out", str(obj),
-                 "--arc-samples", "4", "--ruling-samples", "4"]) == 2
+                 "--arc-samples", "4"]) == 2
     assert capsys.readouterr().err.splitlines() == ["error: disk full"]
     assert obj.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["lnet.json",
@@ -359,7 +367,7 @@ def reference_obj_text(mesh):
 
 @pytest.mark.parametrize("count", [8, 5])
 def test_export_matches_two_pass_reference(tmp_path, patch, count):
-    params = TessellationParams(count, count)
+    params = TessellationParams(count)
     # A solved net, and a point-sphere net whose collapsed patches give
     # degenerate triangles and vertices only they use.
     for name, net in (("solved", solved_sphere_net(patch, 5, 4)),
@@ -457,7 +465,8 @@ def test_cli_run_verify_tessellate_report(tmp_path, patch, capsys):
     assert main(["verify", "--lnet", str(out / "lnet.json"),
                  "--tol", "1e-9"]) == 0
     assert main(["tessellate", "--lnet", str(out / "lnet.json"),
-                 "--out", str(tmp_path / "mesh2.obj")]) == 0
+                 "--out", str(tmp_path / "mesh2.obj"),
+                 "--arc-samples", "5"]) == 0
     assert (tmp_path / "mesh2.obj").is_file()
     assert main(["report", "--log", str(out / "iterations.csv")]) == 0
     captured = capsys.readouterr()

@@ -30,9 +30,8 @@ CONFIG = {
     "grid": {"rows": 6, "cols": 6, "edge_length": 0.3, "rk4_step": None},
     "weights": {"w_prox": 1e-4},
     "schedule": {"max_iters": 15, "final_pass_iters": 10},
-    "tessellation": {"arc_samples": 8, "ruling_samples": 8},
+    "tessellation": {"arc_samples": 8},
     "output_dir": "out",
-    "seed": 0,
 }
 SURFACE = surface_to_dict(convex_paraboloid_patch())
 NET = lnet_to_dict(translational_offset_net(3, 3))
@@ -147,7 +146,7 @@ CLI_CASES = [
     ("run", CONFIG, ("schedule", "fairness_decay"), math.inf),
     ("run", CONFIG, ("output_dir",), None),
     ("run", CONFIG, ("format_version",), True),
-    ("run", CONFIG, ("seed",), 1.5),
+    ("run", CONFIG, ("seed",), 0),
     ("run", CONFIG, ("grid", "edge_length"), 10 ** 400),
     ("run", CONFIG, ("grid", "edge_length"), 1e-16),
     ("run", CONFIG, ("theta", "family"), "spiral"),

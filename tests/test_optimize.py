@@ -324,6 +324,20 @@ def test_fairness_weight_schedule(patch):
     assert records[20].iteration == 21
 
 
+@pytest.mark.parametrize("schedule,main,contact", [
+    (Schedule(max_iters=20, final_pass_iters=10), 20, 10),
+    (Schedule(max_iters=20, final_pass_iters=10, converge_rtol=1.0,
+              converge_patience=1), 2, 2),
+    (Schedule(max_iters=20, final_pass_iters=10, converge_rtol=1.0), 4, 4)],
+    ids=["default", "patience1", "patience3"])
+def test_flat_energy_ends_each_pass_early(patch, schedule, main, contact):
+    # Every relative change is below 1, so each pass stops once
+    # converge_patience changes in a row are flat: patience + 1 records.
+    _, records = lm_run(lattice_net(patch, 4, 4), patch, Weights(), schedule)
+    phases = [r.phase for r in records]
+    assert phases == ["main"] * main + ["contact"] * contact
+
+
 def test_energy_monotone_with_inert_footpoints(patch):
     # Fixed weights (no decay within 10 iterations) and zero proximity
     # weights make the recorded total energy non-increasing.

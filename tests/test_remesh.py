@@ -11,7 +11,7 @@ from lnets import (AngleField, CongruenceSpec, CurvatureSignError, GridSpec,
                    QuadGrid, TracingError, UmbilicError, frame_at,
                    frame_field, theta_eval, trace_grid)
 from lnets import remesh
-from lnets.remesh import FrameSample, _stage, trace_grid_from_field
+from lnets.remesh import FrameSample, trace_grid_from_field
 
 from conftest import mixed_patch
 
@@ -46,6 +46,10 @@ def test_angle_field_validation():
         AngleField("linear_u", -0.1, 1.0)
     with pytest.raises(ValueError):
         AngleField("spline_u", 0.0, 1.0)
+    # theta_eval reads only theta_min of a constant field.
+    with pytest.raises(ValueError, match="constant field has one angle"):
+        AngleField("constant", 0.3, 0.9)
+    assert AngleField("constant", 0.3, 0.3) == AngleField.constant(0.3)
 
 
 def test_frame_at_zero_angle_gives_principal_directions(patch):
@@ -280,84 +284,21 @@ def test_trace_names_the_first_degenerate_cell(patch, edge_length):
     assert info.value.line is None
 
 
-# -- fixed-step RK4 reference tracer -----------------------------------------
-
-
-def _rk4_step(field_fn, domain, family, p, direction, active, h):
-    """One classic RK4 step of every active line, in place.
-
-    Stage 1 is aligned with the line's last chord direction and stages
-    2-4 with stage 1. Lines with a stage point outside the domain leave
-    ``active`` and keep their position.
-    """
-    lines = np.flatnonzero(active)
-    p0 = p[lines]
-    ks = []
-    for c in (0.0, 0.5, 0.5, 1.0):
-        q = p0 + (c * h) * ks[-1] if ks else p0
-        ref = ks[0] if ks else direction[lines]
-        keep, k = _stage(field_fn, domain, family, lines, q, ref)
-        if keep.size < lines.size:
-            active[lines] = False
-            active[lines[keep]] = True
-            lines, p0, ks = lines[keep], p0[keep], [x[keep] for x in ks]
-            if lines.size == 0:
-                return
-        ks.append(k)
-    k1, k2, k3, k4 = ks
-    p_new = p0 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    step = p_new - p0
-    norm = np.sqrt(np.vecdot(step, step))
-    moved = norm > 0.0
-    direction[lines[moved]] = step[moved] / norm[moved, None]
-    p[lines] = p_new
-
-
-def reference_march(h):
-    """A drop-in for ``remesh._march`` that ignores its maximum step and
-    divides every edge into ``round(edge_length / h)`` equal RK4 steps."""
-
-    def march(field_fn, domain, family, starts, refs, budgets, edge_length,
-              _h_max):
-        steps = max(1, round(edge_length / h))
-        h_eff = edge_length / steps
-        p = np.array(starts, dtype=float)
-        refs = np.asarray(refs, dtype=float)
-        direction = refs / np.sqrt(np.vecdot(refs, refs))[:, None]
-        out = [[] for _ in range(p.shape[0])]
-        active = np.asarray(budgets) > 0
-        while active.any():
-            for _ in range(steps):
-                _rk4_step(field_fn, domain, family, p, direction, active,
-                          h_eff)
-                if not active.any():
-                    break
-            for i in np.flatnonzero(active):
-                out[i].append(p[i].copy())
-                if len(out[i]) == budgets[i]:
-                    active[i] = False
-        return out
-
-    return march
-
-
 ACCEPTANCE_SPEC = CongruenceSpec("tau_min", tau=0.75)
 
 
-@pytest.mark.parametrize("case", ["acceptance", "steep", "mixed"])
-def test_adaptive_trace_matches_fine_rk4_reference(case, patch, steep_patch,
-                                                   monkeypatch):
-    surface, size = {"acceptance": (patch, (16, 16, 0.13)),
-                     "steep": (steep_patch, (9, 21, 0.1)),
-                     "mixed": (mixed_patch(0.5), (5, 5, 0.1))}[case]
+def test_rk4_step_at_or_above_edge_length_traces_the_default_grid(patch):
+    # Each step is cut to the arclength left to the next vertex, which is
+    # at most edge_length, so a larger largest step is never taken.
     field = AngleField.constant(math.pi / 4)
-    grid = trace_grid(surface, ACCEPTANCE_SPEC, field, GridSpec(*size))
-    u0, u1, v0, v1 = surface.domain
-    monkeypatch.setattr(remesh, "_march", reference_march(
-        math.hypot(u1 - u0, v1 - v0) / 3200.0))
-    ref = trace_grid(surface, ACCEPTANCE_SPEC, field, GridSpec(*size))
-    assert grid.uv.shape == ref.uv.shape
-    assert np.max(np.abs(grid.uv - ref.uv)) <= 1e-8
+    default = trace_grid(patch, ACCEPTANCE_SPEC, field, GridSpec(6, 6, 0.2))
+    for h_max in (0.2, 5.0):
+        grid = trace_grid(patch, ACCEPTANCE_SPEC, field,
+                          GridSpec(6, 6, 0.2, rk4_step=h_max))
+        assert np.array_equal(grid.uv, default.uv)
+    smaller = trace_grid(patch, ACCEPTANCE_SPEC, field,
+                         GridSpec(6, 6, 0.2, rk4_step=0.05))
+    assert not np.array_equal(smaller.uv, default.uv)
 
 
 def test_acceptance_trace_takes_at_most_300_frame_batches(patch):
