@@ -28,7 +28,7 @@ untimed warm-up call.
   grid-seeded projection of every contact point, split into the seed
   selection and the Newton iteration from the selected seeds, and the
   first contact-pass Jacobian of a system whose main-pass Jacobian is
-  built.
+  built, which builds the contact pass's own tables.
 - ``export``: ``tessellate``, ``dedupe_mesh`` and ``export_obj`` (to a
   temporary file) of an exactly tangent net on the default paraboloid,
   built in closed form, with the raw vertex and triangle counts. The net
@@ -216,7 +216,7 @@ def main(argv=None):
             t0 = time.perf_counter()
             fresh.jacobian(x)
             t1 = time.perf_counter()
-            fresh.set_weights(CONTACT_PASS)
+            fresh.weights = CONTACT_PASS
             fresh.jacobian(x)
             firsts.append(t1 - t0)
             contacts.append(time.perf_counter() - t1)
@@ -226,7 +226,7 @@ def main(argv=None):
         t_solve = time_fn(lambda: solve_normal_equations(eqs, 1e-4), few)
         bands = []
         for weights in (Weights(), CONTACT_PASS):
-            system.set_weights(weights)
+            system.weights = weights
             lay = system.normal_equations(system.jacobian(x),
                                           system.residual(x)).layout
             bands.append(f"bandwidth {lay.bw}, band "

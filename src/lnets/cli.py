@@ -379,6 +379,9 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        if args.command in ("verify", "tessellate") and not args.tol >= 0.0:
+            raise ConfigError(f"{args.command}: --tol must be a nonnegative "
+                              f"number, got {args.tol}")
         if args.command == "run":
             summary = run_pipeline(load_config(args.config))
             print(json.dumps(summary, indent=1))

@@ -20,9 +20,8 @@ both passes, and escalations add ``w_reg * 10^k`` on top of it.
 The fairness, proximity and tangency blocks are linear in ``P``, so
 their Jacobian rows are sums of ``coef * dP/dx``. The band order
 (:func:`lattice_order`) is fixed at assembly and makes ``J^T J`` banded.
-Each active block set has one :class:`LMPlan`: its Jacobian's CSR
-pattern, value segments and band layout. The contact pass's blocks lead
-:data:`BLOCK_ORDER`, so its plan slices the main pass's tables. Each
+Each active block set has one :class:`LMPlan`, built on its first use:
+its Jacobian's CSR pattern, value segments and band layout. Each
 iteration solves the damped normal equations by banded Cholesky
 factorization; escalations reuse ``J^T J`` and only change the damping
 on its diagonal.
@@ -79,35 +78,29 @@ class Weights:
 class Schedule:
     """Iteration counts and the fairness decay rule.
 
-    Fairness weights are multiplied by ``fairness_decay`` (in [0, 1])
-    every ``decay_every`` iterations; after the main iterations a
-    contact-only pass of ``final_pass_iters`` steps runs with only the
-    contact and unit-normal energies (still damped by ``w_reg``).
-    Footpoints are refreshed in the iterations whose proximity or
-    tangency weight is positive and once at the returned net. The main
-    loop also stops early when the relative total-energy change stays
-    below ``converge_rtol`` for ``converge_patience`` consecutive
-    iterations.
+    The main pass runs ``max_iters`` iterations. Its fairness weights are
+    multiplied by ``fairness_decay`` (in [0, 1]) every ``decay_every``
+    iterations. A contact-only pass of ``final_pass_iters`` iterations
+    follows, with only the contact and unit-normal energies (still damped
+    by ``w_reg``). Every iteration is run and recorded. Footpoints are
+    refreshed in the iterations whose proximity or tangency weight is
+    positive and once at the returned net.
     """
 
     max_iters: int = 100
     fairness_decay: float = 0.1
     decay_every: int = 10
     final_pass_iters: int = 20
-    converge_rtol: float = 1e-14
-    converge_patience: int = 3
 
     def __post_init__(self):
         for name, low in (("max_iters", 0), ("final_pass_iters", 0),
-                          ("decay_every", 1), ("converge_patience", 1)):
+                          ("decay_every", 1)):
             n = getattr(self, name)
             if (isinstance(n, bool) or not isinstance(n, (int, np.integer))
                     or n < low):
                 raise ValueError(f"{name}={n!r} must be an integer >= {low}")
         if not 0.0 <= self.fairness_decay <= 1.0:
             raise ValueError("fairness_decay must be in [0, 1]")
-        if not self.converge_rtol >= 0.0:
-            raise ValueError("converge_rtol must be nonnegative")
 
 
 def pack(net: LNet) -> np.ndarray:
@@ -181,15 +174,11 @@ class ResidualSystem:
         if fix_radii:
             order = order[(order >= self.plane_base) | (order % 4 != 3)]
         self.order = order
-        self._assembled = self.active_blocks()
         self._plans = {}
         self._evaluated = (None, None, {})
         self.refresh_footpoints(self.x0)
 
     # -- state ------------------------------------------------------------
-
-    def set_weights(self, weights: Weights) -> None:
-        self.weights = weights
 
     def _split(self, x: np.ndarray):
         sph = x[:self.plane_base].reshape(self.n_faces, 4)
@@ -292,9 +281,9 @@ class ResidualSystem:
                  for kind, res in blocks.items()]
         return np.concatenate(parts) if parts else np.empty(0)
 
-    def block_slices(self, kinds=None) -> dict:
-        """Row ranges of the blocks ``kinds`` (default: the active ones)
-        stacked in :data:`BLOCK_ORDER`, as in the residual vector."""
+    def block_slices(self) -> dict:
+        """Row ranges of the active blocks, stacked in
+        :data:`BLOCK_ORDER` as in the residual vector."""
         sizes = {"unit": self.n_planes, "oc": self.oc_face.size,
                  "lfair": 6 * self.ell.shape[0],
                  "gfair": 6 * self.gamma.shape[0],
@@ -302,7 +291,7 @@ class ResidualSystem:
                  "td": self.td_pairs.shape[0]}
         out = {}
         at = 0
-        for kind in self.active_blocks() if kinds is None else kinds:
+        for kind in self.active_blocks():
             out[kind] = slice(at, at + sizes[kind])
             at += sizes[kind]
         return out
@@ -335,16 +324,17 @@ class ResidualSystem:
 
     # -- Jacobian -----------------------------------------------------------
 
-    def _jac_tables(self, kinds) -> LMPlan:
-        """Plan of the blocks ``kinds``: the pattern (:func:`csr_pattern`)
+    def _jac_tables(self) -> LMPlan:
+        """Plan of the active blocks: the pattern (:func:`csr_pattern`)
         and value segments of the COO triplets (repeats add up) of their
         Jacobian rows. The ``size`` triplets of segment ``(kind, size,
         coef, gather, minus)`` are ``sqrt(w_kind) * coef`` (times ``foot_n``
         for ``tan``) times ``x[gather] - x[minus]`` where given. Fairness,
         proximity and tangency rows chain through the entries of ``dP_k[comp]
         / dx``: 1 at ``c_f[comp]``, ``-n_v[comp]`` at ``r_f`` and ``-r_f``
-        at ``n_v[comp]``."""
-        rows, cols, segments = [], [], []
+        at ``n_v[comp]``. An empty block set gets an empty pattern."""
+        rows, cols = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+        segments = []
 
         def add(kind, rr, cc, coef, gather=None, minus=None):
             rows.append(np.ravel(rr))
@@ -358,7 +348,7 @@ class ResidualSystem:
         sph, pl = var[:self.n_faces], var[self.n_faces:]
         comp = np.arange(3)
         incidence = np.arange(self.oc_face.size)[:, None]
-        slices = self.block_slices(kinds)
+        slices = self.block_slices()
         for kind, block in slices.items():
             at = block.start
             if kind == "unit":
@@ -403,28 +393,12 @@ class ResidualSystem:
         return LMPlan(csr_pattern(np.concatenate(rows), np.concatenate(cols),
                                   shape), segments)
 
-    def _plan(self, kinds) -> LMPlan:
-        """The plan of the blocks ``kinds``, built on their first use.
-
-        The blocks weighted at assembly own their Jacobian tables. A
-        shorter leading run of them, such as the contact pass's ``unit``
-        and ``oc``, holds the first rows of those tables, so its plan
-        slices them (:meth:`LMPlan.prefix`); any other set builds its own.
-        """
-        plan = self._plans.get(kinds)
-        if plan is None:
-            main = self._assembled
-            if len(kinds) < len(main) and kinds == main[:len(kinds)]:
-                rows = max((b.stop for b in
-                            self.block_slices(kinds).values()), default=0)
-                plan = self._plan(main).prefix(rows, kinds)
-            elif kinds:
-                plan = self._jac_tables(kinds)
-            else:  # no block was weighted at assembly
-                empty = np.empty(0, np.int32)
-                plan = LMPlan((np.zeros(1, np.int32), empty, empty), [])
-            self._plans[kinds] = plan
-        return plan
+    def _plan(self) -> LMPlan:
+        """The plan of the active block set, built on its first use."""
+        kinds = self.active_blocks()
+        if kinds not in self._plans:
+            self._plans[kinds] = self._jac_tables()
+        return self._plans[kinds]
 
     def jacobian(self, x: np.ndarray, mode: str = "analytic") -> sp.csr_matrix:
         """Sparse Jacobian of the scaled residual vector.
@@ -437,7 +411,7 @@ class ResidualSystem:
         import scipy.sparse as sp
 
         if mode == "analytic":
-            plan = self._plan(self.active_blocks())
+            plan = self._plan()
             indptr, indices, slot = plan.pattern
             vals = np.empty(slot.size)
             at = 0
@@ -449,12 +423,10 @@ class ResidualSystem:
                              else x[gather] - x[minus])
                 vals[at:at + size] = w
                 at += size
-            # Set after construction: the constructor copies a prefix plan's
-            # slices, as scipy prunes views of much larger arrays.
-            jac = sp.csr_matrix((indptr.size - 1, self.n_vars))
-            jac.data, jac.indices, jac.indptr = (
-                np.bincount(slot, vals, indices.size), indices, indptr)
-            return jac
+            # The matrix shares the plan's read-only index arrays.
+            return sp.csr_matrix(
+                (np.bincount(slot, vals, indices.size), indices, indptr),
+                shape=(indptr.size - 1, self.n_vars))
         if mode != "finite_diff":
             raise ValueError(f"unknown jacobian mode {mode!r}")
         x = np.asarray(x, dtype=float)
@@ -468,7 +440,7 @@ class ResidualSystem:
         """``J^T J`` and ``-J^T r`` of the active block set's Jacobian and
         residual in its plan's band layout, which the set's first call
         builds from ``jac`` in :attr:`order`."""
-        plan = self._plan(self.active_blocks())
+        plan = self._plan()
         if plan.layout is None:
             plan.layout = BandLayout(jac, self.order)
         return plan.layout.form(jac, res)
@@ -485,16 +457,6 @@ class LMPlan:
     segments: list
     layout: BandLayout | None = None
 
-    def prefix(self, rows: int, kinds) -> LMPlan:
-        """The plan of the leading blocks ``kinds`` (the first ``rows``
-        rows): slices of this plan's tables. Their entries and triplets
-        come first, so no entry or slot moves."""
-        indptr, indices, slot = self.pattern
-        segments = [seg for seg in self.segments if seg[0] in kinds]
-        triplets = sum(seg[1] for seg in segments)
-        return LMPlan((indptr[:rows + 1], indices[:indptr[rows]],
-                       slot[:triplets]), segments)
-
 
 def csr_pattern(rows: np.ndarray, cols: np.ndarray, shape):
     """Read-only int32 CSR ``(indptr, indices, slot)`` of COO positions:
@@ -504,8 +466,10 @@ def csr_pattern(rows: np.ndarray, cols: np.ndarray, shape):
 
     pattern = sp.csr_array((np.ones(rows.size), (rows, cols)), shape=shape)
     pattern.data = np.arange(pattern.nnz, dtype=float)
+    # scipy answers an empty fancy index with a sparse array.
+    slot = pattern[rows, cols] if rows.size else rows
     out = tuple(a.astype(np.int32) for a in (
-        pattern.indptr, pattern.indices, pattern[rows, cols]))
+        pattern.indptr, pattern.indices, slot))
     for a in out:
         a.flags.writeable = False
     return out
@@ -643,14 +607,12 @@ def _attempt_step(residual_fn, x: np.ndarray, res0: np.ndarray,
 def _run_phase(system: ResidualSystem, x: np.ndarray, weights: Weights,
                schedule: Schedule, n_iters: int, phase: str,
                records: list) -> np.ndarray:
-    flat_count = 0
-    prev_total = None
     for it in range(1, n_iters + 1):
         t0 = time.perf_counter()
         factor = schedule.fairness_decay ** ((it - 1) // schedule.decay_every)
         w_it = replace(weights, w_lfair=weights.w_lfair * factor,
                        w_gfair=weights.w_gfair * factor)
-        system.set_weights(w_it)
+        system.weights = w_it
         if w_it.w_prox > 0.0 or w_it.w_tan > 0.0:
             system.refresh_footpoints(x)
         res0 = system.residual(x)
@@ -666,15 +628,6 @@ def _run_phase(system: ResidualSystem, x: np.ndarray, weights: Weights,
             w_lfair=w_it.w_lfair, w_gfair=w_it.w_gfair, escalations=escal,
             footpoint_fallbacks=system.footpoint_fallbacks,
             ms=(time.perf_counter() - t0) * 1e3))
-        if prev_total is not None:
-            ref = max(abs(prev_total), abs(total), 1e-300)
-            if abs(prev_total - total) / ref < schedule.converge_rtol:
-                flat_count += 1
-                if flat_count >= schedule.converge_patience:
-                    break
-            else:
-                flat_count = 0
-        prev_total = total
     return x
 
 

@@ -129,14 +129,22 @@ def test_config_rejects_radius_and_seed_of_the_wrong_type(tmp_path, patch,
 
 
 @pytest.mark.parametrize("schedule", [
-    {"max_iters": 2.5}, {"final_pass_iters": True}, {"decay_every": 2.0},
-    {"converge_patience": 3.0}, {"converge_rtol": math.nan},
-    {"converge_rtol": -1e-14}])
+    {"max_iters": 2.5}, {"final_pass_iters": True}, {"decay_every": 2.0}])
 def test_config_rejects_non_integer_counts_and_bad_tolerances(tmp_path, patch,
                                                               schedule):
     path = base_config(tmp_path, patch, schedule=schedule)
     with pytest.raises(ConfigError, match=f"schedule: {next(iter(schedule))}"):
         load_config(path)
+
+
+def test_config_with_an_early_stop_tolerance_is_rejected(tmp_path, patch,
+                                                         capsys):
+    # Each LM pass runs all its iterations, so the schedule has no
+    # early-stop fields.
+    path = base_config(tmp_path, patch, schedule={"converge_rtol": 1e-14})
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: schedule: unknown fields ['converge_rtol']"]
 
 
 def test_cli_malformed_input_exits_with_an_error(tmp_path, capsys):
@@ -155,6 +163,21 @@ def test_cli_malformed_input_exits_with_an_error(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 4 and all(e.startswith("error: ") for e in err)
     assert err[-1] == "error: tessellate: arc_samples must be at least 2"
+
+
+@pytest.mark.parametrize("command", ["verify", "tessellate"])
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_cli_rejects_a_nan_or_negative_tolerance(tmp_path, capsys, command,
+                                                 tol):
+    # The net is exact, so only the tolerance can be at fault.
+    path = tmp_path / "lnet.json"
+    save_lnet(translational_offset_net(3, 3), path)
+    assert main([command, "--lnet", str(path), "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert err == [f"error: {command}: --tol must be a nonnegative number, "
+                   f"got {float(tol)}"]
 
 
 @pytest.mark.parametrize("normal", [(0.0, 0.0, 0.0), (0.0, 0.0, 2.0)])
