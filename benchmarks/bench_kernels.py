@@ -35,8 +35,9 @@ untimed warm-up call.
   has ``min(64, max(8, isqrt(points / 4)))`` vertices per side: 64x64 at
   the default ``--points``, 8x8 in the smoke run. Beside each time is
   the rise of the process's peak resident memory (``ru_maxrss``) across
-  the stage's first call. This section runs first, before the others
-  raise the peak.
+  the stage's first call. The line ends with the OBJ file's size in
+  bytes and the rate at which ``export_obj`` writes it, in MB/s of OBJ
+  text. This section runs first, before the others raise the peak.
 """
 
 import argparse
@@ -158,13 +159,15 @@ def main(argv=None):
         path = Path(tmp) / "mesh.obj"
         first_call(lambda: export_obj(mesh, path))
         t_obj = time_fn(lambda: export_obj(mesh, path), few)
+        obj_bytes = path.stat().st_size
     t_tess = time_fn(lambda: tessellate(net), few)
     t_dedupe = time_fn(lambda: dedupe_mesh(raw), few)
     print(f"export {size}x{size}: tessellate {t_tess:8.2f} ms "
           f"(+{rises[0]:.1f} MB), dedupe {t_dedupe:8.2f} ms "
           f"(+{rises[1]:.1f} MB), export_obj {t_obj:8.2f} ms "
           f"(+{rises[2]:.1f} MB)  ({raw.vertices.shape[0]} raw vertices, "
-          f"{raw.triangles.shape[0]} triangles)")
+          f"{raw.triangles.shape[0]} triangles), OBJ {obj_bytes} B at "
+          f"{obj_bytes / 1e3 / t_obj:.1f} MB/s")
     del raw, mesh
 
     surf = convex_paraboloid_patch()

@@ -42,6 +42,7 @@ from .errors import (ConfigError, LnetsError, checked, json_fields,
                      read_json)
 from .lnet import (DEFAULT_TOL_OC, initialize, load_lnet,
                    save_lnet, verify)
+from .objtext import face_lines, vertex_lines
 from .optimize import Schedule, Weights, lm_run
 from .remesh import ANGLE_FAMILIES, AngleField, GridSpec, trace_grid
 from .tessellate import (LABELS, LabeledMesh, TessellationParams,
@@ -53,7 +54,7 @@ OBJ_FORMAT_VERSION = 1
 SUMMARY_FORMAT_VERSION = 1
 
 # Rows of the mesh formatted per write of :func:`export_obj`.
-OBJ_BLOCK_ROWS = 8192
+OBJ_BLOCK_ROWS = 2048
 
 LOG_COLUMNS = ("iter", "E_total", "E_oc", "E_prox", "E_tan", "E_td",
                "E_lfair", "E_gfair", "E_unit", "ms")
@@ -144,15 +145,12 @@ def load_config(path) -> RunConfig:
     return config_from_dict(read_json(path), base_dir=Path(path).parent)
 
 
-def _write_rows(fh, line: str, rows: np.ndarray, offset: int = 0) -> None:
-    """Write ``line % (row + offset)`` for every row, :data:`OBJ_BLOCK_ROWS`
-    rows per formatting call; the offset is added per block, so no shifted
-    copy of ``rows`` is made."""
+def _write_rows(fh, lines, rows: np.ndarray) -> None:
+    """Write ``lines(block)`` for every block of :data:`OBJ_BLOCK_ROWS`
+    rows, without its NUL padding."""
     for lo in range(0, rows.shape[0], OBJ_BLOCK_ROWS):
-        block = rows[lo:lo + OBJ_BLOCK_ROWS]
-        if offset:
-            block = block + offset
-        fh.write((line * block.shape[0]) % tuple(block.ravel().tolist()))
+        fh.write(lines(rows[lo:lo + OBJ_BLOCK_ROWS]).tobytes().translate(
+            None, b"\0"))
 
 
 def export_obj(mesh: LabeledMesh, path) -> None:
@@ -163,18 +161,24 @@ def export_obj(mesh: LabeledMesh, path) -> None:
     function writes what it is given. All ``v`` lines come first, in mesh
     order and printed with 17 significant digits, followed by one ``g``
     group per non-empty run of a patch kind (planar, conical, spherical)
-    with its 1-based ``f`` lines in triangle order. Lines are formatted
-    and written in blocks of rows, so the whole text is never held in
-    memory.
+    with its 1-based ``f`` lines in triangle order.
+
+    The file is opened in binary mode and written in blocks of
+    :data:`OBJ_BLOCK_ROWS` rows, so the whole text is never held in
+    memory. :mod:`lnets.objtext` formats each block with numpy, byte for
+    byte as ``"v %.17g %.17g %.17g\n"`` and ``"f %d %d %d\n"``: the 17
+    digits of a coordinate with ``1e-4 <= |x| < 1e16`` are computed
+    exactly in float64 and rounded half to even, and any other
+    coordinate is formatted by ``%`` itself.
     """
     runs = np.split(mesh.triangles, np.cumsum(mesh.counts)[:-1])
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# lnets mesh format_version={OBJ_FORMAT_VERSION}\n")
-        _write_rows(fh, "v %.17g %.17g %.17g\n", mesh.vertices)
+    with open(path, "wb") as fh:
+        fh.write(b"# lnets mesh format_version=%d\n" % OBJ_FORMAT_VERSION)
+        _write_rows(fh, vertex_lines, mesh.vertices)
         for label, group in zip(LABELS, runs):
             if group.size:
-                fh.write(f"g {label}\n")
-                _write_rows(fh, "f %d %d %d\n", group, offset=1)
+                fh.write(b"g %s\n" % label.encode())
+                _write_rows(fh, face_lines, group)
 
 
 @contextlib.contextmanager

@@ -69,6 +69,12 @@ class LabeledMesh:
             raise ValueError(f"counts {self.counts}: need one nonnegative "
                              f"triangle count per kind, summing to "
                              f"{self.triangles.shape[0]}")
+        if not np.isfinite(self.vertices).all():
+            raise ValueError("vertices must be finite")
+        n = self.vertices.shape[0]
+        if self.triangles.size and not (0 <= self.triangles.min()
+                                        and self.triangles.max() < n):
+            raise ValueError(f"triangle indices must lie in [0, {n})")
 
 
 def _plane_basis(w_hat: np.ndarray):

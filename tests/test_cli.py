@@ -3,18 +3,23 @@
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lnets
 from lnets import (ConfigError, LNet, LnetsError, TracingError, cli,
                    load_lnet, load_surface, save_lnet, save_surface)
 from lnets.cli import (LOG_COLUMNS, OBJ_BLOCK_ROWS, config_from_dict,
                        export_obj, load_config, main, report, run_pipeline)
+from lnets.objtext import face_lines, vertex_lines
 from lnets.tessellate import (LABELS, LabeledMesh, TessellationParams,
                               dedupe_mesh, tessellate)
 
@@ -429,10 +434,11 @@ def test_export_obj_streams_blocks_as_the_joined_text(tmp_path):
                  [1.0 / 3.0, 2.0 ** 60, -7.0], [0.1, 0.2, 0.3],
                  [-1e22, 5e-324, 123456789.0]]
     tris = rng.integers(0, n, size=(2 * n + 11, 3))
-    # Three runs; the conical one alone spans more than two blocks.
-    conical = 2 * OBJ_BLOCK_ROWS + 501
-    mesh = LabeledMesh(verts, tris, (7001, conical,
-                                     tris.shape[0] - 7001 - conical))
+    # Three runs; the planar one inside the first block, the conical one
+    # alone spans more than two blocks.
+    planar, conical = OBJ_BLOCK_ROWS // 2 + 3, 2 * OBJ_BLOCK_ROWS + 501
+    mesh = LabeledMesh(verts, tris, (planar, conical,
+                                     tris.shape[0] - planar - conical))
     path = tmp_path / "big.obj"
     export_obj(mesh, path)
     assert path.read_text(encoding="utf-8") == joined_obj_text(mesh)
@@ -444,6 +450,89 @@ def test_export_obj_empty_mesh(tmp_path):
                            (0, 0, 0)), path)
     lines = path.read_text().splitlines()
     assert len(lines) == 1 and lines[0].startswith("#")
+
+
+def vertex_text(values):
+    """``vertex_lines`` of ``values`` (padded with 1.0 to whole rows)."""
+    values = list(values) + [1.0] * (-len(values) % 3)
+    rows = np.array(values, dtype=float).reshape(-1, 3)
+    return vertex_lines(rows).tobytes().translate(None, b"\0")
+
+
+def percent_text(values):
+    values = list(values) + [1.0] * (-len(values) % 3)
+    return b"".join(b"v %.17g %.17g %.17g\n" % tuple(values[k:k + 3])
+                    for k in range(0, len(values), 3))
+
+
+# Finite doubles as 64-bit patterns; half the exponents are drawn from
+# the range that vertex_lines computes itself, [1e-4, 1e16) and a step
+# beyond, the others from all finite exponents, which mostly take the
+# `%` fallback.
+finite_doubles = st.builds(
+    lambda sign, exp, frac: struct.unpack(
+        "<d", struct.pack("<Q", sign << 63 | exp << 52 | frac))[0],
+    st.integers(0, 1), st.integers(1008, 1078) | st.integers(0, 2046),
+    st.integers(0, 2 ** 52 - 1))
+
+
+@settings(max_examples=300)
+@given(st.lists(finite_doubles, min_size=1, max_size=30))
+def test_vertex_lines_format_as_percent_17g(values):
+    assert vertex_text(values) == percent_text(values)
+
+
+def test_vertex_lines_explicit_cases():
+    # 17-digit ties round half to even.
+    assert vertex_text([1 + 2.0 ** -17, 1 + 3 * 2.0 ** -17, 0.5]) == (
+        b"v 1.0000076293945312 1.0000228881835938 0.5\n")
+    cases = [0.0, -0.0, 5e-324, 2.225073858507201e-308, 1e-310, 1.5, 0.25]
+    for k in range(-4, 17):
+        power = float(f"1e{k}")
+        cases += [power, np.nextafter(power, 0.0),
+                  np.nextafter(power, np.inf)]
+    cases += [-x for x in cases]
+    assert vertex_text(cases) == percent_text(cases)
+
+
+@pytest.mark.parametrize("miss", [-1, 1])
+def test_vertex_lines_correct_a_wrong_log10_estimate(monkeypatch, miss):
+    # Every exponent estimate one off: the exact range check moves each
+    # value back, so the text is unchanged.
+    rng = np.random.default_rng(5)
+    values = (rng.normal(size=300) * 10.0 ** rng.uniform(-4, 16, 300))
+    values = values.tolist() + [1e-4, 0.1, 1.0, 999999999999999.9]
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: log10(a) + miss)
+    text = vertex_text(values)
+    monkeypatch.undo()
+    assert text == percent_text(values)
+
+
+def test_face_lines_at_every_digit_width_boundary():
+    # 1-based values n - 1 and n at each power of ten n, then around
+    # 2**32, where a block switches from uint32 to uint64 digits.
+    ones = [10 ** k for k in range(1, 10)] + [2 ** 32 - 1, 2 ** 32, 10 ** 10]
+    values = [v for n in ones for v in (n - 1, n)]
+    rows = np.array(values, dtype=np.int64).reshape(-1, 3) - 1
+    for block in (rows[:1], rows[:6], rows[6:7], rows[7:], rows):
+        text = b"".join(b"f %d %d %d\n" % tuple(r)
+                        for r in (block + 1).tolist())
+        assert face_lines(block).tobytes().translate(None, b"\0") == text
+
+
+def test_export_obj_memory_stays_within_a_block(tmp_path):
+    rng = np.random.default_rng(3)
+    n = 4 * OBJ_BLOCK_ROWS + 123
+    mesh = LabeledMesh(rng.normal(size=(n, 3)),
+                       rng.integers(0, n, size=(2 * n, 3)), (n, n, 0))
+    tracemalloc.start()
+    try:
+        export_obj(mesh, tmp_path / "mesh.obj")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_000_000
 
 
 def test_report_renders_runs(tmp_path, patch):
