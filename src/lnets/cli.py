@@ -166,7 +166,7 @@ def export_obj(mesh: LabeledMesh, path) -> None:
     The file is opened in binary mode and written in blocks of
     :data:`OBJ_BLOCK_ROWS` rows, so the whole text is never held in
     memory. :mod:`lnets.objtext` formats each block with numpy, byte for
-    byte as ``"v %.17g %.17g %.17g\n"`` and ``"f %d %d %d\n"``: the 17
+    byte as ``"v %.17g %.17g %.17g\\n"`` and ``"f %d %d %d\\n"``: the 17
     digits of a coordinate with ``1e-4 <= |x| < 1e16`` are computed
     exactly in float64 and rounded half to even, and any other
     coordinate is formatted by ``%`` itself.

@@ -56,13 +56,22 @@ def _scaled(a, k):
 _FIELD = 48
 _LINE_WORDS = 3 * _FIELD // 8 + 1  # three fields and the newline word
 
-_DIGITS = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
-# Chunk n -> its slots, every point byte 0xFF so that a mask sets it.
-_CHUNK = np.stack([np.full_like(_DIGITS, 0xFF), _DIGITS + ord("0")],
-                  axis=-1).astype(np.uint8).reshape(-1, 8).view("<u8")[:, 0]
-# Trailing zeros of chunk n, 4 for n = 0.
-_CHUNK_TZ = (np.arange(10000)[:, None]
-             % np.array([10, 100, 1000, 10000]) == 0).sum(axis=1)
+
+def _chunk_tables():
+    """The slots of each 4-digit chunk ``n`` as one word, every point
+    byte 0xFF so that a mask sets it, and the trailing zeros of ``n`` (4
+    for ``n = 0``)."""
+    # uint16 keeps every temporary under 100 kB.
+    n = np.arange(10000, dtype=np.uint16)[:, None]
+    slots = np.full((10000, 4, 2), 0xFF, np.uint8)
+    slots[..., 1] = n // np.array([1000, 100, 10, 1], np.uint16) % 10
+    slots[..., 1] += ord("0")
+    trailing = (n % np.array([10, 100, 1000, 10000], np.uint16) == 0).sum(
+        axis=1, dtype=np.uint8)
+    return slots.reshape(-1, 8).view("<u8")[:, 0], trailing
+
+
+_CHUNK, _CHUNK_TZ = _chunk_tables()
 _HEAD = np.frombuffer(bytes([0, 0, 0, 0, ord(" "), 0, 0xFF, ord("0")]),
                       "<u8")[0]
 
