@@ -42,7 +42,6 @@ from .errors import (ConfigError, LnetsError, checked, json_fields,
                      read_json)
 from .lnet import (DEFAULT_TOL_OC, initialize, load_lnet,
                    save_lnet, verify)
-from .objtext import face_lines, vertex_lines
 from .optimize import Schedule, Weights, lm_run
 from .remesh import ANGLE_FAMILIES, AngleField, GridSpec, trace_grid
 from .tessellate import (LABELS, LabeledMesh, TessellationParams,
@@ -171,6 +170,10 @@ def export_obj(mesh: LabeledMesh, path) -> None:
     exactly in float64 and rounded half to even, and any other
     coordinate is formatted by ``%`` itself.
     """
+    # Imported here, so that a process that writes no mesh never builds
+    # the formatter's tables.
+    from .objtext import face_lines, vertex_lines
+
     runs = np.split(mesh.triangles, np.cumsum(mesh.counts)[:-1])
     with open(path, "wb") as fh:
         fh.write(b"# lnets mesh format_version=%d\n" % OBJ_FORMAT_VERSION)

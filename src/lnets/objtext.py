@@ -54,7 +54,8 @@ def _scaled(a, k):
 # digits, so a word from byte 8 on covers the four slots of one 4-digit
 # chunk; the point before slot 5 starts a word.
 _FIELD = 48
-_LINE_WORDS = 3 * _FIELD // 8 + 1  # three fields and the newline word
+_FIELD_WORDS = _FIELD // 8
+_LINE_WORDS = 3 * _FIELD_WORDS + 1  # three fields and the newline word
 
 
 def _chunk_tables():
@@ -91,7 +92,7 @@ def _field_masks():
                                & (slot <= np.maximum(last, q)))
     for k in range(20):
         masks[k, k + 1:, 8 + 2 * k] = ord(".")
-    return masks.view("<u8").reshape(20 * 21, _FIELD // 8)
+    return masks.view("<u8").reshape(20 * 21, _FIELD_WORDS)
 
 
 _FIELD_MASKS = _field_masks()
@@ -130,11 +131,11 @@ def vertex_lines(block: np.ndarray) -> np.ndarray:
 
     line = np.empty((n, _LINE_WORDS), np.uint64)
     line[:, -1] = ord("\n")
-    line[:, 0:-1:6] = _HEAD
+    line[:, 0:-1:_FIELD_WORDS] = _HEAD
     for w, chunk in enumerate(chunks, start=1):
-        line[:, w:-1:6] = _CHUNK[chunk]
-    line[:, :-1] &= _FIELD_MASKS[(4 + exp10) * 21 + 20 - trailing].reshape(
-        n, -1)
+        line[:, w:-1:_FIELD_WORDS] = _CHUNK[chunk]
+    point, last = 4 + exp10, 20 - trailing
+    line[:, :-1] &= _FIELD_MASKS[point * 21 + last].reshape(n, -1)
     text = line.view(np.uint8)
     text[:, 3] = ord("v")
     text[:, 5:-8:_FIELD] = (block < 0) * np.uint8(ord("-"))

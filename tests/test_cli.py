@@ -230,10 +230,12 @@ def test_failed_tessellate_write_leaves_the_earlier_obj(tmp_path, capsys,
 
 def test_importing_the_cli_does_not_load_scipy():
     # Only an LM run needs scipy; verify, tessellate and report do not.
+    # Only an OBJ export needs the formatter's tables.
     src = str(Path(lnets.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     subprocess.run([sys.executable, "-c", "import lnets.cli, sys; "
-                    "assert 'scipy' not in sys.modules"], env=env,
+                    "assert 'scipy' not in sys.modules; "
+                    "assert 'lnets.objtext' not in sys.modules"], env=env,
                    check=True, timeout=60)
 
 
