@@ -123,13 +123,13 @@ def evaluate_jets(surface: BSplineSurface, us, vs) -> np.ndarray:
     """Batched jet evaluation; returns ``(N, 6, 3)`` arrays.
 
     Second axis order: ``f, f_u, f_v, f_uu, f_uv, f_vv``. Parameters must
-    lie inside the surface domain.
+    lie inside the surface domain; a NaN parameter does not.
     """
     us = np.atleast_1d(np.asarray(us, dtype=float))
     vs = np.atleast_1d(np.asarray(vs, dtype=float))
     u0, u1, v0, v1 = surface.domain
-    if (np.any(us < u0) or np.any(us > u1)
-            or np.any(vs < v0) or np.any(vs > v1)):
+    if not (np.all(us >= u0) and np.all(us <= u1)
+            and np.all(vs >= v0) and np.all(vs <= v1)):
         raise ValueError("parameters outside the surface domain")
     return kernels.surface_jets_batch(
         surface.breaks_u, surface.breaks_v, surface.degree_u,
@@ -381,9 +381,14 @@ def project_points(surface: BSplineSurface, xs: np.ndarray,
     ``(N, 2), (N, 3), (N, 3), (N,), (N, 6, 3)``; ``jets`` are the surface
     jets at the returned parameters. A footpoint without an oriented
     normal (see :func:`oriented_normals`) raises with its row in ``index``
-    and its parameters in ``uv``.
+    and its parameters in ``uv``. A non-finite query point raises
+    ValueError with its row in ``index``.
     """
     xs = np.asarray(xs, dtype=float).reshape(-1, 3)
+    finite = np.isfinite(xs).all(axis=1)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise located(ValueError, f"query point {k} is not finite", index=k)
     n_pts = xs.shape[0]
     u0, u1, v0, v1 = surface.domain
     scale = max(u1 - u0, v1 - v0)

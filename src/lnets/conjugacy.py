@@ -1,18 +1,52 @@
-"""Conjugacy of surface directions relative to an attached tangent sphere
-congruence, dual curvature radii, and the classification of contact
-elements.
+"""Laguerre conjugacy of surface directions relative to an attached
+tangent sphere congruence, dual curvature radii, and the classification of
+contact elements.
 
-Notation: ``kappa1 >= kappa2 > 0`` are the principal curvatures with radii
-``rho_i = 1/kappa_i``; ``r`` is the signed radius of the congruence sphere
-at the contact element. The two fundamental coefficient pairs are
+Notation: ``kappa1 >= kappa2 > 0`` are the principal curvatures of the
+surface ``f``, with radii ``rho_i = 1/kappa_i``; ``n`` is its oriented
+unit normal and ``r`` the signed radius of the congruence sphere at the
+contact element. Directions are coefficient pairs in an orthonormal
+principal basis ``(t1, t2)``.
 
-* ``(rho_2 - r, rho_1 - r)`` - the dual curvature radii relative to the
-  congruence, attached to the first and second principal slots, and
-* ``(kappa1 - r kappa1^2, kappa2 - r kappa2^2)`` - the coefficients of the
-  contact-curve ("pseudo-conjugate") relation used for field generation.
+The relation. A sphere ``(c, r)`` touches the oriented plane ``(n, h)``
+when ``<c, n> - r = -h``; this is the ``oc`` residual of the net. The
+congruence sphere at ``f`` has center ``c = f + r n``, so
+``phi = <c, n> - r + h`` vanishes there for the tangent plane of ``f``,
+and so do its first derivatives, because ``f_a`` and ``n_a`` are
+tangent. Its mixed second derivative along parameter directions ``a``
+and ``b`` is::
 
-Directions are expressed as coefficient pairs in the orthonormal principal
-basis ``(t1, t2)``.
+    <c_ab, n> - r_ab = II(a, b) - r III(a, b)
+
+with ``II(a, b) = <f_ab, n>`` and ``III(a, b) = <n_a, n_b> = -<n_ab, n>``;
+the terms in ``r_a``, ``r_b`` and ``r_ab`` cancel. So the spheres of a
+small parameter quad with edges along ``a`` and ``b`` stay tangent to one
+plane to second order exactly when::
+
+    II(a, b) - r III(a, b) = 0,
+
+for a constant radius and for a varying one (``tau_min``) alike. This is
+Laguerre conjugacy; at ``r = 0`` it is classical conjugacy. The package
+solves it in two coordinate systems:
+
+* the unit principal basis of ``f`` (:func:`pseudo_lconj_partners`,
+  which the tracer integrates), where it reads
+  ``(kappa1 - r kappa1^2) a1 b1 + (kappa2 - r kappa2^2) a2 b2 = 0``;
+* the unit principal basis of the center surface ``f + r n``
+  (:func:`lconj_partner`). Along ``t_i`` the tangential part of
+  ``d(f + r n)`` is ``(1 - r kappa_i) df``, so
+  ``D = diag(1 - r kappa1, 1 - r kappa2)`` maps a direction of ``f`` to
+  the same parameter direction on the center surface. With
+  ``kappa_i - r kappa_i^2 = (1 - r kappa_i)^2 / (rho_i - r)`` the relation
+  becomes ``(rho_2 - r) a1 b1 + (rho_1 - r) a2 b2 = 0`` there. Its
+  coefficients are the dual curvature radii ``(rho_s1, rho_s2)`` of
+  :func:`dual_curvature_record`, whose signs classify the element.
+
+So ``pseudo_lconj_partner(frame, r, a)`` is parallel to
+``D^-1 lconj_partner(frame, r, D a)``. Neither partner is computed
+through the other: ``D`` is singular where ``r`` reaches a principal
+radius, where :func:`lconj_partner` still has a partner, and both share
+the one solver :func:`_partners`.
 """
 
 from __future__ import annotations
@@ -164,24 +198,25 @@ def _partners(coef1, coef2, a, scale) -> np.ndarray:
 
 
 def lconj_partner(frame, r: float, a) -> np.ndarray:
-    """Direction conjugate to ``a`` relative to the congruence of radius
-    ``r``, in principal coordinates.
+    """Laguerre conjugate partner of ``a`` in the unit principal basis of
+    the center surface ``f + r n`` (see the module docstring), where the
+    relation's coefficients are the dual radii of
+    :func:`dual_curvature_record`.
 
-    Solves ``(rho_2 - r) a1 b1 + (rho_1 - r) a2 b2 = 0`` and normalizes the
-    result (unit length, first nonzero component positive).
+    ``a`` and the result are coefficient pairs in that basis; the result
+    has unit length and its first nonzero component positive.
     """
-    rho1 = 1.0 / frame.kappa1
-    rho2 = 1.0 / frame.kappa2
-    return _partners([rho2 - r], [rho1 - r], np.reshape(a, (1, -1)),
-                     max(abs(rho1), abs(rho2)))[0]
+    dc = dual_curvature_record(frame, r)
+    return _partners([dc.rho_s1], [dc.rho_s2], np.reshape(a, (1, -1)),
+                     max(abs(1.0 / frame.kappa1), abs(1.0 / frame.kappa2)))[0]
 
 
 def pseudo_lconj_partners(kappa1, kappa2, r, a) -> np.ndarray:
-    """Contact-curve partner directions of the rows of ``a`` (``(N, 2)``).
+    """Laguerre conjugate partners of the rows of ``a`` (``(N, 2)``) in the
+    unit principal basis of ``f`` (see the module docstring).
 
-    Solves ``(kappa1 - r kappa1^2) a1 b1 + (kappa2 - r kappa2^2) a2 b2 = 0``
-    per row with the same normalization and degeneracy rules as
-    :func:`lconj_partner`; ``kappa1``, ``kappa2`` and ``r`` are ``(N,)``.
+    ``kappa1``, ``kappa2`` and ``r`` are ``(N,)``. Normalization and
+    degeneracy rules are those of :func:`lconj_partner`.
     """
     k1 = np.asarray(kappa1, dtype=float)
     k2 = np.asarray(kappa2, dtype=float)
@@ -191,8 +226,8 @@ def pseudo_lconj_partners(kappa1, kappa2, r, a) -> np.ndarray:
 
 
 def pseudo_lconj_partner(frame, r: float, a) -> np.ndarray:
-    """Contact-curve partner direction of ``a`` at one contact element
-    (see :func:`pseudo_lconj_partners`)."""
+    """Laguerre conjugate partner of ``a`` in the unit principal basis of
+    ``f`` at one contact element (see :func:`pseudo_lconj_partners`)."""
     return pseudo_lconj_partners([frame.kappa1], [frame.kappa2], r,
                                  np.reshape(a, (1, -1)))[0]
 

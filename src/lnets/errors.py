@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and a checked JSON reader."""
+"""Exception types shared across the package, the integer count check
+and a checked JSON reader."""
 
 import json
 import reprlib
@@ -64,6 +65,13 @@ def located(cls, message: str, **fields) -> Exception:
     for name, value in fields.items():
         setattr(exc, name, value)
     return exc
+
+
+def check_count(name: str, n, low: int) -> None:
+    """Raise ValueError unless ``n`` is an integer (a Python or numpy
+    integer, not a bool) of at least ``low``."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {n!r}")
 
 
 def read_json(path):

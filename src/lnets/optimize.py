@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .bspline import BSplineSurface, project_points
-from .errors import LnetsError, located
+from .errors import LnetsError, check_count, located
 from .lnet import (CORNERS, LNet, contact_incidences, face_pairs,
                    strip_incidences)
 
@@ -95,10 +95,7 @@ class Schedule:
     def __post_init__(self):
         for name, low in (("max_iters", 0), ("final_pass_iters", 0),
                           ("decay_every", 1)):
-            n = getattr(self, name)
-            if (isinstance(n, bool) or not isinstance(n, (int, np.integer))
-                    or n < low):
-                raise ValueError(f"{name}={n!r} must be an integer >= {low}")
+            check_count(name, getattr(self, name), low)
         if not 0.0 <= self.fairness_decay <= 1.0:
             raise ValueError("fairness_decay must be in [0, 1]")
 
@@ -228,7 +225,7 @@ class ResidualSystem:
             i, j = divmod(int(self.oc_face[k]), self.vertex_shape[1] - 1)
             raise located(type(exc), f"contact of face ({i}, {j}) at corner "
                           f"{CORNERS[k % 4]}: {exc}", index=k,
-                          uv=exc.uv) from exc
+                          uv=getattr(exc, "uv", None)) from exc
 
     # -- residuals ----------------------------------------------------------
 

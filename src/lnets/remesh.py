@@ -72,7 +72,7 @@ import numpy as np
 
 from .bspline import BSplineSurface, evaluate_jets, principal_frames
 from .conjugacy import CongruenceSpec, pseudo_lconj_partners
-from .errors import LnetsError, TracingError, located
+from .errors import LnetsError, TracingError, check_count, located
 
 logger = logging.getLogger(__name__)
 
@@ -204,10 +204,10 @@ def frame_field(surface: BSplineSurface, spec: CongruenceSpec,
     """Conjugate frame samples at the parameter points ``uv`` (``(N, 2)``).
 
     One jet batch feeds the batched principal frames, congruence radii
-    and contact-curve partners. The first direction makes the field angle
-    with ``t1``; the second solves
-    ``(k1 - r k1^2) a1 b1 + (k2 - r k2^2) a2 b2 = 0``. Each row equals
-    :func:`frame_at` at that point bit for bit.
+    and partners. The first direction makes the field angle with ``t1``;
+    the second is its Laguerre conjugate partner, ``II - r III = 0`` in
+    the surface's principal basis (:mod:`lnets.conjugacy`). Each row
+    equals :func:`frame_at` at that point bit for bit.
 
     A frame, radius or partner error is raised for the first offending
     point, with its ``(u, v)`` in the message and in ``uv`` and its row
@@ -260,8 +260,8 @@ class GridSpec:
     rk4_step: float | None = None
 
     def __post_init__(self):
-        if self.rows < 2 or self.cols < 2:
-            raise ValueError("grid needs at least 2 rows and 2 cols")
+        check_count("rows", self.rows, 2)
+        check_count("cols", self.cols, 2)
         if not self.edge_length > 0:
             raise ValueError("edge_length must be positive")
         if self.rk4_step is not None and not self.rk4_step > 0:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AdmissibilityError, LnetsError, located
+from .errors import AdmissibilityError, LnetsError, check_count, located
 from .lnet import DEFAULT_TOL_OC, LNet, contact_points, verify
 
 # The patch kinds, in the order of their runs of triangles.
@@ -47,8 +47,7 @@ class TessellationParams:
     arc_samples: int = 8
 
     def __post_init__(self):
-        if self.arc_samples < 2:
-            raise ValueError("arc_samples must be at least 2")
+        check_count("arc_samples", self.arc_samples, 2)
 
 
 @dataclass

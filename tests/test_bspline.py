@@ -50,6 +50,13 @@ def test_out_of_domain_rejected(patch):
         evaluate_jet(patch, 0.5, 1.01)
 
 
+def test_nan_parameter_is_outside_the_domain(patch):
+    # A NaN compares false with both domain ends.
+    for us, vs in (([0.2, math.nan], [0.5, 0.5]), ([0.5], [math.nan])):
+        with pytest.raises(ValueError, match="outside the surface domain"):
+            evaluate_jets(patch, us, vs)
+
+
 def _naive_point_highprec(surf, u, v):
     """Independent de Boor point evaluation in extended precision, so the
     finite-difference oracle is not limited by double roundoff."""
@@ -219,6 +226,15 @@ def test_project_points_locates_a_footpoint_without_normal():
         project_points(surface, np.column_stack([xy, z]))
     assert info.value.index == 2
     assert np.allclose(info.value.uv, [0.6, 0.7], atol=1e-12)
+
+
+def test_project_points_rejects_a_non_finite_query(patch):
+    for bad in (math.inf, -math.inf, math.nan):
+        xs = np.array([[0.1, 0.2, 0.5], [0.0, 0.0, 0.7], [bad, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="query point 2 is not finite"
+                           ) as info:
+            project_points(patch, xs)
+        assert info.value.index == 2
 
 
 def test_euler_formula_for_normal_curvature(patch):

@@ -167,7 +167,8 @@ def test_cli_malformed_input_exits_with_an_error(tmp_path, capsys):
         assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 4 and all(e.startswith("error: ") for e in err)
-    assert err[-1] == "error: tessellate: arc_samples must be at least 2"
+    assert err[-1] == ("error: tessellate: arc_samples must be an integer "
+                       ">= 2, got 1")
 
 
 @pytest.mark.parametrize("command", ["verify", "tessellate"])

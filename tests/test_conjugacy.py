@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from lnets import (ContactClass, CongruenceSpec, FlatError,
-                   SingularRadiusError, classify_contact,
+from lnets import (AngleField, ContactClass, CongruenceSpec, FlatError,
+                   GridSpec, SingularRadiusError, classify_contact,
                    dual_curvature_record, evaluate_jet, lconj_partner,
                    midsphere_radius, principal_frame, pseudo_lconj_partner,
-                   special_angles)
+                   special_angles, trace_grid)
 from lnets.conjugacy import DualCurvature, pseudo_lconj_partners
 
 from conftest import make_frame, normal_derivatives, random_frame
@@ -88,6 +90,59 @@ def test_partner_satisfies_its_equation():
         a = np.array([math.cos(phi), math.sin(phi)])
         assert abs(form9(fr, r, a, lconj_partner(fr, r, a))) <= 1e-12
         assert abs(form7(fr, r, a, pseudo_lconj_partner(fr, r, a))) <= 1e-12
+
+
+@given(st.floats(0.2, 5.0), st.floats(0.2, 5.0), st.floats(0.01, 0.99),
+       st.floats(-math.pi, math.pi))
+def test_the_two_partners_are_one_relation_mapped_by_d(k_a, k_b, rk1, phi):
+    # D = diag(1 - r kappa1, 1 - r kappa2) maps f's principal coordinates
+    # to those of the center surface f + r n.
+    fr = make_frame(max(k_a, k_b), min(k_a, k_b))
+    r = rk1 / fr.kappa1
+    d = np.array([1.0 - r * fr.kappa1, 1.0 - r * fr.kappa2])
+    a = np.array([math.cos(phi), math.sin(phi)])
+    mapped = lconj_partner(fr, r, d * a) / d
+    assert direction_gap(pseudo_lconj_partner(fr, r, a), mapped) <= 1e-13
+
+
+def seed_column_defect(surface, spec, grid):
+    """Largest relative defect ``|F(A, B)| / sqrt(F(A, A) F(B, B))`` of
+    ``F = II - r III`` at the interior vertices of the seed column, the
+    column holding the domain center.
+
+    ``A`` and ``B`` are the pushforwards of the central ``uv`` differences
+    along axis 1 and axis 0, in the vertex's principal frame.
+    """
+    uv = grid.uv
+    u0, u1, v0, v1 = surface.domain
+    center = (0.5 * (u0 + u1), 0.5 * (v0 + v1))
+    j = int(np.argwhere(np.all(uv == center, axis=-1))[0, 1])
+    worst = 0.0
+    for i in range(1, grid.rows - 1):
+        jet = evaluate_jet(surface, *uv[i, j])
+        fr = principal_frame(jet)
+        r = spec.radii([fr.kappa1], uv[i, j][None])[0]
+        a, b = (np.array([(d[0] * jet.f_u + d[1] * jet.f_v) @ t
+                          for t in (fr.t1, fr.t2)])
+                for d in (uv[i, j + 1] - uv[i, j - 1],
+                          uv[i + 1, j] - uv[i - 1, j]))
+        worst = max(worst, abs(form7(fr, r, a, b))
+                    / math.sqrt(form7(fr, r, a, a) * form7(fr, r, b, b)))
+    return worst
+
+
+def test_traced_seed_column_is_laguerre_conjugate(patch):
+    # The acceptance tracing config at h and h/2. The second family is
+    # traced only along the seed curve, so only the seed column is an
+    # L-conjugate net; there the defect falls as h^2 (ratio ~4).
+    spec = CongruenceSpec("tau_min", tau=0.75)
+    field = AngleField.constant(math.pi / 4)
+    defects = []
+    for n, h in ((16, 0.13), (32, 0.065)):
+        grid = trace_grid(patch, spec, field, GridSpec(n, n, h))
+        assert (grid.rows, grid.cols) == (n, n // 2)
+        defects.append(seed_column_defect(patch, spec, grid))
+    assert defects[0] >= 3.0 * defects[1]
 
 
 def test_partner_involution():

@@ -660,6 +660,17 @@ def test_escalations_reuse_the_normal_equations(patch, monkeypatch):
     assert len(solved) == len(records) + escalations
 
 
+def test_refresh_footpoints_names_the_face_of_a_non_finite_contact(patch):
+    system = assemble(lattice_net(patch, 4, 4), patch, Weights())
+    x = system.x0.copy()
+    x[0] = math.nan  # a coordinate of the first face's center
+    with pytest.raises(ValueError,
+                       match=r"contact of face \(0, 0\) at corner "
+                       r"\(0, 0\): query point 0 is not finite") as info:
+        system.refresh_footpoints(x)
+    assert info.value.index == 0
+
+
 def test_refresh_footpoints_names_face_and_corner():
     surface = mixed_patch(0.12)  # K < 0 for y > 0.12
     net = translational_offset_net(3, 3, d=0.2)  # face (i, j) near y = j/4

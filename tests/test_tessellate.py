@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lnets import (AdmissibilityError, LnetsError, TessellationParams,
-                   convex_paraboloid_patch, tessellate)
+from lnets import (AdmissibilityError, GridSpec, LnetsError, Schedule,
+                   TessellationParams, convex_paraboloid_patch, tessellate)
 from lnets.lnet import contact_points, verify
 from lnets.tessellate import (_ROW_MIX, LABELS, LabeledMesh, _row_hash,
                               dedupe_mesh, tangent_normal_circle)
@@ -133,8 +133,31 @@ def test_tangent_normal_circle_names_first_inadmissible_row():
 
 
 def test_params_validation():
-    with pytest.raises(ValueError, match="arc_samples must be at least 2"):
+    with pytest.raises(ValueError,
+                       match="arc_samples must be an integer >= 2"):
         TessellationParams(arc_samples=1)
+
+
+# Each count of the library API: its constructor and smallest value.
+COUNTS = {
+    "rows": (lambda n: GridSpec(n, 6, 0.13), 2),
+    "cols": (lambda n: GridSpec(6, n, 0.13), 2),
+    "arc_samples": (TessellationParams, 2),
+    "max_iters": (lambda n: Schedule(max_iters=n), 0),
+    "final_pass_iters": (lambda n: Schedule(final_pass_iters=n), 0),
+    "decay_every": (lambda n: Schedule(decay_every=n), 1),
+}
+
+
+@pytest.mark.parametrize("name", COUNTS)
+def test_counts_are_integers_at_least_their_minimum(name):
+    make, low = COUNTS[name]
+    for bad in (6.5, 3.0, np.float64(3.0), True, low - 1):
+        with pytest.raises(ValueError,
+                           match=f"{name} must be an integer >= {low}"):
+            make(bad)
+    make(low)
+    make(np.int64(low + 1))
 
 
 def test_rejects_unverified_net():
