@@ -33,11 +33,15 @@ untimed warm-up call.
   temporary file) of an exactly tangent net on the default paraboloid,
   built in closed form, with the raw vertex and triangle counts. The net
   has ``min(64, max(8, isqrt(points / 4)))`` vertices per side: 64x64 at
-  the default ``--points``, 8x8 in the smoke run. Beside each time is
-  the rise of the process's peak resident memory (``ru_maxrss``) across
-  the stage's first call. The line ends with the OBJ file's size in
-  bytes and the rate at which ``export_obj`` writes it, in MB/s of OBJ
-  text. This section runs first, before the others raise the peak.
+  the default ``--points``, 8x8 in the smoke run. Beside each time are
+  two memory figures: the rise of the process's peak resident memory
+  (``ru_maxrss``) across the stage's first call, and the stage's own
+  peak above its input, traced by ``tracemalloc`` in a second call.
+  The first reads 0 once an earlier stage has raised the process's
+  peak higher; the second does not depend on the stages before it. The
+  line ends with the OBJ file's size in bytes and the rate at which
+  ``export_obj`` writes it, in MB/s of OBJ text. This section runs
+  first, before the others raise the peak.
 """
 
 import argparse
@@ -47,6 +51,7 @@ import math
 import resource
 import tempfile
 import time
+import tracemalloc
 from functools import partial
 from pathlib import Path
 
@@ -144,13 +149,21 @@ def main(argv=None):
 
     size = min(64, max(8, math.isqrt(args.points // 4)))
     net = exact_paraboloid_net(size)
-    rises = []
+    memory = []
 
     def first_call(fn):
-        """``fn()``, recording the rise of the peak RSS across it in MB."""
+        """``fn()``, recording the rise of the peak RSS across it and the
+        traced peak of a second call, in MB."""
         before = peak_rss_mb()
         out = fn()
-        rises.append(peak_rss_mb() - before)
+        rise = peak_rss_mb() - before
+        tracemalloc.start()
+        try:
+            fn()
+            peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+        memory.append(f"+{rise:.1f} MB RSS, peak +{peak:.1f} MB")
         return out
 
     raw = first_call(lambda: tessellate(net))
@@ -163,9 +176,9 @@ def main(argv=None):
     t_tess = time_fn(lambda: tessellate(net), few)
     t_dedupe = time_fn(lambda: dedupe_mesh(raw), few)
     print(f"export {size}x{size}: tessellate {t_tess:8.2f} ms "
-          f"(+{rises[0]:.1f} MB), dedupe {t_dedupe:8.2f} ms "
-          f"(+{rises[1]:.1f} MB), export_obj {t_obj:8.2f} ms "
-          f"(+{rises[2]:.1f} MB)  ({raw.vertices.shape[0]} raw vertices, "
+          f"({memory[0]}), dedupe {t_dedupe:8.2f} ms ({memory[1]}), "
+          f"export_obj {t_obj:8.2f} ms ({memory[2]})  "
+          f"({raw.vertices.shape[0]} raw vertices, "
           f"{raw.triangles.shape[0]} triangles), OBJ {obj_bytes} B at "
           f"{obj_bytes / 1e3 / t_obj:.1f} MB/s")
     del raw, mesh

@@ -1,6 +1,7 @@
 """Tessellation structure, counting contracts and watertightness."""
 
 import math
+import tracemalloc
 from collections import Counter, defaultdict
 
 import numpy as np
@@ -198,6 +199,22 @@ def test_labeled_mesh_rejects_bad_indices_and_nonfinite_vertices():
         verts[1, 1] = bad
         with pytest.raises(ValueError, match="vertices must be finite"):
             LabeledMesh(verts, [[0, 1, 2]], (1, 0, 0))
+
+
+def test_labeled_mesh_requires_integer_indices():
+    verts = np.eye(3)
+    # Neither truncated to [[0, 1, 2]] nor read as [[1, 0, 1]].
+    for tris in (np.array([[0.5, 1.7, 2.9]]), np.array([[True, False, True]])):
+        with pytest.raises(ValueError, match="indices must be integers"):
+            LabeledMesh(verts, tris, (1, 0, 0))
+    for tris in ([], np.zeros((0, 3)), np.zeros((0, 3), dtype=bool)):
+        mesh = LabeledMesh(verts, tris, (0, 0, 0))
+        assert mesh.triangles.shape == (0, 3)
+        assert mesh.triangles.dtype == np.int64
+    assert LabeledMesh(verts, [[0, 1, 2]], (1, 0, 0)).triangles.dtype == np.int64
+    for dtype in (np.int32, np.uint16):
+        mesh = LabeledMesh(verts, np.array([[0, 1, 2]], dtype=dtype), (1, 0, 0))
+        assert mesh.triangles.dtype == dtype
 
 
 def test_shared_boundary_samples_are_bit_identical(patch):
@@ -577,16 +594,49 @@ def coincident_rim_normal_net():
 
 @pytest.mark.parametrize("case, count", [
     ("solved_5x4", 8), ("solved_5x4", 5), ("solved_6x6", 8),
-    ("point_spheres", 8), ("coincident_rim_normals", 8)])
+    ("point_spheres", 8), ("coincident_rim_normals", 8), ("solved_2x2", 8),
+    ("solved_2x4", 8)])
 def test_tessellate_equals_loop_reference(patch, case, count):
     # On the 6x6 net np.arctan2 and math.atan2 differ in the last bit for
-    # some arc endpoints; the arcs must use the latter.
+    # some arc endpoints; the arcs must use the latter. The 2xN nets have
+    # no planar quads, and the 2x2 net has no cone strips either.
     net = {"solved_5x4": lambda: solved_sphere_net(patch, 5, 4),
            "solved_6x6": lambda: solved_sphere_net(patch, 6, 6),
+           "solved_2x2": lambda: solved_sphere_net(patch, 2, 2),
+           "solved_2x4": lambda: solved_sphere_net(patch, 2, 4),
            "point_spheres": lambda: translational_offset_net(4, 4, d=0.0),
            "coincident_rim_normals": coincident_rim_normal_net}[case]()
     mesh = tessellate(net, TessellationParams(count))
     vertices, triangles, labels = reference_tessellate(net, count)
-    assert np.array_equal(mesh.vertices, vertices)
+    # Bit patterns, as dedupe_mesh keys them: array_equal would let
+    # -0.0 stand for 0.0.
+    assert np.array_equal(mesh.vertices.view(np.uint64),
+                          np.ascontiguousarray(vertices).view(np.uint64))
     assert np.array_equal(mesh.triangles, triangles)
     assert triangle_labels(mesh).tolist() == labels
+
+
+def test_export_stages_peak_near_their_output_bytes(patch):
+    # tessellate writes the raw mesh into arrays sized in advance and
+    # dedupe_mesh keeps its working arrays small, so each stays near the
+    # bytes of the mesh it returns (tracemalloc sees numpy's buffers).
+    net = solved_sphere_net(patch, 32, 32)
+    dedupe_mesh(tessellate(net))
+
+    def traced_peak(fn):
+        tracemalloc.start()
+        try:
+            out = fn()
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def nbytes(mesh):
+        return mesh.vertices.nbytes + mesh.triangles.nbytes
+
+    raw, peak = traced_peak(lambda: tessellate(net))
+    assert raw.triangles.dtype == np.int32
+    assert peak <= 1.5 * nbytes(raw)
+    del raw
+    mesh, peak = traced_peak(lambda: dedupe_mesh(tessellate(net)))
+    assert peak <= 2.4 * nbytes(mesh)
