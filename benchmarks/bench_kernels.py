@@ -17,13 +17,17 @@ untimed warm-up call.
 - ``projection``: the grid-seeded batched closest-point projection.
 - ``lm``: one warm ``refresh_footpoints`` (the net moves by about 1e-4
   between calls, as an LM step does; with the jet batches it evaluates),
-  one ``residual``, one analytic ``jacobian`` and one normal-equation
-  solve (``mu = 1e-4``, banded Cholesky) on uniform 10x10 and 40x40
-  lattices of the default patch, with the variable count and, for the
-  main pass and the contact-only pass, the bandwidth in the lattice order
-  and the size of the band. The Jacobian is timed twice: the first call
-  of a freshly assembled system, which builds the sparsity pattern and
-  the index tables, and a later call, which only fills in the values.
+  one ``residual``, one analytic ``jacobian``, one formation of the
+  normal equations (``J^T J`` and ``J^T r`` in the band layout) and one
+  normal-equation solve (``mu = 1e-4``, banded Cholesky) on uniform
+  10x10 and 40x40 lattices of the default patch, with the variable count
+  and, for the main pass and the contact-only pass, the bandwidth in the
+  lattice order and the size of the band. The Jacobian and the normal
+  equations are each timed twice: the first call of a freshly assembled
+  system, which builds the static structure (the Jacobian's sparsity
+  pattern and index tables; the band layout, the symbolic phase of
+  ``J^T J`` and its band slots), and a later call, which only computes
+  values (for the normal equations, the numeric product).
 - ``cold``: the cold start of an LM run on the same lattices: the
   grid-seeded projection of every contact point, split into the seed
   selection and the Newton iteration from the selected seeds, and the
@@ -226,19 +230,25 @@ def main(argv=None):
             lambda: system.refresh_footpoints(next(nets)))
         t_res = time_fn(lambda: system.residual(x), few)
         t_jac = time_fn(lambda: system.jacobian(x), few)
-        firsts, contacts = [], []
+        firsts, forms, contacts = [], [], []
         for _ in range(few):
             fresh = assemble(unpack(x, system.vertex_shape), surf, Weights())
+            res = fresh.residual(x)
             t0 = time.perf_counter()
-            fresh.jacobian(x)
+            jac = fresh.jacobian(x)
             t1 = time.perf_counter()
+            fresh.normal_equations(jac, res)
+            t2 = time.perf_counter()
             fresh.weights = CONTACT_PASS
             fresh.jacobian(x)
             firsts.append(t1 - t0)
-            contacts.append(time.perf_counter() - t1)
-        t_first = float(np.median(firsts)) * 1e3
-        t_contact = float(np.median(contacts)) * 1e3
-        eqs = system.normal_equations(system.jacobian(x), system.residual(x))
+            forms.append(t2 - t1)
+            contacts.append(time.perf_counter() - t2)
+        t_first, t_form_first, t_contact = (
+            float(np.median(t)) * 1e3 for t in (firsts, forms, contacts))
+        jac, res = system.jacobian(x), system.residual(x)
+        t_form = time_fn(lambda: system.normal_equations(jac, res), few)
+        eqs = system.normal_equations(jac, res)
         t_solve = time_fn(lambda: solve_normal_equations(eqs, 1e-4), few)
         bands = []
         for weights in (Weights(), CONTACT_PASS):
@@ -250,7 +260,8 @@ def main(argv=None):
         print(f"lm {size}x{size}    : footpoints {t_foot:8.2f} ms "
               f"({n_foot} jet batches), residual "
               f"{t_res:8.2f} ms, jacobian first {t_first:8.2f} ms / fill "
-              f"{t_jac:8.2f} ms, solve "
+              f"{t_jac:8.2f} ms, normal equations first {t_form_first:8.2f} "
+              f"ms / later {t_form:8.2f} ms, solve "
               f"{t_solve:8.2f} ms  ({eqs.layout.n} vars; main {bands[0]}; "
               f"contact {bands[1]})")
 

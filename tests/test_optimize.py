@@ -323,9 +323,9 @@ def test_fairness_weight_schedule(patch):
     assert records[20].iteration == 21
 
 
-@pytest.mark.parametrize("schedule,main,contact", [
-    (Schedule(max_iters=20, final_pass_iters=10), 20, 10)], ids=["default"])
-def test_flat_energy_ends_each_pass_early(patch, schedule, main, contact):
+def test_every_scheduled_iteration_is_recorded(patch):
+    schedule = Schedule(max_iters=20, final_pass_iters=10)
+    main, contact = 20, 10
     # Each pass runs and records every scheduled iteration, however small
     # the energy changes get.
     _, records = lm_run(lattice_net(patch, 4, 4), patch, Weights(), schedule)
@@ -503,6 +503,121 @@ def test_layout_rejects_a_jacobian_outside_its_band():
                                      [0.0, 0.0, 1.0]]))
     with pytest.raises(ValueError, match="band"):
         layout.form(other, np.ones(3))
+
+
+def test_scipy_still_has_the_product_kernels():
+    # BandLayout calls scipy's private sparse product kernels directly; a
+    # scipy release that renames or drops them must fail here, by name.
+    try:
+        from scipy.sparse import _sparsetools
+    except ImportError:
+        _sparsetools = None
+    missing = [name for name in ("csr_matmat", "csr_matmat_maxnnz")
+               if not hasattr(_sparsetools, name)]
+    assert not missing, (
+        f"scipy.sparse._sparsetools lacks {', '.join(missing)}: "
+        "BandLayout.form needs csr_matmat and csr_matmat_maxnnz")
+
+
+def _public_normal_equations(layout, jac, res):
+    """``(slots, values, rhs)`` of ``layout`` formed with scipy's public
+    ``jac.T @ jac``, which BandLayout.form must equal bit for bit."""
+    ata = jac.T @ jac
+    i, j = (layout.rank[a] for a in ata.tocoo(copy=False).coords)
+    upper = (i >= 0) & (i <= j)
+    i, j = i[upper], j[upper]
+    slots = layout.bw + i - j + (layout.bw + 1) * j
+    return slots, ata.data[upper], -(jac.T @ res)[layout.order]
+
+
+def _assert_same_equations(eqs, want):
+    for got, ref in zip((eqs.slots, eqs.values, eqs.rhs), want):
+        assert got.dtype == ref.dtype
+        assert np.array_equal(got, ref)
+
+
+@pytest.fixture(scope="module")
+def lattice_10(patch):
+    return lattice_net(patch, 10, 10)
+
+
+@pytest.mark.parametrize("case", ["main", "contact", "fix_radii"])
+def test_layout_forms_the_public_product_bit_for_bit(patch, lattice_10, case):
+    system = assemble(lattice_10, patch, Weights(),
+                      fix_radii=case == "fix_radii")
+    if case == "contact":
+        system.weights = Weights(w_lfair=0.0, w_gfair=0.0, w_prox=0.0,
+                                 w_tan=0.0, w_td=0.0)
+    x = pack(lattice_10)
+    jac, res = system.jacobian(x), system.residual(x)
+    eqs = system.normal_equations(jac, res)
+    _assert_same_equations(eqs, _public_normal_equations(eqs.layout, jac,
+                                                         res))
+    if case == "main":
+        # Entries of the main pass's J^T J cancel exactly (384 here), and
+        # the product kernel drops them.
+        dropped = (_normal_pattern(jac, np.arange(jac.shape[1])).nnz
+                   - (jac.T @ jac).nnz)
+        assert dropped > 0, dropped
+
+
+@pytest.mark.parametrize("other", ["other_cancellations", "other_pattern"])
+def test_layout_reused_across_jacobian_patterns(patch, lattice_10, other):
+    system = assemble(lattice_10, patch, Weights())
+    x = pack(lattice_10)
+    a, res_a = system.jacobian(x), system.residual(x)
+    if other == "other_cancellations":
+        # The same Jacobian pattern; zeroed entries make other products
+        # cancel, so only the product's pattern changes.
+        b, res_b = a.copy(), res_a
+        b.data[::7] = 0.0
+    else:
+        # Half the rows: another Jacobian pattern inside the same band.
+        half = a.shape[0] // 2
+        b, res_b = a[:half], res_a[:half]
+    assert (b.T @ b).nnz != (a.T @ a).nnz
+    layout = BandLayout(a, system.order)
+    for jac, res in ((a, res_a), (b, res_b), (a, res_a)):
+        eqs = layout.form(jac, res)
+        fresh = BandLayout(a, system.order).form(jac, res)
+        _assert_same_equations(eqs, (fresh.slots, fresh.values, fresh.rhs))
+        _assert_same_equations(eqs, _public_normal_equations(layout, jac,
+                                                             res))
+
+
+def test_layout_tells_apart_products_with_equal_row_counts():
+    # Rows 0-1, 2-3, 4-5 and 6-7 couple columns (0, 1), (0, 2), (3, 1)
+    # and (3, 2). In ``a`` the (0, 1) and (3, 2) entries of J^T J cancel,
+    # in ``b`` the (0, 2) and (3, 1) entries: every row of the product
+    # loses one entry either way, so only its column indices differ.
+    cols = np.array([0, 1, 0, 1, 0, 2, 0, 2, 1, 3, 1, 3, 2, 3, 2, 3])
+    rows = np.repeat(np.arange(8), 2)
+    a_vals = [1, 1, 1, -1, 1, 1, 1, 2, 1, 1, 2, 1, 1, 1, -1, 1]
+    b_vals = [1, 1, 1, 2, 1, 1, 1, -1, 1, 1, -1, 1, 1, 1, 2, 1]
+    a, b = (sp.csr_matrix((np.array(v, dtype=float), (rows, cols)),
+                          shape=(8, 4)) for v in (a_vals, b_vals))
+    res = np.arange(8.0)
+    prods = [(m.T @ m).tocsr() for m in (a, b)]
+    assert np.array_equal(prods[0].indptr, prods[1].indptr)
+    assert not np.array_equal(prods[0].indices, prods[1].indices)
+    layout = BandLayout(a, np.arange(4))
+    for jac in (a, b, a):
+        _assert_same_equations(layout.form(jac, res),
+                               _public_normal_equations(layout, jac, res))
+
+
+def test_product_is_sized_once_per_plan(patch, monkeypatch):
+    from scipy.sparse import _sparsetools
+
+    calls = []
+    maxnnz = _sparsetools.csr_matmat_maxnnz
+    monkeypatch.setattr(_sparsetools, "csr_matmat_maxnnz",
+                        lambda *a: calls.append(1) or maxnnz(*a))
+    _, records = lm_run(lattice_net(patch, 4, 4), patch, Weights(),
+                        Schedule(max_iters=6, final_pass_iters=3))
+    assert len(records) == 9
+    # One symbolic phase for the main pass and one for the contact pass.
+    assert len(calls) == 2
 
 
 def test_ordering_computed_once_per_active_block_set(patch, monkeypatch):
