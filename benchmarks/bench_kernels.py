@@ -24,15 +24,17 @@ untimed warm-up call.
   and, for the main pass and the contact-only pass, the bandwidth in the
   lattice order and the size of the band. The Jacobian and the normal
   equations are each timed twice: the first call of a freshly assembled
-  system, which builds the static structure (the Jacobian's sparsity
-  pattern and index tables; the band layout, the symbolic phase of
-  ``J^T J`` and its band slots), and a later call, which only computes
-  values (for the normal equations, the numeric product).
+  system and a later call. The first Jacobian builds the plan's static
+  structure (the Jacobian's sparsity pattern and index tables, the band
+  layout and the symbolic phase of ``J^T J``); the first formation of
+  the normal equations builds the band slots of the product. A later
+  call only computes values (for the normal equations, the numeric
+  product).
 - ``cold``: the cold start of an LM run on the same lattices: the
   grid-seeded projection of every contact point, split into the seed
   selection and the Newton iteration from the selected seeds, and the
   first contact-pass Jacobian of a system whose main-pass Jacobian is
-  built, which builds the contact pass's own tables.
+  built, which builds the contact pass's own tables and band layout.
 - ``export``: ``tessellate``, ``dedupe_mesh`` and ``export_obj`` (to a
   temporary file) of an exactly tangent net on the default paraboloid,
   built in closed form, with the raw vertex and triangle counts. The net

@@ -21,12 +21,13 @@ The fairness, proximity and tangency blocks are linear in ``P``, so
 their Jacobian rows are sums of ``coef * dP/dx``. The band order
 (:func:`lattice_order`) is fixed at assembly and makes ``J^T J`` banded.
 Each active block set has one :class:`LMPlan`, built on its first use:
-its Jacobian's CSR pattern, value segments and band layout, which holds
-the symbolic phase of ``J^T J`` (the pattern of ``J^T``, the gather of
-its values and the product's size). Each iteration fills the Jacobian's
-values, forms ``J^T J`` with the numeric phase alone and solves the
-damped normal equations by banded Cholesky factorization; escalations
-reuse ``J^T J`` and only change the damping on its diagonal.
+its Jacobian's CSR pattern and value segments, and the band layout on
+that pattern, which holds the symbolic phase of ``J^T J`` (the pattern
+of ``J^T``, the gather of its values and the product's size). Each
+iteration fills the Jacobian's values, forms ``J^T J`` with the numeric
+phase alone and solves the damped normal equations by banded Cholesky
+factorization; escalations reuse ``J^T J`` and only change the damping
+on its diagonal.
 """
 
 from __future__ import annotations
@@ -260,8 +261,6 @@ class ResidualSystem:
             diff = pts - self.foot_x
             return np.einsum("kc,kc->k", diff, self.foot_n)
         if kind == "td":
-            if self.td_pairs.shape[0] == 0:
-                return np.empty(0)
             d = c[self.td_pairs[:, 0]] - c[self.td_pairs[:, 1]]
             dr = r[self.td_pairs[:, 0]] - r[self.td_pairs[:, 1]]
             return np.einsum("kc,kc->k", d, d) - dr * dr
@@ -389,8 +388,10 @@ class ResidualSystem:
                 add(kind, rr, b[:, 3], 2, a[:, 3], b[:, 3])
         shape = (max((b.stop for b in slices.values()), default=0),
                  self.n_vars)
-        return LMPlan(csr_pattern(np.concatenate(rows), np.concatenate(cols),
-                                  shape), segments)
+        pattern = csr_pattern(np.concatenate(rows), np.concatenate(cols),
+                              shape)
+        return LMPlan(pattern, segments,
+                      BandLayout(*pattern[:2], shape, self.order))
 
     def _plan(self) -> LMPlan:
         """The plan of the active block set, built on its first use."""
@@ -437,24 +438,20 @@ class ResidualSystem:
     def normal_equations(self, jac: sp.csr_matrix,
                          res: np.ndarray) -> NormalEquations:
         """``J^T J`` and ``-J^T r`` of the active block set's Jacobian and
-        residual in its plan's band layout, which the set's first call
-        builds from ``jac`` in :attr:`order`."""
-        plan = self._plan()
-        if plan.layout is None:
-            plan.layout = BandLayout(jac, self.order)
-        return plan.layout.form(jac, res)
+        residual in its plan's band layout."""
+        return self._plan().layout.form(jac, res)
 
 
 @dataclass
 class LMPlan:
-    """Static LM structure of one active block set: the read-only CSR
-    ``pattern`` (:func:`csr_pattern`) and value ``segments``
+    """Static LM structure of one active block set, built together: the
+    read-only CSR ``pattern`` (:func:`csr_pattern`) and value ``segments``
     (:meth:`ResidualSystem._jac_tables`) of its Jacobian, and the band
-    ``layout`` of its normal equations, built from its first Jacobian."""
+    ``layout`` of its normal equations on that pattern."""
 
     pattern: tuple
     segments: list
-    layout: BandLayout | None = None
+    layout: BandLayout
 
 
 def csr_pattern(rows: np.ndarray, cols: np.ndarray, shape):
@@ -485,31 +482,9 @@ def _max_abs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
-def normal_product_tables(jac: sp.csr_matrix) -> tuple:
-    """The symbolic phase of ``J^T J`` for the pattern of ``jac``: its int32
-    CSR ``indptr`` and ``indices``, the int32 CSR pattern ``t_indptr``,
-    ``t_indices`` of ``J^T``, the int32 ``gather`` that makes
-    ``jac.data[gather]`` the values of ``J^T``, and the ``size`` of the
-    product from scipy's ``csr_matmat_maxnnz``."""
-    import scipy.sparse as sp
-    from scipy.sparse._sparsetools import csr_matmat_maxnnz
-
-    indptr, indices = (np.asarray(a, dtype=np.int32)
-                       for a in (jac.indptr, jac.indices))
-    # The CSC arrays of J are the CSR arrays of J^T, built as
-    # ``jac.T @ jac`` builds them; J's value positions ride along as data.
-    trans = sp.csr_matrix(
-        (np.arange(indices.size, dtype=np.int32), indices, indptr),
-        shape=jac.shape).tocsc()
-    t_indptr, t_indices, gather = (np.asarray(a, dtype=np.int32) for a in (
-        trans.indptr, trans.indices, trans.data))
-    n = jac.shape[1]
-    size = csr_matmat_maxnnz(n, n, t_indptr, t_indices, indptr, indices)
-    return indptr, indices, t_indptr, t_indices, gather, size
-
-
 class BandLayout:
-    """Banded Cholesky layout of ``J^T J`` for one Jacobian sparsity pattern.
+    """Banded Cholesky layout of ``J^T J`` for the Jacobian sparsity
+    pattern ``indptr``, ``indices`` of ``shape``.
 
     Band variable ``i`` is Jacobian column ``order[i]``; other columns are
     frozen. ``bw``, the largest rank span of any Jacobian row, is the
@@ -518,45 +493,63 @@ class BandLayout:
     1, n)``, flattened in Fortran order.
 
     ``J^T J`` is formed in the two phases of a sparse product. The
-    symbolic phase (:func:`normal_product_tables`) runs when the layout is
-    built, once per :class:`LMPlan`, and again only for a Jacobian of
-    another pattern. At 40x40 its tables take 3.5 MB in the main pass
-    (434,352 Jacobian entries) and 0.5 MB in the contact pass. Each
-    :meth:`form` runs only the numeric phase, scipy's ``csr_matmat``, into
-    transient buffers of the symbolic size (6.9 MB at 40x40). The kernel
-    drops entries that cancel exactly, and the main pass has such entries
-    in every iteration: 384 of 29,008 at 10x10, 480-488 on the acceptance
-    16x8 grid and 1,824 of 575,368 at 40x40 (none in the contact pass).
-    So the band slots of the product are kept for its last pattern and
-    rebuilt when that changes, 2-3 times per run.
+    symbolic phase runs when the layout is built, once per
+    :class:`LMPlan`: the int32 CSR pattern of ``J^T``, the int32
+    ``gather`` that makes ``jac.data[gather]`` its values, and the
+    product's size from scipy's ``csr_matmat_maxnnz``. At 40x40 these
+    tables take 3.5 MB in the main pass (434,352 Jacobian entries) and
+    0.5 MB in the contact pass. Each :meth:`form` runs only the numeric
+    phase, scipy's ``csr_matmat``, into transient buffers of the symbolic
+    size (6.9 MB at 40x40). The kernel drops entries that cancel exactly,
+    and the main pass has such entries in every iteration: 384 of 29,008
+    at 10x10, 480-488 on the acceptance 16x8 grid and 1,824 of 575,368 at
+    40x40 (none in the contact pass). So the band slots of the product
+    are kept for its last pattern and rebuilt when that changes, 2-3
+    times per run.
     """
 
-    def __init__(self, jac: sp.csr_matrix, order: np.ndarray):
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, shape,
+                 order: np.ndarray):
+        import scipy.sparse as sp
+        from scipy.sparse._sparsetools import csr_matmat_maxnnz
+
         self.order = np.asarray(order)
         n = self.n = self.order.size
-        self.n_vars = jac.shape[1]
-        self.rank = np.full(jac.shape[1], -1, dtype=np.int32)
+        self.n_vars = shape[1]
+        self.rank = np.full(shape[1], -1, dtype=np.int32)
         self.rank[self.order] = np.arange(n)
-        rank = self.rank[jac.indices]
-        starts = jac.indptr[:-1][np.diff(jac.indptr) > 0]
+        rank = self.rank[indices]
+        starts = indptr[:-1][np.diff(indptr) > 0]
         span = (np.maximum.reduceat(rank, starts)
                 - np.minimum.reduceat(np.where(rank < 0, n, rank), starts))
         self.bw = int(np.max(span, initial=0))
         self.diag = self.bw + (self.bw + 1) * np.arange(n)
-        self._tables = normal_product_tables(jac)
+        indptr, indices = (np.asarray(a, dtype=np.int32)
+                           for a in (indptr, indices))
+        # The CSC arrays of J are the CSR arrays of J^T, built as
+        # ``jac.T @ jac`` builds them; J's value positions ride along as data.
+        trans = sp.csr_matrix(
+            (np.arange(indices.size, dtype=np.int32), indices, indptr),
+            shape=shape).tocsc()
+        t_indptr, t_indices, gather = (np.asarray(a, dtype=np.int32) for a in (
+            trans.indptr, trans.indices, trans.data))
+        size = csr_matmat_maxnnz(self.n_vars, self.n_vars, t_indptr,
+                                 t_indices, indptr, indices)
+        self._tables = indptr, indices, t_indptr, t_indices, gather, size
         self._slots = (None, None, None, None)
 
     def form(self, jac: sp.csr_matrix, res: np.ndarray) -> NormalEquations:
-        """``J^T J`` and ``-J^T r`` of a Jacobian within this layout's band.
+        """``J^T J`` and ``-J^T r`` of a Jacobian of this layout's pattern.
 
         The product is scipy's ``jac.T @ jac`` bit for bit: the same kernel
-        on the same operands, in the same order."""
+        on the same operands, in the same order. Raises ``ValueError`` for a
+        Jacobian of another pattern."""
         from scipy.sparse._sparsetools import csr_matmat
 
-        if not (np.array_equal(self._tables[0], jac.indptr)
-                and np.array_equal(self._tables[1], jac.indices)):
-            self._tables = normal_product_tables(jac)
         j_indptr, j_indices, t_indptr, t_indices, gather, size = self._tables
+        if not (np.array_equal(j_indptr, jac.indptr)
+                and np.array_equal(j_indices, jac.indices)):
+            raise ValueError("Jacobian pattern differs from the layout's")
         n = self.n_vars
         indptr = np.empty(n + 1, dtype=np.int32)
         indices = np.empty(size, dtype=np.int32)
@@ -574,8 +567,6 @@ class BandLayout:
             i = self.rank[indices]
             upper = (i >= 0) & (i <= j)
             i, j = i[upper], j[upper]
-            if np.any(j - i > self.bw):
-                raise ValueError("Jacobian sparsity exceeds the layout's band")
             slots = self.bw * (j + 1) + i
             self._slots = indptr, indices, upper, slots
         return NormalEquations(self, slots, data[:nnz][upper],

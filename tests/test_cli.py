@@ -124,7 +124,9 @@ def test_config_rejects_values_of_the_wrong_type(tmp_path, patch, field,
     ({"radius": {"mode": "explicit", "value": 0.2, "fix_radii": "false"}},
      "radius.fix_radii"),
     # The pipeline is deterministic: a seed of any value is unknown.
-    ({"seed": 0}, "seed"), ({"seed": 1.5}, "seed")])
+    ({"seed": 0}, "seed"), ({"seed": 1.5}, "seed"),
+    # An explicit radius must be positive.
+    ({"radius": {"mode": "explicit", "value": -0.1}}, "radius.value")])
 def test_config_rejects_radius_and_seed_of_the_wrong_type(tmp_path, patch,
                                                           overrides, field):
     path = base_config(tmp_path, patch, **overrides)

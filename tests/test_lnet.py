@@ -229,6 +229,36 @@ def test_strip_segment_points_lie_on_their_plane():
             assert np.max(np.abs(res)) <= 1e-12
 
 
+def _with_nan(a):
+    a.flat[0] = np.nan
+    return a
+
+
+def _with_inf(a):
+    a.flat[0] = np.inf
+    return a
+
+
+@pytest.mark.parametrize("field,change,message", [
+    ("normals", lambda a: a[:1], r"normals must have shape \(vr>=2"),
+    ("intercepts", lambda a: a[:, 1:], "intercepts shape must match"),
+    ("centers", lambda a: np.concatenate([a, a[:1]]),
+     r"centers must have shape \(vr-1"),
+    ("radii", lambda a: a[:, 1:], "radii shape must match"),
+    ("intercepts", _with_nan, "intercepts contain non-finite"),
+    ("centers", _with_inf, "centers contain non-finite"),
+], ids=["one_plane_row", "intercepts_shape", "extra_sphere_row",
+        "radii_shape", "nan_intercept", "inf_center"])
+def test_lnet_rejects_bad_shapes_and_non_finite_values(field, change,
+                                                       message):
+    net = translational_offset_net(4, 3, d=0.15)
+    arrays = {name: getattr(net, name).copy()
+              for name in ("normals", "intercepts", "centers", "radii")}
+    arrays[field] = change(arrays[field])
+    with pytest.raises(ValueError, match=message):
+        LNet(**arrays)
+
+
 def test_serialization_roundtrip_and_strictness(tmp_path):
     net = translational_offset_net(4, 3, d=0.15)
     path = tmp_path / "net.json"

@@ -13,10 +13,16 @@ from lnets import (CongruenceSpec, CurvatureSignError, LNet, QuadGrid,
                    Schedule, Weights, assemble, initialize, kernels, lm_run,
                    optimize, verify)
 from lnets.lnet import face_pairs
+from lnets.tessellate import dedupe_mesh, tessellate
 from lnets.optimize import (BandLayout, _attempt_step, lattice_order, pack,
                             solve_normal_equations, unpack)
 
 from conftest import mixed_patch, translational_offset_net
+
+
+def layout_of(jac, order):
+    """The band layout of ``jac``'s sparsity pattern in ``order``."""
+    return BandLayout(jac.indptr, jac.indices, jac.shape, order)
 
 
 def lattice_net(patch, rows, cols, tau=0.6):
@@ -240,7 +246,7 @@ def test_toy_linear_least_squares():
     x0 = np.zeros(2)
     jac = sp.csr_matrix(np.eye(2))
     res0 = residual(x0)
-    eqs = BandLayout(jac, np.arange(2)).form(jac, res0)
+    eqs = layout_of(jac, np.arange(2)).form(jac, res0)
     x, escalations = _attempt_step(residual, x0, res0, eqs, 1e-4)
     # The first attempt is already damped: (1 + w_reg) d = -r.
     assert escalations == 0
@@ -250,6 +256,31 @@ def test_toy_linear_least_squares():
     x, escalations = _attempt_step(lambda x: res0, x0, res0, eqs, 1e-4)
     assert escalations == 9
     assert np.array_equal(x, x0)
+
+
+def test_step_escalates_past_a_failed_solve(monkeypatch):
+    def residual(x):
+        return np.array([x[0] - 1.0, x[1] + 2.0])
+
+    x0 = np.zeros(2)
+    jac = sp.csr_matrix(np.eye(2))
+    res0 = residual(x0)
+    eqs = layout_of(jac, np.arange(2)).form(jac, res0)
+    solve, mus = optimize.solve_normal_equations, []
+
+    def fail_first(eqs, mu):
+        mus.append(mu)
+        if len(mus) == 1:
+            raise RuntimeError("singular normal equations")
+        return solve(eqs, mu)
+
+    monkeypatch.setattr(optimize, "solve_normal_equations", fail_first)
+    x, escalations = _attempt_step(residual, x0, res0, eqs, 1e-4)
+    # Level 0 fails; level 1 solves with w_reg + w_reg * 10 and is taken.
+    assert escalations == 1
+    assert mus == [1e-4, 1e-4 + 1e-3]
+    assert np.allclose(x, np.array([1.0, -2.0]) / (1.0 + 1.1e-3),
+                       rtol=1e-14, atol=0.0)
 
 
 def _residual_block_damping_step(system, x, w_reg, max_escalations=8):
@@ -263,7 +294,7 @@ def _residual_block_damping_step(system, x, w_reg, max_escalations=8):
         return np.concatenate([system.residual(y), np.sqrt(w_reg) * (y - x)])
 
     res0 = residual(x)
-    eqs = BandLayout(jac, lattice_order(system.vertex_shape)).form(jac, res0)
+    eqs = layout_of(jac, lattice_order(system.vertex_shape)).form(jac, res0)
     for k in range(max_escalations + 1):
         mu = 0.0 if k == 0 else w_reg * 10.0 ** k
         y = x + solve_normal_equations(eqs, mu)
@@ -490,19 +521,28 @@ def test_lattice_band_is_structural_and_no_wider_than_rcm(patch, rows, cols):
 
 def test_singular_normal_equations_raise_runtime_error():
     jac = sp.csr_matrix(np.array([[1.0, 1.0], [2.0, 2.0]]))
-    eqs = BandLayout(jac, np.arange(2)).form(jac, np.ones(2))
+    eqs = layout_of(jac, np.arange(2)).form(jac, np.ones(2))
     with pytest.raises(RuntimeError, match="singular"):
         solve_normal_equations(eqs, 0.0)
     assert np.all(np.isfinite(solve_normal_equations(eqs, 1e-3)))
 
 
-def test_layout_rejects_a_jacobian_outside_its_band():
-    jac = sp.csr_matrix(np.eye(3))
-    layout = BandLayout(jac, np.arange(3))
-    other = sp.csr_matrix(np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0],
-                                     [0.0, 0.0, 1.0]]))
-    with pytest.raises(ValueError, match="band"):
-        layout.form(other, np.ones(3))
+def test_layout_rejects_a_jacobian_of_another_pattern(patch, lattice_10):
+    system = assemble(lattice_10, patch, Weights())
+    x = pack(lattice_10)
+    a, res = system.jacobian(x), system.residual(x)
+    # The plan's layout is built with its pattern, before any formation.
+    layout = system._plans[optimize.BLOCK_ORDER].layout
+    # Half the rows, and one entry fewer: both inside the layout's band.
+    half = a.shape[0] // 2
+    fewer = a.copy()
+    fewer.data[0] = 0.0
+    fewer.eliminate_zeros()
+    for jac, r in ((a[:half], res[:half]), (fewer, res)):
+        with pytest.raises(ValueError, match="pattern"):
+            layout.form(jac, r)
+    _assert_same_equations(layout.form(a, res),
+                           _public_normal_equations(layout, a, res))
 
 
 def test_scipy_still_has_the_product_kernels():
@@ -561,25 +601,20 @@ def test_layout_forms_the_public_product_bit_for_bit(patch, lattice_10, case):
         assert dropped > 0, dropped
 
 
-@pytest.mark.parametrize("other", ["other_cancellations", "other_pattern"])
+@pytest.mark.parametrize("other", ["other_cancellations"])
 def test_layout_reused_across_jacobian_patterns(patch, lattice_10, other):
     system = assemble(lattice_10, patch, Weights())
     x = pack(lattice_10)
     a, res_a = system.jacobian(x), system.residual(x)
-    if other == "other_cancellations":
-        # The same Jacobian pattern; zeroed entries make other products
-        # cancel, so only the product's pattern changes.
-        b, res_b = a.copy(), res_a
-        b.data[::7] = 0.0
-    else:
-        # Half the rows: another Jacobian pattern inside the same band.
-        half = a.shape[0] // 2
-        b, res_b = a[:half], res_a[:half]
+    # The same Jacobian pattern; zeroed entries make other products
+    # cancel, so only the product's pattern changes.
+    b, res_b = a.copy(), res_a
+    b.data[::7] = 0.0
     assert (b.T @ b).nnz != (a.T @ a).nnz
-    layout = BandLayout(a, system.order)
+    layout = layout_of(a, system.order)
     for jac, res in ((a, res_a), (b, res_b), (a, res_a)):
         eqs = layout.form(jac, res)
-        fresh = BandLayout(a, system.order).form(jac, res)
+        fresh = layout_of(a, system.order).form(jac, res)
         _assert_same_equations(eqs, (fresh.slots, fresh.values, fresh.rhs))
         _assert_same_equations(eqs, _public_normal_equations(layout, jac,
                                                              res))
@@ -600,7 +635,7 @@ def test_layout_tells_apart_products_with_equal_row_counts():
     prods = [(m.T @ m).tocsr() for m in (a, b)]
     assert np.array_equal(prods[0].indptr, prods[1].indptr)
     assert not np.array_equal(prods[0].indices, prods[1].indices)
-    layout = BandLayout(a, np.arange(4))
+    layout = layout_of(a, np.arange(4))
     for jac in (a, b, a):
         _assert_same_equations(layout.form(jac, res),
                                _public_normal_equations(layout, jac, res))
@@ -624,7 +659,7 @@ def test_ordering_computed_once_per_active_block_set(patch, monkeypatch):
     calls = []
     layout = optimize.BandLayout
     monkeypatch.setattr(optimize, "BandLayout",
-                        lambda *a: calls.append(a[0].shape) or layout(*a))
+                        lambda *a: calls.append(a[2]) or layout(*a))
     net = lattice_net(patch, 4, 4)
     _, records = lm_run(net, patch, Weights(),
                         Schedule(max_iters=5, final_pass_iters=3))
@@ -652,7 +687,8 @@ def test_jacobian_pattern_built_once_per_active_block_set(patch,
     assert builds[2][0] < builds[1][0] < builds[0][0]
 
 
-def test_contact_pass_plan_slices_the_assembly_plan(patch, monkeypatch):
+def test_run_builds_two_plans_and_the_contact_tables_lead_the_main_ones(
+        patch, monkeypatch):
     builds, systems = [], []
     build, make = optimize.csr_pattern, optimize.assemble
     monkeypatch.setattr(optimize, "csr_pattern",
@@ -795,3 +831,16 @@ def test_refresh_footpoints_names_face_and_corner():
         assemble(net, surface, Weights())
     assert info.value.index == 4
     assert info.value.uv[1] > 0.56
+
+
+def test_one_face_net_runs_through_lm_verify_and_export(patch):
+    # A 2x2-vertex net has no strips, no face pairs, no planar quads and
+    # no cones: the fairness and tangential-distance blocks are empty.
+    net, records = lm_run(lattice_net(patch, 2, 2), patch)
+    assert len(records) == 120
+    assert all(r.energies[kind] == 0.0 for r in records
+               for kind in ("lfair", "gfair", "td"))
+    assert verify(net).is_lnet
+    raw = tessellate(net)
+    mesh = dedupe_mesh(raw)
+    assert raw.counts == mesh.counts == (0, 0, 98)
