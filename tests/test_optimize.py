@@ -13,9 +13,9 @@ from lnets import (CongruenceSpec, CurvatureSignError, LNet, QuadGrid,
                    Schedule, Weights, assemble, initialize, kernels, lm_run,
                    optimize, verify)
 from lnets.lnet import face_pairs
-from lnets.tessellate import dedupe_mesh, tessellate
 from lnets.optimize import (BandLayout, _attempt_step, lattice_order, pack,
                             solve_normal_equations, unpack)
+from lnets.tessellate import dedupe_mesh, tessellate
 
 from conftest import mixed_patch, translational_offset_net
 
