@@ -21,8 +21,12 @@ untimed warm-up call.
   normal equations (``J^T J`` and ``J^T r`` in the band layout) and one
   normal-equation solve (``mu = 1e-4``, banded Cholesky) on uniform
   10x10 and 40x40 lattices of the default patch, with the variable count
-  and, for the main pass and the contact-only pass, the bandwidth in the
-  lattice order and the size of the band. The Jacobian and the normal
+  and, for the main pass and the contact-only pass, the number of
+  variables eliminated by the Schur complement, the bandwidth of the
+  reduced band in the lattice order and the size of the band in MiB. The
+  solve includes the main pass's Schur update (the fill ``B^T D~^-1 B``
+  subtracted from the band and the reduced right-hand side), which is
+  also timed alone, on a band of zeros. The Jacobian and the normal
   equations are each timed twice: the first call of a freshly assembled
   system and a later call. The first Jacobian builds the plan's static
   structure (the Jacobian's sparsity pattern and index tables, the band
@@ -72,7 +76,8 @@ from lnets.bspline import (PROJECTION_SEED_GRID, _seed_grid, _seed_select,
                            evaluate_jets)
 from lnets.kernels import surface_jets_batch
 from lnets.lnet import CORNERS
-from lnets.optimize import pack, solve_normal_equations, unpack
+from lnets.optimize import (_schur_update, pack, solve_normal_equations,
+                            unpack)
 from lnets.remesh import frame_field, trace_grid_from_field
 from lnets.tessellate import dedupe_mesh, tessellate
 
@@ -252,20 +257,24 @@ def main(argv=None):
         t_form = time_fn(lambda: system.normal_equations(jac, res), few)
         eqs = system.normal_equations(jac, res)
         t_solve = time_fn(lambda: solve_normal_equations(eqs, 1e-4), few)
+        band = np.zeros((eqs.layout.bw + 1) * eqs.layout.n)
+        pivots = eqs.elim_diag + 1e-4
+        t_schur = time_fn(lambda: _schur_update(eqs, pivots, band), few)
+        del band
         bands = []
         for weights in (Weights(), CONTACT_PASS):
             system.weights = weights
             lay = system.normal_equations(system.jacobian(x),
                                           system.residual(x)).layout
-            bands.append(f"bandwidth {lay.bw}, band "
-                         f"{(lay.bw + 1) * lay.n * 8 / 2 ** 20:.1f} MB")
+            bands.append(f"{lay.elim.size} eliminated, bandwidth {lay.bw}, "
+                         f"band {(lay.bw + 1) * lay.n * 8 / 2 ** 20:.1f} MiB")
         print(f"lm {size}x{size}    : footpoints {t_foot:8.2f} ms "
               f"({n_foot} jet batches), residual "
               f"{t_res:8.2f} ms, jacobian first {t_first:8.2f} ms / fill "
               f"{t_jac:8.2f} ms, normal equations first {t_form_first:8.2f} "
               f"ms / later {t_form:8.2f} ms, solve "
-              f"{t_solve:8.2f} ms  ({eqs.layout.n} vars; main {bands[0]}; "
-              f"contact {bands[1]})")
+              f"{t_solve:8.2f} ms (Schur update {t_schur:6.2f} ms)  "
+              f"({system.n_vars} vars; main {bands[0]}; contact {bands[1]})")
 
         pts = system.contact_points_of(x)
         gu, gv = _seed_grid(surf, PROJECTION_SEED_GRID)

@@ -360,6 +360,10 @@ def report(log_path) -> str:
     return "\n".join(lines)
 
 
+TOL_HELP = ("absolute bound on every contact residual |oc| = |n . c + h - "
+            "r|, in the net's length units (default: %(default)g)")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="lnets",
@@ -372,14 +376,16 @@ def main(argv=None) -> int:
 
     p_verify = sub.add_parser("verify", help="check a stored net")
     p_verify.add_argument("--lnet", required=True)
-    p_verify.add_argument("--tol", type=float, default=DEFAULT_TOL_OC)
+    p_verify.add_argument("--tol", type=float, default=DEFAULT_TOL_OC,
+                          help=TOL_HELP)
 
     p_tess = sub.add_parser("tessellate", help="export a stored net as OBJ")
     p_tess.add_argument("--lnet", required=True)
     p_tess.add_argument("--out", default="mesh.obj")
     p_tess.add_argument("--arc-samples", type=int,
                         default=TessellationParams.arc_samples)
-    p_tess.add_argument("--tol", type=float, default=DEFAULT_TOL_OC)
+    p_tess.add_argument("--tol", type=float, default=DEFAULT_TOL_OC,
+                        help=TOL_HELP)
 
     p_rep = sub.add_parser("report", help="summary table from iteration logs")
     p_rep.add_argument("--log", required=True)

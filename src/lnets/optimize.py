@@ -27,7 +27,11 @@ of ``J^T``, the gather of its values and the product's size). Each
 iteration fills the Jacobian's values, forms ``J^T J`` with the numeric
 phase alone and solves the damped normal equations by banded Cholesky
 factorization; escalations reuse ``J^T J`` and only change the damping
-on its diagonal.
+on its diagonal. A plane's intercept ``h`` enters only the contact rows,
+one per row, so the intercepts' block of ``J^T J`` is diagonal; where
+that narrows the band (the main pass), the layout eliminates them by a
+Schur complement before each factorization and recovers their step
+after it.
 """
 
 from __future__ import annotations
@@ -390,8 +394,11 @@ class ResidualSystem:
                  self.n_vars)
         pattern = csr_pattern(np.concatenate(rows), np.concatenate(cols),
                               shape)
-        return LMPlan(pattern, segments,
-                      BandLayout(*pattern[:2], shape, self.order))
+        # The intercepts enter only the contact rows, one per row.
+        order = self.order
+        intercepts = order[(order >= self.plane_base) & (order % 4 == 3)]
+        return LMPlan(pattern, segments, BandLayout(*pattern[:2], shape,
+                                                    order, intercepts))
 
     def _plan(self) -> LMPlan:
         """The plan of the active block set, built on its first use."""
@@ -484,13 +491,34 @@ def _max_abs(a: np.ndarray) -> float:
 
 class BandLayout:
     """Banded Cholesky layout of ``J^T J`` for the Jacobian sparsity
-    pattern ``indptr``, ``indices`` of ``shape``.
+    pattern ``indptr``, ``indices`` of ``shape``, with the columns ``elim``
+    (a subset of ``order``) eliminated by a Schur complement when that
+    pays.
 
-    Band variable ``i`` is Jacobian column ``order[i]``; other columns are
-    frozen. ``bw``, the largest rank span of any Jacobian row, is the
-    bandwidth of ``J^T J``. Entry ``(i, j)``, ``i <= j``, lives at
+    Columns leave the band as a block whose part of ``J^T J`` is diagonal,
+    the reduced system of bundle adjustment (Triggs, McLauchlan, Hartley &
+    Fitzgibbon, *Bundle Adjustment -- A Modern Synthesis*, 2000, 6.1): no
+    Jacobian row may hold two of them. Then ``J^T J = [[A, B^T], [B, D]]``
+    with ``D`` diagonal, and the step solves ``A - B^T D~^-1 B``, ``D~ = D +
+    mu``, in the band. Eliminating them adds the fill ``b_v b_v^T`` of
+    each eliminated variable's row ``b_v`` of ``B`` to the band; they are
+    kept in the band unless removing them lowers ``n * bw^2``, the cost of
+    the factorization. In the main pass the plane intercepts go (bandwidth
+    155 -> 135 at 10x10, 635 -> 555 at 40x40); in the contact pass they
+    stay, since the fill would couple the spheres around each vertex and
+    widen the band (43 -> 73 at 10x10).
+
+    Band variable ``i`` is Jacobian column ``order[i]`` and eliminated
+    variable ``e`` is column ``elim[e]``; ``rank`` maps them to ``i`` and
+    ``n + e``, and every other column, which is frozen, to -1. ``bw``, the
+    bandwidth of the reduced matrix, is the largest rank span of any
+    Jacobian row or of any ``b_v``. Entry ``(i, j)``, ``i <= j``, lives at
     ``band[bw + i - j, j]`` of LAPACK upper band storage of shape ``(bw +
-    1, n)``, flattened in Fortran order.
+    1, n)``, flattened in Fortran order. ``B``'s structural entries are
+    ``(b_row[k], b_col[k])``, sorted, and the fill tables list, for each
+    eliminated variable, the pairs ``fill_left <= fill_right`` of its
+    entries, which add up at the band positions ``fill_slots[fill_inverse]``
+    (284,504 pairs on 191,450 positions at 40x40).
 
     ``J^T J`` is formed in the two phases of a sparse product. The
     symbolic phase runs when the layout is built, once per
@@ -503,27 +531,37 @@ class BandLayout:
     size (6.9 MB at 40x40). The kernel drops entries that cancel exactly,
     and the main pass has such entries in every iteration: 384 of 29,008
     at 10x10, 480-488 on the acceptance 16x8 grid and 1,824 of 575,368 at
-    40x40 (none in the contact pass). So the band slots of the product
-    are kept for its last pattern and rebuilt when that changes, 2-3
-    times per run.
+    40x40 (none in the contact pass). So the band slots and the ``B`` and
+    ``D`` positions of the product are kept for its last pattern and
+    rebuilt when that changes, 2-3 times per run.
     """
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray, shape,
-                 order: np.ndarray):
+                 order: np.ndarray, elim=()):
         import scipy.sparse as sp
         from scipy.sparse._sparsetools import csr_matmat_maxnnz
 
-        self.order = np.asarray(order)
-        n = self.n = self.order.size
         self.n_vars = shape[1]
+        self.order, self.bw, self.elim, self.b_row, self.b_col = _eliminate(
+            indptr, indices, shape, np.asarray(order),
+            np.asarray(elim, dtype=np.intp))
+        n = self.n = self.order.size
         self.rank = np.full(shape[1], -1, dtype=np.int32)
         self.rank[self.order] = np.arange(n)
-        rank = self.rank[indices]
-        starts = indptr[:-1][np.diff(indptr) > 0]
-        span = (np.maximum.reduceat(rank, starts)
-                - np.minimum.reduceat(np.where(rank < 0, n, rank), starts))
-        self.bw = int(np.max(span, initial=0))
+        self.rank[self.elim] = n + np.arange(self.elim.size)
         self.diag = self.bw + (self.bw + 1) * np.arange(n)
+        # Pairs a <= b of each eliminated variable's entries of B, which are
+        # sorted by band rank, so ``(b_col[a], b_col[b])`` is upper.
+        ends = np.searchsorted(self.b_row, self.b_row, side="right")
+        reps = ends - np.arange(ends.size)
+        left = np.repeat(np.arange(ends.size), reps)
+        right = left + np.arange(left.size) - np.repeat(np.cumsum(reps) - reps,
+                                                        reps)
+        self.fill_slots, inverse = np.unique(
+            self.bw * (self.b_col[right] + 1) + self.b_col[left],
+            return_inverse=True)
+        self.fill_left, self.fill_right, self.fill_inverse = (
+            a.astype(np.int32) for a in (left, right, inverse))
         indptr, indices = (np.asarray(a, dtype=np.int32)
                            for a in (indptr, indices))
         # The CSC arrays of J are the CSR arrays of J^T, built as
@@ -536,7 +574,7 @@ class BandLayout:
         size = csr_matmat_maxnnz(self.n_vars, self.n_vars, t_indptr,
                                  t_indices, indptr, indices)
         self._tables = indptr, indices, t_indptr, t_indices, gather, size
-        self._slots = (None, None, None, None)
+        self._slots = (None,) * 6
 
     def form(self, jac: sp.csr_matrix, res: np.ndarray) -> NormalEquations:
         """``J^T J`` and ``-J^T r`` of a Jacobian of this layout's pattern.
@@ -558,53 +596,140 @@ class BandLayout:
                    j_indptr, j_indices, jac.data, indptr, indices, data)
         nnz = indptr[-1]
         indices = indices[:nnz]
-        last_indptr, last_indices, upper, slots = self._slots
+        last_indptr, last_indices, upper, slots, coupled, to = self._slots
         if not (np.array_equal(last_indptr, indptr)
                 and np.array_equal(last_indices, indices)):
             # ``jac.T @ jac`` returns these arrays as a CSC matrix: entry
             # ``k`` of column ``c`` is ``(indices[k], c)``.
             j = np.repeat(self.rank, np.diff(indptr))
             i = self.rank[indices]
-            upper = (i >= 0) & (i <= j)
-            i, j = i[upper], j[upper]
-            slots = self.bw * (j + 1) + i
-            self._slots = indptr, indices, upper, slots
-        return NormalEquations(self, slots, data[:nnz][upper],
-                               -(jac.T @ res)[self.order])
+            upper = (i >= 0) & (i <= j) & (j < self.n)
+            slots = self.bw * (j[upper] + 1) + i[upper]
+            # Column ``n + e`` is eliminated variable ``e``: its rows in the
+            # band are B's entries, and its own row is D's.
+            coupled = (i >= 0) & (j >= self.n) & ((i < self.n) | (i == j))
+            e, i = j[coupled].astype(np.int64) - self.n, i[coupled]
+            to = np.where(i < self.n, np.searchsorted(
+                self.b_row * self.n + self.b_col, e * self.n + i),
+                self.b_row.size + e)
+            self._slots = indptr, indices, upper, slots, coupled, to
+        data = data[:nnz]
+        blocks = np.zeros(self.b_row.size + self.elim.size)
+        blocks[to] = data[coupled]
+        rhs = -(jac.T @ res)
+        return NormalEquations(self, slots, data[upper], rhs[self.order],
+                               blocks[:self.b_row.size],
+                               blocks[self.b_row.size:], rhs[self.elim])
+
+
+def _row_span(indptr: np.ndarray, rank: np.ndarray, n: int) -> int:
+    """Largest span of the ranks ``rank`` (-1 outside the band of ``n``) of
+    the entries of any row of a CSR pattern."""
+    starts = indptr[:-1][np.diff(indptr) > 0]
+    span = (np.maximum.reduceat(rank, starts)
+            - np.minimum.reduceat(np.where(rank < 0, n, rank), starts))
+    return int(np.max(span, initial=0))
+
+
+def _eliminate(indptr, indices, shape, order, elim):
+    """``(order, bw, elim, b_row, b_col)`` of :class:`BandLayout`: the
+    columns ``elim`` leave the band when no Jacobian row holds two of them
+    and their removal lowers ``n * bw^2`` with the fill counted; otherwise
+    none leaves."""
+    rank = np.full(shape[1], -1, dtype=np.int32)
+    rank[order] = np.arange(order.size)
+    bw = _row_span(indptr, rank[indices], order.size)
+    none = order, bw, elim[:0], elim[:0], elim[:0]
+    which = np.full(shape[1], -1)
+    which[elim] = np.arange(elim.size)
+    hit = np.flatnonzero(which[indices] >= 0)
+    rows = np.searchsorted(indptr, hit, side="right") - 1
+    # A row holding two eliminated columns would couple them in J^T J.
+    if not elim.size or np.any(rows[1:] == rows[:-1]):
+        return none
+    kept = order[which[order] < 0]
+    rank[:] = -1
+    rank[kept] = np.arange(kept.size)
+    # The entries of the rows that hold an eliminated column couple it to
+    # their band columns.
+    counts = indptr[rows + 1] - indptr[rows]
+    at = (np.repeat(indptr[rows] - np.cumsum(counts) + counts, counts)
+          + np.arange(counts.sum()))
+    e, c = np.repeat(which[indices[hit]], counts), rank[indices[at]]
+    keys = np.sort(e[c >= 0] * kept.size + c[c >= 0])
+    b_row, b_col = np.divmod(keys[np.diff(keys, prepend=-1) > 0], kept.size)
+    ends = np.searchsorted(b_row, b_row, side="right")
+    reduced = max(_row_span(indptr, rank[indices], kept.size),
+                  int(np.max(b_col[ends - 1] - b_col, initial=0)))
+    if kept.size * reduced ** 2 >= order.size * bw ** 2:
+        return none
+    return kept, reduced, elim, b_row, b_col
 
 
 @dataclass(frozen=True)
 class NormalEquations:
-    """``J^T J`` and ``-J^T r`` in the order of ``layout``: the upper
-    entries ``values`` go to the flat band positions ``slots``."""
+    """``J^T J`` and ``-J^T r`` in the blocks of ``layout``. The band
+    block's upper entries ``values`` go to the flat band positions
+    ``slots``, and ``rhs`` is its part of ``-J^T r`` in band order.
+    ``coupling`` holds ``B``'s structural entries (``layout.b_row``,
+    ``layout.b_col``; zero where the product cancelled), ``elim_diag`` is
+    ``D`` and ``elim_rhs`` the eliminated variables' part of ``-J^T r``;
+    all three are empty when ``layout`` eliminates none."""
 
     layout: BandLayout
     slots: np.ndarray
     values: np.ndarray
     rhs: np.ndarray
+    coupling: np.ndarray
+    elim_diag: np.ndarray
+    elim_rhs: np.ndarray
+
+
+def _schur_update(eqs: NormalEquations, pivots: np.ndarray,
+                  band: np.ndarray) -> np.ndarray:
+    """Subtract ``B^T D~^-1 B`` from the flat ``band`` in place and return
+    the reduced right-hand side ``rhs - B^T D~^-1 g``, with ``D~`` the
+    damped ``pivots``."""
+    lay = eqs.layout
+    scaled = eqs.coupling / pivots[lay.b_row]
+    band[lay.fill_slots] -= np.bincount(
+        lay.fill_inverse,
+        scaled[lay.fill_left] * eqs.coupling[lay.fill_right],
+        lay.fill_slots.size)
+    return eqs.rhs - np.bincount(lay.b_col, scaled * eqs.elim_rhs[lay.b_row],
+                                 lay.n)
 
 
 def solve_normal_equations(eqs: NormalEquations, mu: float) -> np.ndarray:
     """Solve ``(J^T J + mu I) d = -J^T r`` by banded Cholesky factorization.
 
+    The layout's eliminated variables are solved by their Schur
+    complement: the band holds ``A + mu I - B^T D~^-1 B`` with ``D~ = D +
+    mu``, and their step is ``D~^-1 (g - B y)`` from the band step ``y``.
     Variables outside the layout's free columns get a zero step. Raises
     ``RuntimeError`` when the damped matrix is not positive definite.
     """
     from scipy.linalg import LinAlgError, solveh_banded
 
     lay = eqs.layout
+    pivots = eqs.elim_diag + mu
+    if not np.all(pivots > 0.0):
+        raise RuntimeError("singular normal equations")
     band = np.zeros((lay.bw + 1) * lay.n)
     band[eqs.slots] = eqs.values
     band[lay.diag] += mu
+    rhs = _schur_update(eqs, pivots, band)
     try:
         y = solveh_banded(band.reshape((lay.bw + 1, lay.n), order="F"),
-                          eqs.rhs, overwrite_ab=True, check_finite=False)
+                          rhs, overwrite_ab=True, check_finite=False)
     except LinAlgError as exc:
         raise RuntimeError("singular normal equations") from exc
     if not np.all(np.isfinite(y)):
         raise RuntimeError("singular normal equations")
     d = np.zeros(lay.n_vars)
     d[lay.order] = y
+    d[lay.elim] = (eqs.elim_rhs - np.bincount(
+        lay.b_row, eqs.coupling * y[lay.b_col], lay.elim.size)) / pivots
     return d
 
 

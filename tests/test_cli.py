@@ -188,6 +188,17 @@ def test_cli_rejects_a_nan_or_negative_tolerance(tmp_path, capsys, command,
                    f"got {float(tol)}"]
 
 
+@pytest.mark.parametrize("command", ["verify", "tessellate"])
+def test_cli_tolerance_help_states_its_meaning(capsys, command):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    assert info.value.code == 0
+    # argparse wraps the help text; compare it with single spaces.
+    text = " ".join(capsys.readouterr().out.split())
+    assert ("--tol TOL absolute bound on every contact residual |oc| = |n . c "
+            "+ h - r|, in the net's length units (default: 1e-09)") in text
+
+
 @pytest.mark.parametrize("normal", [(0.0, 0.0, 0.0), (0.0, 0.0, 2.0)])
 def test_cli_rejects_a_net_with_non_unit_normals(tmp_path, capsys, normal):
     # Every contact satisfies <n, c> + h = r, but with |n| != 1 that

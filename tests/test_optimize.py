@@ -19,10 +19,14 @@ from lnets.tessellate import dedupe_mesh, tessellate
 
 from conftest import mixed_patch, translational_offset_net
 
+# The weights of the contact-only pass of ``lm_run``.
+CONTACT = Weights(w_lfair=0.0, w_gfair=0.0, w_prox=0.0, w_tan=0.0, w_td=0.0)
 
-def layout_of(jac, order):
-    """The band layout of ``jac``'s sparsity pattern in ``order``."""
-    return BandLayout(jac.indptr, jac.indices, jac.shape, order)
+
+def layout_of(jac, order, elim=()):
+    """The band layout of ``jac``'s sparsity pattern in ``order``, with the
+    columns ``elim`` eliminated when that pays."""
+    return BandLayout(jac.indptr, jac.indices, jac.shape, order, elim)
 
 
 def lattice_net(patch, rows, cols, tau=0.6):
@@ -472,23 +476,36 @@ def test_banded_solve_matches_sparse_lu(patch, mu, fix_radii):
     if fix_radii:
         free = np.ones(system.n_vars, dtype=bool)
         free[4 * np.arange(system.n_faces) + 3] = False
-    res = system.residual(x)
-    jac = system.jacobian(x)
-    eqs = system.normal_equations(jac, res)
-    assert eqs.layout.bw < eqs.layout.n - 1
-    d = solve_normal_equations(eqs, mu)
-    want = _reference_step(jac, res, mu, free)
-    assert np.linalg.norm(d - want) <= 1e-9 * np.linalg.norm(want)
-    if fix_radii:
-        assert np.all(d[~free] == 0.0)
+    # The main pass eliminates the intercepts and the contact pass keeps
+    # them. The contact pass alone has fewer rows than variables, so its
+    # J^T J is singular at mu = 0.
+    passes = [(Weights(w_td=1e-3), True)]
+    if mu > 0.0:
+        passes.append((CONTACT, False))
+    for weights, eliminates in passes:
+        system.weights = weights
+        res = system.residual(x)
+        jac = system.jacobian(x)
+        eqs = system.normal_equations(jac, res)
+        assert eqs.layout.bw < eqs.layout.n - 1
+        assert (eqs.layout.elim.size > 0) == eliminates
+        d = solve_normal_equations(eqs, mu)
+        want = _reference_step(jac, res, mu, free)
+        assert np.linalg.norm(d - want) <= 1e-9 * np.linalg.norm(want)
+        if fix_radii:
+            assert np.all(d[~free] == 0.0)
 
 
-def _normal_pattern(jac, order):
+def _normal_pattern(jac, order, elim=()):
     """Structural pattern of ``J^T J`` over the columns ``order``, in that
-    order; sums of ones are positive, so no entry cancels."""
+    order, with the columns ``elim`` eliminated: ``A + B^T B``, the pattern
+    of the Schur complement ``A - B^T D^-1 B``. Sums of ones are positive,
+    so no entry cancels."""
     ones = sp.csr_matrix((np.ones(jac.nnz), jac.indices, jac.indptr),
-                         shape=jac.shape)[:, order]
-    return (ones.T @ ones).tocsr()
+                         shape=jac.shape)
+    kept, gone = ones[:, order], ones[:, np.asarray(elim, dtype=int)]
+    coupling = gone.T @ kept
+    return (kept.T @ kept + coupling.T @ coupling).tocsr()
 
 
 def _bandwidth(pattern):
@@ -503,17 +520,23 @@ def test_lattice_band_is_structural_and_no_wider_than_rcm(patch, rows, cols):
     x = pack(net)
     fixed_radii = np.ones(x.size, dtype=bool)
     fixed_radii[4 * np.arange((rows - 1) * (cols - 1)) + 3] = False
-    contact = Weights(w_lfair=0.0, w_gfair=0.0, w_prox=0.0, w_tan=0.0,
-                      w_td=0.0)
     for fix_radii, free_cols in ((False, np.arange(x.size)),
                                  (True, np.flatnonzero(fixed_radii))):
         system = assemble(net, patch, Weights(), fix_radii=fix_radii)
-        for weights in (Weights(), contact):
+        intercepts = free_cols[(free_cols >= system.plane_base)
+                               & (free_cols % 4 == 3)]
+        assert intercepts.size == rows * cols
+        # The main pass eliminates exactly the free intercepts; in the
+        # contact pass their fill would widen the band, so none leaves it.
+        for weights, elim in ((Weights(), intercepts),
+                              (CONTACT, intercepts[:0])):
             system.weights = weights
             jac = system.jacobian(x)
             layout = system.normal_equations(jac, system.residual(x)).layout
-            assert np.array_equal(np.sort(layout.order), free_cols)
-            pattern = _normal_pattern(jac, layout.order)
+            assert np.array_equal(np.sort(layout.elim), elim)
+            assert np.array_equal(np.sort(layout.order),
+                                  np.setdiff1d(free_cols, elim))
+            pattern = _normal_pattern(jac, layout.order, layout.elim)
             assert layout.bw == _bandwidth(pattern)
             perm = reverse_cuthill_mckee(pattern, symmetric_mode=True)
             assert layout.bw <= _bandwidth(pattern[perm][:, perm])
@@ -525,6 +548,21 @@ def test_singular_normal_equations_raise_runtime_error():
     with pytest.raises(RuntimeError, match="singular"):
         solve_normal_equations(eqs, 0.0)
     assert np.all(np.isfinite(solve_normal_equations(eqs, 1e-3)))
+
+
+def test_zero_pivot_of_an_eliminated_intercept_raises(patch):
+    # Without the contact block no row holds an intercept: D = 0, and at
+    # mu = 0 its pivot D + mu is zero.
+    net = lattice_net(patch, 5, 4)
+    system = assemble(net, patch, Weights(w_oc=0.0))
+    x = pack(net)
+    eqs = system.normal_equations(system.jacobian(x), system.residual(x))
+    assert eqs.layout.elim.size == system.n_planes
+    assert np.all(eqs.elim_diag == 0.0) and eqs.coupling.size == 0
+    with pytest.raises(RuntimeError, match="singular"):
+        solve_normal_equations(eqs, 0.0)
+    d = solve_normal_equations(eqs, 1e-4)
+    assert np.all(np.isfinite(d)) and np.all(d[eqs.layout.elim] == 0.0)
 
 
 def test_layout_rejects_a_jacobian_of_another_pattern(patch, lattice_10):
@@ -560,20 +598,36 @@ def test_scipy_still_has_the_product_kernels():
 
 
 def _public_normal_equations(layout, jac, res):
-    """``(slots, values, rhs)`` of ``layout`` formed with scipy's public
-    ``jac.T @ jac``, which BandLayout.form must equal bit for bit."""
+    """The arrays of :func:`_fields` of ``layout`` formed with scipy's
+    public ``jac.T @ jac``, which BandLayout.form must equal bit for bit:
+    the band's upper entries, ``B`` at its structural positions (0 where
+    the product has no entry), the diagonal ``D`` and the two parts of
+    ``-J^T r``."""
     ata = jac.T @ jac
     i, j = (layout.rank[a] for a in ata.tocoo(copy=False).coords)
-    upper = (i >= 0) & (i <= j)
+    upper = (i >= 0) & (i <= j) & (j < layout.n)
     i, j = i[upper], j[upper]
     slots = layout.bw + i - j + (layout.bw + 1) * j
-    return slots, ata.data[upper], -(jac.T @ res)[layout.order]
+    rhs = -(jac.T @ res)
+    rows, cols = layout.elim[layout.b_row], layout.order[layout.b_col]
+    # scipy answers an empty fancy index with a sparse matrix.
+    coupling = (np.asarray(ata.tocsr()[rows, cols]).ravel() if rows.size
+                else np.zeros(0))
+    return (slots, ata.data[upper], rhs[layout.order], coupling,
+            ata.diagonal()[layout.elim], rhs[layout.elim])
+
+
+def _fields(eqs):
+    return (eqs.slots, eqs.values, eqs.rhs, eqs.coupling, eqs.elim_diag,
+            eqs.elim_rhs)
 
 
 def _assert_same_equations(eqs, want):
-    for got, ref in zip((eqs.slots, eqs.values, eqs.rhs), want):
-        assert got.dtype == ref.dtype
-        assert np.array_equal(got, ref)
+    got = _fields(eqs)
+    assert len(got) == len(want)
+    for a, ref in zip(got, want):
+        assert a.dtype == ref.dtype
+        assert np.array_equal(a, ref)
 
 
 @pytest.fixture(scope="module")
@@ -593,6 +647,13 @@ def test_layout_forms_the_public_product_bit_for_bit(patch, lattice_10, case):
     eqs = system.normal_equations(jac, res)
     _assert_same_equations(eqs, _public_normal_equations(eqs.layout, jac,
                                                          res))
+    lay = eqs.layout
+    if case != "contact":
+        # D is w_oc = 1 times the number of faces at each vertex.
+        faces_at = np.bincount(system.oc_vert, minlength=system.n_planes)
+        assert np.array_equal(
+            eqs.elim_diag, faces_at[(lay.elim - system.plane_base) // 4])
+        assert np.count_nonzero(eqs.coupling) > 0
     if case == "main":
         # Entries of the main pass's J^T J cancel exactly (384 here), and
         # the product kernel drops them.
@@ -611,11 +672,15 @@ def test_layout_reused_across_jacobian_patterns(patch, lattice_10, other):
     b, res_b = a.copy(), res_a
     b.data[::7] = 0.0
     assert (b.T @ b).nnz != (a.T @ a).nnz
-    layout = layout_of(a, system.order)
+    intercepts = system._plan().layout.elim
+    assert intercepts.size == system.n_planes
+    layout = layout_of(a, system.order, intercepts)
     for jac, res in ((a, res_a), (b, res_b), (a, res_a)):
         eqs = layout.form(jac, res)
-        fresh = layout_of(a, system.order).form(jac, res)
-        _assert_same_equations(eqs, (fresh.slots, fresh.values, fresh.rhs))
+        # B loses the entries that the zeroed ones cancel.
+        assert np.any(eqs.coupling == 0.0) == (jac is b)
+        fresh = layout_of(a, system.order, intercepts).form(jac, res)
+        _assert_same_equations(eqs, _fields(fresh))
         _assert_same_equations(eqs, _public_normal_equations(layout, jac,
                                                              res))
 
