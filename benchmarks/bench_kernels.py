@@ -21,9 +21,12 @@ untimed warm-up call.
   normal equations (``J^T J`` and ``J^T r`` in the band layout) and one
   normal-equation solve (``mu = 1e-4``, banded Cholesky) on uniform
   10x10 and 40x40 lattices of the default patch, with the variable count
-  and, for the main pass and the contact-only pass, the number of
-  variables eliminated by the Schur complement, the bandwidth of the
-  reduced band in the lattice order and the size of the band in MiB. The
+  and, for the main pass and the contact-only pass, the Jacobian's
+  stored entries (``jac.nnz``), the entries of ``J^T J`` that the product
+  kernel dropped because they cancelled (the symbolic size minus the
+  numeric nnz), the number of variables eliminated by the Schur
+  complement, the bandwidth of the reduced band in the lattice order and
+  the size of the band in MiB. The
   solve includes the main pass's Schur update (the fill ``B^T D~^-1 B``
   subtracted from the band and the reduced right-hand side), which is
   also timed alone, on a band of zeros. The Jacobian and the normal
@@ -264,9 +267,12 @@ def main(argv=None):
         bands = []
         for weights in (Weights(), CONTACT_PASS):
             system.weights = weights
-            lay = system.normal_equations(system.jacobian(x),
-                                          system.residual(x)).layout
-            bands.append(f"{lay.elim.size} eliminated, bandwidth {lay.bw}, "
+            jac = system.jacobian(x)
+            lay = system.normal_equations(jac, system.residual(x)).layout
+            # The last table is the product's symbolic size.
+            dropped = lay._tables[-1] - (jac.T @ jac).nnz
+            bands.append(f"jac.nnz {jac.nnz}, {dropped} dropped from J^T J, "
+                         f"{lay.elim.size} eliminated, bandwidth {lay.bw}, "
                          f"band {(lay.bw + 1) * lay.n * 8 / 2 ** 20:.1f} MiB")
         print(f"lm {size}x{size}    : footpoints {t_foot:8.2f} ms "
               f"({n_foot} jet batches), residual "

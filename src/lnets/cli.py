@@ -217,11 +217,9 @@ def write_iteration_log(path, records, cfg: RunConfig,
               f"w_td={cfg.weights.w_td!r}"),
              ",".join(LOG_COLUMNS)]
     for rec in records:
-        e = rec.energies
-        row = (rec.iteration, rec.e_total, e["oc"], e["prox"], e["tan"],
-               e["td"], e["lfair"], e["gfair"], e["unit"], rec.ms)
-        lines.append(",".join(repr(x) if isinstance(x, float) else str(x)
-                              for x in row))
+        row = {"iter": rec.iteration, "E_total": rec.e_total, "ms": rec.ms,
+               **{f"E_{kind}": e for kind, e in rec.energies.items()}}
+        lines.append(",".join(repr(row[name]) for name in LOG_COLUMNS))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -249,8 +247,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
         mesh = dedupe_mesh(tessellate(net, cfg.tessellation))
         stage = "write"
         timestamp = datetime.now(timezone.utc).isoformat()
-        # The last record is measured at the returned net. A run without
-        # records returns the initialized net, which tessellate rejects.
+        # The last record is measured at the returned net.
         final_raw = records[-1].energies
         n_main = sum(1 for r in records if r.phase == "main")
         ms_mean = sum(r.ms for r in records) / len(records)

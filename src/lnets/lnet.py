@@ -14,9 +14,16 @@ oriented contact when ``<n, c> + h = r``.
 
 A face-corner incidence ``k = 4 f + m`` joins face ``f`` (row-major) to
 its corner vertex ``m`` of :data:`CORNERS`; its contact point is
-``c_f - r_f n_v``. :func:`contact_incidences` and
-:func:`strip_incidences` are the one source of this numbering and of the
-incidences that bound each cone strip.
+``c_f - r_f n_v`` (:func:`incidence_points`). :func:`contact_incidences`
+and :func:`strip_incidences` are the one source of this numbering and of
+the incidences that bound each cone strip.
+
+The two conditions of a net are stated once, over flat arrays, and both
+:func:`verify` and the LM residual blocks of :mod:`lnets.optimize` call
+them: :func:`contact_residuals`, the oriented-contact residual ``<n_v,
+c_f> + h_v - r_f`` of each incidence, and :func:`cone_gaps`, ``|c_a -
+c_b|^2 - (r_a - r_b)^2`` of each adjacent sphere pair, positive exactly
+where a cone joins the two spheres.
 """
 
 from __future__ import annotations
@@ -178,17 +185,38 @@ def strip_incidences(fr: int, fc: int):
     return np.concatenate(ell), np.concatenate(gamma)
 
 
+def incidence_points(c, r, n, face, vert) -> np.ndarray:
+    """Contact points ``c_f - r_f n_v`` of the incidences ``(face, vert)``
+    of the flat sphere centres ``c``, radii ``r`` and plane normals ``n``,
+    ``(K, 3)``."""
+    return c[face] - r[face, None] * n[vert]
+
+
+def contact_residuals(c, r, n, h, face, vert) -> np.ndarray:
+    """Oriented-contact residuals ``<n_v, c_f> + h_v - r_f`` of the
+    incidences ``(face, vert)`` of flat spheres ``(c, r)`` and planes
+    ``(n, h)``, ``(K,)``."""
+    return np.einsum("kc,kc->k", c[face], n[vert]) + h[vert] - r[face]
+
+
+def cone_gaps(c, r, a, b) -> np.ndarray:
+    """``|c_a - c_b|^2 - (r_a - r_b)^2`` of the flat sphere pairs ``(a,
+    b)``: positive exactly where a cone joins the two spheres."""
+    d = c[a] - c[b]
+    dr = r[a] - r[b]
+    return np.einsum("kc,kc->k", d, d) - dr * dr
+
+
 def contact_points(net: LNet) -> np.ndarray:
     """All sphere/plane contact points ``c - r n`` as ``(F, 4, 3)``.
 
     Second axis follows the corner order of :data:`CORNERS` for each face
     in row-major order.
     """
-    face, vert = contact_incidences(*net.face_shape)
-    c = net.centers.reshape(-1, 3)
-    r = net.radii.reshape(-1)
-    return (c[face] - r[face, None]
-            * net.normals.reshape(-1, 3)[vert]).reshape(-1, 4, 3)
+    return incidence_points(net.centers.reshape(-1, 3), net.radii.reshape(-1),
+                            net.normals.reshape(-1, 3),
+                            *contact_incidences(*net.face_shape)
+                            ).reshape(-1, 4, 3)
 
 
 @dataclass(frozen=True)
@@ -223,17 +251,14 @@ def verify(net: LNet, tol_oc: float = DEFAULT_TOL_OC) -> VerifyReport:
     (``max_unit_deviation``): the contact residual is a distance only
     for a unit normal.
     """
-    fr, fc = net.face_shape
-    face, vert = contact_incidences(fr, fc)
     c = net.centers.reshape(-1, 3)
     r = net.radii.reshape(-1)
-    res = (np.einsum("kc,kc->k", c[face], net.normals.reshape(-1, 3)[vert])
-           + net.intercepts.reshape(-1)[vert] - r[face])
+    res = contact_residuals(c, r, net.normals.reshape(-1, 3),
+                            net.intercepts.reshape(-1),
+                            *contact_incidences(*net.face_shape))
     max_res = float(np.max(np.abs(res)))
-
-    fa, fb = face_pairs(fr, fc).T
-    d = c[fa] - c[fb]
-    bad = int(np.count_nonzero(~(np.vecdot(d, d) > (r[fa] - r[fb]) ** 2)))
+    gaps = cone_gaps(c, r, *face_pairs(*net.face_shape).T)
+    bad = int(np.count_nonzero(~(gaps > 0.0)))
 
     unit_dev = float(np.max(np.abs(
         np.linalg.norm(net.normals, axis=2) - 1.0)))

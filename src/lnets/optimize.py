@@ -23,7 +23,8 @@ their Jacobian rows are sums of ``coef * dP/dx``. The band order
 Each active block set has one :class:`LMPlan`, built on its first use:
 its Jacobian's CSR pattern and value segments, and the band layout on
 that pattern, which holds the symbolic phase of ``J^T J`` (the pattern
-of ``J^T``, the gather of its values and the product's size). Each
+of ``J^T``, the gather of its values and the product's size). The
+pattern holds no entry that is zero for every net. Each
 iteration fills the Jacobian's values, forms ``J^T J`` with the numeric
 phase alone and solves the damped normal equations by banded Cholesky
 factorization; escalations reuse ``J^T J`` and only change the damping
@@ -44,7 +45,8 @@ import numpy as np
 
 from .bspline import BSplineSurface, project_points
 from .errors import LnetsError, check_count, located
-from .lnet import (CORNERS, LNet, contact_incidences, face_pairs,
+from .lnet import (CORNERS, LNet, cone_gaps, contact_incidences,
+                   contact_residuals, face_pairs, incidence_points,
                    strip_incidences)
 
 # scipy is imported by the functions that use it, so that only an LM run
@@ -89,7 +91,8 @@ class Schedule:
     multiplied by ``fairness_decay`` (in [0, 1]) every ``decay_every``
     iterations. A contact-only pass of ``final_pass_iters`` iterations
     follows, with only the contact and unit-normal energies (still damped
-    by ``w_reg``). Every iteration is run and recorded. Footpoints are
+    by ``w_reg``). At least one of the two counts is positive. Every
+    iteration is run and recorded. Footpoints are
     refreshed in the iterations whose proximity or tangency weight is
     positive and once at the returned net.
     """
@@ -103,6 +106,9 @@ class Schedule:
         for name, low in (("max_iters", 0), ("final_pass_iters", 0),
                           ("decay_every", 1)):
             check_count(name, getattr(self, name), low)
+        if self.max_iters + self.final_pass_iters == 0:
+            raise ValueError("max_iters and final_pass_iters are both 0: "
+                             "a run needs at least one iteration")
         if not 0.0 <= self.fairness_decay <= 1.0:
             raise ValueError("fairness_decay must be in [0, 1]")
 
@@ -192,8 +198,7 @@ class ResidualSystem:
     def contact_points_of(self, x: np.ndarray) -> np.ndarray:
         """Sphere/plane contact points of every incidence, ``(K, 3)``."""
         c, r, n, _ = self._split(x)
-        return (c[self.oc_face]
-                - r[self.oc_face, None] * n[self.oc_vert])
+        return incidence_points(c, r, n, self.oc_face, self.oc_vert)
 
     def refresh_footpoints(self, x: np.ndarray) -> None:
         """Project all contact points onto the reference surface.
@@ -250,8 +255,7 @@ class ResidualSystem:
         if kind == "unit":
             return np.einsum("pc,pc->p", n, n) - 1.0
         if kind == "oc":
-            return (np.einsum("kc,kc->k", c[self.oc_face], n[self.oc_vert])
-                    + h[self.oc_vert] - r[self.oc_face])
+            return contact_residuals(c, r, n, h, self.oc_face, self.oc_vert)
         if kind in ("lfair", "gfair"):
             # Second differences (P[k1] - P[k0]) - (P[k3] - P[k2]) of the
             # contact points along both halves of every strip.
@@ -265,9 +269,7 @@ class ResidualSystem:
             diff = pts - self.foot_x
             return np.einsum("kc,kc->k", diff, self.foot_n)
         if kind == "td":
-            d = c[self.td_pairs[:, 0]] - c[self.td_pairs[:, 1]]
-            dr = r[self.td_pairs[:, 0]] - r[self.td_pairs[:, 1]]
-            return np.einsum("kc,kc->k", d, d) - dr * dr
+            return cone_gaps(c, r, *self.td_pairs.T)
         raise ValueError(f"unknown block kind {kind!r}")
 
     def active_blocks(self):
@@ -285,17 +287,14 @@ class ResidualSystem:
 
     def block_slices(self) -> dict:
         """Row ranges of the active blocks, stacked in
-        :data:`BLOCK_ORDER` as in the residual vector."""
-        sizes = {"unit": self.n_planes, "oc": self.oc_face.size,
-                 "lfair": 6 * self.ell.shape[0],
-                 "gfair": 6 * self.gamma.shape[0],
-                 "prox": 3 * self.oc_face.size, "tan": self.oc_face.size,
-                 "td": self.td_pairs.shape[0]}
+        :data:`BLOCK_ORDER` as in the residual vector; each block's row
+        count is the length of its residual at the assembled net."""
         out = {}
         at = 0
         for kind in self.active_blocks():
-            out[kind] = slice(at, at + sizes[kind])
-            at += sizes[kind]
+            size = self._block_raw(self.x0, kind).size
+            out[kind] = slice(at, at + size)
+            at += size
         return out
 
     def raw_energies(self, x: np.ndarray) -> dict:
@@ -334,7 +333,11 @@ class ResidualSystem:
         for ``tan``) times ``x[gather] - x[minus]`` where given. Fairness,
         proximity and tangency rows chain through the entries of ``dP_k[comp]
         / dx``: 1 at ``c_f[comp]``, ``-n_v[comp]`` at ``r_f`` and ``-r_f``
-        at ``n_v[comp]``. An empty block set gets an empty pattern."""
+        at ``n_v[comp]``. Arc-fairness rows leave out the ``c_f`` entries:
+        each of their differences ``P[k1] - P[k0]`` joins two contacts of
+        one sphere, ``-r_f (n_1 - n_0)``, so the centre's ``+1`` and ``-1``
+        cancel for every net. No triplet is zero for every net. An empty
+        block set gets an empty pattern."""
         rows, cols = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
         segments = []
 
@@ -380,7 +383,8 @@ class ResidualSystem:
                 sign = sign.astype(np.int8)
                 f, v = self.oc_face[kk], self.oc_vert[kk]
                 r_col, n_col = sph[f, 3], pl[v, cc]
-                add(kind, rr, sph[f, cc], sign)
+                if kind != "gfair":  # arc centre partials cancel
+                    add(kind, rr, sph[f, cc], sign)
                 add(kind, rr, r_col, -sign, n_col)
                 add(kind, rr, n_col, -sign, r_col)
             elif kind == "td":
@@ -525,15 +529,16 @@ class BandLayout:
     :class:`LMPlan`: the int32 CSR pattern of ``J^T``, the int32
     ``gather`` that makes ``jac.data[gather]`` its values, and the
     product's size from scipy's ``csr_matmat_maxnnz``. At 40x40 these
-    tables take 3.5 MB in the main pass (434,352 Jacobian entries) and
+    tables take 3.3 MB in the main pass (399,696 Jacobian entries) and
     0.5 MB in the contact pass. Each :meth:`form` runs only the numeric
     phase, scipy's ``csr_matmat``, into transient buffers of the symbolic
-    size (6.9 MB at 40x40). The kernel drops entries that cancel exactly,
-    and the main pass has such entries in every iteration: 384 of 29,008
-    at 10x10, 480-488 on the acceptance 16x8 grid and 1,824 of 575,368 at
-    40x40 (none in the contact pass). So the band slots and the ``B`` and
-    ``D`` positions of the product are kept for its last pattern and
-    rebuilt when that changes, 2-3 times per run.
+    size (6.9 MB at 40x40). The kernel drops entries that cancel exactly.
+    The Jacobian stores no entry that is zero for every net, so on a
+    generic net the product keeps its symbolic pattern; only values
+    cancel entries: 8 in the first formation of the acceptance config and
+    about 700 in each main-pass formation of a constant-radius net. So the
+    band slots and the ``B`` and ``D`` positions of the product are kept
+    for its last pattern and rebuilt when that changes.
     """
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray, shape,
@@ -813,15 +818,14 @@ def lm_run(net: LNet, surface: BSplineSurface, weights: Weights = Weights(),
     records: list[IterationRecord] = []
     x = _run_phase(system, x, weights, schedule, schedule.max_iters,
                    "main", records)
-    w_final = Weights(w_oc=weights.w_oc, w_unit=weights.w_unit,
-                      w_reg=weights.w_reg, w_lfair=0.0, w_gfair=0.0,
-                      w_prox=0.0, w_tan=0.0, w_td=0.0)
+    # The contact-only pass keeps the unit and contact blocks.
+    w_final = replace(weights, **{f"w_{kind}": 0.0 for kind in BLOCK_ORDER
+                                  if kind not in ("unit", "oc")})
     x = _run_phase(system, x, w_final, schedule, schedule.final_pass_iters,
                    "contact", records)
-    if records:
-        # The last record reports E_prox and E_tan at the returned net.
-        system.refresh_footpoints(x)
-        last = records[-1]
-        last.energies, last.e_total, last.max_oc = system._energy_summary(x)
-        last.footpoint_fallbacks = system.footpoint_fallbacks
+    # The last record reports E_prox and E_tan at the returned net.
+    system.refresh_footpoints(x)
+    last = records[-1]
+    last.energies, last.e_total, last.max_oc = system._energy_summary(x)
+    last.footpoint_fallbacks = system.footpoint_fallbacks
     return unpack(x, system.vertex_shape), records

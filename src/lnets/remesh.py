@@ -410,8 +410,6 @@ def _march(field_fn, domain, family: int, starts, refs, budgets,
                                   domain[3] - domain[2])
     out = [[] for _ in range(n)]
     lines = np.flatnonzero(np.asarray(budgets) > 0)
-    if lines.size == 0:
-        return out
     keep, k = _stage(field_fn, domain, family, lines, p[lines],
                      np.asarray(refs, dtype=float)[lines])
     slope = np.zeros_like(p)

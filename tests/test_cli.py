@@ -20,6 +20,7 @@ from lnets import (ConfigError, LNet, LnetsError, TracingError, cli,
 from lnets.cli import (LOG_COLUMNS, OBJ_BLOCK_ROWS, config_from_dict,
                        export_obj, load_config, main, report, run_pipeline)
 from lnets.objtext import face_lines, vertex_lines
+from lnets.optimize import BLOCK_ORDER, IterationRecord, Schedule
 from lnets.tessellate import (LABELS, LabeledMesh, TessellationParams,
                               dedupe_mesh, tessellate)
 
@@ -628,12 +629,55 @@ def test_csv_log_has_documented_columns(tmp_path, patch):
     assert len(first) == 10
 
 
-def test_run_without_iterations_fails_verification(tmp_path, patch, capsys):
-    # No LM records: the initialized net reaches tessellate unrefined.
+@pytest.mark.parametrize("grid", [
+    None, {"rows": 4, "cols": 4, "edge_length": 1e-4}],
+    ids=["initial_net_fails_verify", "initial_net_verifies"])
+def test_run_without_iterations_is_rejected_at_load(tmp_path, patch, capsys,
+                                                    grid):
+    # A schedule with no LM iteration is a config error, before any stage
+    # runs. At edge 1e-4 the initialized net would pass verification, and
+    # the run would have reached the summary with no record.
     path = base_config(tmp_path, patch,
-                       schedule={"max_iters": 0, "final_pass_iters": 0})
+                       schedule={"max_iters": 0, "final_pass_iters": 0},
+                       **({"grid": grid} if grid else {}))
+    with pytest.raises(ConfigError, match="schedule: max_iters and "
+                       "final_pass_iters are both 0"):
+        load_config(path)
     assert main(["run", "--config", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert "[stage tessellate] net fails verification" in err
-    out = tmp_path / "out"
-    assert not out.is_dir() or not list(out.iterdir())
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: schedule: ")
+    assert not (tmp_path / "out").exists()
+    # One iteration in either pass is a valid schedule.
+    Schedule(max_iters=1, final_pass_iters=0)
+    Schedule(max_iters=0, final_pass_iters=1)
+
+
+def test_log_run_marker_of_a_varying_angle_field_reads_back(tmp_path, patch,
+                                                           capsys):
+    cfg = load_config(base_config(
+        tmp_path, patch,
+        theta={"family": "linear_u", "theta_min": 0.5, "theta_max": 0.75}))
+    record = IterationRecord(
+        iteration=1, phase="main", e_total=0.25, energies=dict.fromkeys(
+            BLOCK_ORDER, 0.125), max_oc=0.5, w_lfair=1e-3, w_gfair=1e-3,
+        escalations=0, footpoint_fallbacks=0, ms=2.0)
+    log = tmp_path / "iterations.csv"
+    cli.write_iteration_log(log, [record], cfg, "t0")
+    lines = log.read_text().splitlines()
+    assert "theta=linear_u:0.5:0.75" in lines[1].split()
+    assert lines[3] == "1,0.25,0.125,0.125,0.125,0.125,0.125,0.125,0.125,2.0"
+    assert main(["report", "--log", str(log)]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split()
+    assert row[:3] == ["t0", "tau:0.75", "linear_u:0.5:0.75"]
+
+
+def test_report_rejects_a_run_marker_without_rows(tmp_path, capsys):
+    head = "# lnets iteration log format_version=1\n# run timestamp=t\n"
+    row = "1," + ",".join(["1.0"] * (len(LOG_COLUMNS) - 1)) + "\n"
+    log = tmp_path / "log.csv"
+    # No run at all, one empty run, and a complete run then an empty one.
+    for text in ("", head + ",".join(LOG_COLUMNS) + "\n", head + row + head):
+        log.write_text(text, encoding="utf-8")
+        assert main(["report", "--log", str(log)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: log {log} contains no complete runs"]

@@ -205,6 +205,20 @@ def test_jacobian_sparsity_is_structural(patch):
     assert np.array_equal(a.indices, b.indices)
 
 
+def test_jacobian_stores_no_zero_on_a_perturbed_lattice(patch):
+    # Every stored entry is a partial that is nonzero for a generic net:
+    # the arc-fairness rows store no sphere-centre partials, whose +1 and
+    # -1 cancel for every net.
+    rng = np.random.default_rng(3)
+    net = lattice_net(patch, 10, 10)
+    x = pack(net) + 1e-3 * rng.standard_normal(pack(net).size)
+    system = assemble(unpack(x, net.vertex_shape), patch, Weights())
+    for weights in (Weights(), CONTACT):
+        system.weights = weights
+        jac = system.jacobian(x)
+        assert jac.nnz > 0 and np.count_nonzero(jac.data == 0.0) == 0
+
+
 def test_jacobian_block_slices_cover_residual(patch):
     net = lattice_net(patch, 4, 4)
     system = assemble(net, patch, Weights(w_td=1e-3))
@@ -283,6 +297,37 @@ def test_step_escalates_past_a_failed_solve(monkeypatch):
     # Level 0 fails; level 1 solves with w_reg + w_reg * 10 and is taken.
     assert escalations == 1
     assert mus == [1e-4, 1e-4 + 1e-3]
+    assert np.allclose(x, np.array([1.0, -2.0]) / (1.0 + 1.1e-3),
+                       rtol=1e-14, atol=0.0)
+
+
+def test_non_finite_band_solution_is_a_failed_solve(monkeypatch):
+    # A band solve that returns NaN raises like a failed factorization,
+    # and the step escalates past that level.
+    import scipy.linalg
+
+    def residual(x):
+        return np.array([x[0] - 1.0, x[1] + 2.0])
+
+    x0 = np.zeros(2)
+    jac = sp.csr_matrix(np.eye(2))
+    res0 = residual(x0)
+    eqs = layout_of(jac, np.arange(2)).form(jac, res0)
+    solve, calls = scipy.linalg.solveh_banded, []
+
+    def nan_first(ab, b, **kwargs):
+        calls.append(ab[-1].copy())
+        y = solve(ab, b, **kwargs)
+        return np.full_like(y, np.nan) if len(calls) == 1 else y
+
+    monkeypatch.setattr(scipy.linalg, "solveh_banded", nan_first)
+    with pytest.raises(RuntimeError, match="singular"):
+        solve_normal_equations(eqs, 1e-4)
+    calls.clear()
+    x, escalations = _attempt_step(residual, x0, res0, eqs, 1e-4)
+    # Level 0 returns NaN; level 1 solves with w_reg + w_reg * 10.
+    assert escalations == 1
+    assert np.array_equal(calls[1], np.full(2, 1.0 + 1.1e-3))
     assert np.allclose(x, np.array([1.0, -2.0]) / (1.0 + 1.1e-3),
                        rtol=1e-14, atol=0.0)
 
@@ -654,12 +699,11 @@ def test_layout_forms_the_public_product_bit_for_bit(patch, lattice_10, case):
         assert np.array_equal(
             eqs.elim_diag, faces_at[(lay.elim - system.plane_base) // 4])
         assert np.count_nonzero(eqs.coupling) > 0
-    if case == "main":
-        # Entries of the main pass's J^T J cancel exactly (384 here), and
-        # the product kernel drops them.
-        dropped = (_normal_pattern(jac, np.arange(jac.shape[1])).nnz
-                   - (jac.T @ jac).nnz)
-        assert dropped > 0, dropped
+    # The Jacobian stores no entry that is zero for every net, so no entry
+    # of J^T J cancels here and the product kernel drops none.
+    dropped = (_normal_pattern(jac, np.arange(jac.shape[1])).nnz
+               - (jac.T @ jac).nnz)
+    assert dropped == 0, dropped
 
 
 @pytest.mark.parametrize("other", ["other_cancellations"])

@@ -141,6 +141,17 @@ def test_trace_constant_axis_field_gives_uniform_grid():
         assert np.allclose(grid.uv[i, :, 1], 0.3 + 0.2 * i, atol=1e-12)
 
 
+def test_trace_orients_a_seed_direction_with_zero_primary_component():
+    # d1 has no u component and d2 no v component: each seed direction is
+    # oriented by its other component, so rows run along +v and the seed
+    # column along +u although both fields point the other way.
+    grid = trace_grid_from_field(constant_field((0, -1), (-1, 0)),
+                                 (0, 1, 0, 1), GridSpec(3, 3, 0.2))
+    steps = 0.3 + 0.2 * np.arange(3)
+    assert np.allclose(grid.uv[..., 0], steps[:, None], atol=1e-12)
+    assert np.allclose(grid.uv[..., 1], steps[None, :], atol=1e-12)
+
+
 def test_trace_rotated_constant_field_lines_are_straight():
     ang = 0.35
     d1 = (math.cos(ang), math.sin(ang))
