@@ -257,14 +257,20 @@ def test_stacked_residual_and_jacobian_equal_single_blocks(patch):
     assert np.array_equal(jac, np.vstack(parts_jac))
 
 
-def test_toy_linear_least_squares():
+def toy_problem():
+    """``(residual, x0, res0, eqs)`` of ``r(x) = x - (1, -2)`` at ``x0 =
+    0``, whose normal equations are the identity."""
     def residual(x):
         return np.array([x[0] - 1.0, x[1] + 2.0])
 
     x0 = np.zeros(2)
     jac = sp.csr_matrix(np.eye(2))
     res0 = residual(x0)
-    eqs = layout_of(jac, np.arange(2)).form(jac, res0)
+    return residual, x0, res0, layout_of(jac, np.arange(2)).form(jac, res0)
+
+
+def test_toy_linear_least_squares():
+    residual, x0, res0, eqs = toy_problem()
     x, escalations = _attempt_step(residual, x0, res0, eqs, 1e-4)
     # The first attempt is already damped: (1 + w_reg) d = -r.
     assert escalations == 0
@@ -277,13 +283,7 @@ def test_toy_linear_least_squares():
 
 
 def test_step_escalates_past_a_failed_solve(monkeypatch):
-    def residual(x):
-        return np.array([x[0] - 1.0, x[1] + 2.0])
-
-    x0 = np.zeros(2)
-    jac = sp.csr_matrix(np.eye(2))
-    res0 = residual(x0)
-    eqs = layout_of(jac, np.arange(2)).form(jac, res0)
+    residual, x0, res0, eqs = toy_problem()
     solve, mus = optimize.solve_normal_equations, []
 
     def fail_first(eqs, mu):
@@ -306,13 +306,7 @@ def test_non_finite_band_solution_is_a_failed_solve(monkeypatch):
     # and the step escalates past that level.
     import scipy.linalg
 
-    def residual(x):
-        return np.array([x[0] - 1.0, x[1] + 2.0])
-
-    x0 = np.zeros(2)
-    jac = sp.csr_matrix(np.eye(2))
-    res0 = residual(x0)
-    eqs = layout_of(jac, np.arange(2)).form(jac, res0)
+    residual, x0, res0, eqs = toy_problem()
     solve, calls = scipy.linalg.solveh_banded, []
 
     def nan_first(ab, b, **kwargs):
