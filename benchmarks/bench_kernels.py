@@ -17,7 +17,10 @@ untimed warm-up call.
 - ``projection``: the grid-seeded batched closest-point projection.
 - ``lm``: one warm ``refresh_footpoints`` (the net moves by about 1e-4
   between calls, as an LM step does; with the jet batches it evaluates),
-  one ``residual``, one analytic ``jacobian``, one formation of the
+  one ``residual`` at a new net (every block evaluated) and one after a
+  refresh at the net of the last evaluation (only the proximity and
+  tangency blocks evaluated, the rest reused), one analytic
+  ``jacobian``, one formation of the
   normal equations (``J^T J`` and ``J^T r`` in the band layout) and one
   normal-equation solve (``mu = 1e-4``, banded Cholesky) on uniform
   10x10 and 40x40 lattices of the default patch, with the variable count
@@ -99,6 +102,20 @@ def time_fn(fn, repeats):
         fn()
         times.append(time.perf_counter() - t0)
     return float(np.median(times)) * 1e3
+
+
+def time_refreshed_residual(system, x, repeats):
+    """Median wall time in ms of ``system.residual(x)`` right after a
+    footpoint refresh at ``x``, the net of its last evaluation, after one
+    untimed warm-up."""
+    system.residual(x)
+    times = []
+    for _ in range(repeats + 1):
+        system.refresh_footpoints(x)
+        t0 = time.perf_counter()
+        system.residual(x)
+        times.append(time.perf_counter() - t0)
+    return float(np.median(times[1:])) * 1e3
 
 
 def peak_rss_mb():
@@ -238,7 +255,8 @@ def main(argv=None):
         t_foot = time_fn(lambda: system.refresh_footpoints(next(nets)), few)
         n_foot = count_jet_batches(
             lambda: system.refresh_footpoints(next(nets)))
-        t_res = time_fn(lambda: system.residual(x), few)
+        t_res = time_fn(lambda: system.residual(next(nets)), few)
+        t_reuse = time_refreshed_residual(system, x, few)
         t_jac = time_fn(lambda: system.jacobian(x), few)
         firsts, forms, contacts = [], [], []
         for _ in range(few):
@@ -276,7 +294,8 @@ def main(argv=None):
                          f"band {(lay.bw + 1) * lay.n * 8 / 2 ** 20:.1f} MiB")
         print(f"lm {size}x{size}    : footpoints {t_foot:8.2f} ms "
               f"({n_foot} jet batches), residual "
-              f"{t_res:8.2f} ms, jacobian first {t_first:8.2f} ms / fill "
+              f"{t_res:8.2f} ms / after a refresh {t_reuse:8.2f} ms, "
+              f"jacobian first {t_first:8.2f} ms / fill "
               f"{t_jac:8.2f} ms, normal equations first {t_form_first:8.2f} "
               f"ms / later {t_form:8.2f} ms, solve "
               f"{t_solve:8.2f} ms (Schur update {t_schur:6.2f} ms)  "

@@ -15,7 +15,14 @@ P[k2])`` and the same for ``k4..k7``.
 
 Each LM step is proximal: it minimizes ``|r(x + d)|^2 + w_reg |d|^2``
 to first order, so ``w_reg`` is added to the diagonal of ``J^T J`` in
-both passes, and escalations add ``w_reg * 10^k`` on top of it.
+both passes, and escalations add ``w_reg * 10^k`` on top of it. An
+iteration whose last record has every active block at the roundoff
+floor makes no solve (:func:`_at_floor`).
+
+Each raw block is evaluated once per iterate and footpoints: the system
+keeps the blocks of its last evaluation with their ``x`` and footpoints,
+so after a refresh at an unchanged ``x`` only ``prox`` and ``tan`` are
+evaluated again.
 
 The fairness, proximity and tangency blocks are linear in ``P``, so
 their Jacobian rows are sums of ``coef * dP/dx``. The band order
@@ -24,9 +31,10 @@ Each active block set has one :class:`LMPlan`, built on its first use:
 its Jacobian's CSR pattern and value segments, and the band layout on
 that pattern, which holds the symbolic phase of ``J^T J`` (the pattern
 of ``J^T``, the gather of its values and the product's size). The
-pattern holds no entry that is zero for every net. Each
-iteration fills the Jacobian's values, forms ``J^T J`` with the numeric
-phase alone and solves the damped normal equations by banded Cholesky
+pattern holds no entry that is zero for every net. Each iteration that
+solves fills the Jacobian's values, forms ``J^T J`` with the numeric
+phase alone and ``J^T r`` from the values of ``J^T`` that it gathers,
+and solves the damped normal equations by banded Cholesky
 factorization; escalations reuse ``J^T J`` and only change the damping
 on its diagonal. A plane's intercept ``h`` enters only the contact rows,
 one per row, so the intercepts' block of ``J^T J`` is diagonal; where
@@ -55,6 +63,11 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 BLOCK_ORDER = ("unit", "oc", "lfair", "gfair", "prox", "tan", "td")
+# The blocks linear in the contact points, and those of them that also
+# read the footpoints.
+POINT_BLOCKS = ("lfair", "gfair", "prox", "tan")
+FOOTPOINT_BLOCKS = ("prox", "tan")
+MAX_ESCALATIONS = 8
 
 
 @dataclass(frozen=True)
@@ -92,9 +105,10 @@ class Schedule:
     iterations. A contact-only pass of ``final_pass_iters`` iterations
     follows, with only the contact and unit-normal energies (still damped
     by ``w_reg``). At least one of the two counts is positive. Every
-    iteration is run and recorded. Footpoints are
-    refreshed in the iterations whose proximity or tangency weight is
-    positive and once at the returned net.
+    iteration is recorded; one whose last record is at the roundoff
+    floor is measured without a solve. Footpoints are refreshed in the
+    iterations that solve with a positive proximity or tangency weight,
+    and once at the returned net.
     """
 
     max_iters: int = 100
@@ -250,7 +264,7 @@ class ResidualSystem:
         blocks compute them when not given.
         """
         c, r, n, h = self._split(x)
-        if pts is None and kind in ("lfair", "gfair", "prox", "tan"):
+        if pts is None and kind in POINT_BLOCKS:
             pts = self.contact_points_of(x)
         if kind == "unit":
             return np.einsum("pc,pc->p", n, n) - 1.0
@@ -275,12 +289,29 @@ class ResidualSystem:
     def active_blocks(self):
         return tuple(k for k in BLOCK_ORDER if self.weights.of(k) > 0.0)
 
+    def _blocks(self, x: np.ndarray, kinds) -> dict:
+        """Raw blocks ``kinds`` at ``x``, each evaluated once per ``x`` and
+        footpoints: a block of the last evaluation is reused while ``x``
+        is unchanged and, for ``prox`` and ``tan``, while the footpoints
+        are the same. The contact points are computed only when a missing
+        block needs them."""
+        at, foot_x, known = self._evaluated
+        if not np.array_equal(at, x):
+            at, known = x.copy(), {}
+        elif foot_x is not self.foot_x:
+            for kind in FOOTPOINT_BLOCKS:
+                known.pop(kind, None)
+        missing = [kind for kind in kinds if kind not in known]
+        pts = (self.contact_points_of(x)
+               if any(kind in POINT_BLOCKS for kind in missing) else None)
+        for kind in missing:
+            known[kind] = self._block_raw(x, kind, pts)
+        self._evaluated = (at, self.foot_x, known)
+        return {kind: known[kind] for kind in kinds}
+
     def residual(self, x: np.ndarray) -> np.ndarray:
         """Stacked residual vector, each block scaled by sqrt(weight)."""
-        pts = self.contact_points_of(x)
-        blocks = {kind: self._block_raw(x, kind, pts)
-                  for kind in self.active_blocks()}
-        self._evaluated = (x.copy(), self.foot_x, blocks)
+        blocks = self._blocks(x, self.active_blocks())
         parts = [np.sqrt(self.weights.of(kind)) * res
                  for kind, res in blocks.items()]
         return np.concatenate(parts) if parts else np.empty(0)
@@ -311,15 +342,10 @@ class ResidualSystem:
         return float(sum(self.weights.of(k) * raw[k] for k in BLOCK_ORDER))
 
     def _energy_summary(self, x: np.ndarray):
-        """``(raw_energies, total_energy, max_contact_residual)`` from one
-        evaluation of every block that :meth:`residual` has not just
-        evaluated at the same ``x`` and footpoints."""
-        at, foot_x, known = self._evaluated
-        if not (foot_x is self.foot_x and np.array_equal(at, x)):
-            known = {}
-        pts = self.contact_points_of(x)
-        blocks = {kind: known[kind] if kind in known
-                  else self._block_raw(x, kind, pts) for kind in BLOCK_ORDER}
+        """``(raw_energies, total_energy, max_contact_residual)`` of every
+        block kind, evaluating only the blocks not yet known at ``x`` and
+        the footpoints."""
+        blocks = self._blocks(x, BLOCK_ORDER)
         raw = {kind: float(res @ res) for kind, res in blocks.items()}
         return raw, self._weighted_total(raw), _max_abs(blocks["oc"])
 
@@ -366,7 +392,7 @@ class ResidualSystem:
                 add(kind, rr, sph[self.oc_face, 3], -1)
                 add(kind, np.repeat(rr, 3), vc, 1, fc)
                 add(kind, rr, pl[self.oc_vert, 3], 1)
-            elif kind in ("lfair", "gfair", "prox", "tan"):
+            elif kind in POINT_BLOCKS:
                 # Row rr gets sign * dP_kk[comp] / dx. Fairness rows take
                 # the signs of P[k0..k3] in (P[k1] - P[k0]) - (P[k3] - P[k2]).
                 kk, rr, sign = incidence, at + 3 * incidence + comp, 1
@@ -585,20 +611,31 @@ class BandLayout:
         """``J^T J`` and ``-J^T r`` of a Jacobian of this layout's pattern.
 
         The product is scipy's ``jac.T @ jac`` bit for bit: the same kernel
-        on the same operands, in the same order. Raises ``ValueError`` for a
-        Jacobian of another pattern."""
-        from scipy.sparse._sparsetools import csr_matmat
+        on the same operands, in the same order. ``J^T r`` is scipy's
+        ``csr_matvec`` on ``J^T``'s pattern and the values the product
+        gathers; like ``jac.T @ res`` it sums each entry's terms in
+        increasing Jacobian row from 0, so it equals that bit for bit.
+        Raises ``ValueError`` for a Jacobian of another pattern or a
+        residual of another length."""
+        from scipy.sparse._sparsetools import csr_matmat, csr_matvec
 
         j_indptr, j_indices, t_indptr, t_indices, gather, size = self._tables
         if not (np.array_equal(j_indptr, jac.indptr)
                 and np.array_equal(j_indices, jac.indices)):
             raise ValueError("Jacobian pattern differs from the layout's")
+        if np.shape(res) != (j_indptr.size - 1,):
+            raise ValueError("residual length differs from the Jacobian's")
         n = self.n_vars
         indptr = np.empty(n + 1, dtype=np.int32)
         indices = np.empty(size, dtype=np.int32)
         data = np.empty(size, dtype=jac.data.dtype)
-        csr_matmat(n, n, t_indptr, t_indices, np.take(jac.data, gather),
+        t_data = np.take(jac.data, gather)
+        csr_matmat(n, n, t_indptr, t_indices, t_data,
                    j_indptr, j_indices, jac.data, indptr, indices, data)
+        jtr = np.zeros(n, dtype=data.dtype)
+        csr_matvec(n, j_indptr.size - 1, t_indptr, t_indices, t_data,
+                   np.asarray(res, dtype=data.dtype), jtr)
+        del t_data
         nnz = indptr[-1]
         indices = indices[:nnz]
         last_indptr, last_indices, upper, slots, coupled, to = self._slots
@@ -621,7 +658,7 @@ class BandLayout:
         data = data[:nnz]
         blocks = np.zeros(self.b_row.size + self.elim.size)
         blocks[to] = data[coupled]
-        rhs = -(jac.T @ res)
+        rhs = -jtr
         return NormalEquations(self, slots, data[upper], rhs[self.order],
                                blocks[:self.b_row.size],
                                blocks[self.b_row.size:], rhs[self.elim])
@@ -740,7 +777,10 @@ def solve_normal_equations(eqs: NormalEquations, mu: float) -> np.ndarray:
 
 @dataclass
 class IterationRecord:
-    """Per-iteration log entry of :func:`lm_run`."""
+    """Per-iteration log entry of :func:`lm_run`, measured at the net the
+    iteration returns. ``solves`` is the number of band solves it made: 0
+    at the roundoff floor (:func:`_at_floor`), else one per damping level
+    tried, ``min(escalations, MAX_ESCALATIONS) + 1``."""
 
     iteration: int
     phase: str
@@ -751,12 +791,13 @@ class IterationRecord:
     w_gfair: float
     escalations: int
     footpoint_fallbacks: int
+    solves: int
     ms: float = field(default=0.0)
 
 
 def _attempt_step(residual_fn, x: np.ndarray, res0: np.ndarray,
                   eqs: NormalEquations, w_reg: float,
-                  max_escalations: int = 8):
+                  max_escalations: int = MAX_ESCALATIONS):
     """One proximal step with escalation on energy increase or solver failure.
 
     Level ``k`` solves ``eqs``, the normal equations at ``x``, with ``w_reg
@@ -778,29 +819,47 @@ def _attempt_step(residual_fn, x: np.ndarray, res0: np.ndarray,
     return x.copy(), max_escalations + 1
 
 
+def _at_floor(record: IterationRecord, kinds, x: np.ndarray) -> bool:
+    """Whether every block ``kinds`` of ``record`` is at the roundoff
+    floor ``64 eps max(1, max|x|)``: ``max_oc`` for ``oc`` and ``sqrt(E_k)``
+    for every other kind (Madsen, Nielsen & Tingleff, *Methods for
+    Non-Linear Least Squares Problems*, 2004, 3.2)."""
+    floor = 64.0 * np.finfo(float).eps * max(1.0, _max_abs(x))
+    return all((record.max_oc if kind == "oc"
+                else np.sqrt(record.energies[kind])) <= floor
+               for kind in kinds)
+
+
 def _run_phase(system: ResidualSystem, x: np.ndarray, weights: Weights,
                schedule: Schedule, n_iters: int, phase: str,
                records: list) -> np.ndarray:
+    """Run and record ``n_iters`` iterations. One whose last record is at
+    the roundoff floor keeps ``x`` and the footpoints and makes no solve;
+    its record reuses the last evaluation."""
     for it in range(1, n_iters + 1):
         t0 = time.perf_counter()
         factor = schedule.fairness_decay ** ((it - 1) // schedule.decay_every)
         w_it = replace(weights, w_lfair=weights.w_lfair * factor,
                        w_gfair=weights.w_gfair * factor)
         system.weights = w_it
-        if w_it.w_prox > 0.0 or w_it.w_tan > 0.0:
-            system.refresh_footpoints(x)
-        res0 = system.residual(x)
-        jac_x = system.jacobian(x)
-        eqs = system.normal_equations(jac_x, res0)
-        del jac_x  # free it before the band is allocated
-        x, escal = _attempt_step(system.residual, x, res0, eqs,
-                                 weights.w_reg)
+        escal = solves = 0
+        if not (records and _at_floor(records[-1], system.active_blocks(),
+                                      x)):
+            if w_it.w_prox > 0.0 or w_it.w_tan > 0.0:
+                system.refresh_footpoints(x)
+            res0 = system.residual(x)
+            jac_x = system.jacobian(x)
+            eqs = system.normal_equations(jac_x, res0)
+            del jac_x  # free it before the band is allocated
+            x, escal = _attempt_step(system.residual, x, res0, eqs,
+                                     weights.w_reg)
+            solves = min(escal, MAX_ESCALATIONS) + 1
         raw, total, max_oc = system._energy_summary(x)
         records.append(IterationRecord(
             iteration=len(records) + 1, phase=phase, e_total=total,
             energies=raw, max_oc=max_oc,
             w_lfair=w_it.w_lfair, w_gfair=w_it.w_gfair, escalations=escal,
-            footpoint_fallbacks=system.footpoint_fallbacks,
+            footpoint_fallbacks=system.footpoint_fallbacks, solves=solves,
             ms=(time.perf_counter() - t0) * 1e3))
     return x
 

@@ -660,7 +660,7 @@ def test_log_run_marker_of_a_varying_angle_field_reads_back(tmp_path, patch,
     record = IterationRecord(
         iteration=1, phase="main", e_total=0.25, energies=dict.fromkeys(
             BLOCK_ORDER, 0.125), max_oc=0.5, w_lfair=1e-3, w_gfair=1e-3,
-        escalations=0, footpoint_fallbacks=0, ms=2.0)
+        escalations=0, footpoint_fallbacks=0, solves=1, ms=2.0)
     log = tmp_path / "iterations.csv"
     cli.write_iteration_log(log, [record], cfg, "t0")
     lines = log.read_text().splitlines()

@@ -9,15 +9,16 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from lnets import (CongruenceSpec, CurvatureSignError, LNet, QuadGrid,
-                   Schedule, Weights, assemble, initialize, kernels, lm_run,
-                   optimize, verify)
+from lnets import (AngleField, CongruenceSpec, CurvatureSignError, GridSpec,
+                   IterationRecord, LNet, QuadGrid, Schedule, Weights,
+                   assemble, initialize, kernels, lm_run, optimize,
+                   trace_grid, verify)
 from lnets.lnet import face_pairs
 from lnets.optimize import (BandLayout, _attempt_step, lattice_order, pack,
                             solve_normal_equations, unpack)
 from lnets.tessellate import dedupe_mesh, tessellate
 
-from conftest import mixed_patch, translational_offset_net
+from conftest import mixed_patch, solved_sphere_net, translational_offset_net
 
 # The weights of the contact-only pass of ``lm_run``.
 CONTACT = Weights(w_lfair=0.0, w_gfair=0.0, w_prox=0.0, w_tan=0.0, w_td=0.0)
@@ -629,11 +630,12 @@ def test_scipy_still_has_the_product_kernels():
         from scipy.sparse import _sparsetools
     except ImportError:
         _sparsetools = None
-    missing = [name for name in ("csr_matmat", "csr_matmat_maxnnz")
+    missing = [name for name in ("csr_matmat", "csr_matmat_maxnnz",
+                                 "csr_matvec")
                if not hasattr(_sparsetools, name)]
     assert not missing, (
         f"scipy.sparse._sparsetools lacks {', '.join(missing)}: "
-        "BandLayout.form needs csr_matmat and csr_matmat_maxnnz")
+        "BandLayout needs csr_matmat, csr_matmat_maxnnz and csr_matvec")
 
 
 def _public_normal_equations(layout, jac, res):
@@ -665,8 +667,8 @@ def _assert_same_equations(eqs, want):
     got = _fields(eqs)
     assert len(got) == len(want)
     for a, ref in zip(got, want):
-        assert a.dtype == ref.dtype
-        assert np.array_equal(a, ref)
+        assert a.dtype == ref.dtype and a.shape == ref.shape
+        assert a.tobytes() == ref.tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -687,6 +689,16 @@ def test_layout_forms_the_public_product_bit_for_bit(patch, lattice_10, case):
     _assert_same_equations(eqs, _public_normal_equations(eqs.layout, jac,
                                                          res))
     lay = eqs.layout
+    # -J^T r comes from J^T's gathered values, and equals scipy's
+    # -(jac.T @ res) bit for bit, also for a residual of mixed signs.
+    rng = np.random.default_rng(6)
+    for r in (res, rng.standard_normal(res.size)):
+        got = system.normal_equations(jac, r)
+        want = -(jac.T @ r)
+        assert got.rhs.tobytes() == want[lay.order].tobytes()
+        assert got.elim_rhs.tobytes() == want[lay.elim].tobytes()
+    with pytest.raises(ValueError, match="residual length"):
+        system.normal_equations(jac, res[:-1])
     if case != "contact":
         # D is w_oc = 1 times the number of faces at each vertex.
         faces_at = np.bincount(system.oc_vert, minlength=system.n_planes)
@@ -910,8 +922,116 @@ def test_escalations_reuse_the_normal_equations(patch, monkeypatch):
                         Schedule(max_iters=10, final_pass_iters=10))
     escalations = sum(min(r.escalations, 8) for r in records)
     assert escalations > 0
-    assert len(formed) == len(records)
-    assert len(solved) == len(records) + escalations
+    # One formation per record that solves; the records at the roundoff
+    # floor form and solve nothing.
+    solving = [r for r in records if r.solves > 0]
+    assert 0 < len(solving) < len(records)
+    assert len(formed) == len(solving)
+    assert all(r.solves == min(r.escalations, 8) + 1 for r in solving)
+    assert len(solved) == sum(r.solves for r in records)
+    assert len(solved) == len(solving) + escalations
+
+
+def roundoff_floor(x):
+    """The floor at which :func:`lm_run` stops solving."""
+    return 64.0 * np.finfo(float).eps * max(1.0, np.max(np.abs(x)))
+
+
+def test_contact_pass_stops_solving_at_the_roundoff_floor(patch):
+    schedule = Schedule(max_iters=25, final_pass_iters=20)
+    net, records = lm_run(lattice_net(patch, 5, 5), patch, Weights(),
+                          schedule)
+    assert [r.phase for r in records] == ["main"] * 25 + ["contact"] * 20
+    floor = roundoff_floor(pack(net))
+    first = next(i for i, r in enumerate(records) if r.solves == 0)
+    assert records[first].phase == "contact" and first < len(records) - 1
+    before = records[first - 1]
+    assert before.max_oc <= floor
+    assert math.sqrt(before.energies["unit"]) <= floor
+    # From the floor on the net stays put: no solve, no escalation, and
+    # each record measures the net the record before it measured.
+    for prev, rec in zip(records[first - 1:], records[first:]):
+        assert (rec.solves, rec.escalations) == (0, 0)
+        assert rec.e_total == prev.e_total and rec.max_oc == prev.max_oc
+    assert all(r.solves == min(r.escalations, 8) + 1
+               for r in records[:first])
+    report = verify(net)
+    assert report.is_lnet and report.max_contact_residual <= floor
+
+
+def test_contact_pass_above_the_floor_solves_every_record(patch):
+    # The acceptance config's contact pass ends above the floor.
+    spec = CongruenceSpec("tau_min", tau=0.75)
+    grid = trace_grid(patch, spec, AngleField.constant(math.pi / 4),
+                      GridSpec(16, 16, 0.13))
+    net, records = lm_run(initialize(grid, patch, spec), patch, Weights(),
+                          Schedule(max_iters=100, final_pass_iters=20))
+    contact = [r for r in records if r.phase == "contact"]
+    assert len(records) == 120 and len(contact) == 20
+    assert all(r.solves >= 1 for r in records)
+    assert contact[-1].max_oc > roundoff_floor(pack(net))
+
+
+def _contact_iteration_after_a_record(system, x):
+    """The record of one contact-pass iteration at ``x`` whose last record
+    measured ``x``, and the net it returns."""
+    raw, total, max_oc = system._energy_summary(x)
+    records = [IterationRecord(1, "main", total, raw, max_oc, 0.0, 0.0, 0, 0,
+                               1)]
+    x_new = optimize._run_phase(system, x, CONTACT, Schedule(), 1, "contact",
+                                records)
+    return records[-1], x_new
+
+
+def test_floor_stop_reads_the_unit_block(patch):
+    # Scaling the normals, intercepts and radii of an exactly tangent net
+    # scales its contact residuals, which stay at the floor, but moves its
+    # normals off unit length: the pass keeps solving.
+    net = solved_sphere_net(patch, 5, 5)
+    s = 1.0 + 1e-6
+    scaled = LNet(s * net.normals, s * net.intercepts, net.centers,
+                  s * net.radii)
+    for each, solves in ((net, False), (scaled, True)):
+        system = assemble(each, patch, CONTACT)
+        x = pack(each)
+        assert system.max_contact_residual(x) <= roundoff_floor(x)
+        unit = math.sqrt(system.raw_energies(x)["unit"])
+        assert (unit > 1e-6) == solves
+        record, x_new = _contact_iteration_after_a_record(system, x)
+        assert (record.solves > 0) == solves
+        assert np.array_equal(x_new, x) != solves
+
+
+def test_residual_after_a_refresh_evaluates_only_the_footpoint_blocks(
+        patch, monkeypatch):
+    rng = np.random.default_rng(8)
+    net = lattice_net(patch, 5, 6)
+    x = pack(net) + 1e-4 * rng.standard_normal(pack(net).size)
+    weights = Weights(w_td=1e-3)
+    system = assemble(net, patch, weights)
+    fresh = assemble(net, patch, weights)
+    system.residual(x)
+    system.refresh_footpoints(x)
+    calls = []
+    block_raw = optimize.ResidualSystem._block_raw
+    monkeypatch.setattr(
+        optimize.ResidualSystem, "_block_raw",
+        lambda self, x, kind, pts=None: calls.append(kind)
+        or block_raw(self, x, kind, pts))
+    got = system.residual(x)
+    assert calls == ["prox", "tan"]
+    # A system that evaluates every block at the same footpoints.
+    fresh.foot_x, fresh.foot_n = system.foot_x, system.foot_n
+    want = fresh.residual(x)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    # At the same net and footpoints every block is reused.
+    calls.clear()
+    assert system.residual(x).tobytes() == got.tobytes()
+    system._energy_summary(x)
+    assert calls == []
+    # A new net evaluates every block again.
+    system.residual(x + 1e-6)
+    assert sorted(calls) == sorted(optimize.BLOCK_ORDER)
 
 
 def test_refresh_footpoints_names_the_face_of_a_non_finite_contact(patch):
