@@ -20,17 +20,19 @@ untimed warm-up call.
   one ``residual`` at a new net (every block evaluated) and one after a
   refresh at the net of the last evaluation (only the proximity and
   tangency blocks evaluated, the rest reused), one analytic
-  ``jacobian``, one formation of the
-  normal equations (``J^T J`` and ``J^T r`` in the band layout) and one
-  normal-equation solve (``mu = 1e-4``, banded Cholesky) on uniform
-  10x10 and 40x40 lattices of the default patch, with the variable count
-  and, for the main pass and the contact-only pass, the Jacobian's
+  ``jacobian`` and one formation of the normal equations (``J^T J`` and
+  ``J^T r`` in the band layout) on uniform 10x10 and 40x40 lattices of
+  the default patch, with the variable count and, for the main pass and
+  the contact-only pass, one normal-equation solve (``mu = 1e-4``,
+  banded Cholesky in LAPACK lower band storage) with its rate ``n *
+  bw^2 / t`` in GFlop/s (``n`` band variables of bandwidth ``bw``; the
+  band factorization takes about ``n * bw^2`` flops), the Jacobian's
   stored entries (``jac.nnz``), the entries of ``J^T J`` that the product
   kernel dropped because they cancelled (the symbolic size minus the
   numeric nnz), the number of variables eliminated by the Schur
   complement, the bandwidth of the reduced band in the lattice order and
   the size of the band in MiB. The
-  solve includes the main pass's Schur update (the fill ``B^T D~^-1 B``
+  main-pass solve includes the Schur update (the fill ``B^T D~^-1 B``
   subtracted from the band and the reduced right-hand side), which is
   also timed alone, on a band of zeros. The Jacobian and the normal
   equations are each timed twice: the first call of a freshly assembled
@@ -277,28 +279,32 @@ def main(argv=None):
         jac, res = system.jacobian(x), system.residual(x)
         t_form = time_fn(lambda: system.normal_equations(jac, res), few)
         eqs = system.normal_equations(jac, res)
-        t_solve = time_fn(lambda: solve_normal_equations(eqs, 1e-4), few)
         band = np.zeros((eqs.layout.bw + 1) * eqs.layout.n)
         pivots = eqs.elim_diag + 1e-4
         t_schur = time_fn(lambda: _schur_update(eqs, pivots, band), few)
-        del band
+        del band, eqs
         bands = []
         for weights in (Weights(), CONTACT_PASS):
             system.weights = weights
             jac = system.jacobian(x)
-            lay = system.normal_equations(jac, system.residual(x)).layout
+            eqs = system.normal_equations(jac, system.residual(x))
+            lay = eqs.layout
+            t_solve = time_fn(lambda: solve_normal_equations(eqs, 1e-4), few)
             # The last table is the product's symbolic size.
             dropped = lay._tables[-1] - (jac.T @ jac).nnz
-            bands.append(f"jac.nnz {jac.nnz}, {dropped} dropped from J^T J, "
+            rate = lay.n * lay.bw ** 2 / t_solve / 1e6
+            bands.append(f"solve {t_solve:8.2f} ms at {rate:5.1f} GFlop/s, "
+                         f"jac.nnz {jac.nnz}, {dropped} dropped from J^T J, "
                          f"{lay.elim.size} eliminated, bandwidth {lay.bw}, "
                          f"band {(lay.bw + 1) * lay.n * 8 / 2 ** 20:.1f} MiB")
+            del eqs
         print(f"lm {size}x{size}    : footpoints {t_foot:8.2f} ms "
               f"({n_foot} jet batches), residual "
               f"{t_res:8.2f} ms / after a refresh {t_reuse:8.2f} ms, "
               f"jacobian first {t_first:8.2f} ms / fill "
               f"{t_jac:8.2f} ms, normal equations first {t_form_first:8.2f} "
-              f"ms / later {t_form:8.2f} ms, solve "
-              f"{t_solve:8.2f} ms (Schur update {t_schur:6.2f} ms)  "
+              f"ms / later {t_form:8.2f} ms, main-pass Schur update "
+              f"{t_schur:6.2f} ms  "
               f"({system.n_vars} vars; main {bands[0]}; contact {bands[1]})")
 
         pts = system.contact_points_of(x)

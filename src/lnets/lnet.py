@@ -273,14 +273,13 @@ _LNET_KINDS = {"format_version": int, "planes": list, "spheres": list}
 def lnet_to_dict(net: LNet) -> dict:
     """JSON-ready dictionary: vertex grid of ``[[nx,ny,nz], h]`` under
     ``planes`` and face grid of ``[[cx,cy,cz], r]`` under ``spheres``."""
-    vr, vc = net.vertex_shape
-    fr, fc = net.face_shape
-    planes = [[[list(net.normals[i, j]), float(net.intercepts[i, j])]
-               for j in range(vc)] for i in range(vr)]
-    spheres = [[[list(net.centers[i, j]), float(net.radii[i, j])]
-                for j in range(fc)] for i in range(fr)]
+    def cells(vectors, scalars):
+        return [[list(cell) for cell in zip(*row)]
+                for row in zip(vectors.tolist(), scalars.tolist())]
+
     return {"format_version": LNET_FORMAT_VERSION,
-            "planes": planes, "spheres": spheres}
+            "planes": cells(net.normals, net.intercepts),
+            "spheres": cells(net.centers, net.radii)}
 
 
 def _cells(grid: list, where: str):

@@ -35,12 +35,12 @@ pattern holds no entry that is zero for every net. Each iteration that
 solves fills the Jacobian's values, forms ``J^T J`` with the numeric
 phase alone and ``J^T r`` from the values of ``J^T`` that it gathers,
 and solves the damped normal equations by banded Cholesky
-factorization; escalations reuse ``J^T J`` and only change the damping
-on its diagonal. A plane's intercept ``h`` enters only the contact rows,
-one per row, so the intercepts' block of ``J^T J`` is diagonal; where
-that narrows the band (the main pass), the layout eliminates them by a
-Schur complement before each factorization and recovers their step
-after it.
+factorization in LAPACK lower band storage; escalations reuse ``J^T J``
+and only change the damping on its diagonal. A plane's intercept ``h``
+enters only the contact rows, one per row, so the intercepts' block of
+``J^T J`` is diagonal; where that narrows the band (the main pass), the
+layout eliminates them by a Schur complement before each factorization
+and recovers their step after it.
 """
 
 from __future__ import annotations
@@ -543,8 +543,10 @@ class BandLayout:
     ``n + e``, and every other column, which is frozen, to -1. ``bw``, the
     bandwidth of the reduced matrix, is the largest rank span of any
     Jacobian row or of any ``b_v``. Entry ``(i, j)``, ``i <= j``, lives at
-    ``band[bw + i - j, j]`` of LAPACK upper band storage of shape ``(bw +
-    1, n)``, flattened in Fortran order. ``B``'s structural entries are
+    its transpose's position ``band[j - i, i]`` of LAPACK lower band
+    storage of shape ``(bw + 1, n)``, flattened in Fortran order: flat
+    ``bw * i + j``, so band column ``i`` holds row ``i`` of the upper
+    triangle from the diagonal on. ``B``'s structural entries are
     ``(b_row[k], b_col[k])``, sorted, and the fill tables list, for each
     eliminated variable, the pairs ``fill_left <= fill_right`` of its
     entries, which add up at the band positions ``fill_slots[fill_inverse]``
@@ -580,16 +582,16 @@ class BandLayout:
         self.rank = np.full(shape[1], -1, dtype=np.int32)
         self.rank[self.order] = np.arange(n)
         self.rank[self.elim] = n + np.arange(self.elim.size)
-        self.diag = self.bw + (self.bw + 1) * np.arange(n)
+        self.diag = (self.bw + 1) * np.arange(n)
         # Pairs a <= b of each eliminated variable's entries of B, which are
-        # sorted by band rank, so ``(b_col[a], b_col[b])`` is upper.
+        # sorted by band rank, so ``(b_col[a], b_col[b])`` has ``i <= j``.
         ends = np.searchsorted(self.b_row, self.b_row, side="right")
         reps = ends - np.arange(ends.size)
         left = np.repeat(np.arange(ends.size), reps)
         right = left + np.arange(left.size) - np.repeat(np.cumsum(reps) - reps,
                                                         reps)
         self.fill_slots, inverse = np.unique(
-            self.bw * (self.b_col[right] + 1) + self.b_col[left],
+            self.bw * self.b_col[left] + self.b_col[right],
             return_inverse=True)
         self.fill_left, self.fill_right, self.fill_inverse = (
             a.astype(np.int32) for a in (left, right, inverse))
@@ -646,7 +648,7 @@ class BandLayout:
             j = np.repeat(self.rank, np.diff(indptr))
             i = self.rank[indices]
             upper = (i >= 0) & (i <= j) & (j < self.n)
-            slots = self.bw * (j[upper] + 1) + i[upper]
+            slots = self.bw * i[upper] + j[upper]
             # Column ``n + e`` is eliminated variable ``e``: its rows in the
             # band are B's entries, and its own row is D's.
             coupled = (i >= 0) & (j >= self.n) & ((i < self.n) | (i == j))
@@ -711,8 +713,9 @@ def _eliminate(indptr, indices, shape, order, elim):
 @dataclass(frozen=True)
 class NormalEquations:
     """``J^T J`` and ``-J^T r`` in the blocks of ``layout``. The band
-    block's upper entries ``values`` go to the flat band positions
-    ``slots``, and ``rhs`` is its part of ``-J^T r`` in band order.
+    block's upper entries ``values`` go to the flat positions ``slots``
+    of their transposes in lower band storage, and ``rhs`` is its part of
+    ``-J^T r`` in band order.
     ``coupling`` holds ``B``'s structural entries (``layout.b_row``,
     ``layout.b_col``; zero where the product cancelled), ``elim_diag`` is
     ``D`` and ``elim_rhs`` the eliminated variables' part of ``-J^T r``;
@@ -745,11 +748,14 @@ def _schur_update(eqs: NormalEquations, pivots: np.ndarray,
 def solve_normal_equations(eqs: NormalEquations, mu: float) -> np.ndarray:
     """Solve ``(J^T J + mu I) d = -J^T r`` by banded Cholesky factorization.
 
-    The layout's eliminated variables are solved by their Schur
-    complement: the band holds ``A + mu I - B^T D~^-1 B`` with ``D~ = D +
-    mu``, and their step is ``D~^-1 (g - B y)`` from the band step ``y``.
-    Variables outside the layout's free columns get a zero step. Raises
-    ``RuntimeError`` when the damped matrix is not positive definite.
+    The band is in LAPACK lower band storage and LAPACK factors it as ``L
+    L^T``; the same factorization in upper storage (``U^T U``) reads the
+    band in a slower order. The layout's eliminated variables are solved
+    by their Schur complement: the band holds ``A + mu I - B^T D~^-1 B``
+    with ``D~ = D + mu``, and their step is ``D~^-1 (g - B y)`` from the
+    band step ``y``. Variables outside the layout's free columns get a
+    zero step. Raises ``RuntimeError`` when the damped matrix is not
+    positive definite.
     """
     from scipy.linalg import LinAlgError, solveh_banded
 
@@ -763,7 +769,8 @@ def solve_normal_equations(eqs: NormalEquations, mu: float) -> np.ndarray:
     rhs = _schur_update(eqs, pivots, band)
     try:
         y = solveh_banded(band.reshape((lay.bw + 1, lay.n), order="F"),
-                          rhs, overwrite_ab=True, check_finite=False)
+                          rhs, overwrite_ab=True, lower=True,
+                          check_finite=False)
     except LinAlgError as exc:
         raise RuntimeError("singular normal equations") from exc
     if not np.all(np.isfinite(y)):

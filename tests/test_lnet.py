@@ -277,3 +277,21 @@ def test_serialization_roundtrip_and_strictness(tmp_path):
     data["format_version"] = 99
     with pytest.raises(ConfigError):
         lnet_from_dict(data)
+
+
+def test_saved_net_bytes_are_pinned(tmp_path):
+    # Floats are written by their shortest round-trip repr: the sign of
+    # -0.0 and all 17 digits of 0.1 + 0.2 survive.
+    normals = np.zeros((2, 2, 3))
+    normals[..., 2] = 1.0
+    normals[1, 0, 0] = -0.0
+    intercepts = np.array([[0.5, -0.25], [0.1 + 0.2, 0.0]])
+    net = LNet(normals, intercepts, np.array([[[1.0, -0.0, 2.5]]]),
+               np.array([[1e-300]]))
+    path = tmp_path / "net.json"
+    save_lnet(net, path)
+    assert path.read_bytes() == (
+        b'{"format_version": 1, "planes": '
+        b'[[[[0.0, 0.0, 1.0], 0.5], [[0.0, 0.0, 1.0], -0.25]], '
+        b'[[[-0.0, 0.0, 1.0], 0.30000000000000004], [[0.0, 0.0, 1.0], 0.0]]]'
+        b', "spheres": [[[[1.0, -0.0, 2.5], 1e-300]]]}')

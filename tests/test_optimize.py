@@ -311,7 +311,8 @@ def test_non_finite_band_solution_is_a_failed_solve(monkeypatch):
     solve, calls = scipy.linalg.solveh_banded, []
 
     def nan_first(ab, b, **kwargs):
-        calls.append(ab[-1].copy())
+        # Row 0 of the lower band storage is the damped diagonal.
+        calls.append(ab[0].copy())
         y = solve(ab, b, **kwargs)
         return np.full_like(y, np.nan) if len(calls) == 1 else y
 
@@ -325,6 +326,40 @@ def test_non_finite_band_solution_is_a_failed_solve(monkeypatch):
     assert np.array_equal(calls[1], np.full(2, 1.0 + 1.1e-3))
     assert np.allclose(x, np.array([1.0, -2.0]) / (1.0 + 1.1e-3),
                        rtol=1e-14, atol=0.0)
+
+
+def test_band_is_passed_in_lower_storage(patch, monkeypatch):
+    # The contact pass of a 6x5 lattice has a band of nonzero width and
+    # eliminates nothing, so its band is (J^T J)[order][:, order] + mu I.
+    import scipy.linalg
+
+    net = lattice_net(patch, 6, 5)
+    system = assemble(net, patch, CONTACT)
+    x = pack(net)
+    jac = system.jacobian(x)
+    eqs = system.normal_equations(jac, system.residual(x))
+    lay, mu = eqs.layout, 1e-4
+    assert lay.bw > 0 and lay.elim.size == 0
+    solve, calls = scipy.linalg.solveh_banded, []
+
+    def capture(ab, b, **kwargs):
+        calls.append((ab.copy(), kwargs))
+        return solve(ab, b, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "solveh_banded", capture)
+    solve_normal_equations(eqs, mu)
+    (ab, kwargs), = calls
+    assert kwargs["lower"] is True
+    assert ab.shape == (lay.bw + 1, lay.n)
+    # Row k holds the k-th subdiagonal; its last k entries lie outside.
+    dense = np.zeros((lay.n, lay.n))
+    for k, row in enumerate(ab):
+        assert not np.any(row[lay.n - k:])
+        at = np.arange(lay.n - k)
+        dense[at + k, at] = dense[at, at + k] = row[:lay.n - k]
+    want = (jac.T @ jac).toarray()[lay.order][:, lay.order]
+    want[np.diag_indices(lay.n)] += mu
+    assert dense.tobytes() == want.tobytes()
 
 
 def _residual_block_damping_step(system, x, w_reg, max_escalations=8):
@@ -641,14 +676,15 @@ def test_scipy_still_has_the_product_kernels():
 def _public_normal_equations(layout, jac, res):
     """The arrays of :func:`_fields` of ``layout`` formed with scipy's
     public ``jac.T @ jac``, which BandLayout.form must equal bit for bit:
-    the band's upper entries, ``B`` at its structural positions (0 where
+    the band's upper entries at the positions of their transposes in
+    LAPACK lower band storage, ``B`` at its structural positions (0 where
     the product has no entry), the diagonal ``D`` and the two parts of
     ``-J^T r``."""
     ata = jac.T @ jac
     i, j = (layout.rank[a] for a in ata.tocoo(copy=False).coords)
     upper = (i >= 0) & (i <= j) & (j < layout.n)
     i, j = i[upper], j[upper]
-    slots = layout.bw + i - j + (layout.bw + 1) * j
+    slots = j - i + (layout.bw + 1) * i
     rhs = -(jac.T @ res)
     rows, cols = layout.elim[layout.b_row], layout.order[layout.b_col]
     # scipy answers an empty fancy index with a sparse matrix.
