@@ -25,8 +25,10 @@ class LnetsError(Exception):
 class AdmissibilityError(LnetsError):
     """Two oriented spheres admit no common oriented tangent plane.
 
-    Raised when ||c0 - c1||^2 <= (r0 - r1)^2, including the boundary case
-    of equality (a cone needs the strict inequality).
+    Raised by :func:`lnets.tessellate` when the verification it runs first
+    finds adjacent face spheres with ||c0 - c1||^2 <= (r0 - r1)^2,
+    including the boundary case of equality (a cone needs the strict
+    inequality).
     """
 
 

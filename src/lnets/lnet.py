@@ -29,6 +29,7 @@ where a cone joins the two spheres.
 from __future__ import annotations
 
 import json
+import logging
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,6 +40,8 @@ from .bspline import (BSplineSurface, evaluate_jets, oriented_normals,
 from .conjugacy import CongruenceSpec
 from .errors import ConfigError, checked, json_array, json_fields, read_json
 from .remesh import QuadGrid
+
+logger = logging.getLogger(__name__)
 
 # Default absolute tolerance on per-incidence contact residuals.
 DEFAULT_TOL_OC = 1e-9
@@ -106,6 +109,8 @@ def initialize(grid: QuadGrid, surface: BSplineSurface,
     vertex (``h = -<v, n>``); face spheres sit at the projection of the
     quad barycenter, offset along the normal by the congruence radius
     there. The result is generally not yet in exact oriented contact.
+    Barycenters whose projection does not converge keep their seed
+    footpoints, and one warning gives their count and first face.
     """
     uv = grid.uv
     vr, vc = grid.rows, grid.cols
@@ -116,9 +121,14 @@ def initialize(grid: QuadGrid, surface: BSplineSurface,
 
     bary = 0.25 * (points[:-1, :-1] + points[1:, :-1]
                    + points[1:, 1:] + points[:-1, 1:])
-    uv_feet, feet, foot_normals, _, foot_jets = project_points(
+    uv_feet, feet, foot_normals, converged, foot_jets = project_points(
         surface, bary.reshape(-1, 3))
     fr, fc = vr - 1, vc - 1
+    stray = np.flatnonzero(~converged)
+    if stray.size:
+        logger.warning("%d of %d face footpoints did not converge and keep "
+                       "their seeds, the first at face (%d, %d)", stray.size,
+                       converged.size, *divmod(int(stray[0]), fc))
     radii = spec.radii(principal_frames(foot_jets).kappa1, uv_feet)
     centers = feet + radii[:, None] * foot_normals
     return LNet(normals, intercepts,

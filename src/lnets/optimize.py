@@ -45,6 +45,7 @@ and recovers their step after it.
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
@@ -56,6 +57,8 @@ from .errors import LnetsError, check_count, located
 from .lnet import (CORNERS, LNet, cone_gaps, contact_incidences,
                    contact_residuals, face_pairs, incidence_points,
                    strip_incidences)
+
+logger = logging.getLogger(__name__)
 
 # scipy is imported by the functions that use it, so that only an LM run
 # pays for loading it: the verify, tessellate and report commands never do.
@@ -803,17 +806,17 @@ class IterationRecord:
 
 
 def _attempt_step(residual_fn, x: np.ndarray, res0: np.ndarray,
-                  eqs: NormalEquations, w_reg: float,
-                  max_escalations: int = MAX_ESCALATIONS):
+                  eqs: NormalEquations, w_reg: float):
     """One proximal step with escalation on energy increase or solver failure.
 
     Level ``k`` solves ``eqs``, the normal equations at ``x``, with ``w_reg
     + mu_k`` on the diagonal (``mu_0 = 0``, ``mu_k = w_reg 10^k``) and
     accepts ``d`` if ``|r(x + d)|^2 + w_reg |d|^2 <= |r(x)|^2``. Returns
-    ``(x_new, escalations)``; a zero step when no level is accepted.
+    ``(x_new, escalations)``; a zero step, with ``MAX_ESCALATIONS + 1``
+    escalations, when no level up to :data:`MAX_ESCALATIONS` is accepted.
     """
     e0 = float(res0 @ res0)
-    for k in range(max_escalations + 1):
+    for k in range(MAX_ESCALATIONS + 1):
         mu = 0.0 if k == 0 else w_reg * 10.0 ** k
         try:
             delta = solve_normal_equations(eqs, w_reg + mu)
@@ -823,7 +826,7 @@ def _attempt_step(residual_fn, x: np.ndarray, res0: np.ndarray,
         res1 = residual_fn(x_try)
         if float(res1 @ res1) + w_reg * float(delta @ delta) <= e0:
             return x_try, k
-    return x.copy(), max_escalations + 1
+    return x.copy(), MAX_ESCALATIONS + 1
 
 
 def _at_floor(record: IterationRecord, kinds, x: np.ndarray) -> bool:
@@ -871,6 +874,15 @@ def _run_phase(system: ResidualSystem, x: np.ndarray, weights: Weights,
     return x
 
 
+def _runs(numbers: list) -> str:
+    """The increasing integers ``numbers`` as runs, ``"1-3, 7"`` for
+    ``[1, 2, 3, 7]``."""
+    runs = np.split(np.array(numbers),
+                    np.flatnonzero(np.diff(numbers) != 1) + 1)
+    return ", ".join(str(run[0]) if run.size == 1 else f"{run[0]}-{run[-1]}"
+                     for run in runs)
+
+
 def lm_run(net: LNet, surface: BSplineSurface, weights: Weights = Weights(),
            schedule: Schedule = Schedule(), fix_radii: bool = False):
     """Refine a net: main pass with all energies, then contact-only pass.
@@ -878,6 +890,8 @@ def lm_run(net: LNet, surface: BSplineSurface, weights: Weights = Weights(),
     ``fix_radii`` freezes every sphere radius at its initial value, which
     is the faithful treatment of an exactly prescribed constant radius.
     Returns the refined net and the list of :class:`IterationRecord`.
+    If any record has footpoint fallbacks, one warning names those
+    records and the largest count.
     """
     system = assemble(net, surface, weights, fix_radii)
     x = system.x0.copy()
@@ -894,4 +908,10 @@ def lm_run(net: LNet, surface: BSplineSurface, weights: Weights = Weights(),
     last = records[-1]
     last.energies, last.e_total, last.max_oc = system._energy_summary(x)
     last.footpoint_fallbacks = system.footpoint_fallbacks
+    fell = [rec.iteration for rec in records if rec.footpoint_fallbacks]
+    if fell:
+        logger.warning("footpoints fell back to their seeds in records %s, "
+                       "at most %d of %d in one record", _runs(fell),
+                       max(rec.footpoint_fallbacks for rec in records),
+                       system.oc_face.size)
     return unpack(x, system.vertex_shape), records

@@ -21,19 +21,26 @@ then cone strips of the interior edges (axis 0, then axis 1, each
 row-major; the arc on the first face's sphere, then on the second's),
 then the spherical patches of the faces with nonzero radius (row-major,
 each a ``count x count`` grid), so each kind is one run of triangles, in
-the order of :data:`LABELS`. The arcs take ``atan2`` and ``acos`` from
-:mod:`math`, one call per arc end: numpy's versions can differ from them
-in the last bit, which would move the sampled vertices.
+the order of :data:`LABELS`.
+
+Along an edge the contact normals are the normals of the tangent planes
+of the edge's cone, a circle about the cone's axis, the line through the
+two face spheres' centres. One rotation samples them on every edge: it
+turns the first end normal about a unit axis at a fixed height ``<n,
+axis> = alpha``, through the signed angle to the second end normal. An
+interior edge turns about its centre offset with ``alpha = (r1 - r0)/|c1
+- c0|``, so every sample is tangent to both spheres; a rim edge, which
+bounds one sphere only, turns about ``n0 x n1`` with ``alpha = 0``, the
+great circle of its end normals.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AdmissibilityError, LnetsError, check_count, located
+from .errors import AdmissibilityError, LnetsError, check_count
 from .lnet import DEFAULT_TOL_OC, LNet, contact_points, verify
 
 # The patch kinds, in the order of their runs of triangles.
@@ -90,99 +97,56 @@ class LabeledMesh:
             raise ValueError(f"triangle indices must lie in [0, {n})")
 
 
-def _plane_basis(w_hat: np.ndarray):
-    """Deterministic orthonormal bases of the planes orthogonal to the rows
-    of ``w_hat`` ``(N, 3)``.
+def _turn_arcs(n0, n1, axis, alpha, count: int) -> np.ndarray:
+    """Normals turned from each row of ``n0`` to the same row of ``n1``
+    (``(..., 3)``), as ``(..., count, 3)``.
 
-    Each row uses the coordinate axis of smallest absolute component of
-    its ``w_hat`` (lowest index on ties) to avoid near-parallel
-    degeneracy.
+    Row ``k`` turns about ``axis[k]``, a unit vector or zero, at the fixed
+    height ``<n, axis[k]> = alpha[k]``: its samples are ``alpha axis +
+    rho (cos(t) e1 + sin(t) e2)`` with ``rho = sqrt(1 - alpha^2)``, ``e1``
+    the unit component of ``n0`` across the axis and ``e2 = axis x e1``.
+    ``t`` runs in equal steps through the signed angle from ``e1`` to
+    ``n1``'s component across the axis, the shorter way round. The
+    endpoints are taken verbatim. A zero axis with ``alpha = 0`` gives the
+    constant arc ``n0 / |n0|``.
     """
-    axis = np.zeros_like(w_hat)
-    axis[np.arange(w_hat.shape[0]), np.argmin(np.abs(w_hat), axis=1)] = 1.0
-    e1 = axis - np.vecdot(axis, w_hat)[:, None] * w_hat
-    e1 /= np.sqrt(np.vecdot(e1, e1))[:, None]
-    e2 = np.cross(w_hat, e1)
-    return e1, e2
-
-
-def tangent_normal_circle(c0: np.ndarray, r0: np.ndarray, c1: np.ndarray,
-                          r1: np.ndarray):
-    """Normal circles ``(alpha, w_hat, e1, e2)`` of a batch of sphere pairs.
-
-    Row ``k`` pairs the sphere ``(c0[k], r0[k])`` with ``(c1[k], r1[k])``
-    (centers ``(N, 3)``, radii ``(N,)``). The normals of the planes in
-    oriented contact with both spheres are ``alpha*w_hat +
-    sqrt(1-alpha^2) * (cos(t) e1 + sin(t) e2)``: ``alpha`` is ``(N,)``,
-    ``w_hat`` the unit center offset and ``e1, e2`` an orthonormal basis
-    of its orthogonal plane, each ``(N, 3)``. The first pair that admits
-    no common tangent plane (``|c1-c0|^2 <= (r1-r0)^2``) raises
-    :class:`AdmissibilityError` with its row in ``index``.
-    """
-    w = c1 - c0
-    d2 = np.vecdot(w, w)
-    dr2 = (r1 - r0) ** 2
-    bad = np.flatnonzero(~(d2 > dr2))
-    if bad.size:
-        k = int(bad[0])
-        raise located(AdmissibilityError,
-                      f"spheres admit no common tangent planes: "
-                      f"|c0-c1|^2 = {d2[k]:g} <= (r0-r1)^2 = {dr2[k]:g}",
-                      index=k)
-    length = np.sqrt(d2)
-    w_hat = w / length[:, None]
-    alpha = (r1 - r0) / length
-    e1, e2 = _plane_basis(w_hat)
-    return alpha, w_hat, e1, e2
-
-
-def _slerp_arcs(n0: np.ndarray, n1: np.ndarray, count: int) -> np.ndarray:
-    """Spherical interpolation from each unit normal of ``n0`` to the same
-    row of ``n1`` (both ``(N, 3)``) as ``(N, count, 3)``; the endpoints
-    are taken verbatim."""
-    out = np.empty((n0.shape[0], count, 3))
-    out[:, 0] = n0
-    out[:, -1] = n1
-    omega = np.array([math.acos(min(1.0, max(-1.0, d)))
-                      for d in np.vecdot(n0, n1).tolist()])
-    t = (np.arange(1, count - 1) / (count - 1))[None, :, None]
-    n = (1.0 - t) * n0[:, None] + t * n1[:, None]
-    arc = omega >= 1e-9
-    w = omega[arc][:, None, None]
-    n[arc] = (np.sin((1.0 - t) * w) * n0[arc][:, None]
-              + np.sin(t * w) * n1[arc][:, None]) / np.sin(w)
-    out[:, 1:-1] = n / np.sqrt(np.vecdot(n, n))[..., None]
+    e1 = n0 - np.vecdot(n0, axis)[..., None] * axis
+    e1 /= np.sqrt(np.vecdot(e1, e1))[..., None]
+    e2 = np.cross(axis, e1)
+    theta = np.arctan2(np.vecdot(n1, e2), np.vecdot(n1, e1))
+    t = theta[..., None, None] * (np.arange(1, count - 1)
+                                  / (count - 1))[:, None]
+    ring = np.cos(t) * e1[..., None, :] + np.sin(t) * e2[..., None, :]
+    rho = np.sqrt(1.0 - alpha * alpha)
+    out = np.empty(n0.shape[:-1] + (count, 3))
+    out[..., 0, :] = n0
+    out[..., -1, :] = n1
+    out[..., 1:-1, :] = (alpha[..., None, None] * axis[..., None, :]
+                         + rho[..., None, None] * ring)
     return out
 
 
-def _circle_arcs(c0, r0, c1, r1, n0, n1, count: int) -> np.ndarray:
-    """Normals along the common-tangent circles of sphere pairs.
+def _edge_arcs(n, c, r, count: int) -> np.ndarray:
+    """Contact-normal samples from the normal of vertex ``(i, j)`` to that
+    of ``(i, j+1)`` for the vertex normals ``n``, face centres ``c`` and
+    radii ``r`` of a net, ``(vr, vc-1, count, 3)``.
 
-    Row ``k`` pairs the spheres ``(c0[k], r0[k])`` and ``(c1[k], r1[k])``
-    and runs from the normal ``n0[k]`` to ``n1[k]`` along the minor arc,
-    as ``(N, count, 3)``; the endpoints are taken verbatim.
+    An interior edge turns about the unit offset from the centre of face
+    ``(i-1, j)`` to that of ``(i, j)``, the axis of the cone that both
+    spheres touch, at ``alpha = (r1 - r0)/|c1 - c0|``, so every sample is
+    tangent to both spheres. A rim edge turns about ``n0 x n1`` at
+    ``alpha = 0``: the great circle of its end normals.
     """
-    alpha, w_hat, e1, e2 = tangent_normal_circle(c0, r0, c1, r1)
-    rho = np.sqrt(np.maximum(0.0, 1.0 - alpha * alpha))
-
-    def angle(n):
-        return np.array(list(map(math.atan2, np.vecdot(n, e2).tolist(),
-                                 np.vecdot(n, e1).tolist())))
-
-    t0 = angle(n0)
-    dt = angle(n1) - t0
-    dt = np.where(dt > math.pi, dt - 2.0 * math.pi,
-                  np.where(dt <= -math.pi, dt + 2.0 * math.pi, dt))
-    t = t0[:, None] + dt[:, None] * np.arange(1, count - 1) / (count - 1)
-    cos_t = np.cos(t)[..., None]
-    sin_t = np.sin(t)[..., None]
-    out = np.empty((n0.shape[0], count, 3))
-    out[:, 0] = n0
-    out[:, -1] = n1
-    out[:, 1:-1] = (alpha[:, None, None] * w_hat[:, None]
-                    + rho[:, None, None] * (cos_t * e1[:, None]
-                                            + sin_t * e2[:, None]))
-    return out
+    n0, n1 = n[:, :-1], n[:, 1:]
+    axis = np.empty(n0.shape)
+    alpha = np.zeros(n0.shape[:-1])
+    axis[1:-1] = c[1:] - c[:-1]
+    alpha[1:-1] = r[1:] - r[:-1]
+    axis[[0, -1]] = np.cross(n0[[0, -1]], n1[[0, -1]])
+    length = np.sqrt(np.vecdot(axis, axis))
+    np.divide(axis, length[..., None], out=axis, where=length[..., None] > 0)
+    alpha[1:-1] /= length[1:-1]
+    return _turn_arcs(n0, n1, axis, alpha, count)
 
 
 def _arc_tables(net: LNet, count: int):
@@ -190,32 +154,13 @@ def _arc_tables(net: LNet, count: int):
 
     ``a[i, j]`` runs from the normal of vertex ``(i, j)`` to that of
     ``(i, j+1)``, shape ``(fr+1, fc, count, 3)``; ``b[i, j]`` from
-    ``(i, j)`` to ``(i+1, j)``, shape ``(fr, fc+1, count, 3)``. An
-    interior edge follows the common-tangent circle of the two faces it
-    separates (the lower-index face first); a rim edge follows the great
-    circle between its end normals.
+    ``(i, j)`` to ``(i+1, j)``, shape ``(fr, fc+1, count, 3)``. See
+    :func:`_edge_arcs`; ``b`` is the ``a`` table of the transposed net.
     """
-    fr, fc = net.face_shape
     n, c, r = net.normals, net.centers, net.radii
-
-    def circle(c0, r0, c1, r1, n0, n1):
-        lead = r0.shape
-        return _circle_arcs(c0.reshape(-1, 3), r0.ravel(), c1.reshape(-1, 3),
-                            r1.ravel(), n0.reshape(-1, 3), n1.reshape(-1, 3),
-                            count).reshape(lead + (count, 3))
-
-    def slerp(n0, n1):
-        return _slerp_arcs(n0.reshape(-1, 3), n1.reshape(-1, 3),
-                           count).reshape(n0.shape[:2] + (count, 3))
-
-    a = np.empty((fr + 1, fc, count, 3))
-    b = np.empty((fr, fc + 1, count, 3))
-    a[1:-1] = circle(c[:-1], r[:-1], c[1:], r[1:], n[1:-1, :-1], n[1:-1, 1:])
-    b[:, 1:-1] = circle(c[:, :-1], r[:, :-1], c[:, 1:], r[:, 1:],
-                        n[:-1, 1:-1], n[1:, 1:-1])
-    a[[0, -1]] = slerp(n[[0, -1], :-1], n[[0, -1], 1:])
-    b[:, [0, -1]] = slerp(n[:-1, [0, -1]], n[1:, [0, -1]])
-    return a, b
+    a = _edge_arcs(n, c, r, count)
+    b = _edge_arcs(n.swapaxes(0, 1), c.swapaxes(0, 1), r.T, count)
+    return a, b.swapaxes(0, 1)
 
 
 def _coons(bottom, top, left, right):
@@ -247,10 +192,15 @@ def tessellate(net: LNet, params: TessellationParams = TessellationParams(),
     contact points. Shared boundary samples are referenced, not
     recomputed, so the mesh is combinatorially watertight after
     :func:`dedupe_mesh`.
+
+    A net that :func:`~lnets.lnet.verify` rejects at ``tol_oc`` raises
+    :class:`AdmissibilityError` if some adjacent spheres admit no cone,
+    else :class:`LnetsError`.
     """
     report = verify(net, tol_oc)
     if not report.is_lnet:
-        raise LnetsError(
+        raise (AdmissibilityError if report.num_inadmissible_edges
+               else LnetsError)(
             f"net fails verification (max residual "
             f"{report.max_contact_residual:g}, "
             f"{report.num_inadmissible_edges} inadmissible edges, max unit "

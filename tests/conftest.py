@@ -111,6 +111,28 @@ def solved_sphere_net(surface, rows, cols, d=0.25):
     return LNet(normals, intercepts + d, centers, radii + d)
 
 
+def laguerre_boost(net, beta):
+    """The net under the Laguerre boost of velocity ``beta`` along x.
+
+    A sphere ``(c, r)`` and the contact vector ``(n, 1)`` of a plane
+    ``(n, h)`` are points of Minkowski space, whose form makes ``<n, c> -
+    r`` their product. A Lorentz boost keeps that product, so with the
+    plane rescaled to a unit normal every oriented contact holds as
+    before, and so does every cone gap ``|c_a - c_b|^2 - (r_a - r_b)^2``.
+    The radii become ``gamma (r - beta c_x)``, so they vary across the
+    net where the solved nets' radii are all but equal.
+    """
+    gamma = 1.0 / math.sqrt(1.0 - beta * beta)
+    c, r, n = net.centers, net.radii, net.normals
+    centers = c.copy()
+    centers[..., 0] = gamma * (c[..., 0] - beta * r)
+    normals = n.copy()
+    normals[..., 0] = gamma * (n[..., 0] - beta)
+    scale = gamma * (1.0 - beta * n[..., 0])
+    return LNet(normals / scale[..., None], net.intercepts / scale, centers,
+                gamma * (r - beta * c[..., 0]))
+
+
 def mixed_patch(c=0.0):
     """Graph ``z = x^2 / 2 - (y - c)^3 / 6`` over ``[-1, 1]^2``.
 

@@ -1,11 +1,15 @@
 """Net initialization, contact verification, strip points, serialization."""
 
+import logging
+import math
+
 import numpy as np
 import pytest
 
-from lnets import (ConfigError, CongruenceSpec, CurvatureSignError, LNet,
-                   QuadGrid, evaluate_jets, initialize, oriented_normal,
-                   project_points, strip_incidences, verify)
+from lnets import (AngleField, ConfigError, CongruenceSpec, CurvatureSignError,
+                   GridSpec, LNet, QuadGrid, bspline, evaluate_jets,
+                   initialize, lnet, oriented_normal, project_points,
+                   strip_incidences, trace_grid, verify)
 from lnets.bspline import BSplineSurface, SurfaceJet2
 from lnets.lnet import (contact_incidences, contact_points, face_pairs,
                         lnet_from_dict, lnet_to_dict, load_lnet, save_lnet)
@@ -50,6 +54,49 @@ def test_initialize_plane_and_sphere_formulas(patch):
             r = net.radii[i, j]
             assert r > 0
             assert np.allclose(c, feet[0] + r * normals[0], atol=1e-9)
+
+
+def lnet_warnings(caplog):
+    return [r.getMessage() for r in caplog.records
+            if r.name == "lnets.lnet" and r.levelno == logging.WARNING]
+
+
+def test_initialize_warns_once_about_unconverged_footpoints(patch, caplog,
+                                                            monkeypatch):
+    grid = lattice_grid(patch, 5, 4)
+    spec = CongruenceSpec("tau_min", tau=0.6)
+    with monkeypatch.context() as m:
+        m.setattr(bspline, "PROJECTION_MAX_ITER", 0)
+        with caplog.at_level(logging.WARNING, logger="lnets"):
+            initialize(grid, patch, spec)
+    assert lnet_warnings(caplog) == [
+        "12 of 12 face footpoints did not converge and keep their seeds, "
+        "the first at face (0, 0)"]
+
+    # Only faces (2, 1) and (3, 0), flat 7 and 9 of the 4x3 faces, fail.
+    def project(*args):
+        out = list(bspline.project_points(*args))
+        out[3] = out[3].copy()
+        out[3][[9, 7]] = False
+        return tuple(out)
+
+    caplog.clear()
+    monkeypatch.setattr(lnet, "project_points", project)
+    with caplog.at_level(logging.WARNING, logger="lnets"):
+        initialize(grid, patch, spec)
+    assert lnet_warnings(caplog) == [
+        "2 of 12 face footpoints did not converge and keep their seeds, "
+        "the first at face (2, 1)"]
+
+
+def test_initialize_of_the_acceptance_grid_logs_nothing(patch, caplog):
+    spec = CongruenceSpec("tau_min", tau=0.75)
+    grid = trace_grid(patch, spec, AngleField.constant(math.pi / 4),
+                      GridSpec(16, 16, 0.13))
+    caplog.clear()  # the tracer's trimming warning
+    with caplog.at_level(logging.DEBUG, logger="lnets"):
+        initialize(grid, patch, spec)
+    assert not caplog.records
 
 
 def test_initialize_flat_surface_propagates_curvature_error():

@@ -1,5 +1,6 @@
 """Residual blocks, analytic Jacobians, and the refinement loop."""
 
+import logging
 import math
 from dataclasses import replace
 
@@ -11,8 +12,8 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from lnets import (AngleField, CongruenceSpec, CurvatureSignError, GridSpec,
                    IterationRecord, LNet, QuadGrid, Schedule, Weights,
-                   assemble, initialize, kernels, lm_run, optimize,
-                   trace_grid, verify)
+                   assemble, bspline, initialize, kernels, lm_run,
+                   optimize, trace_grid, verify)
 from lnets.lnet import face_pairs
 from lnets.optimize import (BandLayout, _attempt_step, lattice_order, pack,
                             solve_normal_equations, unpack)
@@ -836,6 +837,23 @@ def test_jacobian_pattern_built_once_per_active_block_set(patch,
     # the fairness blocks, and the contact pass's unit and oc.
     assert len(builds) == 3
     assert builds[2][0] < builds[1][0] < builds[0][0]
+
+
+def test_run_warns_once_about_footpoint_fallbacks(patch, caplog,
+                                                 monkeypatch):
+    net = lattice_net(patch, 4, 4)
+    schedule = Schedule(max_iters=3, final_pass_iters=2)
+    with caplog.at_level(logging.DEBUG, logger="lnets"):
+        lm_run(net, patch, Weights(), schedule)
+    assert not caplog.records
+    monkeypatch.setattr(bspline, "PROJECTION_MAX_ITER", 0)
+    with caplog.at_level(logging.WARNING, logger="lnets"):
+        _, records = lm_run(net, patch, Weights(), schedule)
+    assert [r.footpoint_fallbacks for r in records] == [36] * 5
+    assert [(r.name, r.getMessage()) for r in caplog.records] == [
+        ("lnets.optimize", "footpoints fell back to their seeds in records "
+         "1-5, at most 36 of 36 in one record")]
+    assert optimize._runs([1, 2, 3, 7, 9, 10]) == "1-3, 7, 9-10"
 
 
 def test_run_builds_two_plans_and_the_contact_tables_lead_the_main_ones(

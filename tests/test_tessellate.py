@@ -10,13 +10,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lnets import (AdmissibilityError, GridSpec, LnetsError, Schedule,
+from lnets import (AdmissibilityError, GridSpec, LNet, LnetsError, Schedule,
                    TessellationParams, convex_paraboloid_patch, tessellate)
 from lnets.lnet import contact_points, verify
-from lnets.tessellate import (_ROW_MIX, LABELS, LabeledMesh, _row_hash,
-                              dedupe_mesh, tangent_normal_circle)
+from lnets.tessellate import (_ROW_MIX, LABELS, LabeledMesh, _arc_tables,
+                              _row_hash, _turn_arcs, dedupe_mesh)
 
-from conftest import solved_sphere_net, translational_offset_net
+from conftest import (laguerre_boost, solved_sphere_net,
+                      translational_offset_net)
 
 LABEL_PLANAR, LABEL_CONICAL, LABEL_SPHERICAL = LABELS
 
@@ -69,25 +70,44 @@ def random_admissible_pairs(rng, n):
     return c0, r0, c0 + dist[:, None] * direction, r1
 
 
-def circle_normals(circle, t):
-    """Normals at angle ``t`` on the circles ``(alpha, w_hat, e1, e2)`` of
-    :func:`tangent_normal_circle`, ``(N, 3)``."""
-    alpha, w_hat, e1, e2 = circle
+def circle_frames(c0, r0, c1, r1):
+    """The unit centre offsets ``w``, heights ``alpha`` and an orthonormal
+    basis ``e1, e2`` across ``w`` of the common-tangent normal circles
+    ``alpha w + rho (cos(t) e1 + sin(t) e2)`` of sphere pairs."""
+    w = c1 - c0
+    length = np.linalg.norm(w, axis=-1)
+    w = w / length[..., None]
+    e1 = np.cross(w, [0.6, 0.0, 0.8])
+    e1 /= np.linalg.norm(e1, axis=-1, keepdims=True)
+    return w, (r1 - r0) / length, e1, np.cross(w, e1)
+
+
+def circle_normals(frame, t):
+    """Normals at angles ``t`` on the circles of :func:`circle_frames`."""
+    w, alpha, e1, e2 = frame
     rho = np.sqrt(1.0 - alpha ** 2)
-    return alpha[:, None] * w_hat + rho[:, None] * (np.cos(t) * e1
-                                                    + np.sin(t) * e2)
+    return alpha[:, None] * w + rho[:, None] * (np.cos(t)[:, None] * e1
+                                                + np.sin(t)[:, None] * e2)
+
+
+def circle_arcs(rng, c0, r0, c1, r1, count):
+    """Arcs of :func:`_turn_arcs` between random normals on the
+    common-tangent circles of the sphere pairs, each turning less than a
+    half turn either way."""
+    frame = circle_frames(c0, r0, c1, r1)
+    t0 = rng.uniform(-np.pi, np.pi, size=r0.size)
+    t1 = t0 + rng.uniform(-3.0, 3.0, size=r0.size)
+    return _turn_arcs(circle_normals(frame, t0), circle_normals(frame, t1),
+                      frame[0], frame[1], count)
 
 
 def test_tangent_normal_circle_samples_common_tangent_normals():
     rng = np.random.default_rng(19)
     c0, r0, c1, r1 = random_admissible_pairs(rng, 200)
-    circle = tangent_normal_circle(c0, r0, c1, r1)
-    for t in np.linspace(0.0, 2.0 * np.pi, 9):
-        n = circle_normals(circle, t)
-        assert np.allclose(np.linalg.norm(n, axis=1), 1.0, rtol=0,
-                           atol=1e-14)
-        assert np.allclose(np.vecdot(n, c1 - c0), r1 - r0, rtol=0,
-                           atol=1e-13)
+    n = circle_arcs(rng, c0, r0, c1, r1, 9)
+    assert np.max(np.abs(np.linalg.norm(n, axis=-1) - 1.0)) <= 1e-14
+    assert np.max(np.abs(np.vecdot(n, (c1 - c0)[:, None])
+                         - (r1 - r0)[:, None])) <= 1e-13
 
 
 def test_tangent_planes_touch_whole_linear_family():
@@ -95,42 +115,96 @@ def test_tangent_planes_touch_whole_linear_family():
     # (1-s) s0 + s s1 of the linear family of the two spheres.
     rng = np.random.default_rng(11)
     c0, r0, c1, r1 = random_admissible_pairs(rng, 25)
-    circle = tangent_normal_circle(c0, r0, c1, r1)
-    for t in 2.0 * np.pi * np.arange(7) / 7:
-        n = circle_normals(circle, t)
-        h = r0 - np.vecdot(n, c0)
-        for s in (-1.0, 0.0, 0.3, 1.0, 2.0):
-            c = (1.0 - s) * c0 + s * c1
-            r = (1.0 - s) * r0 + s * r1
-            assert np.max(np.abs(np.vecdot(n, c) + h - r)) <= 1e-12
+    n = circle_arcs(rng, c0, r0, c1, r1, 7)
+    h = r0[:, None] - np.vecdot(n, c0[:, None])
+    for s in (-1.0, 0.0, 0.3, 1.0, 2.0):
+        c = (1.0 - s) * c0 + s * c1
+        r = (1.0 - s) * r0 + s * r1
+        assert np.max(np.abs(np.vecdot(n, c[:, None]) + h
+                             - r[:, None])) <= 1e-12
 
 
 @pytest.mark.parametrize("r0, r1", [pytest.param(0.0, 0.0, id="point_pair"),
                                     pytest.param(1.0, 1.0, id="cylinder"),
                                     pytest.param(0.0, 2.0, id="cone")])
 def test_tangent_normal_circle_special_cases(r0, r1):
+    # A quarter turn about the x axis, from +y to +z, in four steps.
     c0, c1 = np.zeros(3), np.array([4.0, 0.0, 0.0])
-    circle = tangent_normal_circle(c0[None], np.array([r0]), c1[None],
-                                   np.array([r1]))
     alpha = (r1 - r0) / 4.0
-    first = circle_normals(circle, 0.0)[0]
-    assert np.allclose(first, [alpha, math.sqrt(1.0 - alpha ** 2), 0.0],
-                       rtol=0, atol=1e-15)
-    for t in 2.0 * np.pi * np.arange(5) / 5:
-        n = circle_normals(circle, t)[0]
-        h = r0 - n @ c0
-        assert abs(n[0] - alpha) <= 1e-15
-        assert abs(n @ c1 + h - r1) <= 1e-12
+    rho = math.sqrt(1.0 - alpha ** 2)
+    n = _turn_arcs(np.array([alpha, rho, 0.0]), np.array([alpha, 0.0, rho]),
+                   np.array([1.0, 0.0, 0.0]), np.array(alpha), 5)
+    t = np.pi / 2 * np.arange(5) / 4
+    expected = np.stack([np.full(5, alpha), rho * np.cos(t), rho * np.sin(t)],
+                        axis=1)
+    assert np.max(np.abs(n - expected)) <= 1e-15
+    h = r0 - n @ c0
+    assert np.max(np.abs(n @ c1 + h - r1)) <= 1e-12
 
 
-def test_tangent_normal_circle_names_first_inadmissible_row():
-    rng = np.random.default_rng(23)
-    c0, r0, c1, r1 = random_admissible_pairs(rng, 6)
-    # Rows 2 and 4 are concentric with distinct radii.
-    c1[[2, 4]] = c0[[2, 4]]
-    with pytest.raises(AdmissibilityError) as info:
-        tangent_normal_circle(c0, r0, c1, r1)
-    assert info.value.index == 2
+def test_rim_arcs_follow_the_great_circle_of_their_end_normals():
+    rng = np.random.default_rng(5)
+    n0, n1 = rng.normal(size=(2, 50, 3))
+    n0 /= np.linalg.norm(n0, axis=1, keepdims=True)
+    n1 /= np.linalg.norm(n1, axis=1, keepdims=True)
+    axis = np.cross(n0, n1)
+    axis /= np.linalg.norm(axis, axis=1, keepdims=True)
+    n = _turn_arcs(n0, n1, axis, np.zeros(50), 9)
+    assert np.max(np.abs(np.linalg.norm(n, axis=-1) - 1.0)) <= 1e-14
+    assert np.max(np.abs(np.vecdot(n, axis[:, None]))) <= 1e-15
+    # Equal steps along the shorter arc: the slerp of the end normals.
+    omega = np.arccos(np.vecdot(n0, n1))[:, None, None]
+    s = (np.arange(9) / 8)[:, None]
+    slerp = (np.sin((1.0 - s) * omega) * n0[:, None]
+             + np.sin(s * omega) * n1[:, None]) / np.sin(omega)
+    assert np.max(np.abs(n - slerp)) <= 1e-14
+
+
+def test_arcs_of_coincident_rim_normals_are_constant():
+    net = coincident_rim_normal_net()
+    a, _ = _arc_tables(net, 8)
+    n = net.normals[0, 0]
+    assert np.array_equal(a[0, 0], np.broadcast_to(n / np.linalg.norm(n),
+                                                   (8, 3)))
+
+
+@pytest.mark.parametrize("rows, cols, beta", [(5, 4, 0.0), (6, 6, 0.0),
+                                              (5, 4, 0.15), (6, 6, -0.2)])
+def test_arc_tables_of_solved_nets_are_unit_and_tangent(patch, rows, cols,
+                                                        beta):
+    # The boosted nets' radii vary, so their interior arcs leave the
+    # great circles (alpha up to 0.15 and 0.2).
+    net = laguerre_boost(solved_sphere_net(patch, rows, cols), beta)
+    a, b = _arc_tables(net, 8)
+    c, r = net.centers, net.radii
+    for arcs in (a, b):
+        assert np.max(np.abs(np.linalg.norm(arcs, axis=-1) - 1.0)) <= 1e-14
+    for arcs, offset, dr in ((a[1:-1], c[1:] - c[:-1], r[1:] - r[:-1]),
+                             (b[:, 1:-1], c[:, 1:] - c[:, :-1],
+                              r[:, 1:] - r[:, :-1])):
+        assert np.max(np.abs(np.vecdot(arcs, offset[:, :, None])
+                             - dr[:, :, None])) <= 1e-13
+    for n0, n1, arcs in ((net.normals[[0, -1], :-1], net.normals[[0, -1], 1:],
+                          a[[0, -1]]),
+                         (net.normals[:-1, [0, -1]], net.normals[1:, [0, -1]],
+                          b[:, [0, -1]])):
+        axis = np.cross(n0, n1)
+        axis /= np.linalg.norm(axis, axis=-1, keepdims=True)
+        assert np.max(np.abs(np.vecdot(arcs, axis[:, :, None]))) <= 1e-15
+
+
+def test_tessellate_raises_admissibility_error_on_an_inadmissible_net():
+    net = translational_offset_net(3, 3, d=0.2)
+    # Faces (1, 1) and (1, 2) share a centre but not a radius.
+    centers = net.centers.copy()
+    centers[1, 2] = centers[1, 1]
+    radii = net.radii.copy()
+    radii[1, 2] += 0.1
+    bad = LNet(net.normals, net.intercepts, centers, radii)
+    assert verify(bad).num_inadmissible_edges == 1
+    with pytest.raises(AdmissibilityError,
+                       match="net fails verification .* 1 inadmissible"):
+        tessellate(bad)
 
 
 def test_params_validation():
@@ -165,10 +239,10 @@ def test_rejects_unverified_net():
     net = translational_offset_net(3, 3, d=0.2)
     bad_intercepts = net.intercepts.copy()
     bad_intercepts[1, 1] += 1e-3
-    from lnets import LNet
     bad = LNet(net.normals, bad_intercepts, net.centers, net.radii)
-    with pytest.raises(LnetsError):
+    with pytest.raises(LnetsError) as info:
         tessellate(bad)
+    assert type(info.value) is LnetsError
 
 
 def test_patch_triangle_counts(patch):
@@ -450,56 +524,37 @@ def test_strip_boundary_rulings_match_planar_quads(patch):
 def reference_tessellate(net, count):
     """Per-patch loop tessellator, the reference for the array emission.
 
-    One scalar arc per face edge (common-tangent circle through
-    ``math.atan2``, rim slerp through ``math.acos``), vertices appended
-    patch by patch and triangles as tuples.
+    One arc per vertex edge, sample by sample: the end normal ``n0``
+    turned about the edge's axis at ``<n, axis> = alpha`` (the centre
+    offset of an interior edge's faces, or ``n0 x n1`` with ``alpha = 0``
+    on the rim); vertices appended patch by patch and triangles as tuples.
     """
-    def plane_basis(w_hat):
-        axis = np.zeros(3)
-        axis[int(np.argmin(np.abs(w_hat)))] = 1.0
-        e1 = axis - np.dot(axis, w_hat) * w_hat
-        e1 /= np.linalg.norm(e1)
-        return e1, np.cross(w_hat, e1)
-
-    def slerp_arc(n0, n1):
+    def turn_arc(n0, n1, axis, alpha):
+        e1 = n0 - np.dot(n0, axis) * axis
+        e1 /= np.sqrt(np.dot(e1, e1))
+        e2 = np.cross(axis, e1)
+        theta = np.arctan2(np.dot(n1, e2), np.dot(n1, e1))
+        rho = np.sqrt(1.0 - alpha * alpha)
         out = np.empty((count, 3))
         out[0] = n0
         out[-1] = n1
-        omega = math.acos(min(1.0, max(-1.0, float(np.dot(n0, n1)))))
         for k in range(1, count - 1):
-            t = k / (count - 1)
-            if omega < 1e-9:
-                n = (1.0 - t) * n0 + t * n1
-            else:
-                n = (math.sin((1.0 - t) * omega) * n0
-                     + math.sin(t * omega) * n1) / math.sin(omega)
-            out[k] = n / np.linalg.norm(n)
+            t = theta * (k / (count - 1))
+            out[k] = alpha * axis + rho * (np.cos(t) * e1 + np.sin(t) * e2)
         return out
+
+    def rim_arc(n0, n1):
+        axis = np.cross(n0, n1)
+        length = np.sqrt(np.dot(axis, axis))
+        if length > 0:
+            axis = axis / length
+        return turn_arc(n0, n1, axis, 0.0)
 
     def circle_arc(face_a, face_b, va, vb):
         w = net.centers[face_b] - net.centers[face_a]
-        length = float(np.linalg.norm(w))
-        w_hat = w / length
+        length = np.sqrt(np.dot(w, w))
         alpha = (net.radii[face_b] - net.radii[face_a]) / length
-        e1, e2 = plane_basis(w_hat)
-        rho = math.sqrt(max(0.0, 1.0 - alpha * alpha))
-        n0 = net.normals[va]
-        n1 = net.normals[vb]
-        t0 = math.atan2(float(np.dot(n0, e2)), float(np.dot(n0, e1)))
-        t1 = math.atan2(float(np.dot(n1, e2)), float(np.dot(n1, e1)))
-        dt = t1 - t0
-        if dt > math.pi:
-            dt -= 2.0 * math.pi
-        elif dt <= -math.pi:
-            dt += 2.0 * math.pi
-        out = np.empty((count, 3))
-        out[0] = n0
-        out[-1] = n1
-        for k in range(1, count - 1):
-            t = t0 + dt * k / (count - 1)
-            out[k] = alpha * w_hat + rho * (math.cos(t) * e1
-                                            + math.sin(t) * e2)
-        return out
+        return turn_arc(net.normals[va], net.normals[vb], w / length, alpha)
 
     def coons(bottom, top, left, right):
         s = np.linspace(0.0, 1.0, bottom.shape[0])[:, None, None]
@@ -525,7 +580,7 @@ def reference_tessellate(net, count):
 
     def side_points(face, key, va, vb):
         normals = (arcs[key] if key in arcs
-                   else slerp_arc(net.normals[va], net.normals[vb]))
+                   else rim_arc(net.normals[va], net.normals[vb]))
         return net.centers[face] - net.radii[face] * normals
 
     vertices, triangles, labels = [], [], []
@@ -583,8 +638,7 @@ def reference_tessellate(net, count):
 
 def coincident_rim_normal_net():
     """Net whose rim vertices (0, 0) and (0, 1) share one unit normal with
-    ``<n, n> >= 1`` in floating point, so their rim arc takes the linear
-    branch of the slerp."""
+    ``<n, n> >= 1`` in floating point, so their rim arc has a zero axis."""
     net = translational_offset_net(4, 4, d=0.2, bend_at=2)
     n = net.normals
     assert np.array_equal(n[0, 0], n[0, 1])
@@ -595,15 +649,17 @@ def coincident_rim_normal_net():
 @pytest.mark.parametrize("case, count", [
     ("solved_5x4", 8), ("solved_5x4", 5), ("solved_6x6", 8),
     ("point_spheres", 8), ("coincident_rim_normals", 8), ("solved_2x2", 8),
-    ("solved_2x4", 8)])
+    ("solved_2x4", 8), ("boosted_5x4", 8)])
 def test_tessellate_equals_loop_reference(patch, case, count):
-    # On the 6x6 net np.arctan2 and math.atan2 differ in the last bit for
-    # some arc endpoints; the arcs must use the latter. The 2xN nets have
-    # no planar quads, and the 2x2 net has no cone strips either.
+    # The 2xN nets have no planar quads, and the 2x2 net has no cone
+    # strips either. Only the boosted net's radii vary, so only its
+    # interior arcs turn at a height alpha far from 0.
     net = {"solved_5x4": lambda: solved_sphere_net(patch, 5, 4),
            "solved_6x6": lambda: solved_sphere_net(patch, 6, 6),
            "solved_2x2": lambda: solved_sphere_net(patch, 2, 2),
            "solved_2x4": lambda: solved_sphere_net(patch, 2, 4),
+           "boosted_5x4": lambda: laguerre_boost(
+               solved_sphere_net(patch, 5, 4), 0.15),
            "point_spheres": lambda: translational_offset_net(4, 4, d=0.0),
            "coincident_rim_normals": coincident_rim_normal_net}[case]()
     mesh = tessellate(net, TessellationParams(count))
