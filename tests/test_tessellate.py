@@ -172,8 +172,8 @@ def test_arcs_of_coincident_rim_normals_are_constant():
                                               (5, 4, 0.15), (6, 6, -0.2)])
 def test_arc_tables_of_solved_nets_are_unit_and_tangent(patch, rows, cols,
                                                         beta):
-    # The boosted nets' radii vary, so their interior arcs leave the
-    # great circles (alpha up to 0.15 and 0.2).
+    # The boosted nets' radii vary, so their interior arcs turn at
+    # heights alpha far from 0, up to about |beta|.
     net = laguerre_boost(solved_sphere_net(patch, rows, cols), beta)
     a, b = _arc_tables(net, 8)
     c, r = net.centers, net.radii
