@@ -790,7 +790,9 @@ class IterationRecord:
     """Per-iteration log entry of :func:`lm_run`, measured at the net the
     iteration returns. ``solves`` is the number of band solves it made: 0
     at the roundoff floor (:func:`_at_floor`), else one per damping level
-    tried, ``min(escalations, MAX_ESCALATIONS) + 1``."""
+    tried, ``min(escalations, MAX_ESCALATIONS) + 1``.
+    ``footpoint_fallbacks`` counts the footpoints that fell back to their
+    seeds in the refresh the iteration made, 0 if it made none."""
 
     iteration: int
     phase: str
@@ -852,11 +854,12 @@ def _run_phase(system: ResidualSystem, x: np.ndarray, weights: Weights,
         w_it = replace(weights, w_lfair=weights.w_lfair * factor,
                        w_gfair=weights.w_gfair * factor)
         system.weights = w_it
-        escal = solves = 0
+        escal = solves = fallbacks = 0
         if not (records and _at_floor(records[-1], system.active_blocks(),
                                       x)):
             if w_it.w_prox > 0.0 or w_it.w_tan > 0.0:
                 system.refresh_footpoints(x)
+                fallbacks = system.footpoint_fallbacks
             res0 = system.residual(x)
             jac_x = system.jacobian(x)
             eqs = system.normal_equations(jac_x, res0)
@@ -869,18 +872,9 @@ def _run_phase(system: ResidualSystem, x: np.ndarray, weights: Weights,
             iteration=len(records) + 1, phase=phase, e_total=total,
             energies=raw, max_oc=max_oc,
             w_lfair=w_it.w_lfair, w_gfair=w_it.w_gfair, escalations=escal,
-            footpoint_fallbacks=system.footpoint_fallbacks, solves=solves,
+            footpoint_fallbacks=fallbacks, solves=solves,
             ms=(time.perf_counter() - t0) * 1e3))
     return x
-
-
-def _runs(numbers: list) -> str:
-    """The increasing integers ``numbers`` as runs, ``"1-3, 7"`` for
-    ``[1, 2, 3, 7]``."""
-    runs = np.split(np.array(numbers),
-                    np.flatnonzero(np.diff(numbers) != 1) + 1)
-    return ", ".join(str(run[0]) if run.size == 1 else f"{run[0]}-{run[-1]}"
-                     for run in runs)
 
 
 def lm_run(net: LNet, surface: BSplineSurface, weights: Weights = Weights(),
@@ -911,7 +905,8 @@ def lm_run(net: LNet, surface: BSplineSurface, weights: Weights = Weights(),
     fell = [rec.iteration for rec in records if rec.footpoint_fallbacks]
     if fell:
         logger.warning("footpoints fell back to their seeds in records %s, "
-                       "at most %d of %d in one record", _runs(fell),
+                       "at most %d of %d in one record",
+                       ", ".join(map(str, fell)),
                        max(rec.footpoint_fallbacks for rec in records),
                        system.oc_face.size)
     return unpack(x, system.vertex_shape), records

@@ -135,14 +135,17 @@ def _edge_arcs(n, c, r, count: int) -> np.ndarray:
     ``(i-1, j)`` to that of ``(i, j)``, the axis of the cone that both
     spheres touch, at ``alpha = (r1 - r0)/|c1 - c0|``, so every sample is
     tangent to both spheres. A rim edge turns about ``n0 x n1`` at
-    ``alpha = 0``: the great circle of its end normals.
+    ``alpha = 0``: the great circle of its end normals. The rim axis is
+    formed as ``n0 x (n1 - n0)``, whose difference is exact for nearby
+    normals, so the axis keeps its direction when they differ by a few
+    ulps and is zero when they are equal.
     """
     n0, n1 = n[:, :-1], n[:, 1:]
     axis = np.empty(n0.shape)
     alpha = np.zeros(n0.shape[:-1])
     axis[1:-1] = c[1:] - c[:-1]
     alpha[1:-1] = r[1:] - r[:-1]
-    axis[[0, -1]] = np.cross(n0[[0, -1]], n1[[0, -1]])
+    axis[[0, -1]] = np.cross(n0[[0, -1]], n1[[0, -1]] - n0[[0, -1]])
     length = np.sqrt(np.vecdot(axis, axis))
     np.divide(axis, length[..., None], out=axis, where=length[..., None] > 0)
     alpha[1:-1] /= length[1:-1]

@@ -14,7 +14,8 @@ from lnets import (AdmissibilityError, GridSpec, LNet, LnetsError, Schedule,
                    TessellationParams, convex_paraboloid_patch, tessellate)
 from lnets.lnet import contact_points, verify
 from lnets.tessellate import (_ROW_MIX, LABELS, LabeledMesh, _arc_tables,
-                              _row_hash, _turn_arcs, dedupe_mesh)
+                              _edge_arcs, _row_hash, _turn_arcs,
+                              dedupe_mesh)
 
 from conftest import (laguerre_boost, solved_sphere_net,
                       translational_offset_net)
@@ -166,6 +167,24 @@ def test_arcs_of_coincident_rim_normals_are_constant():
     n = net.normals[0, 0]
     assert np.array_equal(a[0, 0], np.broadcast_to(n / np.linalg.norm(n),
                                                    (8, 3)))
+
+
+def test_arcs_of_rim_normals_one_ulp_apart_stay_at_their_ends():
+    # n0 x n1 of such normals is mostly rounding error, and an axis built
+    # from it can lie far from orthogonal to n0; the samples must not.
+    rng = np.random.default_rng(3)
+    n0 = rng.normal(size=(50, 3))
+    n0 /= np.linalg.norm(n0, axis=1, keepdims=True)
+    n0[0] = (0.48, 0.6, 0.64)
+    n1 = n0.copy()
+    k = rng.integers(0, 3, size=50)
+    k[0] = 2
+    n1[np.arange(50), k] = np.nextafter(n1[np.arange(50), k], np.inf)
+    for a, b in zip(n0, n1):
+        # A one-face net: both vertex rows are rims.
+        arcs = _edge_arcs(np.array([[a, b], [a, b]]), np.zeros((1, 1, 3)),
+                          np.ones((1, 1)), 9)
+        assert np.max(np.abs(arcs[:, 0, 1:-1] - a)) <= 1e-15
 
 
 @pytest.mark.parametrize("rows, cols, beta", [(5, 4, 0.0), (6, 6, 0.0),
@@ -526,8 +545,9 @@ def reference_tessellate(net, count):
 
     One arc per vertex edge, sample by sample: the end normal ``n0``
     turned about the edge's axis at ``<n, axis> = alpha`` (the centre
-    offset of an interior edge's faces, or ``n0 x n1`` with ``alpha = 0``
-    on the rim); vertices appended patch by patch and triangles as tuples.
+    offset of an interior edge's faces, or ``n0 x (n1 - n0)`` with
+    ``alpha = 0`` on the rim); vertices appended patch by patch and
+    triangles as tuples.
     """
     def turn_arc(n0, n1, axis, alpha):
         e1 = n0 - np.dot(n0, axis) * axis
@@ -544,7 +564,7 @@ def reference_tessellate(net, count):
         return out
 
     def rim_arc(n0, n1):
-        axis = np.cross(n0, n1)
+        axis = np.cross(n0, n1 - n0)
         length = np.sqrt(np.dot(axis, axis))
         if length > 0:
             axis = axis / length
