@@ -12,8 +12,8 @@ from .conjugacy import (ContactClass, CongruenceSpec, DualCurvature,
                         midsphere_radius, pseudo_lconj_partner,
                         pseudo_lconj_partners, special_angles)
 from .errors import (AdmissibilityError, ConfigError, CurvatureSignError,
-                     FlatError, LnetsError, SingularRadiusError,
-                     TracingError, UmbilicError)
+                     FlatError, IrregularError, LnetsError,
+                     SingularRadiusError, TracingError, UmbilicError)
 from .lnet import (LNet, VerifyReport, contact_incidences, initialize,
                    load_lnet, save_lnet, strip_incidences, verify)
 from .optimize import (IterationRecord, ResidualSystem, Schedule, Weights,

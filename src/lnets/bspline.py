@@ -16,8 +16,9 @@ import numpy as np
 
 from . import kernels
 from .conjugacy import EPS_CLASS, first_positive
-from .errors import (CurvatureSignError, LnetsError, UmbilicError, checked,
-                     json_fields, located, read_json)
+from .errors import (CurvatureSignError, IrregularError, LnetsError,
+                     UmbilicError, checked, json_fields, located, raise_first,
+                     read_json)
 
 # Regularity threshold: |f_u x f_v| must exceed EPS_REG * |f_u| |f_v|.
 EPS_REG = 1e-10
@@ -116,7 +117,8 @@ class SurfaceJet2:
                 raise ValueError(f"{name} must be a 3-vector")
             object.__setattr__(self, name, v)
         if _unit_normals(self.f_u[None], self.f_v[None])[1][0]:
-            raise ValueError("jet is not regular: f_u and f_v are parallel")
+            raise IrregularError(
+                "jet is not regular: f_u and f_v are parallel")
 
 
 def evaluate_jets(surface: BSplineSurface, us, vs) -> np.ndarray:
@@ -219,24 +221,9 @@ def _oriented_forms(jets: np.ndarray):
     return sign[:, None] * m, shape, gauss, irregular
 
 
-def _raise_first(checks) -> None:
-    """Raise for the first row that fails any ``(bad, cls, message)`` check.
-
-    The checks are tried in order on that row; ``message(k)`` builds the
-    text and the row is the error's ``index``.
-    """
-    bad = np.logical_or.reduce([mask for mask, _, _ in checks])
-    if not bad.any():
-        return
-    k = int(np.argmax(bad))
-    for mask, cls, message in checks:
-        if mask[k]:
-            raise located(cls, message(k), index=k)
-
-
 def _convex_checks(gauss: np.ndarray, irregular: np.ndarray) -> list:
     """Regularity and positive Gaussian curvature, in that order."""
-    return [(irregular, ValueError,
+    return [(irregular, IrregularError,
              lambda k: "jet is not regular: f_u and f_v are parallel"),
             (gauss <= 0.0, CurvatureSignError,
              lambda k: f"Gaussian curvature {gauss[k]:g} is not positive")]
@@ -247,12 +234,12 @@ def oriented_normals(jets: np.ndarray) -> np.ndarray:
     curvature is positive; ``(N, 3)``.
 
     On a positively curved surface this is the inward normal. The first
-    row that is irregular (``ValueError``) or whose Gaussian curvature is
-    not positive (:class:`CurvatureSignError`) raises; its row is the
-    error's ``index``.
+    row that is irregular (:class:`IrregularError`) or whose Gaussian
+    curvature is not positive (:class:`CurvatureSignError`) raises; its
+    row is the error's ``index``.
     """
     n, _, gauss, irregular = _oriented_forms(jets)
-    _raise_first(_convex_checks(gauss, irregular))
+    raise_first(_convex_checks(gauss, irregular))
     return n
 
 
@@ -270,8 +257,8 @@ def principal_frames(jets: np.ndarray) -> PrincipalFrames:
     nonzero component is positive. Each row equals the frame of that jet
     alone bit for bit.
 
-    The first row that is irregular (``ValueError``), not positively
-    curved (:class:`CurvatureSignError`) or umbilic
+    The first row that is irregular (:class:`IrregularError`), not
+    positively curved (:class:`CurvatureSignError`) or umbilic
     (:class:`UmbilicError`) raises; its row is the error's ``index``.
     """
     n, (s11, s12, s21, s22), gauss, irregular = _oriented_forms(jets)
@@ -281,7 +268,7 @@ def principal_frames(jets: np.ndarray) -> PrincipalFrames:
     kappa2 = tr / 2.0 - disc
     umbilic = (np.abs(kappa1 - kappa2)
                <= EPS_CLASS * np.maximum(np.abs(kappa1), np.abs(kappa2)))
-    _raise_first(_convex_checks(gauss, irregular) + [
+    raise_first(_convex_checks(gauss, irregular) + [
         (umbilic, UmbilicError, lambda k: f"principal curvatures coincide: "
          f"{kappa1[k]:g} ~ {kappa2[k]:g}"),
         (kappa2 <= 0.0, CurvatureSignError,
@@ -385,10 +372,8 @@ def project_points(surface: BSplineSurface, xs: np.ndarray,
     ValueError with its row in ``index``.
     """
     xs = np.asarray(xs, dtype=float).reshape(-1, 3)
-    finite = np.isfinite(xs).all(axis=1)
-    if not finite.all():
-        k = int(np.argmin(finite))
-        raise located(ValueError, f"query point {k} is not finite", index=k)
+    raise_first([(~np.isfinite(xs).all(axis=1), ValueError,
+                  lambda k: f"query point {k} is not finite")])
     n_pts = xs.shape[0]
     u0, u1, v0, v1 = surface.domain
     scale = max(u1 - u0, v1 - v0)
@@ -453,7 +438,7 @@ def project_points(surface: BSplineSurface, xs: np.ndarray,
     feet = out[:, 0, :]
     try:
         normals = oriented_normals(out)
-    except (LnetsError, ValueError) as exc:
+    except LnetsError as exc:
         k = exc.index
         raise located(type(exc), f"footpoint at (u={uv[k, 0]:.6g}, "
                       f"v={uv[k, 1]:.6g}): {exc}", index=k,

@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FlatError, SingularRadiusError, located
+from .errors import FlatError, SingularRadiusError, raise_first
 
 # Relative tolerance deciding when a dual curvature radius "vanishes";
 # always applied against a local length scale, never absolutely.
@@ -119,15 +119,12 @@ class CongruenceSpec:
                          dtype=float)
         else:
             r = np.full(rho_min.shape, self.value)
-        bad = ~(r > 0.0) | (r >= rho_min)
-        if bad.any():
-            k = int(np.argmax(bad))
-            if not r[k] > 0.0:
-                msg = f"congruence radius {r[k]:g} must be positive"
-            else:
-                msg = (f"congruence radius {r[k]:g} reaches the smaller "
-                       f"principal radius {rho_min[k]:g}")
-            raise located(SingularRadiusError, msg, index=k)
+        raise_first([
+            (~(r > 0.0), SingularRadiusError,
+             lambda k: f"congruence radius {r[k]:g} must be positive"),
+            (r >= rho_min, SingularRadiusError,
+             lambda k: f"congruence radius {r[k]:g} reaches the smaller "
+             f"principal radius {rho_min[k]:g}")])
         return r
 
 
@@ -183,13 +180,10 @@ def _partners(coef1, coef2, a, scale) -> np.ndarray:
     b[:, 1] = -coef1 * a[:, 0]
     norm = np.sqrt(np.vecdot(b, b))
     moved = norm > 0.0
-    flat = zero1 & zero2
-    bad = flat | ~(moved | zero1 | zero2)
-    if bad.any():
-        k = int(np.argmax(bad))
-        if flat[k]:
-            raise located(FlatError, "both form coefficients vanish", index=k)
-        raise located(ValueError, "direction must be nonzero", index=k)
+    raise_first([(zero1 & zero2, FlatError,
+                  lambda k: "both form coefficients vanish"),
+                 (~(moved | zero1 | zero2), ValueError,
+                  lambda k: "direction must be nonzero")])
     b = first_positive(b / np.where(moved, norm, 1.0)[:, None])
     if not moved.all():
         b[~moved & zero1] = (1.0, 0.0)

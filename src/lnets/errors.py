@@ -32,6 +32,11 @@ class AdmissibilityError(LnetsError):
     """
 
 
+class IrregularError(LnetsError, ValueError):
+    """The surface is not regular at a point: its tangents ``f_u`` and
+    ``f_v`` are parallel, so it has no normal there."""
+
+
 class UmbilicError(LnetsError):
     """Principal directions are not defined: the two curvatures coincide."""
 
@@ -67,6 +72,26 @@ def located(cls, message: str, **fields) -> Exception:
     for name, value in fields.items():
         setattr(exc, name, value)
     return exc
+
+
+def raise_first(checks, **fields) -> None:
+    """Raise for the first row that fails any ``(bad, cls, message)`` check.
+
+    The checks are tried in order on that row ``k``, and ``message(k)``
+    builds the text of the first that fails. Each keyword names a location
+    field (``uv``, ``line``) and gives an array whose row ``k`` the error
+    carries there; without keywords, ``k`` is the error's ``index``.
+    """
+    bad = np.logical_or.reduce([mask for mask, _, _ in checks])
+    if not bad.any():
+        return
+    k = int(np.argmax(bad))
+    rows = {name: np.asarray(value)[k] for name, value in fields.items()}
+    where = {name: row.copy() if isinstance(row, np.ndarray) else row.item()
+             for name, row in rows.items()} or {"index": k}
+    for mask, cls, message in checks:
+        if mask[k]:
+            raise located(cls, message(k), **where)
 
 
 def check_count(name: str, n, low: int) -> None:

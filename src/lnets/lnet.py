@@ -165,34 +165,23 @@ def strip_incidences(fr: int, fc: int):
 
     Rows go axis 0 first, then row-major by the first face or plane.
     """
-    def inc(face, corner):
-        # CORNERS lists (da, db) at index 2 da + db.
-        return 4 * (face[0] * fc + face[1]) + 2 * corner[0] + corner[1]
+    def axis0(k):
+        # Contacts of faces (i, j) and (i+1, j) with plane (i+1, j+db), as
+        # [i, j, db, face].
+        pairs = np.stack([k[:-1, :, 1], k[1:, :, 0]], axis=-1)
+        # Contacts of faces (i, j) and (i, j+1) with plane (i+da, j+1), as
+        # [i, j, face, da].
+        sides = np.stack([k[:, :-1, :, 1], k[:, 1:, :, 0]], axis=2)
+        return (np.stack([pairs[:-1], pairs[1:]], axis=3),
+                np.stack([sides[:-1], sides[1:]], axis=3))
 
-    def shift(face, step):
-        return face[0] + step[0], face[1] + step[1]
-
-    o, d = (0, 0), (1, 1)
-    ell, gamma = [], []
-    for e, x in (((1, 0), (0, 1)), ((0, 1), (1, 0))):
-        f0 = np.meshgrid(np.arange(fr - 2 * e[0]), np.arange(fc - 2 * e[1]),
-                         indexing="ij")
-        f1 = shift(f0, e)
-        f2 = shift(f1, e)
-        ell.append(np.stack([
-            inc(f0, e), inc(f1, o), inc(f1, e), inc(f2, o),
-            inc(f0, d), inc(f1, x), inc(f1, d), inc(f2, x)],
-            axis=-1).reshape(-1, 8))
-        # s0 = p - x runs over the faces whose neighbour s0 + (1, 1) exists.
-        s0 = np.meshgrid(np.arange(fr - 1), np.arange(fc - 1), indexing="ij")
-        s1 = shift(s0, e)
-        s3 = shift(s0, x)
-        s2 = shift(s1, x)
-        gamma.append(np.stack([
-            inc(s0, x), inc(s0, d), inc(s1, x), inc(s1, d),
-            inc(s3, o), inc(s3, e), inc(s2, o), inc(s2, e)],
-            axis=-1).reshape(-1, 8))
-    return np.concatenate(ell), np.concatenate(gamma)
+    # CORNERS lists (da, db) at index 2 da + db.
+    k = np.arange(4 * fr * fc).reshape(fr, fc, 2, 2)
+    ell0, gamma0 = axis0(k)
+    # Axis 1 is axis 0 of the transposed net, whose corner (db, da) is (da, db).
+    ell1, gamma1 = (t.swapaxes(0, 1) for t in axis0(k.transpose(1, 0, 3, 2)))
+    return (np.concatenate([ell0.reshape(-1, 8), ell1.reshape(-1, 8)]),
+            np.concatenate([gamma0.reshape(-1, 8), gamma1.reshape(-1, 8)]))
 
 
 def incidence_points(c, r, n, face, vert) -> np.ndarray:

@@ -72,7 +72,8 @@ import numpy as np
 
 from .bspline import BSplineSurface, evaluate_jets, principal_frames
 from .conjugacy import CongruenceSpec, pseudo_lconj_partners
-from .errors import LnetsError, TracingError, check_count, located
+from .errors import (LnetsError, TracingError, check_count, located,
+                     raise_first)
 
 logger = logging.getLogger(__name__)
 
@@ -345,16 +346,16 @@ def _stage(field_fn, domain, family: int, lines: np.ndarray, q: np.ndarray,
     n2 = np.sqrt(np.vecdot(d2, d2))
     cosang = np.abs(np.vecdot(d1, d2)) / (n1 * n2)
     w = (s.d1_uv / n1[:, None]) if family == 0 else (s.d2_uv / n2[:, None])
-    for bad, what in ((np.arccos(np.minimum(cosang, 1.0)) < MIN_FIELD_ANGLE,
-                       "field directions closer than 5 degrees"),
-                      ((not at_end) & ~np.all(np.isfinite(w), axis=1),
-                       "non-finite field direction")):
-        if bad.any():
-            k = int(np.argmax(bad))
-            line = int(lines[k])
-            raise located(TracingError, f"family {family} line {line} at "
-                          f"(u={q[k, 0]:.6g}, v={q[k, 1]:.6g}): {what}",
-                          uv=q[k].copy(), line=line)
+
+    def at(what):
+        return lambda k: (f"family {family} line {lines[k]} at "
+                          f"(u={q[k, 0]:.6g}, v={q[k, 1]:.6g}): {what}")
+
+    raise_first([(np.arccos(np.minimum(cosang, 1.0)) < MIN_FIELD_ANGLE,
+                  TracingError, at("field directions closer than 5 degrees")),
+                 ((not at_end) & ~np.all(np.isfinite(w), axis=1),
+                  TracingError, at("non-finite field direction"))],
+                uv=q, line=lines)
     return keep, np.where((np.vecdot(w, ref) < 0.0)[:, None], -w, w)
 
 
@@ -435,14 +436,12 @@ def _march(field_fn, domain, family: int, starts, refs, budgets,
         fac = np.fmin(grow[lines], np.fmax(FAC_MIN, fac))
         at_vertex = step == left[lines]
         h[lines] = np.minimum(h_max, step * fac)
-        stalled = ~ok & (h[lines] < h_min)
-        if stalled.any():
-            line = int(lines[np.argmax(stalled)])
-            raise located(
-                TracingError, f"family {family} line {line} at (u="
-                f"{p[line, 0]:.6g}, v={p[line, 1]:.6g}): step {h[line]:.3g} "
-                f"below the floor {h_min:.3g}; the error estimate does not "
-                f"fall with the step", uv=p[line].copy(), line=line)
+        raise_first([(~ok & (h[lines] < h_min), TracingError,
+                      lambda k: f"family {family} line {lines[k]} at (u="
+                      f"{p[lines[k], 0]:.6g}, v={p[lines[k], 1]:.6g}): step "
+                      f"{h[lines[k]]:.3g} below the floor {h_min:.3g}; the "
+                      f"error estimate does not fall with the step")],
+                    uv=p[lines], line=lines)
         # The step after a rejection may not grow.
         grow[lines] = np.where(ok, FAC_MAX, 1.0)
         moved = lines[ok]

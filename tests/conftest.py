@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from lnets import LNet, PrincipalFrames, convex_paraboloid_patch
+from lnets import (BSplineSurface, LNet, PrincipalFrames,
+                   convex_paraboloid_patch)
 from lnets.bspline import _jet_rows, _oriented_forms
 
 # Property tests draw the same examples on every run, with no time limit
@@ -36,6 +37,18 @@ def patch():
 def steep_patch():
     """Patch with curvatures (2, 1) at the center; umbilic at x = +-0.5."""
     return convex_paraboloid_patch(alpha=2.0, beta=1.0)
+
+
+def folded_patch():
+    """The default patch with its last control column moved to x = -1.
+
+    Each u-curve runs along a straight segment and back, so the surface is
+    flat wherever it is regular, and f_u vanishes along u = 1/2.
+    """
+    patch = convex_paraboloid_patch()
+    ctrl = patch.control_grid.copy()
+    ctrl[2, :, 0] = -1.0
+    return BSplineSurface(2, 2, patch.knots_u, patch.knots_v, ctrl)
 
 
 def normal_derivatives(jet):

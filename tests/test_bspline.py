@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from lnets import (BSplineSurface, ConfigError, CurvatureSignError,
-                   SurfaceJet2, UmbilicError, convex_paraboloid_patch,
-                   evaluate_jet, load_surface, oriented_normal,
-                   principal_frame, project_points, save_surface)
+                   IrregularError, LnetsError, SurfaceJet2, UmbilicError,
+                   convex_paraboloid_patch, evaluate_jet, load_surface,
+                   oriented_normal, principal_frame, principal_frames,
+                   project_points, save_surface)
 from lnets.bspline import (_SEED_BLOCK, _jet_rows, _seed_select,
                            evaluate_jets, oriented_normals,
                            surface_from_dict, surface_to_dict)
@@ -109,6 +110,20 @@ def test_jet_rejects_parallel_tangents():
     with pytest.raises(ValueError):
         SurfaceJet2((0, 0, 0), (1, 0, 0), (2, 0, 0),
                     (0, 0, 1), (0, 0, 0), (0, 0, 1))
+
+
+def test_parallel_tangents_raise_irregular_error():
+    assert issubclass(IrregularError, LnetsError)
+    assert issubclass(IrregularError, ValueError)
+    with pytest.raises(IrregularError, match="^jet is not regular"):
+        SurfaceJet2((0, 0, 0), (1, 0, 0), (2, 0, 0),
+                    (0, 0, 1), (0, 0, 0), (0, 0, 1))
+    jets = np.stack([_jet_rows(graph_jet(1.0, 0.5))[0]] * 3)
+    jets[2, 2] = -3.0 * jets[2, 1]
+    for batch in (oriented_normals, principal_frames):
+        with pytest.raises(IrregularError) as info:
+            batch(jets)
+        assert info.value.index == 2
 
 
 def test_principal_frame_diagonal_graph():

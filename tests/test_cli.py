@@ -24,7 +24,8 @@ from lnets.optimize import BLOCK_ORDER, IterationRecord, Schedule
 from lnets.tessellate import (LABELS, LabeledMesh, TessellationParams,
                               dedupe_mesh, tessellate)
 
-from conftest import solved_sphere_net, translational_offset_net
+from conftest import (folded_patch, laguerre_boost, solved_sphere_net,
+                      translational_offset_net)
 
 
 def base_config(tmp_path, patch, **overrides):
@@ -329,6 +330,28 @@ def test_failed_rerun_leaves_the_previous_artifacts(tmp_path, patch,
     assert {name: (out / name).read_bytes() for name in names} == before
 
 
+def test_run_on_a_folded_surface_exits_with_a_located_error(tmp_path,
+                                                            capsys):
+    # The acceptance config; the centre seed, on the fold, is the first
+    # point traced.
+    path = base_config(
+        tmp_path, folded_patch(), grid={"rows": 16, "cols": 16, "edge_length": 0.13},
+        weights={"w_prox": 1e-4, "w_tan": 1e-4, "w_td": 1e-5},
+        schedule={"max_iters": 100, "final_pass_iters": 20})
+    out = tmp_path / "out"
+    out.mkdir()
+    names = ["iterations.csv", "lnet.json", "mesh.obj", "summary.json"]
+    for name in names:
+        (out / name).write_text(f"earlier {name}\n")
+    assert main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: [stage remesh] at (u=0.5, v=0.5): jet is not regular: f_u "
+        "and f_v are parallel"]
+    assert sorted(p.name for p in out.iterdir()) == names
+    assert all((out / name).read_text() == f"earlier {name}\n"
+               for name in names)
+
+
 def quad_mesh():
     verts = np.array([[0., 0., 0.], [1., 0., 0.], [1., 1., 0.],
                       [0., 1., 0.]])
@@ -413,9 +436,12 @@ def reference_obj_text(mesh):
 @pytest.mark.parametrize("count", [8, 5])
 def test_export_matches_two_pass_reference(tmp_path, patch, count):
     params = TessellationParams(count)
-    # A solved net, and a point-sphere net whose collapsed patches give
-    # degenerate triangles and vertices only they use.
-    for name, net in (("solved", solved_sphere_net(patch, 5, 4)),
+    # A solved net, the same net boosted so that its radii vary, and a
+    # point-sphere net whose collapsed patches give degenerate triangles
+    # and vertices only they use.
+    solved = solved_sphere_net(patch, 5, 4)
+    for name, net in (("solved", solved),
+                      ("boosted", laguerre_boost(solved, 0.15)),
                       ("points", translational_offset_net(3, 3, d=0.0))):
         raw = tessellate(net, params)
         mesh = dedupe_mesh(raw)

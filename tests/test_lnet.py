@@ -276,6 +276,48 @@ def test_strip_segment_points_lie_on_their_plane():
             assert np.max(np.abs(res)) <= 1e-12
 
 
+def reference_strip_incidences(fr, fc):
+    """The strip tables built face by face from shifted index grids, as
+    the docstring of :func:`strip_incidences` states them."""
+    def inc(face, corner):
+        # CORNERS lists (da, db) at index 2 da + db.
+        return 4 * (face[0] * fc + face[1]) + 2 * corner[0] + corner[1]
+
+    def shift(face, step):
+        return face[0] + step[0], face[1] + step[1]
+
+    o, d = (0, 0), (1, 1)
+    ell, gamma = [], []
+    for e, x in (((1, 0), (0, 1)), ((0, 1), (1, 0))):
+        f0 = np.meshgrid(np.arange(fr - 2 * e[0]), np.arange(fc - 2 * e[1]),
+                         indexing="ij")
+        f1 = shift(f0, e)
+        f2 = shift(f1, e)
+        ell.append(np.stack([
+            inc(f0, e), inc(f1, o), inc(f1, e), inc(f2, o),
+            inc(f0, d), inc(f1, x), inc(f1, d), inc(f2, x)],
+            axis=-1).reshape(-1, 8))
+        # s0 = p - x runs over the faces whose neighbour s0 + (1, 1) exists.
+        s0 = np.meshgrid(np.arange(fr - 1), np.arange(fc - 1), indexing="ij")
+        s1 = shift(s0, e)
+        s3 = shift(s0, x)
+        s2 = shift(s1, x)
+        gamma.append(np.stack([
+            inc(s0, x), inc(s0, d), inc(s1, x), inc(s1, d),
+            inc(s3, o), inc(s3, e), inc(s2, o), inc(s2, e)],
+            axis=-1).reshape(-1, 8))
+    return np.concatenate(ell), np.concatenate(gamma)
+
+
+def test_strip_incidences_equal_the_face_by_face_reference():
+    for fr in range(1, 8):
+        for fc in range(1, 8):
+            for got, want in zip(strip_incidences(fr, fc),
+                                 reference_strip_incidences(fr, fc)):
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert np.array_equal(got, want), (fr, fc)
+
+
 def _with_nan(a):
     a.flat[0] = np.nan
     return a

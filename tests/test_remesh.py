@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from lnets import (AngleField, CongruenceSpec, CurvatureSignError, GridSpec,
-                   QuadGrid, TracingError, UmbilicError, frame_at,
-                   frame_field, theta_eval, trace_grid)
+                   IrregularError, QuadGrid, TracingError, UmbilicError,
+                   frame_at, frame_field, theta_eval, trace_grid)
 from lnets import remesh
 from lnets.remesh import FrameSample, trace_grid_from_field
 
-from conftest import mixed_patch
+from conftest import folded_patch, mixed_patch
 
 
 def test_theta_eval_families():
@@ -103,6 +103,19 @@ def test_frame_field_reports_first_umbilic_in_batch(steep_patch):
         frame_field(steep_patch, spec, AngleField.constant(0.0), uv)
     assert info.value.index == 2
     assert np.array_equal(info.value.uv, [0.75, 0.5])
+
+
+def test_frame_field_locates_an_irregular_point():
+    # The surface is flat where it is regular, so (0.2, 0.3) fails too,
+    # but after the irregular row.
+    uv = [(0.5, 0.3), (0.2, 0.3)]
+    with pytest.raises(IrregularError, match=r"^at \(u=0\.5, v=0\.3\): jet "
+                       r"is not regular: f_u and f_v are parallel$") as info:
+        frame_field(folded_patch(), ACCEPTANCE_SPEC,
+                    AngleField.constant(0.0), uv)
+    assert isinstance(info.value, ValueError)
+    assert info.value.index == 0
+    assert np.array_equal(info.value.uv, [0.5, 0.3])
 
 
 def test_pushforward_roundtrip(patch):

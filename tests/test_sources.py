@@ -1,12 +1,13 @@
 """Static checks of the library's source: it writes to the console only
-from the command line's ``main``, and it logs through one logger per
-module, a child of the ``lnets`` logger."""
+from the command line's ``main``, it logs through one logger per module,
+a child of the ``lnets`` logger, and each of its error types is public
+and raised."""
 
 import ast
 from pathlib import Path
 
-MODULES = sorted((Path(__file__).resolve().parent.parent / "src" / "lnets")
-                 .glob("*.py"))
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lnets"
+MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def scoped_calls(path):
@@ -49,3 +50,39 @@ def test_loggers_are_named_after_their_modules():
     assert made
     assert [item for item in made
             if item[1] != "logging.getLogger(__name__)"] == []
+
+
+def error_types():
+    """Names of the ``LnetsError`` subclasses defined in ``lnets.errors``."""
+    tree = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    found = {"LnetsError"}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+                getattr(base, "id", None) in found for base in node.bases):
+            found.add(node.name)
+    return found - {"LnetsError"}
+
+
+def raised_names():
+    """Names in a ``raise`` statement or in the class slot of a
+    ``(bad, cls, message)`` check of ``lnets.errors.raise_first``."""
+    names = set()
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise):
+                names |= {n.id for n in ast.walk(node)
+                          if isinstance(n, ast.Name)}
+            elif isinstance(node, ast.Tuple) and len(node.elts) == 3:
+                names.add(getattr(node.elts[1], "id", None))
+    return names
+
+
+def test_every_error_type_is_exported_and_raised():
+    init = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    exported = {alias.name for node in init.body
+                if isinstance(node, ast.ImportFrom) and node.module == "errors"
+                for alias in node.names}
+    types = error_types()
+    assert {"ConfigError", "IrregularError", "TracingError"} <= types
+    assert types - exported == set()
+    assert types - raised_names() == set()

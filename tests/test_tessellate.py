@@ -331,12 +331,15 @@ def test_watertight_after_exact_dedupe(patch):
 
 @given(alpha=st.floats(0.5, 2.0), beta=st.floats(0.1, 0.45),
        rows=st.integers(4, 7), cols=st.integers(4, 7),
-       d=st.floats(0.05, 0.5), count=st.integers(2, 6))
+       d=st.floats(0.05, 0.5), count=st.integers(2, 6),
+       boost=st.floats(-0.3, 0.3))
 def test_tessellation_of_exact_nets_is_watertight(alpha, beta, rows, cols, d,
-                                                   count):
-    # Nets of 3-6 x 3-6 faces on paraboloids with distinct curvatures.
-    net = solved_sphere_net(convex_paraboloid_patch(alpha, beta), rows, cols,
-                            d=d)
+                                                   count, boost):
+    # Nets of 3-6 x 3-6 faces on paraboloids with distinct curvatures. The
+    # solved nets' radii are all but equal, so their strips are cylinders;
+    # a boost makes the radii vary and the strips narrowing cones.
+    net = laguerre_boost(solved_sphere_net(
+        convex_paraboloid_patch(alpha, beta), rows, cols, d=d), boost)
     assert verify(net).is_lnet
     mesh = dedupe_mesh(tessellate(net, TessellationParams(count)))
     assert_watertight(mesh)
@@ -525,19 +528,22 @@ def test_point_sphere_net_tessellates_without_nonmanifold_edges():
 
 
 def test_strip_boundary_rulings_match_planar_quads(patch):
-    net = solved_sphere_net(patch, 4, 4)
-    mesh = tessellate(net)
-    planar = set()
-    conical = set()
-    for tri, label in zip(mesh.triangles, triangle_labels(mesh)):
-        for vid in tri:
-            key = mesh.vertices[vid].tobytes()
-            if label == LABEL_PLANAR:
-                planar.add(key)
-            elif label == LABEL_CONICAL:
-                conical.add(key)
-    # Every planar-quad corner is an end of some strip ruling.
-    assert planar <= conical
+    # A solved net, whose strips are cylinders, and a boosted one, whose
+    # radii vary.
+    for beta in (0.0, 0.2):
+        mesh = tessellate(laguerre_boost(solved_sphere_net(patch, 4, 4), beta))
+        planar = set()
+        conical = set()
+        for tri, label in zip(mesh.triangles, triangle_labels(mesh)):
+            for vid in tri:
+                key = mesh.vertices[vid].tobytes()
+                if label == LABEL_PLANAR:
+                    planar.add(key)
+                elif label == LABEL_CONICAL:
+                    conical.add(key)
+        # Every planar-quad corner is an end of some strip ruling.
+        assert planar
+        assert planar <= conical
 
 
 def reference_tessellate(net, count):
