@@ -559,8 +559,8 @@ class BandLayout:
     triangle from the diagonal on. ``B``'s structural entries are
     ``(b_row[k], b_col[k])``, sorted, and the fill tables list, for each
     eliminated variable, the pairs ``fill_left <= fill_right`` of its
-    entries, which add up at the band positions ``fill_slots[fill_inverse]``
-    (284,504 pairs on 191,450 positions at 40x40).
+    entries and their band positions ``fill_slots`` (284,504 pairs on
+    191,450 positions at 40x40).
 
     ``J^T J`` is formed in the two phases of a sparse product. The
     symbolic phase runs when the layout is built, once per
@@ -600,11 +600,9 @@ class BandLayout:
         left = np.repeat(np.arange(ends.size), reps)
         right = left + np.arange(left.size) - np.repeat(np.cumsum(reps) - reps,
                                                         reps)
-        self.fill_slots, inverse = np.unique(
-            self.bw * self.b_col[left] + self.b_col[right],
-            return_inverse=True)
-        self.fill_left, self.fill_right, self.fill_inverse = (
-            a.astype(np.int32) for a in (left, right, inverse))
+        self.fill_slots, self.fill_left, self.fill_right = (
+            a.astype(np.int32) for a in (
+                self.bw * self.b_col[left] + self.b_col[right], left, right))
         indptr, indices = (np.asarray(a, dtype=np.int32)
                            for a in (indptr, indices))
         # The CSC arrays of J are the CSR arrays of J^T, built as
@@ -747,10 +745,8 @@ def _schur_update(eqs: NormalEquations, pivots: np.ndarray,
     damped ``pivots``."""
     lay = eqs.layout
     scaled = eqs.coupling / pivots[lay.b_row]
-    band[lay.fill_slots] -= np.bincount(
-        lay.fill_inverse,
-        scaled[lay.fill_left] * eqs.coupling[lay.fill_right],
-        lay.fill_slots.size)
+    np.subtract.at(band, lay.fill_slots,
+                   scaled[lay.fill_left] * eqs.coupling[lay.fill_right])
     return eqs.rhs - np.bincount(lay.b_col, scaled * eqs.elim_rhs[lay.b_row],
                                  lay.n)
 
