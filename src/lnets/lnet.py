@@ -178,7 +178,7 @@ def strip_incidences(fr: int, fc: int):
     # CORNERS lists (da, db) at index 2 da + db.
     k = np.arange(4 * fr * fc).reshape(fr, fc, 2, 2)
     ell0, gamma0 = axis0(k)
-    # Axis 1 is axis 0 of the transposed net, whose corner (db, da) is (da, db).
+    # Axis 1 is axis 0 of the transposed grid: face (j, i), corner (db, da).
     ell1, gamma1 = (t.swapaxes(0, 1) for t in axis0(k.transpose(1, 0, 3, 2)))
     return (np.concatenate([ell0.reshape(-1, 8), ell1.reshape(-1, 8)]),
             np.concatenate([gamma0.reshape(-1, 8), gamma1.reshape(-1, 8)]))

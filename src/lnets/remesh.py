@@ -40,8 +40,9 @@ Errors. The lines of a phase are numbered in the order a line-by-line
 tracer visits them: seed line 0 runs toward -v and 1 toward +v; row ``i``
 owns line ``2 i`` (toward -u) and ``2 i + 1`` (toward +u). Stages run in
 order. Within a stage, a typed frame error from the evaluation
-(:class:`UmbilicError`, :class:`CurvatureSignError`,
-:class:`SingularRadiusError`, :class:`FlatError`) comes before the
+(:class:`IrregularError`, :class:`UmbilicError`,
+:class:`CurvatureSignError`, :class:`SingularRadiusError`,
+:class:`FlatError`) comes before the
 5-degree field-angle check (:class:`TracingError`), and either one names
 the lowest offending line and its ``(u, v)`` in the message and in the
 ``line`` and ``uv`` fields; an error of the seed batch names the lowest
@@ -53,12 +54,14 @@ error estimate stays large until the step shrinks, so stage points
 crowd toward the jump; that is how a line through an umbilic meets the
 frame field's :class:`UmbilicError`. A non-finite direction at a start
 or stage point, which would put the next stage point outside the domain
-box and end the line silently, raises :class:`TracingError` after the
-field-angle check. A line whose error estimate does not fall with the
-step (a NaN estimate, say, from a step's end point) would shrink it
-without end; a rejection below ``MIN_STEP`` times the domain diagonal
-raises :class:`TracingError` instead. So does a grid trimmed below 2x2,
-and a grid with a degenerate cell, which names the first such cell.
+box and end the line silently, raises :class:`TracingError` too: the
+lowest line that fails either check is named, and on that line the
+field-angle check comes first. A line whose error estimate does not
+fall with the step (a NaN estimate, say, from a step's end point) would
+shrink it without end; a rejection below ``MIN_STEP`` times the domain
+diagonal raises :class:`TracingError` instead. So does a grid trimmed
+below 2x2, and a grid with a degenerate cell, which names the first such
+cell.
 """
 
 from __future__ import annotations

@@ -335,7 +335,8 @@ def test_run_on_a_folded_surface_exits_with_a_located_error(tmp_path,
     # The acceptance config; the centre seed, on the fold, is the first
     # point traced.
     path = base_config(
-        tmp_path, folded_patch(), grid={"rows": 16, "cols": 16, "edge_length": 0.13},
+        tmp_path, folded_patch(),
+        grid={"rows": 16, "cols": 16, "edge_length": 0.13},
         weights={"w_prox": 1e-4, "w_tan": 1e-4, "w_td": 1e-5},
         schedule={"max_iters": 100, "final_pass_iters": 20})
     out = tmp_path / "out"

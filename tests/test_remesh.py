@@ -454,3 +454,25 @@ def test_march_raises_at_a_non_finite_direction():
                       [[1.0, 0.0]], [6], 0.1, 0.1)
     assert info.value.line == 0
     assert 0.6 < info.value.uv[0] <= 0.7 and info.value.uv[1] == 0.5
+
+
+def test_stage_names_the_lowest_line_that_fails_either_check():
+    # Line 3's direction is NaN and line 5's two directions are 0.06
+    # degrees apart: the lower line is named, though its check is the
+    # second one.
+    d1 = np.array([[np.nan, 0.0], [1.0, 0.0]])
+    d2 = np.array([[0.0, 1.0], [1.0, 1e-3]])
+
+    def field_fn(uv):
+        return FrameSample(uv, d1, d2, np.pad(d1, ((0, 0), (0, 1))),
+                           np.pad(d2, ((0, 0), (0, 1))))
+
+    q = np.array([[0.2, 0.3], [0.6, 0.7]])
+    with pytest.raises(TracingError, match=r"^family 0 line 3 at \(u=0\.2, "
+                       r"v=0\.3\): non-finite field direction$") as info:
+        remesh._stage(field_fn, (0, 1, 0, 1), 0, np.array([3, 5]), q,
+                      np.array([[1.0, 0.0], [1.0, 0.0]]))
+    assert info.value.line == 3 and type(info.value.line) is int
+    assert np.array_equal(info.value.uv, q[0])
+    assert not np.shares_memory(info.value.uv, q)
+    assert info.value.index is None
