@@ -221,43 +221,31 @@ class ResidualSystem:
         """Project all contact points onto the reference surface.
 
         Projections warm-start from the previous parameters and their jets
-        once available; fallbacks to grid seeding are counted. Points whose
-        warm start does not converge are projected again from the seed
-        grid. Without that re-seed, copies of the acceptance config with
-        the surface and the edge length scaled by ``s`` fit worse: at
-        ``s = 100`` the largest contact residual rose from 1.8e-12 to
-        1.7e-4, no longer an L-net, and at ``s = 30`` the rms distance of
-        the contact points from the surface, over ``s``, from 4.7e-3 to
-        8.3e-3.
+        once available; :func:`project_points` re-seeds the warm starts
+        that do not converge, and the points that fall back to their grid
+        seeds are counted.
         """
-        pts = self.contact_points_of(x)
         uv, feet, normals, conv, jets = self._project(
-            pts, self.foot_uv, self.foot_jets, np.arange(len(pts)))
-        if not np.all(conv) and self.foot_uv is not None:
-            # Re-seed the stragglers from the coarse grid.
-            bad = ~conv
-            uv[bad], feet[bad], normals[bad], conv[bad], jets[bad] = (
-                self._project(pts[bad], None, None, np.flatnonzero(bad)))
+            self.contact_points_of(x), self.foot_uv, self.foot_jets)
         self.footpoint_fallbacks = int(np.sum(~conv))
         self.foot_uv = uv
         self.foot_x = feet
         self.foot_n = normals
         self.foot_jets = jets
 
-    def _project(self, pts: np.ndarray, seeds_uv, seed_jets,
-                 incidences: np.ndarray):
-        """:func:`project_points` of the contact points of ``incidences``.
+    def _project(self, pts: np.ndarray, seeds_uv, seed_jets):
+        """:func:`project_points` of the contact points ``pts``.
 
         A located footpoint error is re-raised naming the face and corner
-        of its contact incidence, which becomes its ``index``.
+        of its contact incidence, which is its ``index``.
         """
         try:
             return project_points(self.surface, pts, seeds_uv=seeds_uv,
                                   seed_jets=seed_jets)
         except (LnetsError, ValueError) as exc:
-            if getattr(exc, "index", None) is None:
+            k = getattr(exc, "index", None)
+            if k is None:
                 raise
-            k = int(incidences[exc.index])
             i, j = divmod(int(self.oc_face[k]), self.vertex_shape[1] - 1)
             raise located(type(exc), f"contact of face ({i}, {j}) at corner "
                           f"{CORNERS[k % 4]}: {exc}", index=k,

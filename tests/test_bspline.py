@@ -8,9 +8,9 @@ import pytest
 
 from lnets import (BSplineSurface, ConfigError, CurvatureSignError,
                    IrregularError, LnetsError, SurfaceJet2, UmbilicError,
-                   convex_paraboloid_patch, evaluate_jet, load_surface,
-                   oriented_normal, principal_frame, principal_frames,
-                   project_points, save_surface)
+                   bspline, convex_paraboloid_patch, evaluate_jet,
+                   load_surface, oriented_normal, principal_frame,
+                   principal_frames, project_points, save_surface)
 from lnets.bspline import (_SEED_BLOCK, _jet_rows, _seed_select,
                            evaluate_jets, oriented_normals,
                            surface_from_dict, surface_to_dict)
@@ -339,11 +339,21 @@ def test_closest_point_clamps_exterior_queries(patch):
     assert uv[0, 0] == 1.0  # clamped to the domain edge nearest the query
 
 
-def test_seed_tie_break_prefers_smaller_u_then_v():
-    pts = np.array([[0., 0., 0.], [1., 0., 0.], [0., 1., 0.]])
-    xs = np.array([[0.5, 0., 0.], [0., 0.5, 0.]])
-    # Exact distance ties; the earlier point (u-major order) must win.
-    assert _seed_select(pts, xs).tolist() == [0, 0]
+def test_warm_starts_that_do_not_converge_run_again_from_grid_seeds(
+        patch, monkeypatch):
+    # No Newton step: every warm start fails and is re-seeded from the
+    # grid, so the warm call ends where the cold call does.
+    monkeypatch.setattr(bspline, "PROJECTION_MAX_ITER", 0)
+    rng = np.random.default_rng(3)
+    xs = rng.uniform(-0.8, 0.8, size=(30, 3))
+    xs[:, 2] = rng.uniform(0.0, 0.6, size=30)
+    cold = project_points(patch, xs)
+    corner = np.zeros((30, 2))
+    warm = project_points(patch, xs, seeds_uv=corner)
+    assert not warm[3].any()
+    assert not np.array_equal(cold[0], corner)
+    for got, want in zip(warm, cold):
+        assert np.array_equal(got, want)
 
 
 def test_blocked_seed_select_equals_one_shot_argmin():
@@ -360,8 +370,8 @@ def test_blocked_seed_select_equals_one_shot_argmin():
     assert np.array_equal(_seed_select(pts, xs), np.argmin(d2, axis=1))
 
 
-@pytest.mark.parametrize("shift", [0.0, 1e6])
-def test_seed_select_equals_exact_argmin_at_ulp_near_ties(shift):
+@pytest.mark.parametrize("shift", [0.0, 1e6, -3e3])
+def test_seed_select_is_nearest_within_its_bound_at_ulp_near_ties(shift):
     # Midpoints of neighbouring seeds of a jittered lattice, moved by at
     # most one ulp per coordinate: their two nearest seeds tie or nearly tie.
     rng = np.random.default_rng(11)
@@ -376,7 +386,15 @@ def test_seed_select_equals_exact_argmin_at_ulp_near_ties(shift):
     d2 = ((pts[None, :, :] - xs[:, None, :]) ** 2).sum(axis=2)
     gap = np.diff(np.sort(d2, axis=1)[:, :2], axis=1)
     assert np.all(gap < 1e-9) and np.any(gap == 0.0)
-    assert np.array_equal(_seed_select(pts, xs), np.argmin(d2, axis=1))
+    # The screen's 18 u (|x| + R)^2, plus 5 u (|x| + R)^2 for each of the
+    # two squared distances computed here, in the seeds' centred frame.
+    centre = pts.mean(axis=0)
+    reach = (np.linalg.norm(xs - centre, axis=1)
+             + np.linalg.norm(pts - centre, axis=1).max())
+    bound = 32.0 * (np.finfo(float).eps / 2.0) * reach ** 2
+    best = _seed_select(pts, xs)
+    excess = d2[np.arange(n), best] - d2.min(axis=1)
+    assert np.all(excess <= bound)
 
 
 def test_closest_point_is_deterministic_on_symmetric_queries(patch):
