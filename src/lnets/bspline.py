@@ -16,9 +16,8 @@ import numpy as np
 
 from . import kernels
 from .conjugacy import EPS_CLASS, first_positive
-from .errors import (CurvatureSignError, IrregularError, LnetsError,
-                     UmbilicError, checked, json_fields, located, raise_first,
-                     read_json)
+from .errors import (CurvatureSignError, IrregularError, UmbilicError,
+                     checked, json_fields, locating, raise_first, read_json)
 
 # Regularity threshold: |f_u x f_v| must exceed EPS_REG * |f_u| |f_v|.
 EPS_REG = 1e-10
@@ -433,13 +432,8 @@ def project_points(surface: BSplineSurface, xs: np.ndarray,
         retry = np.flatnonzero(~converged)
         uv[retry], converged[retry], jets[retry] = _newton(
             surface, xs[retry], *_grid_seeds(surface, xs[retry]))
-    try:
+    with locating(uv, lambda k: "footpoint "):
         normals = oriented_normals(jets)
-    except LnetsError as exc:
-        k = exc.index
-        raise located(type(exc), f"footpoint at (u={uv[k, 0]:.6g}, "
-                      f"v={uv[k, 1]:.6g}): {exc}", index=k,
-                      uv=uv[k].copy()) from exc
     return uv, jets[:, 0, :], normals, converged, jets
 
 

@@ -5,6 +5,7 @@ import json
 import reprlib
 import sys
 import typing
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -92,6 +93,27 @@ def raise_first(checks, **fields) -> None:
     for mask, cls, message in checks:
         if mask[k]:
             raise located(cls, message(k), **where)
+
+
+@contextmanager
+def locating(uv, what):
+    """Locate a batch's row error in the parameter domain.
+
+    An :class:`LnetsError` raised inside the block for row ``k`` (its
+    ``index``) is raised again as its own type, prefixed ``"{what(k)}at
+    (u=..., v=...): "`` with the row's parameters ``uv[k]``, which it also
+    carries in ``uv``; ``index`` stays ``k``. An error without a row
+    passes unchanged.
+    """
+    try:
+        yield
+    except LnetsError as exc:
+        k = exc.index
+        if k is None:
+            raise
+        u, v = uv[k]
+        raise located(type(exc), f"{what(k)}at (u={u:.6g}, v={v:.6g}): "
+                      f"{exc}", index=k, uv=uv[k].copy()) from exc
 
 
 def check_count(name: str, n, low: int) -> None:

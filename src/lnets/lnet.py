@@ -38,7 +38,8 @@ import numpy as np
 from .bspline import (BSplineSurface, evaluate_jets, oriented_normals,
                       principal_frames, project_points)
 from .conjugacy import CongruenceSpec
-from .errors import ConfigError, checked, json_array, json_fields, read_json
+from .errors import (ConfigError, checked, json_array, json_fields, locating,
+                     read_json)
 from .remesh import QuadGrid
 
 logger = logging.getLogger(__name__)
@@ -116,7 +117,9 @@ def initialize(grid: QuadGrid, surface: BSplineSurface,
     vr, vc = grid.rows, grid.cols
     jets = evaluate_jets(surface, uv[..., 0].ravel(), uv[..., 1].ravel())
     points = jets[:, 0, :].reshape(vr, vc, 3)
-    normals = oriented_normals(jets).reshape(vr, vc, 3)
+    with locating(uv.reshape(-1, 2),
+                  lambda k: "grid vertex (%d, %d) " % divmod(k, vc)):
+        normals = oriented_normals(jets).reshape(vr, vc, 3)
     intercepts = -np.einsum("ijc,ijc->ij", points, normals)
 
     bary = 0.25 * (points[:-1, :-1] + points[1:, :-1]
@@ -129,7 +132,9 @@ def initialize(grid: QuadGrid, surface: BSplineSurface,
         logger.warning("%d of %d face footpoints did not converge and keep "
                        "their seeds, the first at face (%d, %d)", stray.size,
                        converged.size, *divmod(int(stray[0]), fc))
-    radii = spec.radii(principal_frames(foot_jets).kappa1, uv_feet)
+    with locating(uv_feet,
+                  lambda k: "face (%d, %d) footpoint " % divmod(k, fc)):
+        radii = spec.radii(principal_frames(foot_jets).kappa1, uv_feet)
     centers = feet + radii[:, None] * foot_normals
     return LNet(normals, intercepts,
                 centers.reshape(fr, fc, 3), radii.reshape(fr, fc))

@@ -76,7 +76,7 @@ import numpy as np
 from .bspline import BSplineSurface, evaluate_jets, principal_frames
 from .conjugacy import CongruenceSpec, pseudo_lconj_partners
 from .errors import (LnetsError, TracingError, check_count, located,
-                     raise_first)
+                     locating, raise_first)
 
 logger = logging.getLogger(__name__)
 
@@ -223,16 +223,10 @@ def frame_field(surface: BSplineSurface, spec: CongruenceSpec,
     theta = theta_eval(field, (uv[:, 0] - u0) / (u1 - u0),
                        (uv[:, 1] - v0) / (v1 - v0))
     a = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    try:
+    with locating(uv, lambda k: ""):
         frames = principal_frames(jets)
         r = spec.radii(frames.kappa1, uv)
         b = pseudo_lconj_partners(frames.kappa1, frames.kappa2, r, a)
-    except LnetsError as exc:
-        if exc.index is None:
-            raise
-        u, v = uv[exc.index]
-        raise located(type(exc), f"at (u={u:.6g}, v={v:.6g}): {exc}",
-                      index=exc.index, uv=uv[exc.index].copy()) from exc
     d1_3d = a[:, :1] * frames.t1 + a[:, 1:] * frames.t2
     d2_3d = b[:, :1] * frames.t1 + b[:, 1:] * frames.t2
     d1_uv, d2_uv = _tangents_to_uv(jets, d1_3d, d2_3d)

@@ -7,14 +7,16 @@ import numpy as np
 import pytest
 
 from lnets import (AngleField, ConfigError, CongruenceSpec, CurvatureSignError,
-                   GridSpec, LNet, QuadGrid, bspline, evaluate_jets,
-                   initialize, lnet, oriented_normal, project_points,
-                   strip_incidences, trace_grid, verify)
+                   GridSpec, LNet, QuadGrid, SingularRadiusError, bspline,
+                   evaluate_jets, initialize, lnet, oriented_normal,
+                   principal_frames, project_points, strip_incidences,
+                   trace_grid, verify)
 from lnets.bspline import BSplineSurface, SurfaceJet2
 from lnets.lnet import (contact_incidences, contact_points, face_pairs,
                         lnet_from_dict, lnet_to_dict, load_lnet, save_lnet)
 
-from conftest import solved_sphere_net, translational_offset_net
+from conftest import (folded_patch, solved_sphere_net,
+                      translational_offset_net)
 
 
 def lattice_grid(surface, rows, cols, margin=0.05):
@@ -106,6 +108,35 @@ def test_initialize_flat_surface_propagates_curvature_error():
     grid = lattice_grid(flat, 3, 3)
     with pytest.raises(CurvatureSignError):
         initialize(grid, flat, CongruenceSpec("tau_min", tau=0.5))
+
+
+def test_initialize_locates_a_grid_vertex_without_normal():
+    grid = lattice_grid(folded_patch(), 6, 5)  # over [0.05, 0.95]^2
+    with pytest.raises(CurvatureSignError,
+                       match=r"^grid vertex \(0, 0\) at \(u=0\.05, v=0\.05\): "
+                       r"Gaussian curvature \S+ is not positive$") as info:
+        initialize(grid, folded_patch(), CongruenceSpec("tau_min", tau=0.6))
+    assert info.value.index == 0
+    assert np.array_equal(info.value.uv, [0.05, 0.05])
+
+
+def test_initialize_locates_a_face_radius_above_its_principal_radius(patch):
+    grid = lattice_grid(patch, 4, 4)
+    pts = evaluate_jets(patch, grid.uv[..., 0].ravel(),
+                        grid.uv[..., 1].ravel())[:, 0].reshape(4, 4, 3)
+    bary = 0.25 * (pts[:-1, :-1] + pts[1:, :-1] + pts[1:, 1:]
+                   + pts[:-1, 1:])
+    uv, _, _, _, jets = project_points(patch, bary.reshape(-1, 3))
+    rho_min = 1.0 / principal_frames(jets).kappa1
+    k = int(np.argmax(rho_min <= 1.2))  # face (1, 0)
+    where = rf"\(u={uv[k, 0]:.6g}, v={uv[k, 1]:.6g}\)"
+    with pytest.raises(SingularRadiusError,
+                       match=rf"^face \(1, 0\) footpoint at {where}: "
+                       r"congruence radius 1\.2 reaches the smaller "
+                       r"principal radius") as info:
+        initialize(grid, patch, CongruenceSpec("explicit", value=1.2))
+    assert k == 3 and info.value.index == k
+    assert np.array_equal(info.value.uv, uv[k])
 
 
 def one_face_net(normals, h=1.0, center=(0, 0, 0), radius=1.0):
