@@ -25,6 +25,8 @@ EPS_REG = 1e-10
 PROJECTION_SEED_GRID = 24
 # Newton steps of closest-point projection before a point falls back to
 # its grid seed (a warm-started point first runs again from its grid seed).
+# The LM's tracked footpoint refresh takes one step per point instead
+# (:func:`_track`).
 PROJECTION_MAX_ITER = 50
 # Query rows per seed-screening block: a (256, 576) product per block, 1.2 MB
 # for 576 seeds.
@@ -332,62 +334,113 @@ def _grid_seeds(surface: BSplineSurface, xs: np.ndarray):
     return np.stack([gu[best], gv[best]], axis=1), jets[best]
 
 
+def _gradient(xs: np.ndarray, jets: np.ndarray):
+    """Newton data of closest-point projection of the queries ``xs`` at
+    the points of ``jets``: the offsets ``diff = S - x``, the gradient
+    ``g`` of ``|S - x|^2 / 2`` in ``(u, v)``, ``(N, 2)``, and the stop test
+    ``|g| <= 1e-13 (1 + |S - x| speed)``, with ``speed`` the larger of
+    ``|S_u|`` and ``|S_v|``."""
+    diff = jets[:, 0, :] - xs
+    g = np.stack([np.einsum("nc,nc->n", diff, jets[:, 1, :]),
+                  np.einsum("nc,nc->n", diff, jets[:, 2, :])], axis=1)
+    speed = np.maximum(np.linalg.norm(jets[:, 1, :], axis=1),
+                       np.linalg.norm(jets[:, 2, :], axis=1))
+    dist = np.linalg.norm(diff, axis=1)
+    tol = 1e-13 * (1.0 + dist * speed)
+    return diff, g, np.hypot(g[:, 0], g[:, 1]) <= tol
+
+
+def _newton_step(surface: BSplineSurface, uv: np.ndarray, jets: np.ndarray,
+                 diff: np.ndarray, g: np.ndarray):
+    """Parameters and jets after one damped Newton step from ``uv``, whose
+    jets are ``jets`` and whose :func:`_gradient` data are ``diff`` and
+    ``g``. A step longer than a quarter of the domain's longer side is
+    shortened to it, and the iterate is clamped to the domain."""
+    u0, u1, v0, v1 = surface.domain
+    lim = 0.25 * max(u1 - u0, v1 - v0)
+    a11 = (np.einsum("nc,nc->n", jets[:, 1, :], jets[:, 1, :])
+           + np.einsum("nc,nc->n", diff, jets[:, 3, :]))
+    a12 = (np.einsum("nc,nc->n", jets[:, 1, :], jets[:, 2, :])
+           + np.einsum("nc,nc->n", diff, jets[:, 4, :]))
+    a22 = (np.einsum("nc,nc->n", jets[:, 2, :], jets[:, 2, :])
+           + np.einsum("nc,nc->n", diff, jets[:, 5, :]))
+    b1, b2 = g[:, 0], g[:, 1]
+    det = a11 * a22 - a12 * a12
+    # Regularize nearly singular systems toward gradient descent.
+    bad = np.abs(det) <= 1e-300
+    damp = np.where(bad, 1e-8 * np.maximum(np.abs(a11) + np.abs(a22), 1.0), 0.0)
+    a11 = a11 + damp
+    a22 = a22 + damp
+    det = a11 * a22 - a12 * a12
+    du = (a22 * b1 - a12 * b2) / det
+    dv = (a11 * b2 - a12 * b1) / det
+    step = np.hypot(du, dv)
+    shrink = np.where(step > lim, lim / step, 1.0)
+    uv = np.stack([np.clip(uv[:, 0] - shrink * du, u0, u1),
+                   np.clip(uv[:, 1] - shrink * dv, v0, v1)], axis=1)
+    return uv, evaluate_jets(surface, uv[:, 0], uv[:, 1])
+
+
 def _newton(surface: BSplineSurface, xs: np.ndarray, uv: np.ndarray,
             jets: np.ndarray):
     """Damped Newton iteration of closest-point projection from the seeds
     ``uv`` (updated in place) and their jets ``jets``.
 
-    Iterates are clamped to the domain. Returns ``(uv, converged, jets)``;
-    a row that has not converged after :data:`PROJECTION_MAX_ITER` steps
-    keeps its seed and the seed's jets, the others the jets of their last
-    iterate, so none is evaluated twice.
+    Returns ``(uv, converged, jets)``; a row that has not converged after
+    :data:`PROJECTION_MAX_ITER` steps keeps its seed and the seed's jets,
+    the others the jets of their last iterate, so none is evaluated twice.
     """
-    u0, u1, v0, v1 = surface.domain
-    lim = 0.25 * max(u1 - u0, v1 - v0)
     seeds = uv.copy()
     out = jets.copy()
     converged = np.zeros(xs.shape[0], dtype=bool)
     for _ in range(PROJECTION_MAX_ITER):
         idx = np.flatnonzero(~converged)
-        diff = jets[:, 0, :] - xs[idx]
-        g1 = np.einsum("nc,nc->n", diff, jets[:, 1, :])
-        g2 = np.einsum("nc,nc->n", diff, jets[:, 2, :])
-        speed = np.maximum(np.linalg.norm(jets[:, 1, :], axis=1),
-                           np.linalg.norm(jets[:, 2, :], axis=1))
-        dist = np.linalg.norm(diff, axis=1)
-        tol = 1e-13 * (1.0 + dist * speed)
-        done = np.hypot(g1, g2) <= tol
+        diff, g, done = _gradient(xs[idx], jets)
         converged[idx[done]] = True
         out[idx[done]] = jets[done]
         if np.all(done):
             break
-
         rest = ~done
-        sub = idx[rest]
-        a11 = (np.einsum("nc,nc->n", jets[:, 1, :], jets[:, 1, :])
-               + np.einsum("nc,nc->n", diff, jets[:, 3, :]))[rest]
-        a12 = (np.einsum("nc,nc->n", jets[:, 1, :], jets[:, 2, :])
-               + np.einsum("nc,nc->n", diff, jets[:, 4, :]))[rest]
-        a22 = (np.einsum("nc,nc->n", jets[:, 2, :], jets[:, 2, :])
-               + np.einsum("nc,nc->n", diff, jets[:, 5, :]))[rest]
-        b1, b2 = g1[rest], g2[rest]
-        det = a11 * a22 - a12 * a12
-        # Regularize nearly singular systems toward gradient descent.
-        bad = np.abs(det) <= 1e-300
-        damp = np.where(bad, 1e-8 * np.maximum(np.abs(a11) + np.abs(a22), 1.0), 0.0)
-        a11 = a11 + damp
-        a22 = a22 + damp
-        det = a11 * a22 - a12 * a12
-        du = (a22 * b1 - a12 * b2) / det
-        dv = (a11 * b2 - a12 * b1) / det
-        step = np.hypot(du, dv)
-        shrink = np.where(step > lim, lim / step, 1.0)
-        uv[sub, 0] = np.clip(uv[sub, 0] - shrink * du, u0, u1)
-        uv[sub, 1] = np.clip(uv[sub, 1] - shrink * dv, v0, v1)
-        jets = evaluate_jets(surface, uv[sub, 0], uv[sub, 1])
+        uv[idx[rest]], jets = _newton_step(surface, uv[idx[rest]], jets[rest],
+                                           diff[rest], g[rest])
 
     uv[~converged] = seeds[~converged]
     return uv, converged, out
+
+
+def _warm_newton(surface: BSplineSurface, xs: np.ndarray, uv: np.ndarray,
+                 jets: np.ndarray):
+    """:func:`_newton` from warm starts. A row that does not converge runs
+    again from its grid seed, unless its warm start is that seed: from
+    there it would repeat the iteration that just failed."""
+    warm = uv.copy()
+    uv, converged, jets = _newton(surface, xs, uv, jets)
+    retry = np.flatnonzero(~converged)
+    if retry.size:
+        seeds, seed_jets = _grid_seeds(surface, xs[retry])
+        fresh = np.any(seeds != warm[retry], axis=1)
+        retry = retry[fresh]
+        if retry.size:
+            uv[retry], converged[retry], jets[retry] = _newton(
+                surface, xs[retry], seeds[fresh], seed_jets[fresh])
+    return uv, converged, jets
+
+
+def _queries(xs) -> np.ndarray:
+    """Query points as ``(N, 3)`` floats; a non-finite one raises
+    ValueError with its row in ``index``."""
+    xs = np.asarray(xs, dtype=float).reshape(-1, 3)
+    raise_first([(~np.isfinite(xs).all(axis=1), ValueError,
+                  lambda k: f"query point {k} is not finite")])
+    return xs
+
+
+def _footpoints(uv: np.ndarray, converged: np.ndarray, jets: np.ndarray):
+    """:func:`project_points`' result from the parameters, convergence and
+    jets of every row; oriented normals are taken in one call."""
+    with locating(uv, lambda k: "footpoint "):
+        normals = oriented_normals(jets)
+    return uv, jets[:, 0, :], normals, converged, jets
 
 
 def project_points(surface: BSplineSurface, xs: np.ndarray,
@@ -400,16 +453,16 @@ def project_points(surface: BSplineSurface, xs: np.ndarray,
     :func:`_seed_select`) unless ``seeds_uv`` (and ``seed_jets``, their
     jets) provide warm starts. Iterates are clamped to the domain. A
     warm-started point that has not converged after
-    :data:`PROJECTION_MAX_ITER` steps runs again from its grid seed, and a
-    point that still has not converged falls back to its grid seed. The
-    retry matters to the LM's footpoint refresh on copies of the
-    acceptance config with the surface and the edge length scaled by
-    ``s``. At ``s = 100`` the returned net's largest contact residual is
-    7.7e-13 with it, 2.7e-5 without it and 8.1e-5 with a fallback to the
-    warm seed; the last two are no L-nets. At ``s = 30`` the rms distance
-    of the contact points from the surface, over ``s``, is 4.1e-3, 8.5e-3
-    and 9.5e-3. Each row keeps the jets of its returned parameters; none
-    is evaluated twice.
+    :data:`PROJECTION_MAX_ITER` steps runs again from its grid seed, unless
+    it started there, and a point that still has not converged falls back
+    to its grid seed. The retry matters to the LM's footpoint refresh on
+    copies of the acceptance config with the surface and the edge length
+    scaled by ``s``. At ``s = 100`` the returned net's largest contact
+    residual is 7.7e-13 with it, 2.7e-5 without it and 8.1e-5 with a
+    fallback to the warm seed; the last two are no L-nets. At ``s = 30``
+    the rms distance of the contact points from the surface, over ``s``,
+    is 4.1e-3, 8.5e-3 and 9.5e-3. Each row keeps the jets of its returned
+    parameters; none is evaluated twice.
 
     Returns ``(uv, feet, normals, converged, jets)`` with shapes
     ``(N, 2), (N, 3), (N, 3), (N,), (N, 6, 3)``; ``jets`` are the surface
@@ -418,23 +471,44 @@ def project_points(surface: BSplineSurface, xs: np.ndarray,
     and its parameters in ``uv``. A non-finite query point raises
     ValueError with its row in ``index``.
     """
-    xs = np.asarray(xs, dtype=float).reshape(-1, 3)
-    raise_first([(~np.isfinite(xs).all(axis=1), ValueError,
-                  lambda k: f"query point {k} is not finite")])
+    xs = _queries(xs)
     if seeds_uv is None:
-        uv, jets = _grid_seeds(surface, xs)
+        uv, converged, jets = _newton(surface, xs, *_grid_seeds(surface, xs))
     else:
         uv = np.asarray(seeds_uv, dtype=float).reshape(-1, 2).copy()
         jets = (evaluate_jets(surface, uv[:, 0], uv[:, 1])
                 if seed_jets is None else seed_jets)
-    uv, converged, jets = _newton(surface, xs, uv, jets)
-    if seeds_uv is not None and not converged.all():
-        retry = np.flatnonzero(~converged)
-        uv[retry], converged[retry], jets[retry] = _newton(
-            surface, xs[retry], *_grid_seeds(surface, xs[retry]))
-    with locating(uv, lambda k: "footpoint "):
-        normals = oriented_normals(jets)
-    return uv, jets[:, 0, :], normals, converged, jets
+        uv, converged, jets = _warm_newton(surface, xs, uv, jets)
+    return _footpoints(uv, converged, jets)
+
+
+def _track(surface: BSplineSurface, xs: np.ndarray, seeds_uv: np.ndarray,
+           seed_jets: np.ndarray):
+    """:func:`project_points`' result after one damped Newton step per
+    query from the warm starts ``seeds_uv`` and their jets ``seed_jets``.
+
+    A row whose warm start passes the stop test keeps it. A row whose step
+    does not shrink its gradient gets the warm projection of
+    :func:`project_points` from its warm start instead, with its retry and
+    fallback; it is the only kind of row that can be unconverged. The
+    other rows are returned after their step, whether or not they pass the
+    stop test there.
+    """
+    xs = _queries(xs)
+    uv, jets = seeds_uv.copy(), seed_jets.copy()
+    converged = np.ones(xs.shape[0], dtype=bool)
+    diff, g, done = _gradient(xs, jets)
+    move = np.flatnonzero(~done)
+    if move.size:
+        uv[move], jets[move] = _newton_step(surface, uv[move], jets[move],
+                                            diff[move], g[move])
+        g_new = _gradient(xs[move], jets[move])[1]
+        redo = move[~(np.hypot(g_new[:, 0], g_new[:, 1])
+                      < np.hypot(g[move, 0], g[move, 1]))]
+        if redo.size:
+            uv[redo], converged[redo], jets[redo] = _warm_newton(
+                surface, xs[redo], seeds_uv[redo], seed_jets[redo])
+    return _footpoints(uv, converged, jets)
 
 
 # Kinds of the surface document (see :func:`lnets.errors.json_fields`).

@@ -52,7 +52,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .bspline import BSplineSurface, project_points
+from .bspline import BSplineSurface, _track, project_points
 from .errors import LnetsError, check_count, located
 from .lnet import (CORNERS, LNet, cone_gaps, contact_incidences,
                    contact_residuals, face_pairs, incidence_points,
@@ -111,7 +111,9 @@ class Schedule:
     iteration is recorded; one whose last record is at the roundoff
     floor is measured without a solve. Footpoints are refreshed in the
     iterations that solve with a positive proximity or tangency weight,
-    and once at the returned net.
+    by one Newton step per footpoint while the last refresh converged
+    everywhere, and once more at the returned net, where they converge
+    (:meth:`ResidualSystem.refresh_footpoints`).
     """
 
     max_iters: int = 100
@@ -197,6 +199,9 @@ class ResidualSystem:
         self.foot_uv = None
         self.foot_jets = None
         self.footpoint_fallbacks = 0
+        # Whether a refresh may track converged footpoints by one Newton
+        # step; lm_run clears it for the refresh at the returned net.
+        self._tracking = True
         order = lattice_order(self.vertex_shape)
         if fix_radii:
             order = order[(order >= self.plane_base) | (order % 4 != 3)]
@@ -218,14 +223,23 @@ class ResidualSystem:
         return incidence_points(c, r, n, self.oc_face, self.oc_vert)
 
     def refresh_footpoints(self, x: np.ndarray) -> None:
-        """Project all contact points onto the reference surface.
+        """Move the footpoints to the contact points of ``x``.
 
-        Projections warm-start from the previous parameters and their jets
-        once available; :func:`project_points` re-seeds the warm starts
-        that do not converge, and the points that fall back to their grid
-        seeds are counted.
+        The first refresh projects cold. A refresh after one whose
+        footpoints all converged tracks them: each point takes one damped
+        Newton step from its footpoint's parameters and jets, so the
+        Newton iteration runs across LM iterations (:func:`_track`; Wang,
+        Pottmann & Liu, ACM TOG 25(2), 2006). A point whose step does not
+        shrink its gradient, every point of a refresh after fallbacks and
+        every point of :func:`lm_run`'s refresh at the returned net get
+        :func:`project_points`' warm projection, which re-seeds the warm
+        starts that do not converge. The points that fall back to their
+        grid seeds are counted.
         """
+        tracked = (self._tracking and self.foot_jets is not None
+                   and not self.footpoint_fallbacks)
         uv, feet, normals, conv, jets = self._project(
+            _track if tracked else project_points,
             self.contact_points_of(x), self.foot_uv, self.foot_jets)
         self.footpoint_fallbacks = int(np.sum(~conv))
         self.foot_uv = uv
@@ -233,15 +247,16 @@ class ResidualSystem:
         self.foot_n = normals
         self.foot_jets = jets
 
-    def _project(self, pts: np.ndarray, seeds_uv, seed_jets):
-        """:func:`project_points` of the contact points ``pts``.
+    def _project(self, project, pts: np.ndarray, seeds_uv, seed_jets):
+        """``project(surface, pts, seeds_uv, seed_jets)``, which is
+        :func:`project_points` or :func:`_track`, of the contact points
+        ``pts``.
 
         A located footpoint error is re-raised naming the face and corner
         of its contact incidence, which is its ``index``.
         """
         try:
-            return project_points(self.surface, pts, seeds_uv=seeds_uv,
-                                  seed_jets=seed_jets)
+            return project(self.surface, pts, seeds_uv, seed_jets)
         except (LnetsError, ValueError) as exc:
             k = getattr(exc, "index", None)
             if k is None:
@@ -875,8 +890,11 @@ def lm_run(net: LNet, surface: BSplineSurface, weights: Weights = Weights(),
     ``fix_radii`` freezes every sphere radius at its initial value, which
     is the faithful treatment of an exactly prescribed constant radius.
     Returns the refined net and the list of :class:`IterationRecord`.
-    If any record has footpoint fallbacks, one warning names those
-    records and the largest count.
+    The main pass tracks converged footpoints by one Newton step per
+    refresh; the last record is measured after a refresh at the returned
+    net that projects every footpoint until it converges. If any record
+    has footpoint fallbacks, one warning names those records and the
+    largest count.
     """
     system = assemble(net, surface, weights, fix_radii)
     x = system.x0.copy()
@@ -888,7 +906,9 @@ def lm_run(net: LNet, surface: BSplineSurface, weights: Weights = Weights(),
                                   if kind not in ("unit", "oc")})
     x = _run_phase(system, x, w_final, schedule, schedule.final_pass_iters,
                    "contact", records)
-    # The last record reports E_prox and E_tan at the returned net.
+    # The last record reports E_prox and E_tan at the returned net, against
+    # footpoints projected until they converge.
+    system._tracking = False
     system.refresh_footpoints(x)
     last = records[-1]
     last.energies, last.e_total, last.max_oc = system._energy_summary(x)
