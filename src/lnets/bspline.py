@@ -335,27 +335,30 @@ def _grid_seeds(surface: BSplineSurface, xs: np.ndarray):
 
 
 def _gradient(xs: np.ndarray, jets: np.ndarray):
-    """Newton data of closest-point projection of the queries ``xs`` at
-    the points of ``jets``: the offsets ``diff = S - x``, the gradient
-    ``g`` of ``|S - x|^2 / 2`` in ``(u, v)``, ``(N, 2)``, and the stop test
-    ``|g| <= 1e-13 (1 + |S - x| speed)``, with ``speed`` the larger of
-    ``|S_u|`` and ``|S_v|``."""
+    """The offsets ``diff = S - x`` of the points of ``jets`` from the
+    queries ``xs`` and the gradient ``g`` of ``|S - x|^2 / 2`` in ``(u,
+    v)``, ``(N, 2)``."""
     diff = jets[:, 0, :] - xs
-    g = np.stack([np.einsum("nc,nc->n", diff, jets[:, 1, :]),
-                  np.einsum("nc,nc->n", diff, jets[:, 2, :])], axis=1)
-    speed = np.maximum(np.linalg.norm(jets[:, 1, :], axis=1),
-                       np.linalg.norm(jets[:, 2, :], axis=1))
-    dist = np.linalg.norm(diff, axis=1)
-    tol = 1e-13 * (1.0 + dist * speed)
-    return diff, g, np.hypot(g[:, 0], g[:, 1]) <= tol
+    return diff, np.stack([np.einsum("nc,nc->n", diff, jets[:, 1, :]),
+                           np.einsum("nc,nc->n", diff, jets[:, 2, :])], axis=1)
+
+
+def _stopped(jets: np.ndarray, diff: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Rows of :func:`_gradient`'s data that pass the stop test ``|g| <=
+    1e-13 (1 + |S - x| speed)``, with ``speed`` the larger of ``|S_u|`` and
+    ``|S_v|``."""
+    speed = np.sqrt(np.maximum(np.vecdot(jets[:, 1, :], jets[:, 1, :]),
+                               np.vecdot(jets[:, 2, :], jets[:, 2, :])))
+    dist = np.sqrt(np.vecdot(diff, diff))
+    return np.hypot(g[:, 0], g[:, 1]) <= 1e-13 * (1.0 + dist * speed)
 
 
 def _newton_step(surface: BSplineSurface, uv: np.ndarray, jets: np.ndarray,
                  diff: np.ndarray, g: np.ndarray):
-    """Parameters and jets after one damped Newton step from ``uv``, whose
-    jets are ``jets`` and whose :func:`_gradient` data are ``diff`` and
-    ``g``. A step longer than a quarter of the domain's longer side is
-    shortened to it, and the iterate is clamped to the domain."""
+    """Parameters after one damped Newton step from ``uv``, whose jets are
+    ``jets`` and whose :func:`_gradient` data are ``diff`` and ``g``. A
+    step longer than a quarter of the domain's longer side is shortened to
+    it, and the iterate is clamped to the domain."""
     u0, u1, v0, v1 = surface.domain
     lim = 0.25 * max(u1 - u0, v1 - v0)
     a11 = (np.einsum("nc,nc->n", jets[:, 1, :], jets[:, 1, :])
@@ -376,9 +379,8 @@ def _newton_step(surface: BSplineSurface, uv: np.ndarray, jets: np.ndarray,
     dv = (a11 * b2 - a12 * b1) / det
     step = np.hypot(du, dv)
     shrink = np.where(step > lim, lim / step, 1.0)
-    uv = np.stack([np.clip(uv[:, 0] - shrink * du, u0, u1),
-                   np.clip(uv[:, 1] - shrink * dv, v0, v1)], axis=1)
-    return uv, evaluate_jets(surface, uv[:, 0], uv[:, 1])
+    return np.stack([np.clip(uv[:, 0] - shrink * du, u0, u1),
+                     np.clip(uv[:, 1] - shrink * dv, v0, v1)], axis=1)
 
 
 def _newton(surface: BSplineSurface, xs: np.ndarray, uv: np.ndarray,
@@ -395,14 +397,16 @@ def _newton(surface: BSplineSurface, xs: np.ndarray, uv: np.ndarray,
     converged = np.zeros(xs.shape[0], dtype=bool)
     for _ in range(PROJECTION_MAX_ITER):
         idx = np.flatnonzero(~converged)
-        diff, g, done = _gradient(xs[idx], jets)
+        diff, g = _gradient(xs[idx], jets)
+        done = _stopped(jets, diff, g)
         converged[idx[done]] = True
         out[idx[done]] = jets[done]
         if np.all(done):
             break
-        rest = ~done
-        uv[idx[rest]], jets = _newton_step(surface, uv[idx[rest]], jets[rest],
-                                           diff[rest], g[rest])
+        sub = idx[~done]
+        uv[sub] = _newton_step(surface, uv[sub], jets[~done], diff[~done],
+                               g[~done])
+        jets = evaluate_jets(surface, uv[sub, 0], uv[sub, 1])
 
     uv[~converged] = seeds[~converged]
     return uv, converged, out
@@ -487,27 +491,28 @@ def _track(surface: BSplineSurface, xs: np.ndarray, seeds_uv: np.ndarray,
     """:func:`project_points`' result after one damped Newton step per
     query from the warm starts ``seeds_uv`` and their jets ``seed_jets``.
 
-    A row whose warm start passes the stop test keeps it. A row whose step
-    does not shrink its gradient gets the warm projection of
-    :func:`project_points` from its warm start instead, with its retry and
-    fallback; it is the only kind of row that can be unconverged. The
-    other rows are returned after their step, whether or not they pass the
-    stop test there.
+    A row whose warm start passes the stop test keeps it; when every row
+    does, no jet is evaluated. A row whose step does not shrink its
+    gradient gets the warm projection of :func:`project_points` from its
+    warm start instead, with its retry and fallback; it is the only kind
+    of row that can be unconverged. The other rows are returned after
+    their step, whether or not they pass the stop test there.
     """
     xs = _queries(xs)
-    uv, jets = seeds_uv.copy(), seed_jets.copy()
+    diff, g = _gradient(xs, seed_jets)
+    keep = _stopped(seed_jets, diff, g)
     converged = np.ones(xs.shape[0], dtype=bool)
-    diff, g, done = _gradient(xs, jets)
-    move = np.flatnonzero(~done)
-    if move.size:
-        uv[move], jets[move] = _newton_step(surface, uv[move], jets[move],
-                                            diff[move], g[move])
-        g_new = _gradient(xs[move], jets[move])[1]
-        redo = move[~(np.hypot(g_new[:, 0], g_new[:, 1])
-                      < np.hypot(g[move, 0], g[move, 1]))]
-        if redo.size:
-            uv[redo], converged[redo], jets[redo] = _warm_newton(
-                surface, xs[redo], seeds_uv[redo], seed_jets[redo])
+    if keep.all():
+        return _footpoints(seeds_uv.copy(), converged, seed_jets.copy())
+    uv = np.where(keep[:, None], seeds_uv,
+                  _newton_step(surface, seeds_uv, seed_jets, diff, g))
+    jets = evaluate_jets(surface, uv[:, 0], uv[:, 1])
+    g_new = _gradient(xs, jets)[1]
+    redo = np.flatnonzero(~keep & ~(np.hypot(g_new[:, 0], g_new[:, 1])
+                                    < np.hypot(g[:, 0], g[:, 1])))
+    if redo.size:
+        uv[redo], converged[redo], jets[redo] = _warm_newton(
+            surface, xs[redo], seeds_uv[redo], seed_jets[redo])
     return _footpoints(uv, converged, jets)
 
 
