@@ -356,6 +356,26 @@ def test_warm_starts_that_do_not_converge_run_again_from_grid_seeds(
         assert np.array_equal(got, want)
 
 
+def test_retry_skips_warm_starts_that_are_their_grid_seeds(patch,
+                                                          monkeypatch):
+    # No Newton step: the cold call falls back to the grid seeds. Warm
+    # started there, every row fails again, and a retry from the same seed
+    # would only repeat that failure.
+    monkeypatch.setattr(bspline, "PROJECTION_MAX_ITER", 0)
+    rng = np.random.default_rng(4)
+    xs = rng.uniform(-0.8, 0.8, size=(30, 3))
+    xs[:, 2] = rng.uniform(0.0, 0.6, size=30)
+    cold = project_points(patch, xs)
+    rows = []
+    newton = bspline._newton
+    monkeypatch.setattr(bspline, "_newton", lambda surface, xs, *a: rows.append(
+        len(xs)) or newton(surface, xs, *a))
+    warm = project_points(patch, xs, seeds_uv=cold[0], seed_jets=cold[4])
+    assert rows[0] == 30 and sum(rows[1:]) == 0
+    for got, want in zip(warm, cold):
+        assert np.array_equal(got, want)
+
+
 def test_blocked_seed_select_equals_one_shot_argmin():
     # Integer seed lattice; half-integer queries tie between 2 or 4 seeds.
     gx, gy = np.meshgrid(np.arange(24.0), np.arange(24.0), indexing="ij")

@@ -12,8 +12,8 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from lnets import (AngleField, CongruenceSpec, CurvatureSignError, GridSpec,
                    IterationRecord, LNet, QuadGrid, Schedule, Weights,
-                   assemble, bspline, initialize, kernels, lm_run,
-                   optimize, trace_grid, verify)
+                   assemble, bspline, evaluate_jets, initialize, kernels,
+                   lm_run, optimize, project_points, trace_grid, verify)
 from lnets.lnet import face_pairs
 from lnets.optimize import (BandLayout, _attempt_step, lattice_order, pack,
                             solve_normal_equations, unpack)
@@ -962,6 +962,85 @@ def test_refresh_at_an_unchanged_net_evaluates_no_jets(patch, monkeypatch):
     assert np.array_equal(system.foot_n, normals)
     system.refresh_footpoints(system.x0 + 1e-4)
     assert 0 < len(batches) <= 3
+
+
+def test_tracked_refreshes_at_an_unchanged_net_reach_the_projection(patch):
+    # The assembly's cold refresh converged, so later refreshes track: one
+    # Newton step each, whose fixed point is the projection.
+    system = assemble(lattice_net(patch, 5, 6), patch, Weights())
+    rng = np.random.default_rng(12)
+    x = system.x0 + 1e-4 * rng.standard_normal(system.n_vars)
+    want = project_points(patch, system.contact_points_of(x),
+                          system.foot_uv, system.foot_jets)
+    system.refresh_footpoints(x)
+    assert np.max(np.abs(system.foot_uv - want[0])) > 1e-12
+    for _ in range(2):
+        system.refresh_footpoints(x)
+        assert system.footpoint_fallbacks == 0
+        for got, ref in ((system.foot_uv, want[0]), (system.foot_x, want[1]),
+                         (system.foot_n, want[2])):
+            assert np.allclose(got, ref, rtol=0.0, atol=4 * np.spacing(1.0))
+
+
+def test_tracked_refresh_projects_rows_whose_step_does_not_shrink_their_gradient(
+        patch):
+    system = assemble(lattice_net(patch, 5, 6), patch, Weights())
+    rng = np.random.default_rng(13)
+    x = system.x0 + 1e-5 * rng.standard_normal(system.n_vars)
+    # Face (0, 0)'s sphere rises 1 above the surface, and its first contact
+    # point's cached footpoint moves to a domain corner: from there the
+    # Newton step does not shrink the gradient.
+    x[2] += 1.0
+    system.foot_uv[0] = (0.0, 0.0)
+    system.foot_jets[0] = evaluate_jets(patch, [0.0], [0.0])[0]
+    uv0, jets0 = system.foot_uv.copy(), system.foot_jets.copy()
+    pts = system.contact_points_of(x)
+    diff, grad = bspline._gradient(pts, jets0)
+    done = bspline._stopped(jets0, diff, grad)
+    step_uv = bspline._newton_step(patch, uv0, jets0, diff, grad)
+    step_jets = evaluate_jets(patch, step_uv[:, 0], step_uv[:, 1])
+    after = bspline._gradient(pts, step_jets)[1]
+    shrunk = np.hypot(*after.T) < np.hypot(*grad.T)
+    assert not shrunk[0] and shrunk[1:].all() and not done.any()
+
+    system.refresh_footpoints(x)
+    want = project_points(patch, pts[:1], uv0[:1], jets0[:1])
+    got = (system.foot_uv, system.foot_x, system.foot_n, system.foot_jets)
+    for mine, ref in zip(got, (want[0], want[1], want[2], want[4])):
+        assert np.array_equal(mine[0], ref[0])
+    assert system.footpoint_fallbacks == int(np.sum(~want[3]))
+    # Every other row took its one step.
+    assert np.array_equal(system.foot_uv[1:], step_uv[1:])
+    assert np.array_equal(system.foot_jets[1:], step_jets[1:])
+    # A refresh after fallbacks projects every row in full.
+    full = project_points(patch, pts, system.foot_uv, system.foot_jets)
+    system.refresh_footpoints(x)
+    got = (system.foot_uv, system.foot_x, system.foot_n, system.foot_jets)
+    for mine, ref in zip(got, (full[0], full[1], full[2], full[4])):
+        assert np.array_equal(mine, ref)
+
+
+def test_last_record_is_measured_at_footpoints_projected_in_full(
+        patch, monkeypatch):
+    systems = []
+    make = optimize.assemble
+    monkeypatch.setattr(optimize, "assemble",
+                        lambda *a: systems.append(make(*a)) or systems[-1])
+    net, records = lm_run(lattice_net(patch, 5, 5), patch, Weights(),
+                          Schedule(max_iters=20, final_pass_iters=3))
+    (system,) = systems
+    pts = system.contact_points_of(pack(net))
+    _, feet, normals, conv, jets = project_points(patch, pts)
+    assert conv.all()
+    assert bspline._stopped(system.foot_jets,
+                            *bspline._gradient(pts, system.foot_jets)).all()
+    assert np.allclose(system.foot_x, feet, rtol=0.0, atol=1e-12)
+    diff = pts - feet
+    prox = float(np.sum(diff * diff))
+    tan = float(np.sum(np.einsum("kc,kc->k", diff, normals) ** 2))
+    last = records[-1].energies
+    assert last["prox"] == pytest.approx(prox, rel=1e-12)
+    assert last["tan"] == pytest.approx(tan, rel=1e-9)
 
 
 def test_escalations_reuse_the_normal_equations(patch, monkeypatch):

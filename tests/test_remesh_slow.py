@@ -1,12 +1,14 @@
 """The adaptive tracer against a fixed-step RK4 reference: the slow cases
-of the tracer tests, about 10 s each for the acceptance and steep grids."""
+of the tracer tests, about 10 s each for the acceptance and steep grids.
+Also the acceptance run on a copy scaled by 100, about 3 s."""
 
 import math
 
 import numpy as np
 import pytest
 
-from lnets import AngleField, GridSpec, trace_grid
+from lnets import (AngleField, BSplineSurface, GridSpec, initialize, lm_run,
+                   trace_grid, verify)
 from lnets import remesh
 from lnets.remesh import _stage
 
@@ -89,3 +91,21 @@ def test_adaptive_trace_matches_fine_rk4_reference(case, patch, steep_patch,
     ref = trace_grid(surface, ACCEPTANCE_SPEC, field, GridSpec(*size))
     assert grid.uv.shape == ref.uv.shape
     assert np.max(np.abs(grid.uv - ref.uv)) <= 1e-8
+
+
+def test_acceptance_copy_scaled_by_100_stays_an_lnet(patch):
+    # With the surface and the edge length scaled by 100, footpoints fall
+    # back to their seeds in every main-pass refresh, so each refresh
+    # after them projects in full. The returned net verifies with a max
+    # contact residual of 7.67e-13; tracking the footpoints through the
+    # fallbacks by one Newton step per refresh left it at 1.15e-6.
+    s = 100.0
+    surface = BSplineSurface(patch.degree_u, patch.degree_v, patch.knots_u,
+                             patch.knots_v, s * patch.control_grid)
+    grid = trace_grid(surface, ACCEPTANCE_SPEC,
+                      AngleField.constant(math.pi / 4),
+                      GridSpec(16, 16, 0.13 * s))
+    net, records = lm_run(initialize(grid, surface, ACCEPTANCE_SPEC), surface)
+    report = verify(net)
+    assert report.is_lnet and report.max_contact_residual <= 1e-12
+    assert sum(r.footpoint_fallbacks > 0 for r in records) == 101
