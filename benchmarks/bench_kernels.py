@@ -15,9 +15,13 @@ untimed warm-up call.
   edge 0.13), with the number of frame-field batches it evaluates and the
   realized grid size.
 - ``projection``: the grid-seeded batched closest-point projection.
-- ``lm``: one warm ``refresh_footpoints`` (the net moves by about 1e-4
-  between calls, as an LM step does; with the jet batches it evaluates),
-  one ``residual`` at a new net (every block evaluated) and one after a
+- ``lm``: two footpoint refreshes after the net moves by about 1e-4, as
+  an LM step does, each with the jet batches it evaluates: the tracked
+  ``refresh_footpoints`` of the main pass (one Newton step per point from
+  the last footpoints) and the full warm ``project_points`` of the same
+  points from footpoints converged at the unmoved net (the refresh after
+  fallbacks and at the returned net). Then one ``residual`` at a new net
+  (every block evaluated) and one after a
   refresh at the net of the last evaluation (only the proximity and
   tangency blocks evaluated, the rest reused), one analytic
   ``jacobian`` and one formation of the normal equations (``J^T J`` and
@@ -253,10 +257,16 @@ def main(argv=None):
 
     for size in (10, 40):
         system, x = lattice_system(surf, size)
-        nets = itertools.cycle((x + 1e-4 * rng.standard_normal(x.size), x))
+        moved = x + 1e-4 * rng.standard_normal(x.size)
+        nets = itertools.cycle((moved, x))
         t_foot = time_fn(lambda: system.refresh_footpoints(next(nets)), few)
         n_foot = count_jet_batches(
             lambda: system.refresh_footpoints(next(nets)))
+        feet = project_points(surf, system.contact_points_of(x))
+        full = partial(project_points, surf, system.contact_points_of(moved),
+                       feet[0], feet[4])
+        t_full = time_fn(full, few)
+        n_full = count_jet_batches(full)
         t_res = time_fn(lambda: system.residual(next(nets)), few)
         t_reuse = time_refreshed_residual(system, x, few)
         t_jac = time_fn(lambda: system.jacobian(x), few)
@@ -298,8 +308,9 @@ def main(argv=None):
                          f"{lay.elim.size} eliminated, bandwidth {lay.bw}, "
                          f"band {(lay.bw + 1) * lay.n * 8 / 2 ** 20:.1f} MiB")
             del eqs
-        print(f"lm {size}x{size}    : footpoints {t_foot:8.2f} ms "
-              f"({n_foot} jet batches), residual "
+        print(f"lm {size}x{size}    : footpoints tracked {t_foot:8.2f} ms "
+              f"({n_foot} jet batches) / warm projection {t_full:8.2f} ms "
+              f"({n_full} jet batches), residual "
               f"{t_res:8.2f} ms / after a refresh {t_reuse:8.2f} ms, "
               f"jacobian first {t_first:8.2f} ms / fill "
               f"{t_jac:8.2f} ms, normal equations first {t_form_first:8.2f} "
