@@ -368,8 +368,8 @@ def test_retry_skips_warm_starts_that_are_their_grid_seeds(patch,
     cold = project_points(patch, xs)
     rows = []
     newton = bspline._newton
-    monkeypatch.setattr(bspline, "_newton", lambda surface, xs, *a: rows.append(
-        len(xs)) or newton(surface, xs, *a))
+    monkeypatch.setattr(bspline, "_newton", lambda surface, xs, *a:
+                        rows.append(len(xs)) or newton(surface, xs, *a))
     warm = project_points(patch, xs, seeds_uv=cold[0], seed_jets=cold[4])
     assert rows[0] == 30 and sum(rows[1:]) == 0
     for got, want in zip(warm, cold):

@@ -982,7 +982,7 @@ def test_tracked_refreshes_at_an_unchanged_net_reach_the_projection(patch):
             assert np.allclose(got, ref, rtol=0.0, atol=4 * np.spacing(1.0))
 
 
-def test_tracked_refresh_projects_rows_whose_step_does_not_shrink_their_gradient(
+def test_tracked_rows_whose_step_does_not_shrink_the_gradient_are_projected(
         patch):
     system = assemble(lattice_net(patch, 5, 6), patch, Weights())
     rng = np.random.default_rng(13)

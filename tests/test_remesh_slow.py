@@ -98,7 +98,7 @@ def test_acceptance_copy_scaled_by_100_stays_an_lnet(patch):
     # back to their seeds in every main-pass refresh, so each refresh
     # after them projects in full. The returned net verifies with a max
     # contact residual of 7.67e-13; tracking the footpoints through the
-    # fallbacks by one Newton step per refresh left it at 1.15e-6.
+    # fallbacks by one Newton step per refresh left it at 1.26e-6.
     s = 100.0
     surface = BSplineSurface(patch.degree_u, patch.degree_v, patch.knots_u,
                              patch.knots_v, s * patch.control_grid)
