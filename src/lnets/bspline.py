@@ -442,7 +442,7 @@ def _queries(xs) -> np.ndarray:
 def _footpoints(uv: np.ndarray, converged: np.ndarray, jets: np.ndarray):
     """:func:`project_points`' result from the parameters, convergence and
     jets of every row; oriented normals are taken in one call."""
-    with locating(uv, lambda k: "footpoint "):
+    with locating(lambda k: "footpoint ", uv):
         normals = oriented_normals(jets)
     return uv, jets[:, 0, :], normals, converged, jets
 

@@ -39,7 +39,7 @@ import numpy as np
 from .bspline import load_surface
 from .conjugacy import CongruenceSpec
 from .errors import (ConfigError, LnetsError, checked, json_fields,
-                     read_json)
+                     read_json, relabeled)
 from .lnet import (DEFAULT_TOL_OC, initialize, load_lnet,
                    save_lnet, verify)
 from .optimize import Schedule, Weights, lm_run
@@ -227,8 +227,9 @@ def run_pipeline(cfg: RunConfig) -> dict:
     """Execute surface -> field -> grid -> net -> optimization -> export.
 
     Returns the summary dictionary; a failed run replaces no artifact. An
-    :class:`LnetsError` is re-raised as its own type and an ``OSError`` as
-    an ``LnetsError``, both prefixed with the stage name; any other
+    :class:`LnetsError` is re-raised as its own type with its location
+    fields (:func:`lnets.errors.relabeled`) and an ``OSError`` as an
+    ``LnetsError``, both prefixed with the stage name; any other
     exception, a fault of the program, propagates unchanged.
     """
     stage = "load-surface"
@@ -283,7 +284,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
         return summary
     except Exception as exc:
         if isinstance(exc, LnetsError):
-            raise type(exc)(f"[stage {stage}] {exc}") from exc
+            raise relabeled(exc, f"[stage {stage}] ") from exc
         if isinstance(exc, OSError):
             raise LnetsError(f"[stage {stage}] {exc}") from exc
         raise

@@ -1,5 +1,10 @@
 """Exception types shared across the package, the integer count check
-and a checked JSON reader."""
+and a checked JSON reader.
+
+This module alone says where an error happened: :func:`raise_first`
+raises for a batch's first bad row, :func:`locating` re-raises a row's
+error with its caller's location, and :func:`relabeled` builds such a
+re-raise, which keeps the error's type and its location fields."""
 
 import json
 import reprlib
@@ -15,7 +20,8 @@ class LnetsError(Exception):
 
     Errors about one point of a batch carry its row in ``index``; errors
     located in the parameter domain carry ``uv`` and, when raised by the
-    streamline tracer, the traced ``line``. Unset fields are ``None``.
+    streamline tracer, the traced ``line``. Unset fields are ``None``. A
+    re-raise that adds a caller's context (:func:`relabeled`) keeps them.
     """
 
     index = None
@@ -75,6 +81,12 @@ def located(cls, message: str, **fields) -> Exception:
     return exc
 
 
+def _row(values, k: int):
+    """Row ``k`` of ``values``: a copied array, or a Python scalar."""
+    row = np.asarray(values)[k]
+    return row.copy() if isinstance(row, np.ndarray) else row.item()
+
+
 def raise_first(checks, **fields) -> None:
     """Raise for the first row that fails any ``(bad, cls, message)`` check.
 
@@ -87,33 +99,46 @@ def raise_first(checks, **fields) -> None:
     if not bad.any():
         return
     k = int(np.argmax(bad))
-    rows = {name: np.asarray(value)[k] for name, value in fields.items()}
-    where = {name: row.copy() if isinstance(row, np.ndarray) else row.item()
-             for name, row in rows.items()} or {"index": k}
+    where = {name: _row(value, k) for name, value in fields.items()}
     for mask, cls, message in checks:
         if mask[k]:
-            raise located(cls, message(k), **where)
+            raise located(cls, message(k), **(where or {"index": k}))
+
+
+def relabeled(exc: Exception, prefix: str, **fields) -> Exception:
+    """A new error of ``exc``'s type whose message is ``prefix`` before
+    ``exc``'s. It carries ``exc``'s location fields, with ``fields`` set
+    over them."""
+    kept = {name: getattr(exc, name) for name in ("index", "uv", "line")
+            if getattr(exc, name, None) is not None}
+    return located(type(exc), f"{prefix}{exc}", **{**kept, **fields})
 
 
 @contextmanager
-def locating(uv, what):
-    """Locate a batch's row error in the parameter domain.
+def locating(what, uv=None, **rows):
+    """Locate a batch's row error with its caller's context.
 
-    An :class:`LnetsError` raised inside the block for row ``k`` (its
-    ``index``) is raised again as its own type, prefixed ``"{what(k)}at
-    (u=..., v=...): "`` with the row's parameters ``uv[k]``, which it also
-    carries in ``uv``; ``index`` stays ``k``. An error without a row
-    passes unchanged.
+    An :class:`LnetsError`, or a ``ValueError``, raised inside the block
+    for row ``k`` (its ``index``) is raised again as its own type,
+    prefixed ``what(k)``. With ``uv``, the prefix goes on with ``"at
+    (u=..., v=...): "`` from the row's parameters ``uv[k]``, which the
+    error also carries in ``uv``. Each keyword array gives row ``k``'s
+    value of the location field it names, as ``line=lines`` does. Every
+    other location field, ``index`` among them, is kept. An error without
+    a row passes unchanged.
     """
     try:
         yield
-    except LnetsError as exc:
-        k = exc.index
+    except (LnetsError, ValueError) as exc:
+        k = getattr(exc, "index", None)
         if k is None:
             raise
-        u, v = uv[k]
-        raise located(type(exc), f"{what(k)}at (u={u:.6g}, v={v:.6g}): "
-                      f"{exc}", index=k, uv=uv[k].copy()) from exc
+        prefix = what(k)
+        fields = {name: _row(values, k) for name, values in rows.items()}
+        if uv is not None:
+            u, v = fields["uv"] = _row(uv, k)
+            prefix += f"at (u={u:.6g}, v={v:.6g}): "
+        raise relabeled(exc, prefix, **fields) from exc
 
 
 def check_count(name: str, n, low: int) -> None:

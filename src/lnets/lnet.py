@@ -117,8 +117,8 @@ def initialize(grid: QuadGrid, surface: BSplineSurface,
     vr, vc = grid.rows, grid.cols
     jets = evaluate_jets(surface, uv[..., 0].ravel(), uv[..., 1].ravel())
     points = jets[:, 0, :].reshape(vr, vc, 3)
-    with locating(uv.reshape(-1, 2),
-                  lambda k: "grid vertex (%d, %d) " % divmod(k, vc)):
+    with locating(lambda k: "grid vertex (%d, %d) " % divmod(k, vc),
+                  uv.reshape(-1, 2)):
         normals = oriented_normals(jets).reshape(vr, vc, 3)
     intercepts = -np.einsum("ijc,ijc->ij", points, normals)
 
@@ -132,8 +132,8 @@ def initialize(grid: QuadGrid, surface: BSplineSurface,
         logger.warning("%d of %d face footpoints did not converge and keep "
                        "their seeds, the first at face (%d, %d)", stray.size,
                        converged.size, *divmod(int(stray[0]), fc))
-    with locating(uv_feet,
-                  lambda k: "face (%d, %d) footpoint " % divmod(k, fc)):
+    with locating(lambda k: "face (%d, %d) footpoint " % divmod(k, fc),
+                  uv_feet):
         radii = spec.radii(principal_frames(foot_jets).kappa1, uv_feet)
     centers = feet + radii[:, None] * foot_normals
     return LNet(normals, intercepts,

@@ -53,7 +53,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .bspline import BSplineSurface, _track, project_points
-from .errors import LnetsError, check_count, located
+from .errors import check_count, locating
 from .lnet import (CORNERS, LNet, cone_gaps, contact_incidences,
                    contact_residuals, face_pairs, incidence_points,
                    strip_incidences)
@@ -255,16 +255,12 @@ class ResidualSystem:
         A located footpoint error is re-raised naming the face and corner
         of its contact incidence, which is its ``index``.
         """
-        try:
-            return project(self.surface, pts, seeds_uv, seed_jets)
-        except (LnetsError, ValueError) as exc:
-            k = getattr(exc, "index", None)
-            if k is None:
-                raise
+        def where(k):
             i, j = divmod(int(self.oc_face[k]), self.vertex_shape[1] - 1)
-            raise located(type(exc), f"contact of face ({i}, {j}) at corner "
-                          f"{CORNERS[k % 4]}: {exc}", index=k,
-                          uv=getattr(exc, "uv", None)) from exc
+            return f"contact of face ({i}, {j}) at corner {CORNERS[k % 4]}: "
+
+        with locating(where):
+            return project(self.surface, pts, seeds_uv, seed_jets)
 
     # -- residuals ----------------------------------------------------------
 
@@ -863,7 +859,7 @@ def _run_phase(system: ResidualSystem, x: np.ndarray, weights: Weights,
         escal = solves = fallbacks = 0
         if not (records and _at_floor(records[-1], system.active_blocks(),
                                       x)):
-            if w_it.w_prox > 0.0 or w_it.w_tan > 0.0:
+            if set(FOOTPOINT_BLOCKS) & set(system.active_blocks()):
                 system.refresh_footpoints(x)
                 fallbacks = system.footpoint_fallbacks
             res0 = system.residual(x)

@@ -75,8 +75,7 @@ import numpy as np
 
 from .bspline import BSplineSurface, evaluate_jets, principal_frames
 from .conjugacy import CongruenceSpec, pseudo_lconj_partners
-from .errors import (LnetsError, TracingError, check_count, located,
-                     locating, raise_first)
+from .errors import TracingError, check_count, locating, raise_first
 
 logger = logging.getLogger(__name__)
 
@@ -223,7 +222,7 @@ def frame_field(surface: BSplineSurface, spec: CongruenceSpec,
     theta = theta_eval(field, (uv[:, 0] - u0) / (u1 - u0),
                        (uv[:, 1] - v0) / (v1 - v0))
     a = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    with locating(uv, lambda k: ""):
+    with locating(lambda k: "", uv):
         frames = principal_frames(jets)
         r = spec.radii(frames.kappa1, uv)
         b = pseudo_lconj_partners(frames.kappa1, frames.kappa2, r, a)
@@ -266,17 +265,14 @@ class GridSpec:
             raise ValueError("rk4_step must be positive")
 
 
-def _first_degenerate_cell(uv: np.ndarray):
-    """The first cell ``(i, j)`` of the grid ``uv``, row-major, whose area
-    is not above ``EPS_CELL`` times the mean cell area, or ``None``."""
+def _degenerate_cells(uv: np.ndarray) -> np.ndarray:
+    """Mask of the cells ``(i, j)`` of the grid ``uv`` whose area is not
+    above ``EPS_CELL`` times the mean cell area."""
     # A quad's area is half the cross product of its diagonals.
     a = uv[1:, 1:] - uv[:-1, :-1]
     b = uv[:-1, 1:] - uv[1:, :-1]
     area = 0.5 * np.abs(a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0])
-    bad = ~(area > EPS_CELL * np.mean(area))  # every cell if all are flat
-    if bad.any():
-        return tuple(int(k) for k in np.argwhere(bad)[0])
-    return None
+    return ~(area > EPS_CELL * np.mean(area))  # every cell if all are flat
 
 
 @dataclass(frozen=True)
@@ -295,7 +291,7 @@ class QuadGrid:
         if (np.any(uv[..., 0] < u0) or np.any(uv[..., 0] > u1)
                 or np.any(uv[..., 1] < v0) or np.any(uv[..., 1] > v1)):
             raise ValueError("grid vertices outside the parameter domain")
-        if _first_degenerate_cell(uv) is not None:
+        if _degenerate_cells(uv).any():
             raise ValueError("grid contains degenerate cells")
 
     @property
@@ -309,14 +305,8 @@ class QuadGrid:
 
 def _evaluate(field_fn, q: np.ndarray, label: str, lines: np.ndarray):
     """``field_fn(q)``; a located error is re-raised naming its line."""
-    try:
+    with locating(lambda k: f"{label} {lines[k]} ", line=lines):
         return field_fn(q)
-    except LnetsError as exc:
-        if exc.index is None:
-            raise
-        line = int(lines[exc.index])
-        raise located(type(exc), f"{label} {line} {exc}", uv=exc.uv,
-                      line=line) from exc
 
 
 def _stage(field_fn, domain, family: int, lines: np.ndarray, q: np.ndarray,
@@ -513,11 +503,11 @@ def trace_grid_from_field(field_fn, domain, spec: GridSpec) -> QuadGrid:
     uv = np.empty((len(seeds), keep_lo + keep_hi + 1, 2))
     for i, seed in enumerate(seeds):
         uv[i] = lo[i][:keep_lo][::-1] + [seed] + hi[i][:keep_hi]
-    cell = _first_degenerate_cell(uv)
-    if cell is not None:
-        raise located(TracingError, f"traced grid cell {cell} at (u="
-                      f"{uv[cell][0]:.6g}, v={uv[cell][1]:.6g}) is degenerate",
-                      uv=uv[cell].copy())
+    bad = _degenerate_cells(uv)
+    corner = uv[:-1, :-1].reshape(-1, 2)
+    raise_first([(bad.ravel(), TracingError, lambda k: (
+        f"traced grid cell {divmod(k, bad.shape[1])} at (u={corner[k, 0]:.6g}"
+        f", v={corner[k, 1]:.6g}) is degenerate"))], uv=corner)
     grid = QuadGrid(uv, tuple(domain))
     if grid.rows < spec.rows or grid.cols < spec.cols:
         logger.warning("traced grid trimmed at the domain boundary: "

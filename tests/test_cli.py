@@ -15,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lnets
-from lnets import (ConfigError, LNet, LnetsError, TracingError, cli,
-                   load_lnet, load_surface, save_lnet, save_surface)
+from lnets import (ConfigError, IrregularError, LNet, LnetsError,
+                   TracingError, cli, load_lnet, load_surface, save_lnet,
+                   save_surface)
 from lnets.cli import (LOG_COLUMNS, OBJ_BLOCK_ROWS, config_from_dict,
                        export_obj, load_config, main, report, run_pipeline)
 from lnets.objtext import face_lines, vertex_lines
@@ -351,6 +352,18 @@ def test_run_on_a_folded_surface_exits_with_a_located_error(tmp_path,
     assert sorted(p.name for p in out.iterdir()) == names
     assert all((out / name).read_text() == f"earlier {name}\n"
                for name in names)
+
+
+def test_staged_error_keeps_its_location(tmp_path):
+    # The centre seed, on the fold, is the first point traced.
+    path = base_config(tmp_path, folded_patch(),
+                       grid={"rows": 16, "cols": 16, "edge_length": 0.13})
+    with pytest.raises(IrregularError, match=r"^\[stage remesh\] at "
+                       r"\(u=0\.5, v=0\.5\): ") as info:
+        run_pipeline(load_config(path))
+    assert np.array_equal(info.value.uv, [0.5, 0.5])
+    assert info.value.index == 0
+    assert info.value.line is None
 
 
 def quad_mesh():

@@ -1,7 +1,7 @@
 """Static checks of the library's source: it writes to the console only
 from the command line's ``main``, it logs through one logger per module,
-a child of the ``lnets`` logger, and each of its error types is public
-and raised."""
+a child of the ``lnets`` logger, only ``lnets.errors`` builds a located
+error, and each of its error types is public and raised."""
 
 import ast
 from pathlib import Path
@@ -50,6 +50,15 @@ def test_loggers_are_named_after_their_modules():
     assert made
     assert [item for item in made
             if item[1] != "logging.getLogger(__name__)"] == []
+
+
+def test_only_errors_builds_located_errors():
+    # Every re-raise that adds a caller's location goes through
+    # errors.locating or errors.relabeled, which keep the inner fields.
+    callers = {(module, scope) for module, scope, call in CALLS
+               if called_name(call) == "located"}
+    assert callers
+    assert {module for module, _ in callers} == {"errors"}
 
 
 def error_types():
