@@ -24,9 +24,8 @@ EPS_REG = 1e-10
 # Sample-grid resolution used to seed closest-point projection.
 PROJECTION_SEED_GRID = 24
 # Newton steps of closest-point projection before a point falls back to
-# its grid seed (a warm-started point first runs again from its grid seed).
-# The LM's tracked footpoint refresh takes one step per point instead
-# (:func:`_track`).
+# its seed: its grid seed or its warm start. The LM's tracked footpoint
+# refresh takes one step per point instead (:func:`_track`).
 PROJECTION_MAX_ITER = 50
 # Query rows per seed-screening block: a (256, 576) product per block, 1.2 MB
 # for 576 seeds.
@@ -412,24 +411,6 @@ def _newton(surface: BSplineSurface, xs: np.ndarray, uv: np.ndarray,
     return uv, converged, out
 
 
-def _warm_newton(surface: BSplineSurface, xs: np.ndarray, uv: np.ndarray,
-                 jets: np.ndarray):
-    """:func:`_newton` from warm starts. A row that does not converge runs
-    again from its grid seed, unless its warm start is that seed: from
-    there it would repeat the iteration that just failed."""
-    warm = uv.copy()
-    uv, converged, jets = _newton(surface, xs, uv, jets)
-    retry = np.flatnonzero(~converged)
-    if retry.size:
-        seeds, seed_jets = _grid_seeds(surface, xs[retry])
-        fresh = np.any(seeds != warm[retry], axis=1)
-        retry = retry[fresh]
-        if retry.size:
-            uv[retry], converged[retry], jets[retry] = _newton(
-                surface, xs[retry], seeds[fresh], seed_jets[fresh])
-    return uv, converged, jets
-
-
 def _queries(xs) -> np.ndarray:
     """Query points as ``(N, 3)`` floats; a non-finite one raises
     ValueError with its row in ``index``."""
@@ -455,17 +436,9 @@ def project_points(surface: BSplineSurface, xs: np.ndarray,
     Each point starts from its nearest sample of an inclusive
     :data:`PROJECTION_SEED_GRID` square parameter grid (its grid seed;
     :func:`_seed_select`) unless ``seeds_uv`` (and ``seed_jets``, their
-    jets) provide warm starts. Iterates are clamped to the domain. A
-    warm-started point that has not converged after
-    :data:`PROJECTION_MAX_ITER` steps runs again from its grid seed, unless
-    it started there, and a point that still has not converged falls back
-    to its grid seed. The retry matters to the LM's footpoint refresh on
-    copies of the acceptance config with the surface and the edge length
-    scaled by ``s``. At ``s = 100`` the returned net's largest contact
-    residual is 7.7e-13 with it, 2.7e-5 without it and 8.1e-5 with a
-    fallback to the warm seed; the last two are no L-nets. At ``s = 30``
-    the rms distance of the contact points from the surface, over ``s``,
-    is 4.1e-3, 8.5e-3 and 9.5e-3. Each row keeps the jets of its returned
+    jets) provide warm starts. Iterates are clamped to the domain. A point
+    that has not converged after :data:`PROJECTION_MAX_ITER` steps falls
+    back to its seed, warm or grid. Each row keeps the jets of its returned
     parameters; none is evaluated twice.
 
     Returns ``(uv, feet, normals, converged, jets)`` with shapes
@@ -477,13 +450,12 @@ def project_points(surface: BSplineSurface, xs: np.ndarray,
     """
     xs = _queries(xs)
     if seeds_uv is None:
-        uv, converged, jets = _newton(surface, xs, *_grid_seeds(surface, xs))
+        uv, jets = _grid_seeds(surface, xs)
     else:
         uv = np.asarray(seeds_uv, dtype=float).reshape(-1, 2).copy()
         jets = (evaluate_jets(surface, uv[:, 0], uv[:, 1])
                 if seed_jets is None else seed_jets)
-        uv, converged, jets = _warm_newton(surface, xs, uv, jets)
-    return _footpoints(uv, converged, jets)
+    return _footpoints(*_newton(surface, xs, uv, jets))
 
 
 def _track(surface: BSplineSurface, xs: np.ndarray, seeds_uv: np.ndarray,
@@ -493,9 +465,9 @@ def _track(surface: BSplineSurface, xs: np.ndarray, seeds_uv: np.ndarray,
 
     A row whose warm start passes the stop test keeps it; when every row
     does, no jet is evaluated. A row whose step does not shrink its
-    gradient gets the warm projection of :func:`project_points` from its
-    warm start instead, with its retry and fallback; it is the only kind
-    of row that can be unconverged. The other rows are returned after
+    gradient gets the Newton iteration of :func:`project_points` from its
+    warm start instead, with its fallback to that start; it is the only
+    kind of row that can be unconverged. The other rows are returned after
     their step, whether or not they pass the stop test there.
     """
     xs = _queries(xs)
@@ -511,7 +483,7 @@ def _track(surface: BSplineSurface, xs: np.ndarray, seeds_uv: np.ndarray,
     redo = np.flatnonzero(~keep & ~(np.hypot(g_new[:, 0], g_new[:, 1])
                                     < np.hypot(g[:, 0], g[:, 1])))
     if redo.size:
-        uv[redo], converged[redo], jets[redo] = _warm_newton(
+        uv[redo], converged[redo], jets[redo] = _newton(
             surface, xs[redo], seeds_uv[redo], seed_jets[redo])
     return _footpoints(uv, converged, jets)
 

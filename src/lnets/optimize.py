@@ -77,7 +77,11 @@ MAX_ESCALATIONS = 8
 class Weights:
     """Energy weights and the LM damping weight ``w_reg``, which is not an
     energy: each step minimizes ``|r(x + d)|^2 + w_reg |d|^2`` with
-    ``w_reg > 0``. The defaults are the tuning the pipeline ships with."""
+    ``w_reg > 0``. The defaults are the tuning the pipeline ships with.
+
+    :func:`lm_run` applies every weight, ``w_reg`` included, in its
+    normalized frame, where the control grid has centroid 0 and rms radius
+    1, so the same weights give the same net in any units."""
 
     w_oc: float = 1.0
     w_lfair: float = 1e-3
@@ -232,9 +236,13 @@ class ResidualSystem:
         Pottmann & Liu, ACM TOG 25(2), 2006). A point whose step does not
         shrink its gradient, every point of a refresh after fallbacks and
         every point of :func:`lm_run`'s refresh at the returned net get
-        :func:`project_points`' warm projection, which re-seeds the warm
-        starts that do not converge. The points that fall back to their
-        grid seeds are counted.
+        :func:`project_points`' warm projection. The points that do not
+        converge keep their seeds and are counted as fallbacks. The rule
+        for a refresh after fallbacks keeps a point that fell back from
+        being tracked and then counted as converged. In :func:`lm_run`'s
+        normalized frame no measured run falls back, from the acceptance
+        config scaled by 0.01 to 1000; only projections cut to 0 Newton
+        steps (``PROJECTION_MAX_ITER``, in the tests) reach the rule.
         """
         tracked = (self._tracking and self.foot_jets is not None
                    and not self.footpoint_fallbacks)
@@ -790,7 +798,11 @@ def solve_normal_equations(eqs: NormalEquations, mu: float) -> np.ndarray:
 @dataclass
 class IterationRecord:
     """Per-iteration log entry of :func:`lm_run`, measured at the net the
-    iteration returns. ``solves`` is the number of band solves it made: 0
+    iteration returns, in the run's normalized frame. With ``s`` the rms
+    radius of the surface's control grid, every energy but ``E_unit`` is
+    the caller's-units energy divided by ``s^2`` and ``max_oc`` is divided
+    by ``s``; ``E_unit`` is the same in both, and ``e_total`` weighs the
+    frame's energies. ``solves`` is the number of band solves it made: 0
     at the roundoff floor (:func:`_at_floor`), else one per damping level
     tried, ``min(escalations, MAX_ESCALATIONS) + 1``.
     ``footpoint_fallbacks`` counts the footpoints that fell back to their
@@ -835,9 +847,10 @@ def _attempt_step(residual_fn, x: np.ndarray, res0: np.ndarray,
 
 def _at_floor(record: IterationRecord, kinds, x: np.ndarray) -> bool:
     """Whether every block ``kinds`` of ``record`` is at the roundoff
-    floor ``64 eps max(1, max|x|)``: ``max_oc`` for ``oc`` and ``sqrt(E_k)``
-    for every other kind (Madsen, Nielsen & Tingleff, *Methods for
-    Non-Linear Least Squares Problems*, 2004, 3.2)."""
+    floor ``64 eps max(1, max|x|)``, with ``x`` in :func:`lm_run`'s
+    normalized frame: ``max_oc`` for ``oc`` and ``sqrt(E_k)`` for every
+    other kind (Madsen, Nielsen & Tingleff, *Methods for Non-Linear Least
+    Squares Problems*, 2004, 3.2)."""
     floor = 64.0 * np.finfo(float).eps * max(1.0, _max_abs(x))
     return all((record.max_oc if kind == "oc"
                 else np.sqrt(record.energies[kind])) <= floor
@@ -883,6 +896,20 @@ def lm_run(net: LNet, surface: BSplineSurface, weights: Weights = Weights(),
            schedule: Schedule = Schedule(), fix_radii: bool = False):
     """Refine a net: main pass with all energies, then contact-only pass.
 
+    The run works in one normalized frame, so its result does not depend on
+    the units or the placement of the input (Marquardt, SIAM J. Appl.
+    Math. 11(2), 1963, on variable scaling; Hartley, IEEE PAMI 19(6),
+    1997, on centring and isotropic scaling). With ``t`` the centroid and
+    ``s`` the rms radius of the surface's control points, the surface's
+    control grid becomes ``(grid - t) / s`` and the net ``c' = (c - t) /
+    s``, ``r' = r / s`` and ``h' = (h + <n, t>) / s``, with its normals
+    unchanged. Assembly, both passes and the refresh at the returned net
+    run there. The returned net is the input plus the change ``d`` of the
+    run mapped back: ``n + d_n``, ``h + s d_h - <d_n, t>``, ``c + s d_c``
+    and ``r + s d_r``, so a net that the run leaves unchanged comes back
+    bit for bit. The records are measured in the normalized frame
+    (:class:`IterationRecord`).
+
     ``fix_radii`` freezes every sphere radius at its initial value, which
     is the faithful treatment of an exactly prescribed constant radius.
     Returns the refined net and the list of :class:`IterationRecord`.
@@ -892,7 +919,14 @@ def lm_run(net: LNet, surface: BSplineSurface, weights: Weights = Weights(),
     has footpoint fallbacks, one warning names those records and the
     largest count.
     """
-    system = assemble(net, surface, weights, fix_radii)
+    grid = surface.control_grid.reshape(-1, 3)
+    t = grid.mean(axis=0)
+    s = float(np.sqrt(np.mean(np.vecdot(grid - t, grid - t))))
+    system = assemble(
+        LNet(net.normals, (net.intercepts + net.normals @ t) / s,
+             (net.centers - t) / s, net.radii / s),
+        replace(surface, control_grid=(surface.control_grid - t) / s),
+        weights, fix_radii)
     x = system.x0.copy()
     records: list[IterationRecord] = []
     x = _run_phase(system, x, weights, schedule, schedule.max_iters,
@@ -916,4 +950,7 @@ def lm_run(net: LNet, surface: BSplineSurface, weights: Weights = Weights(),
                        ", ".join(map(str, fell)),
                        max(rec.footpoint_fallbacks for rec in records),
                        system.oc_face.size)
-    return unpack(x, system.vertex_shape), records
+    d = unpack(x - system.x0, system.vertex_shape)
+    return LNet(net.normals + d.normals,
+                net.intercepts + s * d.intercepts - d.normals @ t,
+                net.centers + s * d.centers, net.radii + s * d.radii), records

@@ -339,41 +339,25 @@ def test_closest_point_clamps_exterior_queries(patch):
     assert uv[0, 0] == 1.0  # clamped to the domain edge nearest the query
 
 
-def test_warm_starts_that_do_not_converge_run_again_from_grid_seeds(
+def test_warm_starts_that_do_not_converge_keep_their_warm_seeds(
         patch, monkeypatch):
-    # No Newton step: every warm start fails and is re-seeded from the
-    # grid, so the warm call ends where the cold call does.
+    # No Newton step: every warm start fails and falls back to itself, row
+    # for row with its jets, not to a grid seed.
     monkeypatch.setattr(bspline, "PROJECTION_MAX_ITER", 0)
     rng = np.random.default_rng(3)
     xs = rng.uniform(-0.8, 0.8, size=(30, 3))
     xs[:, 2] = rng.uniform(0.0, 0.6, size=30)
+    seeds = rng.uniform(0.0, 1.0, size=(30, 2))
+    jets = evaluate_jets(patch, seeds[:, 0], seeds[:, 1])
+    uv, feet, normals, conv, got_jets = project_points(
+        patch, xs, seeds_uv=seeds, seed_jets=jets)
+    assert not conv.any()
+    assert np.array_equal(uv, seeds)
+    assert np.array_equal(got_jets, jets)
+    assert np.array_equal(feet, jets[:, 0])
+    assert np.array_equal(normals, bspline.oriented_normals(jets))
     cold = project_points(patch, xs)
-    corner = np.zeros((30, 2))
-    warm = project_points(patch, xs, seeds_uv=corner)
-    assert not warm[3].any()
-    assert not np.array_equal(cold[0], corner)
-    for got, want in zip(warm, cold):
-        assert np.array_equal(got, want)
-
-
-def test_retry_skips_warm_starts_that_are_their_grid_seeds(patch,
-                                                          monkeypatch):
-    # No Newton step: the cold call falls back to the grid seeds. Warm
-    # started there, every row fails again, and a retry from the same seed
-    # would only repeat that failure.
-    monkeypatch.setattr(bspline, "PROJECTION_MAX_ITER", 0)
-    rng = np.random.default_rng(4)
-    xs = rng.uniform(-0.8, 0.8, size=(30, 3))
-    xs[:, 2] = rng.uniform(0.0, 0.6, size=30)
-    cold = project_points(patch, xs)
-    rows = []
-    newton = bspline._newton
-    monkeypatch.setattr(bspline, "_newton", lambda surface, xs, *a:
-                        rows.append(len(xs)) or newton(surface, xs, *a))
-    warm = project_points(patch, xs, seeds_uv=cold[0], seed_jets=cold[4])
-    assert rows[0] == 30 and sum(rows[1:]) == 0
-    for got, want in zip(warm, cold):
-        assert np.array_equal(got, want)
+    assert not np.any(np.all(cold[0] == seeds, axis=1))
 
 
 def test_blocked_seed_select_equals_one_shot_argmin():

@@ -1023,15 +1023,24 @@ def test_tracked_rows_whose_step_does_not_shrink_the_gradient_are_projected(
 
 def test_last_record_is_measured_at_footpoints_projected_in_full(
         patch, monkeypatch):
-    systems = []
+    # The system's own frame: its surface and the iterates its refreshes
+    # see, the last at the returned net.
+    systems, iterates = [], []
     make = optimize.assemble
-    monkeypatch.setattr(optimize, "assemble",
-                        lambda *a: systems.append(make(*a)) or systems[-1])
-    net, records = lm_run(lattice_net(patch, 5, 5), patch, Weights(),
-                          Schedule(max_iters=20, final_pass_iters=3))
+
+    def assemble(*a):
+        system = make(*a)
+        refresh = system.refresh_footpoints
+        system.refresh_footpoints = (
+            lambda x: iterates.append(x.copy()) or refresh(x))
+        return systems.append(system) or system
+
+    monkeypatch.setattr(optimize, "assemble", assemble)
+    _, records = lm_run(lattice_net(patch, 5, 5), patch, Weights(),
+                        Schedule(max_iters=20, final_pass_iters=3))
     (system,) = systems
-    pts = system.contact_points_of(pack(net))
-    _, feet, normals, conv, jets = project_points(patch, pts)
+    pts = system.contact_points_of(iterates[-1])
+    _, feet, normals, conv, jets = project_points(system.surface, pts)
     assert conv.all()
     assert bspline._stopped(system.foot_jets,
                             *bspline._gradient(pts, system.foot_jets)).all()

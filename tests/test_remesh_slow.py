@@ -1,15 +1,17 @@
 """The adaptive tracer against a fixed-step RK4 reference: the slow cases
 of the tracer tests, about 10 s each for the acceptance and steep grids.
-Also the acceptance run on a copy scaled by 100, about 3 s."""
+Also the acceptance run on scaled and translated copies of its surface,
+about 0.6 s each."""
 
 import math
 
 import numpy as np
 import pytest
 
-from lnets import (AngleField, BSplineSurface, GridSpec, initialize, lm_run,
-                   trace_grid, verify)
+from lnets import (AngleField, BSplineSurface, GridSpec, LNet, initialize,
+                   lm_run, trace_grid, verify)
 from lnets import remesh
+from lnets.optimize import pack
 from lnets.remesh import _stage
 
 from conftest import mixed_patch
@@ -93,19 +95,41 @@ def test_adaptive_trace_matches_fine_rk4_reference(case, patch, steep_patch,
     assert np.max(np.abs(grid.uv - ref.uv)) <= 1e-8
 
 
-def test_acceptance_copy_scaled_by_100_stays_an_lnet(patch):
-    # With the surface and the edge length scaled by 100, footpoints fall
-    # back to their seeds in every main-pass refresh, so each refresh
-    # after them projects in full. The returned net verifies with a max
-    # contact residual of 7.67e-13; tracking the footpoints through the
-    # fallbacks by one Newton step per refresh left it at 1.26e-6.
-    s = 100.0
+def _acceptance_run(patch, scale, offset):
+    """Trace, initialize, refine and verify the acceptance config on the
+    patch mapped by ``x -> scale x + offset``, with the edge length
+    scaled too. Returns the net mapped back to the patch's units, the LM
+    records and the verify report."""
+    offset = np.asarray(offset, dtype=float)
     surface = BSplineSurface(patch.degree_u, patch.degree_v, patch.knots_u,
-                             patch.knots_v, s * patch.control_grid)
+                             patch.knots_v,
+                             scale * patch.control_grid + offset)
     grid = trace_grid(surface, ACCEPTANCE_SPEC,
                       AngleField.constant(math.pi / 4),
-                      GridSpec(16, 16, 0.13 * s))
+                      GridSpec(16, 16, 0.13 * scale))
     net, records = lm_run(initialize(grid, surface, ACCEPTANCE_SPEC), surface)
-    report = verify(net)
-    assert report.is_lnet and report.max_contact_residual <= 1e-12
-    assert sum(r.footpoint_fallbacks > 0 for r in records) == 101
+    back = LNet(net.normals, (net.intercepts + net.normals @ offset) / scale,
+                (net.centers - offset) / scale, net.radii / scale)
+    return back, records, verify(net)
+
+
+@pytest.fixture(scope="module")
+def unit_acceptance_net(patch):
+    return _acceptance_run(patch, 1.0, (0.0, 0.0, 0.0))[0]
+
+
+@pytest.mark.parametrize("scale, offset", [
+    (0.01, (0.0, 0.0, 0.0)), (100.0, (0.0, 0.0, 0.0)),
+    (1000.0, (0.0, 0.0, 0.0)), (1.0, (5.0, -3.0, 2.0))],
+    ids=["x0.01", "x100", "x1000", "moved"])
+def test_acceptance_copies_give_the_unit_net(patch, unit_acceptance_net,
+                                              scale, offset):
+    # The LM runs in the frame of the surface's control grid, so a similar
+    # copy of the config gives the similar net: the same relative contact
+    # residual (2.7e-13), no footpoint fallback, and the unit net mapped
+    # back up to roundoff.
+    net, records, report = _acceptance_run(patch, scale, offset)
+    assert report.is_lnet
+    assert report.max_contact_residual / scale <= 1e-12
+    assert not any(r.footpoint_fallbacks for r in records)
+    assert np.max(np.abs(pack(net) - pack(unit_acceptance_net))) <= 1e-10
