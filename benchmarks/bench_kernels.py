@@ -62,7 +62,10 @@ untimed warm-up call.
   The first reads 0 once an earlier stage has raised the process's
   peak higher; the second does not depend on the stages before it. The
   line ends with the OBJ file's size in bytes and the rate at which
-  ``export_obj`` writes it, in MB/s of OBJ text. This section runs
+  ``export_obj`` writes it, in MB/s of OBJ text, then the time and rate
+  of the deduplicated mesh's vertex text and face text alone
+  (``vertex_lines`` and ``face_lines`` of every ``OBJ_BLOCK_ROWS``-row
+  block, NUL removal included, nothing written). This section runs
   first, before the others raise the peak.
 """
 
@@ -82,12 +85,13 @@ import numpy as np
 from lnets import (AngleField, CongruenceSpec, GridSpec, LNet, QuadGrid,
                    Weights, assemble, convex_paraboloid_patch, initialize,
                    project_points)
-from lnets.cli import export_obj
+from lnets.cli import OBJ_BLOCK_ROWS, export_obj
 from lnets import kernels
 from lnets.bspline import (PROJECTION_SEED_GRID, _seed_grid, _seed_select,
                            evaluate_jets)
 from lnets.kernels import surface_jets_batch
 from lnets.lnet import CORNERS
+from lnets.objtext import face_lines, vertex_lines
 from lnets.optimize import (_schur_update, pack, solve_normal_equations,
                             unpack)
 from lnets.remesh import frame_field, trace_grid_from_field
@@ -212,12 +216,21 @@ def main(argv=None):
         obj_bytes = path.stat().st_size
     t_tess = time_fn(lambda: tessellate(net), few)
     t_dedupe = time_fn(lambda: dedupe_mesh(raw), few)
+    texts = []
+    for lines, rows in ((vertex_lines, mesh.vertices),
+                        (face_lines, mesh.triangles)):
+        blocks = [rows[lo:lo + OBJ_BLOCK_ROWS]
+                  for lo in range(0, rows.shape[0], OBJ_BLOCK_ROWS)]
+        t_text = time_fn(lambda: [lines(b) for b in blocks], few)
+        n_text = sum(len(lines(b)) for b in blocks)
+        texts.append(f"{t_text:8.2f} ms at {n_text / 1e3 / t_text:.1f} MB/s")
     print(f"export {size}x{size}: tessellate {t_tess:8.2f} ms "
           f"({memory[0]}), dedupe {t_dedupe:8.2f} ms ({memory[1]}), "
           f"export_obj {t_obj:8.2f} ms ({memory[2]})  "
           f"({raw.vertices.shape[0]} raw vertices, "
           f"{raw.triangles.shape[0]} triangles), OBJ {obj_bytes} B at "
-          f"{obj_bytes / 1e3 / t_obj:.1f} MB/s")
+          f"{obj_bytes / 1e3 / t_obj:.1f} MB/s; vertex text {texts[0]}, "
+          f"face text {texts[1]}")
     del raw, mesh
 
     surf = convex_paraboloid_patch()

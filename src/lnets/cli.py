@@ -145,11 +145,10 @@ def load_config(path) -> RunConfig:
 
 
 def _write_rows(fh, lines, rows: np.ndarray) -> None:
-    """Write ``lines(block)`` for every block of :data:`OBJ_BLOCK_ROWS`
-    rows, without its NUL padding."""
+    """Write the text ``lines(block)`` of every block of
+    :data:`OBJ_BLOCK_ROWS` rows."""
     for lo in range(0, rows.shape[0], OBJ_BLOCK_ROWS):
-        fh.write(lines(rows[lo:lo + OBJ_BLOCK_ROWS]).tobytes().translate(
-            None, b"\0"))
+        fh.write(lines(rows[lo:lo + OBJ_BLOCK_ROWS]))
 
 
 def export_obj(mesh: LabeledMesh, path) -> None:
@@ -165,10 +164,12 @@ def export_obj(mesh: LabeledMesh, path) -> None:
     The file is opened in binary mode and written in blocks of
     :data:`OBJ_BLOCK_ROWS` rows, so the whole text is never held in
     memory. :mod:`lnets.objtext` formats each block with numpy, byte for
-    byte as ``"v %.17g %.17g %.17g\\n"`` and ``"f %d %d %d\\n"``: the 17
-    digits of a coordinate with ``1e-4 <= |x| < 1e16`` are computed
-    exactly in float64 and rounded half to even, and any other
-    coordinate is formatted by ``%`` itself.
+    byte as ``"v %.17g %.17g %.17g\\n"`` and ``"f %d %d %d\\n"``, and
+    returns its text: the 17 digits of a coordinate with ``1e-4 <= |x| <
+    1e16`` are computed exactly in float64 and rounded half to even, and
+    any other coordinate is formatted by ``%`` itself; both take the
+    ASCII of each 4-digit chunk from a table (for an index, padded with
+    zeros or, in its highest chunk, not).
     """
     # Imported here, so that a process that writes no mesh never builds
     # the formatter's tables.

@@ -1,11 +1,11 @@
 """OBJ ``v`` and ``f`` lines formatted by numpy, byte for byte as ``%``.
 
 :func:`vertex_lines` and :func:`face_lines` turn a block of mesh rows
-into a ``uint8`` array with one fixed-width row per line. Columns that
-hold no character are NUL, so ``buf.tobytes().translate(None, b"\\0")``
-is exactly the text of ``"v %.17g %.17g %.17g\\n"`` (or ``"f %d %d
-%d\\n"`` of the 1-based indices) over the rows, with no Python call per
-number.
+into the text of ``"v %.17g %.17g %.17g\\n"`` (or ``"f %d %d %d\\n"`` of
+the 1-based indices) over the rows, as ``bytes``, with no Python call
+per number. Each first lays the lines out in fixed-width rows of
+little-endian words, NUL where a column holds no character, and drops
+the NULs with ``bytes.translate``.
 
 ``%.17g`` prints coordinates with ``1e-4 <= |x| < 1e16`` in fixed
 notation. Their 17 significant digits are computed exactly in
@@ -15,7 +15,16 @@ exact for ``k <= 22``), ``X`` is corrected where ``floor(log10|x|)``
 missed it, and ``p + e`` is rounded half to even to an integer, as the
 correctly rounded conversion behind ``%`` rounds. Every other value
 (signed zeros, subnormals, ``|x| < 1e-4`` and ``|x| >= 1e16``) is
-formatted by ``b"%.17g" % x`` into the same columns.
+formatted by ``b"%.17g" % x`` into the same columns. The digits are
+split into 4-digit chunks; each chunk's word comes from a 10,000-entry
+table, and one of 840 mask rows, chosen by the sign, the point's slot
+and the last nonzero digit, gives the field's head and is ANDed with
+the chunk words as they are stored.
+
+An index takes as many 4-digit chunks as the block's largest value
+needs, each a word of a 20,000-entry table: the chunk's digits padded
+with zeros, or with leading zeros NUL for the highest nonzero chunk (and
+all NUL above it).
 """
 
 from __future__ import annotations
@@ -73,34 +82,63 @@ def _chunk_tables():
 
 
 _CHUNK, _CHUNK_TZ = _chunk_tables()
-_HEAD = np.frombuffer(bytes([0, 0, 0, 0, ord(" "), 0, 0xFF, ord("0")]),
-                      "<u8")[0]
+
+
+def _face_digits():
+    """The four digits of each ``n < 10**4`` as one word: ``[n]`` with
+    leading zeros NUL (all NUL for ``n = 0``), ``[10**4 + n]`` padded
+    with zeros."""
+    padded = _CHUNK.view(np.uint8).reshape(-1, 8)[:, 1::2]
+    lead = np.arange(10000)[:, None] >= np.array([1000, 100, 10, 1])
+    return np.concatenate([padded * lead, padded]).view("<u4")[:, 0]
+
+
+_FACE_DIGITS = _face_digits()
+# The word before each index of an ``f`` line.
+_FACE_HEADS = np.frombuffer(b"f \0\0 \0\0\0 \0\0\0", "<u4")
 
 
 def _field_masks():
-    """``[q * 21 + last]``: the field of a number whose point follows slot
-    ``q`` and whose last nonzero digit is in slot ``last``. It keeps the
-    slots from the integer part's first digit (slot 4, or slot ``q`` when
-    the number is below 1) to ``max(last, q)``, and the point when a
-    digit follows it; ANDed with the digits it gives the ``%g`` text."""
+    """``[neg * 420 + q * 21 + last]``: the field of a number, negative
+    when ``neg``, whose point follows slot ``q`` and whose last nonzero
+    digit is in slot ``last``. Word 0 is the field's head (the space, the
+    sign and the "0" of slot 0 if kept). The other words keep the slots
+    from the integer part's first digit (slot 4, or slot ``q`` when the
+    number is below 1) to ``max(last, q)``, and the point when a digit
+    follows it; ANDed with the digits they give the ``%g`` text."""
     slot = np.arange(21)
     q = np.arange(20)[:, None, None]
     last = np.arange(21)[None, :, None]
-    masks = np.zeros((20, 21, _FIELD), np.uint8)
-    masks[..., :5] = 0xFF
+    masks = np.zeros((2, 20, 21, _FIELD), np.uint8)
+    masks[..., 4] = ord(" ")
+    masks[1, ..., 5] = ord("-")
     masks[..., 7::2] = 0xFF * ((slot >= np.minimum(q, 4))
                                & (slot <= np.maximum(last, q)))
+    masks[..., 7] &= ord("0")
     for k in range(20):
-        masks[k, k + 1:, 8 + 2 * k] = ord(".")
-    return masks.view("<u8").reshape(20 * 21, _FIELD_WORDS)
+        masks[:, k, k + 1:, 8 + 2 * k] = ord(".")
+    return masks.view("<u8").reshape(2 * 20 * 21, _FIELD_WORDS)
 
 
 _FIELD_MASKS = _field_masks()
 
 
-def vertex_lines(block: np.ndarray) -> np.ndarray:
-    """``"v %.17g %.17g %.17g\\n"`` of each row of a finite ``(n, 3)``
-    float block, as ``(n, 152)`` NUL-padded bytes."""
+def _split(a, d):
+    """``divmod(a, d)`` of an integer array, by ``//`` and a product."""
+    q = a // d
+    return q, a - q * d
+
+
+def vertex_lines(block: np.ndarray) -> bytes:
+    """The text of ``"v %.17g %.17g %.17g\\n"`` over the rows of a finite
+    ``(n, 3)`` float block."""
+    # The columns' temporaries are freed before the two copies.
+    return _vertex_columns(block).tobytes().translate(None, b"\0")
+
+
+def _vertex_columns(block):
+    """The lines of :func:`vertex_lines` as ``(n, 152)`` bytes, NUL
+    where a column holds no character."""
     n = block.shape[0]
     a = np.abs(block)
     fast = (a >= 1e-4) & (a < 1e16)
@@ -121,24 +159,24 @@ def vertex_lines(block: np.ndarray) -> np.ndarray:
     # each power of ten from 1e-4 to 1e16 is more than 8 units of the
     # 17th digit below it, so the rounding never carries to 10**17.
     digits = p.astype(np.int64) + np.rint(e).astype(np.int64)
-    lead, rest = np.divmod(digits, 10 ** 16)
-    hi, lo = np.divmod(rest, 10 ** 8)
-    chunks = (lead, *np.divmod(hi, 10 ** 4), *np.divmod(lo, 10 ** 4))
+    lead, rest = _split(digits, 10 ** 16)
+    hi, lo = _split(rest, 10 ** 8)
+    chunks = (lead, *_split(hi, 10 ** 4), *_split(lo, 10 ** 4))
     trailing, zero = 0, True
     for chunk in chunks[:0:-1]:
-        trailing = trailing + zero * _CHUNK_TZ[chunk]
+        trailing = trailing + zero * np.take(_CHUNK_TZ, chunk)
         zero = zero & (chunk == 0)
 
+    masks = np.take(_FIELD_MASKS, (block < 0) * 420 + (4 + exp10) * 21
+                    + (20 - trailing), axis=0)
     line = np.empty((n, _LINE_WORDS), np.uint64)
     line[:, -1] = ord("\n")
-    line[:, 0:-1:_FIELD_WORDS] = _HEAD
+    line[:, 0:-1:_FIELD_WORDS] = masks[..., 0]
     for w, chunk in enumerate(chunks, start=1):
-        line[:, w:-1:_FIELD_WORDS] = _CHUNK[chunk]
-    point, last = 4 + exp10, 20 - trailing
-    line[:, :-1] &= _FIELD_MASKS[point * 21 + last].reshape(n, -1)
+        np.bitwise_and(np.take(_CHUNK, chunk), masks[..., w],
+                       out=line[:, w:-1:_FIELD_WORDS])
     text = line.view(np.uint8)
     text[:, 3] = ord("v")
-    text[:, 5:-8:_FIELD] = (block < 0) * np.uint8(ord("-"))
     for i, c in zip(*np.nonzero(~fast)):
         s = b"%.17g" % float(block[i, c])
         field = text[i, _FIELD * c + 5:_FIELD * (c + 1)]
@@ -147,24 +185,18 @@ def vertex_lines(block: np.ndarray) -> np.ndarray:
     return text
 
 
-def face_lines(block: np.ndarray) -> np.ndarray:
-    """``"f %d %d %d\\n"`` of each row of a nonnegative ``(n, 3)`` index
-    block plus one, as NUL-padded bytes as wide as the block's largest
-    index."""
-    n = block.shape[0]
-    top = int(block.max()) + 1
-    values = block.astype(np.uint32 if top < 2 ** 32 else np.uint64) + 1
-    width = len(str(top))
-    text = np.zeros((n, 3, width + 1), np.uint8)
-    text[..., 0] = ord(" ")
-    rest = values
-    for k in range(width, 0, -1):
-        rest, text[..., k] = np.divmod(rest, values.dtype.type(10))
-    text[..., 1:] += ord("0")
-    for k in range(1, width):
-        text[..., k] *= values >= 10 ** (width - k)
-    line = np.empty((n, 3 * (width + 1) + 2), np.uint8)
-    line[:, 0] = ord("f")
-    line[:, 1:-1] = text.reshape(n, -1)
+def face_lines(block: np.ndarray) -> bytes:
+    """The text of ``"f %d %d %d\\n"`` over the rows of a nonnegative
+    ``(n, 3)`` index block plus one."""
+    rest = block + 1
+    # Each index takes a head word ("f " or the space) and its chunk
+    # words, highest first; the line ends with the newline word.
+    chunks = (len(str(int(rest.max(initial=0)))) + 3) // 4
+    line = np.empty((block.shape[0], 3 * chunks + 4), np.uint32)
+    line[:, :-1:chunks + 1] = _FACE_HEADS
     line[:, -1] = ord("\n")
-    return line
+    for w in range(chunks, 0, -1):
+        rest, chunk = _split(rest, 10 ** 4)
+        line[:, w:-1:chunks + 1] = np.take(_FACE_DIGITS,
+                                           chunk + 10 ** 4 * (rest > 0))
+    return line.tobytes().translate(None, b"\0")

@@ -6,6 +6,7 @@ lines as documented."""
 
 import importlib.util
 import logging
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -38,10 +39,12 @@ def test_bench_kernels_prints_every_section(capsys):
         bench.main(["--points", "200", "--repeats", "1"])
     finally:
         logger.setLevel(level)
-    heads = [line.split(":")[0].strip()
-             for line in capsys.readouterr().out.splitlines()]
+    lines = capsys.readouterr().out.splitlines()
+    heads = [line.split(":")[0].strip() for line in lines]
     assert heads == ["export 8x8", "jets", "trace", "projection", "lm 10x10",
                      "cold 10x10", "lm 40x40", "cold 40x40"]
+    assert re.search(r"vertex text +[\d.]+ ms at [\d.]+ MB/s, face text +"
+                     r"[\d.]+ ms at [\d.]+ MB/s$", lines[0])
 
 
 # Seven code lines: the import, the class line, the two lines of the

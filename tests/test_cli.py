@@ -513,7 +513,7 @@ def vertex_text(values):
     """``vertex_lines`` of ``values`` (padded with 1.0 to whole rows)."""
     values = list(values) + [1.0] * (-len(values) % 3)
     rows = np.array(values, dtype=float).reshape(-1, 3)
-    return vertex_lines(rows).tobytes().translate(None, b"\0")
+    return vertex_lines(rows)
 
 
 def percent_text(values):
@@ -550,6 +550,7 @@ def test_vertex_lines_explicit_cases():
                   np.nextafter(power, np.inf)]
     cases += [-x for x in cases]
     assert vertex_text(cases) == percent_text(cases)
+    assert vertex_text([]) == b""
 
 
 @pytest.mark.parametrize("miss", [-1, 1])
@@ -566,16 +567,29 @@ def test_vertex_lines_correct_a_wrong_log10_estimate(monkeypatch, miss):
     assert text == percent_text(values)
 
 
+def face_text(block):
+    return b"".join(b"f %d %d %d\n" % tuple(r) for r in (block + 1).tolist())
+
+
 def test_face_lines_at_every_digit_width_boundary():
-    # 1-based values n - 1 and n at each power of ten n, then around
-    # 2**32, where a block switches from uint32 to uint64 digits.
+    # 1-based values n - 1 and n at each power of ten n (9,999 and 10,000,
+    # 99,999,999 and 10**8 are 4-digit chunk boundaries), then around
+    # 2**32, then one past a chunk boundary and interior zero chunks.
     ones = [10 ** k for k in range(1, 10)] + [2 ** 32 - 1, 2 ** 32, 10 ** 10]
     values = [v for n in ones for v in (n - 1, n)]
+    values += [10001, 10 ** 8 + 5, 10 ** 12 + 7]
     rows = np.array(values, dtype=np.int64).reshape(-1, 3) - 1
-    for block in (rows[:1], rows[:6], rows[6:7], rows[7:], rows):
-        text = b"".join(b"f %d %d %d\n" % tuple(r)
-                        for r in (block + 1).tolist())
-        assert face_lines(block).tobytes().translate(None, b"\0") == text
+    for block in (rows[:0], rows[:1], rows[:6], rows[6:7], rows[7:],
+                  rows[8:], rows):
+        assert face_lines(block) == face_text(block)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(*[st.integers(0, 2 ** 40 - 1)] * 3), min_size=1,
+                max_size=30))
+def test_face_lines_format_as_percent_d(rows):
+    block = np.array(rows, dtype=np.int64)
+    assert face_lines(block) == face_text(block)
 
 
 def test_export_obj_memory_stays_within_a_block(tmp_path):
