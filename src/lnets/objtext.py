@@ -188,7 +188,8 @@ def _vertex_columns(block):
 def face_lines(block: np.ndarray) -> bytes:
     """The text of ``"f %d %d %d\\n"`` over the rows of a nonnegative
     ``(n, 3)`` index block plus one."""
-    rest = block + 1
+    # Widened first: an index plus one may not fit a narrow dtype.
+    rest = block.astype(np.int64, copy=False) + 1
     # Each index takes a head word ("f " or the space) and its chunk
     # words, highest first; the line ends with the newline word.
     chunks = (len(str(int(rest.max(initial=0)))) + 3) // 4

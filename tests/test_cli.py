@@ -568,7 +568,8 @@ def test_vertex_lines_correct_a_wrong_log10_estimate(monkeypatch, miss):
 
 
 def face_text(block):
-    return b"".join(b"f %d %d %d\n" % tuple(r) for r in (block + 1).tolist())
+    return b"".join(b"f %d %d %d\n" % tuple(v + 1 for v in r)
+                    for r in block.tolist())
 
 
 def test_face_lines_at_every_digit_width_boundary():
@@ -582,6 +583,16 @@ def test_face_lines_at_every_digit_width_boundary():
     for block in (rows[:0], rows[:1], rows[:6], rows[6:7], rows[7:],
                   rows[8:], rows):
         assert face_lines(block) == face_text(block)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.uint16, np.int32,
+                                   np.uint32, np.uint64])
+def test_face_lines_at_the_top_of_each_index_dtype(dtype):
+    # The dtype's largest value plus one does not fit the dtype (uint64
+    # takes 2**40, as past 2**63 an index plus one does not fit int64).
+    top = int(np.iinfo(dtype).max) if dtype != np.uint64 else 2 ** 40
+    block = np.array([[0, top - 1, top], [top, 9, top // 2]], dtype=dtype)
+    assert face_lines(block) == face_text(block)
 
 
 @settings(max_examples=300)
